@@ -1,14 +1,18 @@
 """The polytope type and its geometric primitives.
 
 Bodies are V-representations: the convex hull of a finite vertex list, which
-may contain redundant generators until a ``canonicalize`` pass removes them
-(point-in-hull LP per vertex).  No facet enumeration is performed anywhere;
-containment questions reduce to LPs over convex-combination variables.
+may contain redundant generators until a ``canonicalize`` pass removes them.
+In the plane that pass is a monotone-chain hull (``planar_hull``), which also
+gives the edges that the planar scale fit and perimeter use; in higher
+dimensions it is one point-in-hull LP per vertex, and no facets are
+enumerated there: containment questions reduce to LPs over
+convex-combination variables.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -135,20 +139,22 @@ def point_in_hull(x, p: Polytope) -> bool:
     return out.status == lp.OPTIMAL
 
 
+def _distinct_indices(v: np.ndarray) -> list[int]:
+    """First occurrences of the rows of v, equal when rounded to 12 decimals."""
+    seen: set[bytes] = set()
+    out = []
+    for i in range(v.shape[0]):
+        key = np.round(v[i], 12).tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(i)
+    return out
+
+
 def canonical_vertex_indices(p: Polytope) -> list[int]:
     """Indices (into p.vertices) of the extreme points, by point-in-hull LPs."""
     v = p.vertices
-    m = v.shape[0]
-    keep = list(range(m))
-    # cheap exact-duplicate pass first
-    seen: dict[bytes, int] = {}
-    dedup = []
-    for i in keep:
-        key = np.round(v[i], 12).tobytes()
-        if key not in seen:
-            seen[key] = i
-            dedup.append(i)
-    keep = dedup
+    keep = _distinct_indices(v)
     if len(keep) == 1:
         return keep
     i = 0
@@ -161,11 +167,53 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     return keep
 
 
+def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
+    """Indices of the extreme points of a planar point set, counter-clockwise
+    from the lexicographically smallest one (Andrew's monotone chain).
+
+    A point whose turn between its chain neighbours has sine at most ``tol``
+    is dropped, so collinear boundary points go; of equal points the first
+    is kept.  A collinear set gives its two end points, a single point itself.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"planar hull needs an (m, 2) array, got shape {pts.shape}")
+    xy = pts.tolist()
+    order = sorted(range(len(xy)), key=xy.__getitem__)  # stable: ties keep input order
+    seq = [i for j, i in enumerate(order) if j == 0 or xy[i] != xy[order[j - 1]]]
+    if len(seq) <= 2:
+        return seq
+
+    def chain(indices):
+        out: list[int] = []
+        for i in indices:
+            px, py = xy[i]
+            while len(out) >= 2:
+                ox, oy = xy[out[-2]]
+                ax, ay = xy[out[-1]]
+                ux, uy, wx, wy = ax - ox, ay - oy, px - ox, py - oy
+                if ux * wy - uy * wx > tol * math.hypot(ux, uy) * math.hypot(wx, wy):
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    return chain(seq) + chain(seq[::-1])
+
+
 def canonicalize(p: Polytope) -> Polytope:
-    """Remove redundant generators so every vertex is an extreme point."""
+    """Remove redundant generators so every vertex is an extreme point.
+
+    The kept vertices stay in input order.  Planar bodies go through
+    ``planar_hull``; higher dimensions through ``canonical_vertex_indices``.
+    """
     if p.canonical:
         return p
-    idx = canonical_vertex_indices(p)
+    if p.dim == 2:
+        distinct = _distinct_indices(p.vertices)
+        idx = sorted(distinct[i] for i in planar_hull(p.vertices[distinct]))
+    else:
+        idx = canonical_vertex_indices(p)
     return Polytope(p.vertices[idx], canonical=True)
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -67,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol-geom", type=float, default=None,
                        help="override the geometric verdict tolerance")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("-o", "--output", default=None, help="also write the report here")
 
     add_common(sub.add_parser("fit", help="does L contain a translate of K"), bodies=2)
@@ -224,9 +222,6 @@ def run(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 
     tol = args.tol_geom if args.tol_geom is not None else core.TOL_GEOM
-    if getattr(args, "workers", 1) > 1:
-        warnings.warn("multi-worker counterexample selection is nondeterministic; "
-                      "running sequentially", RuntimeWarning, stacklevel=1)
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()

@@ -1,9 +1,17 @@
 """Translate-fit and scale-fit queries, plus finite vertex-subset witnesses.
 
 The central query: the largest t such that t*K + v fits inside L for some
-translation v, found by one LP over convex-combination variables.  K fits in
-L by translation iff that maximum is at least 1 (up to the geometric
-tolerance band).
+translation v.  K fits in L by translation iff that maximum is at least 1
+(up to the geometric tolerance band).  The method follows the dimension:
+
+* intervals: the closed form t = width(L) / width(K);
+* planar bodies: t = min over circumscribing triangles T of L, made of three
+  of L's edge lines, of the fit of K in T.  These are the dual bases of the
+  3-variable LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's edge
+  normals a_j (a fixed-dimension LP, enumerated outright);
+* everything else, a flat planar L, one with more than 48 edges, or a
+  planar witness that fails its check: one LP over convex-combination
+  variables.
 
 Subset witnesses make the containment equivalences decidable for polytopes:
 the intersection of L - x over all x in K equals the intersection over the
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -25,11 +34,12 @@ from .bodies import (
     canonical_vertex_indices,
     canonicalize,
     origin_interior_coefficients,
+    planar_hull,
     point_in_hull,
     simplex_from_supports,
     support,
 )
-from .core import TOL_GEOM
+from .core import TOL_FEAS, TOL_GEOM
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -159,28 +169,125 @@ def _warm_scale_fit(kv: np.ndarray, lv: np.ndarray):
     return sigma, v
 
 
-def scale_fit(k: Polytope, l: Polytope) -> FitResult:
-    """Maximal t with t*K + v inside L, and the witness translation.
+def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
+    """Scale fit of two intervals: the ratio of their widths."""
+    k0, k1 = float(kv.min()), float(kv.max())
+    l0, l1 = float(lv.min()), float(lv.max())
+    if k1 == k0:
+        return FitResult(math.inf, None, STATUS_DEGENERATE)
+    sigma = (l1 - l0) / (k1 - k0)
+    return FitResult(sigma, np.array([l0 - sigma * k0]), STATUS_OK)
 
-    K fits in L by translation iff sigma >= 1 - TOL_GEOM.  An unbounded LP
-    (K is a single point) is reported as degenerate with sigma = inf rather
-    than guessed at.
+
+_OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand normal
+# the enumeration holds all C(m, 3) triples of L's m edges; past this many
+# edges the LP, whose size grows only linearly in m, is the lighter route
+_MAX_PLANAR_EDGES = 48
+
+
+@lru_cache(maxsize=16)
+def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All triples i < j < k of range(m) as rows, with their two cyclic shifts."""
+    t = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+    return t, t[:, [1, 2, 0]], t[:, [2, 0, 1]]
+
+
+def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
+    """Scale fit in the plane by dual-basis enumeration; None when L is flat,
+    has more than _MAX_PLANAR_EDGES edges, or the witness fails its check,
+    and the caller should solve the LP.
+
+    With unit outward edge normals a_j of L, heights b_j = h_L(a_j) and
+    h_j = h_K(a_j), a dual basis is a triple y >= 0 with sum y_j a_j = 0 and
+    sum y_j h_j = 1.  In the plane y is proportional to the cross products
+    c = ([a_j, a_k], [a_k, a_i], [a_i, a_j]), so each triple of
+    counter-clockwise normals that positively spans (c >= 0) gives the bound
+    c.b / c.h, and sigma is the least of them.  Both bodies are centred on
+    their own vertex means first, which keeps every term free of the bodies'
+    offset and scale.
     """
-    if k.dim != l.dim:
-        raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
-    n = k.dim
-    warm = _warm_scale_fit(k.vertices, l.vertices)
+    if (kv == kv[0]).all():
+        return FitResult(math.inf, None, STATUS_DEGENERATE)
+    # a turn this far above rounding is a true one, so every edge line of
+    # the hull supports L; a dropped point moves L by a 1e-12 relative step
+    hull = planar_hull(lv, tol=1e-12)
+    m = len(hull)
+    if not 3 <= m <= _MAX_PLANAR_EDGES:
+        return None
+    kc, lc = kv.sum(axis=0) / kv.shape[0], lv.sum(axis=0) / lv.shape[0]
+    p = lv[hull] - lc
+    edge = lv[hull[1:] + hull[:1]] - lv[hull]
+    eu = edge / np.sqrt((edge * edge).sum(axis=1))[:, None]
+    a = eu[:, ::-1] * _OUTWARD
+    b = (a * p).sum(axis=1)
+    h = (a @ (kv - kc).T).max(axis=1)
+    t, t_next, t_prev = _triples(m)
+    # [a_p, a_q] = eu_p . a_q; made exactly antisymmetric, so that of the two
+    # triples through an antipodal pair, one always passes c >= 0
+    g = eu @ a.T
+    c = (0.5 * (g - g.T))[t_next, t_prev]
+    num, den = (c * b[t]).sum(axis=1), (c * h[t]).sum(axis=1)
+    ok = (c.min(axis=1) >= 0.0) & (den > 0.0)
+    ratios = np.where(ok, num, np.inf) / np.where(ok, den, 1.0)
+    best = int(ratios.argmin())
+    sigma = float(ratios[best])
+    if not ok[best]:
+        return None
+    # the triple's row of largest weight is tight at every optimum: v goes on
+    # its line, mid-way along the interval that the other rows leave there
+    # (one point, unless two rows of the triple are antipodal)
+    r = int(t[best, c[best].argmax()])
+    e = b - sigma * h
+    el = e.tolist()
+    nx, ny = a[r].tolist()
+    x0, y0 = el[r] * nx, el[r] * ny
+    lo, hi = -math.inf, math.inf
+    for (ax, ay), ej in zip(a.tolist(), el):
+        rate = ny * ax - nx * ay      # along the line direction (ny, -nx)
+        if rate > TOL_FEAS:
+            hi = min(hi, (ej - ax * x0 - ay * y0) / rate)
+        elif rate < -TOL_FEAS:
+            lo = max(lo, (ej - ax * x0 - ay * y0) / rate)
+    tau = 0.5 * (lo + hi)
+    v = np.array([x0 + tau * ny, y0 - tau * nx])
+    if not (a @ v - e).max() <= TOL_FEAS * b.max():
+        return None
+    return FitResult(sigma, v + lc - sigma * kc, STATUS_OK)
+
+
+def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
+    """Scale fit by the warm-start LP, or the general LP when L is flat."""
+    warm = _warm_scale_fit(kv, lv)
     if warm == "unbounded":
         return FitResult(math.inf, None, STATUS_DEGENERATE)
     if warm is not None:
         sigma, v = warm
         return FitResult(sigma, v, STATUS_OK)
-    out = lp.solve(_scale_fit_lp(k.vertices, l.vertices))
+    out = lp.solve(_scale_fit_lp(kv, lv))
     if out.status == lp.UNBOUNDED:
         return FitResult(math.inf, None, STATUS_DEGENERATE)
     if out.status != lp.OPTIMAL:
         raise lp.LpError("scale-fit LP unexpectedly infeasible")
-    return FitResult(float(out.objective), out.z[1:1 + n].copy(), STATUS_OK)
+    return FitResult(float(out.objective), out.z[1:1 + kv.shape[1]].copy(), STATUS_OK)
+
+
+def scale_fit(k: Polytope, l: Polytope) -> FitResult:
+    """Maximal t with t*K + v inside L, and the witness translation.
+
+    K fits in L by translation iff sigma >= 1 - TOL_GEOM.  When t is
+    unbounded (K is a single point) the result is degenerate with
+    sigma = inf rather than a guess.  Intervals use the closed form, planar
+    pairs the dual-basis enumeration, and the rest the LP.
+    """
+    if k.dim != l.dim:
+        raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
+    if k.dim == 1:
+        return _interval_fit(k.vertices, l.vertices)
+    if k.dim == 2:
+        fit = _planar_fit(k.vertices, l.vertices)
+        if fit is not None:
+            return fit
+    return _lp_scale_fit(k.vertices, l.vertices)
 
 
 def fit_translation(k: Polytope, l: Polytope, t: float = 1.0) -> np.ndarray | None:

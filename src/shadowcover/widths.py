@@ -20,6 +20,7 @@ from .bodies import (
     canonicalize,
     diameter,
     edges,
+    planar_hull,
     project,
     support,
     translate,
@@ -55,16 +56,8 @@ def mean_width_mc(k: Polytope, n_samples: int, rng: np.random.Generator) -> Mean
     return MeanWidthEstimate(value, stderr, n_samples)
 
 
-def _ordered_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Canonical 2D vertices in counterclockwise order around their centroid."""
-    center = points.mean(axis=0)
-    ang = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
-    return points[np.argsort(ang)]
-
-
 def _perimeter_2d(k: Polytope) -> float:
-    kc = canonicalize(k)
-    hull = _ordered_hull_2d(kc.vertices)
+    hull = k.vertices[planar_hull(k.vertices)]
     diffs = np.roll(hull, -1, axis=0) - hull
     return float(np.linalg.norm(diffs, axis=1).sum())
 

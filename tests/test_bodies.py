@@ -6,12 +6,14 @@ from shadowcover.bodies import (
     affine_dim,
     body_from_dict,
     body_to_dict,
+    canonical_vertex_indices,
     canonicalize,
     diameter,
     edges,
     hyperplane_shadow,
     linear_image,
     origin_interior_coefficients,
+    planar_hull,
     project,
     simplex_facet_normals,
     simplex_from_supports,
@@ -158,6 +160,40 @@ def test_canonicalize_keeps_boundary_midpoint_out():
     tri = Polytope([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     p = canonicalize(tri)
     assert p.nverts == 3
+
+
+def _planar_cloud(rng):
+    """Random planar points plus interior, duplicate and collinear-boundary ones."""
+    pts = rng.standard_normal((int(rng.integers(3, 12)), 2))
+    hull = pts[planar_hull(pts)]
+    w = rng.uniform(0.1, 0.9)
+    extra = [
+        pts.mean(axis=0),                                   # interior
+        pts[int(rng.integers(len(pts)))],                   # duplicate
+        (1.0 - w) * hull[0] + w * hull[1],                  # on a hull edge
+    ]
+    out = np.vstack([pts, extra])
+    return out[rng.permutation(len(out))]
+
+
+def test_planar_canonicalize_matches_lp_route_in_input_order():
+    rng = np.random.default_rng(41)
+    flat = Polytope([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5], [2.0, 1.0], [-1.0, -0.5]])
+    for p in [flat] + [Polytope(_planar_cloud(rng)) for _ in range(60)]:
+        idx = canonical_vertex_indices(p)
+        assert canonicalize(p).vertices.tolist() == p.vertices[idx].tolist()
+
+
+def test_planar_hull_is_counterclockwise():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        pts = _planar_cloud(rng)
+        hull = pts[planar_hull(pts)]
+        e = np.roll(hull, -1, axis=0) - hull
+        turns = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+        assert np.all(turns > 0.0)
+    assert planar_hull([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]]) == [1, 2]
+    assert planar_hull([[3.0, 1.0], [3.0, 1.0]]) == [0]
 
 
 def test_edges_cube():

@@ -157,6 +157,10 @@ def test_unknown_flag_exit_code():
     assert proc.returncode == 2
 
 
+def test_workers_flag_removed(bodies):
+    assert run(["fit", bodies["square"], bodies["big"], "--workers", "2"]) == 2
+
+
 def test_output_file_written(bodies, tmp_path, capsys):
     out = tmp_path / "report.json"
     code, rep = _invoke(capsys, "fit", bodies["square"], bodies["big"], "-o", str(out))

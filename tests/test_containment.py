@@ -5,8 +5,10 @@ import pytest
 
 from oracles import grid_scale_fit_2d
 
+from shadowcover import containment, lp
 from shadowcover.bodies import Polytope, canonicalize, point_in_hull, scale, support, translate
 from shadowcover.containment import (
+    _scale_fit_lp,
     circumscribing_simplex_witness,
     fit_translation,
     inscribed_equivalence_check,
@@ -225,3 +227,107 @@ def test_circumscribing_witness_thin_rectangle():
                                              rng=np.random.default_rng(3))
     assert simplex is not None
     assert scale_fit(rect, simplex).sigma < 1.0
+
+
+def _lp_sigma(k, l):
+    out = lp.solve(_scale_fit_lp(k.vertices, l.vertices))
+    return math.inf if out.status == lp.UNBOUNDED else out.objective
+
+
+def _dual_route(k, l):
+    """The 1-D/2-D scale fit against the plain LP, with its witness replayed."""
+    fit = scale_fit(k, l)
+    ref = _lp_sigma(k, l)
+    if fit.degenerate:
+        assert ref == math.inf
+        return fit
+    assert fit.sigma == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    assert replay_fit(k, l, fit)
+    return fit
+
+
+def test_low_dim_fit_matches_lp_random():
+    rng = np.random.default_rng(53)
+    for trial in range(80):
+        n = 1 + trial % 2
+        k = Polytope(rng.standard_normal((int(rng.integers(2, 8)), n)))
+        l = Polytope(rng.standard_normal((int(rng.integers(2, 10)), n)) * rng.uniform(0.5, 2.0))
+        _dual_route(k, l)
+
+
+def test_low_dim_fit_point_is_degenerate():
+    for n in (1, 2):
+        pt = Polytope(np.full((3, n), 0.25))
+        l = Polytope(np.random.default_rng(n).standard_normal((5, n)))
+        fit = _dual_route(pt, l)
+        assert fit.degenerate and fit.sigma == math.inf and fit.translation is None
+
+
+def test_low_dim_fit_segment_in_polygon():
+    seg = Polytope([[0.0, 0.0], [1.0, 0.5]])
+    fit = _dual_route(seg, square(1.0))
+    assert fit.sigma == pytest.approx(1.0, abs=1e-12)
+    fit = _dual_route(Polytope([[0.0], [0.5]]), Polytope([[-1.0], [2.0], [0.3]]))
+    assert fit.sigma == pytest.approx(6.0, abs=1e-12)
+    assert fit.translation == pytest.approx([-1.0], abs=1e-12)
+
+
+def test_planar_fit_flat_or_large_l_takes_lp_fallback(monkeypatch):
+    calls = []
+    original = containment._lp_scale_fit
+
+    def spy(kv, lv):
+        calls.append(lv.shape)
+        return original(kv, lv)
+
+    monkeypatch.setattr(containment, "_lp_scale_fit", spy)
+    segment = Polytope([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5]])
+    fit = _dual_route(Polytope([[0.0, 0.0], [1.0, 0.5]]), segment)
+    assert fit.sigma == pytest.approx(2.0, abs=1e-9)
+    _dual_route(TRIANGLE, segment)
+    assert len(calls) == 2
+    _dual_route(TRIANGLE, UNIT_SQUARE)
+    assert len(calls) == 2
+    theta = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+    sixty_gon = Polytope(np.column_stack([np.cos(theta), np.sin(theta)]))
+    _dual_route(TRIANGLE, sixty_gon)
+    assert len(calls) == 3
+
+
+def test_planar_fit_parallelogram_target():
+    # edge normals come in antipodal pairs, so strips compete with triangles
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        e1, e2, o = rng.standard_normal((3, 2))
+        l = Polytope(np.array([[0.0, 0.0], e1, e2, e1 + e2]) + o)
+        k = Polytope(rng.standard_normal((int(rng.integers(2, 7)), 2)) * 0.3)
+        _dual_route(k, l)
+    _dual_route(scale(UNIT_SQUARE, 0.5), UNIT_SQUARE)
+    _dual_route(Polytope([[0.0, 0.0], [0.0, 1.0]]), square(2.0))
+
+
+def test_planar_fit_repeated_and_collinear_vertices():
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        lv = rng.standard_normal((6, 2))
+        w = rng.uniform(0.1, 0.9)
+        l = Polytope(np.vstack([lv, lv[:2], lv[2], (1 - w) * lv[0] + w * lv[1]]))
+        kv = rng.standard_normal((4, 2))
+        k = Polytope(np.vstack([kv, kv[1], 0.5 * (kv[0] + kv[2])]))
+        _dual_route(k, l)
+    _dual_route(TRIANGLE, Polytope([[0, 0], [1, 0], [2, 0], [2, 2], [0, 2], [0, 1], [2, 2]]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_low_dim_fit_is_scale_and_offset_free(n):
+    rng = np.random.default_rng(67 + n)
+    for _ in range(10):
+        kv = rng.standard_normal((5, n))
+        lv = rng.standard_normal((7, n)) * 1.5
+        base = scale_fit(Polytope(kv), Polytope(lv)).sigma
+        for factor in (1e9, 1e-9):
+            got = scale_fit(Polytope(kv * factor), Polytope(lv * factor)).sigma
+            assert got == pytest.approx(base, rel=1e-12)
+        off = np.full(n, 1e9)
+        got = scale_fit(Polytope(kv + off), Polytope(lv + off)).sigma
+        assert got == pytest.approx(base, rel=1e-6)
