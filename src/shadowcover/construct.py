@@ -36,8 +36,8 @@ from .shadows import (
     COVERS,
     flat_lift_check,
     refine_min_margin,
-    shadow_fit,
     shadow_sweep,
+    sweep_sigmas,
     sweep_subspaces,
 )
 
@@ -201,11 +201,7 @@ def verify_touching(k: Polytope, s: Polytope, tol_geom: float = TOL_GEOM) -> boo
 
 def direction_sigmas(k: Polytope, s: Polytope, directions: np.ndarray) -> np.ndarray:
     """Hyperplane-shadow scale fit of (K, S) per direction."""
-    sigmas = np.empty(len(directions))
-    for i, u in enumerate(directions):
-        fit = shadow_fit(k, s, Subspace(hyperplane_basis(u)))
-        sigmas[i] = math.inf if fit.degenerate else fit.sigma
-    return sigmas
+    return sweep_sigmas(k, s, [Subspace(hyperplane_basis(u)) for u in directions])
 
 
 def epsilon_gap(k: Polytope, s: Polytope, directions: np.ndarray,
@@ -473,15 +469,9 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
     # lift on sampled ambient d-subspaces
     ver_subs = sweep_subspaces(n, d, sweep_count, rng=np.random.default_rng(0))
     lift_subs = [haar_subspace(n, d, generator) for _ in range(lift_checks)]
-    bases, sigmas = [], []
-    for eta in ver_subs + lift_subs:
-        fit = shadow_fit(body, cover, eta)
-        bases.append(eta.basis)
-        sigmas.append(math.inf if fit.degenerate else fit.sigma)
-    sigmas = np.asarray(sigmas)
-    finite = sigmas[np.isfinite(sigmas)]
-    if finite.size:
-        eps = min(eps, float(np.min(finite)))
+    subs = ver_subs + lift_subs
+    sigmas = sweep_sigmas(body, cover, subs)
+    eps = min(eps, float(sigmas.min(initial=math.inf)))
     if eps <= 1.0 + max(tol_geom, EPSILON_FLOOR):
         raise ConstructionError(f"ambient inflation gap too thin (eps={eps:.6g})")
 
@@ -508,7 +498,8 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
         cover=cover,
         epsilon=eps,
         d=d,
-        sample_log={"kind": "subspace_bases", "vectors": np.asarray(bases), "sigmas": sigmas},
+        sample_log={"kind": "subspace_bases", "vectors": np.asarray([s.basis for s in subs]),
+                    "sigmas": sigmas},
         certificate=certificate,
         checks=checks,
         seed=seed,
@@ -526,12 +517,8 @@ def _at_shadow_dim(ce: Counterexample, d: int, sweep_count: int,
     if d == ce.d:
         return ce
     subs = sweep_subspaces(ce.body.dim, d, sweep_count, rng=np.random.default_rng(0))
-    sigmas = np.empty(len(subs))
-    for i, eta in enumerate(subs):
-        fit = shadow_fit(ce.body, ce.cover, eta)
-        sigmas[i] = math.inf if fit.degenerate else fit.sigma
-    finite = sigmas[np.isfinite(sigmas)]
-    eps = min(ce.epsilon, float(np.min(finite))) if finite.size else ce.epsilon
+    sigmas = sweep_sigmas(ce.body, ce.cover, subs)
+    eps = min(ce.epsilon, float(sigmas.min(initial=math.inf)))
     if eps <= 1.0 + max(tol_geom, EPSILON_FLOOR):
         raise ConstructionError("lower-dimensional sweep erased the inflation gap")
     sweep = shadow_sweep(scale(ce.body, eps), ce.cover, d, count=sweep_count,

@@ -11,7 +11,13 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   normals a_j (a fixed-dimension LP, enumerated outright);
 * everything else, a flat planar L, one with more than 48 edges, or a
   planar witness that fails its check: one LP over convex-combination
-  variables.
+  variables, solved on copies of the bodies centred on their vertex means
+  and scaled by L's extent.
+
+A single-point K is the one degenerate case: its sigma is math.inf, and
+callers compare sigma directly.  The unit-scale witness of a fitting pair
+costs nothing more: if sigma*K + w lies in L and sigma >= 1, then so does
+K + w/sigma + (1 - 1/sigma)*y for any point y of L, by convexity.
 
 Subset witnesses make the containment equivalences decidable for polytopes:
 the intersection of L - x over all x in K equals the intersection over the
@@ -256,19 +262,29 @@ def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
 
 
 def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
-    """Scale fit by the warm-start LP, or the general LP when L is flat."""
+    """Scale fit by the warm-start LP, or the general LP when L is flat.
+
+    The LP pivots under the absolute TOL_FEAS, so it runs on both bodies
+    centred on their vertex means and divided by L's extent; sigma is
+    invariant under that common similarity, and v maps back as
+    v = s*v' + lc - sigma*kc.
+    """
+    kc, lc = kv.sum(axis=0) / kv.shape[0], lv.sum(axis=0) / lv.shape[0]
+    s = float(np.abs(lv - lc).max()) or 1.0
+    kv, lv = (kv - kc) / s, (lv - lc) / s
     warm = _warm_scale_fit(kv, lv)
     if warm == "unbounded":
         return FitResult(math.inf, None, STATUS_DEGENERATE)
     if warm is not None:
         sigma, v = warm
-        return FitResult(sigma, v, STATUS_OK)
-    out = lp.solve(_scale_fit_lp(kv, lv))
-    if out.status == lp.UNBOUNDED:
-        return FitResult(math.inf, None, STATUS_DEGENERATE)
-    if out.status != lp.OPTIMAL:
-        raise lp.LpError("scale-fit LP unexpectedly infeasible")
-    return FitResult(float(out.objective), out.z[1:1 + kv.shape[1]].copy(), STATUS_OK)
+    else:
+        out = lp.solve(_scale_fit_lp(kv, lv))
+        if out.status == lp.UNBOUNDED:
+            return FitResult(math.inf, None, STATUS_DEGENERATE)
+        if out.status != lp.OPTIMAL:
+            raise lp.LpError("scale-fit LP unexpectedly infeasible")
+        sigma, v = float(out.objective), out.z[1:1 + kv.shape[1]]
+    return FitResult(sigma, s * v + lc - sigma * kc, STATUS_OK)
 
 
 def scale_fit(k: Polytope, l: Polytope) -> FitResult:
@@ -290,32 +306,33 @@ def scale_fit(k: Polytope, l: Polytope) -> FitResult:
     return _lp_scale_fit(k.vertices, l.vertices)
 
 
-def fit_translation(k: Polytope, l: Polytope, t: float = 1.0) -> np.ndarray | None:
-    """Translation v with t*K + v inside L, or None if none exists."""
-    n = k.dim
-    out = lp.solve(_scale_fit_lp(k.vertices, l.vertices, fixed_t=t))
-    if out.status != lp.OPTIMAL:
-        return None
-    return out.z[:n].copy()
+def _unit_translation(k: Polytope, l: Polytope, fit: FitResult) -> np.ndarray:
+    """A v with K + v inside L, from a fit with sigma >= 1 - tol_geom.
+
+    A point K moves onto a point of L.  For sigma >= 1, sigma*K + w inside L
+    gives K + w/sigma + (1 - 1/sigma)*y inside L for the point y = l0, by
+    convexity.  Inside the band [1 - tol_geom, 1) the optimal-scale
+    translation is the witness.
+    """
+    if fit.degenerate:
+        return l.vertices[0] - k.vertices[0]
+    if fit.sigma < 1.0:
+        return fit.translation
+    return fit.translation / fit.sigma + (1.0 - 1.0 / fit.sigma) * l.vertices[0]
 
 
 def translate_fits(k: Polytope, l: Polytope,
                    tol_geom: float = TOL_GEOM) -> tuple[bool, np.ndarray | None]:
     """Does L contain a translate of K?  Verdict at the sigma >= 1 - tol band.
 
-    The witness comes from re-solving with t fixed at 1; if that re-solve is
-    infeasible inside the tolerance band, the optimal-scale translation is
-    returned instead.  A degenerate (single-point) K fits any nonempty L.
+    One scale fit decides; the witness v with K + v inside L follows from it
+    by convexity (see _unit_translation), with no second LP.  A single-point
+    K fits any nonempty L.
     """
     fit = scale_fit(k, l)
-    if fit.degenerate:
-        return True, l.vertices[0] - k.vertices[0]
     if fit.sigma < 1.0 - tol_geom:
         return False, None
-    v = fit_translation(k, l, 1.0)
-    if v is None:
-        v = fit.translation
-    return True, v
+    return True, _unit_translation(k, l, fit)
 
 
 def replay_fit(k: Polytope, l: Polytope, fit: FitResult) -> bool:
@@ -339,9 +356,7 @@ def subset_witness(k: Polytope, l: Polytope, kcount: int,
     kcount = min(kcount, len(idx))
     v = k.vertices
     for combo in combinations(idx, kcount):
-        sub = Polytope(v[list(combo)])
-        fit = scale_fit(sub, l)
-        if not fit.degenerate and fit.sigma < 1.0 - tol_geom:
+        if scale_fit(Polytope(v[list(combo)]), l).sigma < 1.0 - tol_geom:
             return list(combo)
     return None
 
@@ -355,12 +370,8 @@ def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
     idx = list(range(k.nverts)) if k.canonical else canonical_vertex_indices(k)
     kcount = min(kcount, len(idx))
     v = k.vertices
-    best = math.inf
-    for combo in combinations(idx, kcount):
-        fit = scale_fit(Polytope(v[list(combo)]), l)
-        if not fit.degenerate:
-            best = min(best, fit.sigma)
-    return best
+    return min((scale_fit(Polytope(v[list(combo)]), l).sigma
+                for combo in combinations(idx, kcount)), default=math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,18 +401,16 @@ def inscribed_equivalence_check(k: Polytope, l: Polytope, kcount: int,
     Borderline instances are tagged and excluded from pass/fail statistics.
     """
     kc = canonicalize(k)
-    fit = scale_fit(kc, l)
-    fits = fit.degenerate or fit.sigma >= 1.0 - tol_geom
+    sigma = scale_fit(kc, l).sigma
+    fits = sigma >= 1.0 - tol_geom
     witness = subset_witness(kc, l, kcount, tol_geom=tol_geom)
-    sigma = fit.sigma
-    borderline = (not fit.degenerate) and abs(sigma - 1.0) <= 10.0 * tol_geom
     return EquivalenceReport(
         sigma=sigma,
         fits=fits,
         witness=witness,
         subset_empty=witness is None,
         agrees=(witness is None) == fits,
-        borderline=borderline,
+        borderline=abs(sigma - 1.0) <= 10.0 * tol_geom,
         theorem_backed=(kcount == context_dim + 1),
     )
 
@@ -430,7 +439,6 @@ def circumscribing_simplex_witness(k: Polytope, l: Polytope, restarts: int,
             simplex = simplex_from_supports(dirs, heights)
         except ValueError:
             continue
-        fit = scale_fit(k, simplex)
-        if not fit.degenerate and fit.sigma < 1.0 - tol_geom:
+        if scale_fit(k, simplex).sigma < 1.0 - tol_geom:
             return simplex
     return None

@@ -36,10 +36,10 @@ def scaled_pair(n: int, rng: np.random.Generator, target: float,
     while True:
         k = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
         l0 = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
-        fit = scale_fit(k, l0)
-        if fit.degenerate or not np.isfinite(fit.sigma) or fit.sigma <= 1e-9:
+        sigma = scale_fit(k, l0).sigma
+        if not 1e-9 < sigma < np.inf:
             continue
-        return k, scale(l0, target / fit.sigma)
+        return k, scale(l0, target / sigma)
 
 
 def margin_pair_for_subsets(n: int, d: int, rng: np.random.Generator,
@@ -55,7 +55,7 @@ def margin_pair_for_subsets(n: int, d: int, rng: np.random.Generator,
         k = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
         l0 = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
         base = min_subset_sigma(k, l0, d + 1)
-        if not np.isfinite(base) or base <= 1e-9:
+        if not 1e-9 < base < np.inf:
             continue
         return k, scale(l0, target / base)
 

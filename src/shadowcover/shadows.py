@@ -24,7 +24,7 @@ from .bodies import (
     support,
     translate,
 )
-from .containment import FitResult, fit_translation, scale_fit
+from .containment import FitResult, _unit_translation, scale_fit
 from .core import (
     TOL_FEAS,
     TOL_GEOM,
@@ -62,6 +62,11 @@ def shadow_fit(k: Polytope, l: Polytope, s: Subspace) -> FitResult:
     return scale_fit(project(k, s), project(l, s))
 
 
+def sweep_sigmas(k: Polytope, l: Polytope, subspaces: list[Subspace]) -> np.ndarray:
+    """Shadow scale fit of (K, L) on each subspace; inf for a point shadow."""
+    return np.array([shadow_fit(k, l, s).sigma for s in subspaces], dtype=np.float64)
+
+
 def sweep_subspaces(n: int, d: int, count: int, sampler: str = "auto",
                     rng: np.random.Generator | None = None) -> list[Subspace]:
     """Subspace sample for a sweep: deterministic grids for hyperplane
@@ -90,28 +95,21 @@ def shadow_sweep(k: Polytope, l: Polytope, d: int, sampler: str = "auto",
 
     Verdict: "fails" iff some sample has sigma < 1 - tol_geom, otherwise
     "covers".  Samples inside the band |sigma - 1| <= tol_geom are counted
-    as borderline.  Degenerate samples (point shadows) count as covering.
+    as borderline.  Point shadows of K have sigma = inf and so cover.
     """
     n = k.dim
     if not (1 <= d < n):
         raise ValueError(f"need 1 <= d < {n}, got {d}")
     subs = sweep_subspaces(n, d, count, sampler=sampler, rng=rng)
-    sigmas = np.empty(len(subs))
-    for i, s in enumerate(subs):
-        fit = shadow_fit(k, l, s)
-        sigmas[i] = math.inf if fit.degenerate else fit.sigma
-    finite = sigmas[np.isfinite(sigmas)]
-    min_sigma = float(finite.min()) if finite.size else math.inf
-    arg = int(np.argmin(np.where(np.isfinite(sigmas), sigmas, np.inf))) if finite.size else 0
-    verdict = FAILS if min_sigma < 1.0 - tol_geom else COVERS
-    borderline_count = int(np.sum(np.abs(finite - 1.0) <= tol_geom))
+    sigmas = sweep_sigmas(k, l, subs)
+    min_sigma = float(sigmas.min(initial=math.inf))
     return ShadowReport(
         d=d,
         samples=len(subs),
         min_sigma=min_sigma,
-        argmin=subs[arg] if subs else None,
-        verdict=verdict,
-        borderline_count=borderline_count,
+        argmin=subs[int(np.argmin(sigmas))] if subs else None,
+        verdict=FAILS if min_sigma < 1.0 - tol_geom else COVERS,
+        borderline_count=int(np.sum(np.abs(sigmas - 1.0) <= tol_geom)),
         sigmas=sigmas,
         bases=[s.basis for s in subs],
     )
@@ -129,8 +127,7 @@ def refine_min_margin(k: Polytope, l: Polytope, d: int, start: Subspace,
         rng = np.random.default_rng(0)
     n = k.dim
     current = start
-    fit = shadow_fit(k, l, current)
-    sigma = math.inf if fit.degenerate else fit.sigma
+    sigma = shadow_fit(k, l, current).sigma
     step = 0.25
     for _ in range(steps):
         cand_basis = current.basis + step * rng.standard_normal((n, d))
@@ -139,8 +136,7 @@ def refine_min_margin(k: Polytope, l: Polytope, d: int, start: Subspace,
         except ValueError:
             step = max(step * 0.5, 1e-7)
             continue
-        f = shadow_fit(k, l, cand)
-        s = math.inf if f.degenerate else f.sigma
+        s = shadow_fit(k, l, cand).sigma
         if s < sigma:
             current, sigma = cand, s
         else:
@@ -178,12 +174,8 @@ def simplex_edge_criterion(q: Polytope, t: Polytope,
     qc = canonicalize(q)
     if qc.nverts > n:
         raise ValueError(f"Q may have at most {n} vertices, got {qc.nverts}")
-    for e in simplex_edge_directions(tc):
-        basis = Subspace(hyperplane_basis(e))
-        fit = shadow_fit(qc, tc, basis)
-        if not fit.degenerate and fit.sigma < 1.0 - tol_geom:
-            return False
-    return True
+    subs = [Subspace(hyperplane_basis(e)) for e in simplex_edge_directions(tc)]
+    return bool(sweep_sigmas(qc, tc, subs).min() >= 1.0 - tol_geom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,14 +209,11 @@ def oblique_equivalence_check(k: Polytope, l: Polytope, m, u,
     u_tilde = unit(m @ u)
     s1 = Subspace(hyperplane_basis(u))
     s2 = Subspace(hyperplane_basis(u_tilde))
-    f1 = shadow_fit(k, l, s1)
-    f2 = shadow_fit(linear_image(k, m), linear_image(l, m), s2)
-    sig1 = math.inf if f1.degenerate else f1.sigma
-    sig2 = math.inf if f2.degenerate else f2.sigma
+    sig1 = shadow_fit(k, l, s1).sigma
+    sig2 = shadow_fit(linear_image(k, m), linear_image(l, m), s2).sigma
     v1 = sig1 >= 1.0 - tol_geom
     v2 = sig2 >= 1.0 - tol_geom
-    borderline = (math.isfinite(sig1) and abs(sig1 - 1.0) <= 10.0 * tol_geom) or \
-                 (math.isfinite(sig2) and abs(sig2 - 1.0) <= 10.0 * tol_geom)
+    borderline = min(abs(sig1 - 1.0), abs(sig2 - 1.0)) <= 10.0 * tol_geom
     return ObliqueReport(sig1, sig2, v1, v2, v1 == v2, borderline, u_tilde)
 
 
@@ -279,8 +268,7 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
     sv = np.linalg.svd(proj, compute_uv=False)
     eta_hat_dim = int(np.sum(sv > 1e3 * TOL_FEAS * max(1.0, sv[0] if sv.size else 1.0)))
 
-    ambient_fit = shadow_fit(k, l, eta)
-    sigma_ambient = math.inf if ambient_fit.degenerate else ambient_fit.sigma
+    sigma_ambient = shadow_fit(k, l, eta).sigma
 
     if eta_hat_dim == 0:
         # eta orthogonal to the flat: both shadows are single points
@@ -294,18 +282,13 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
     k_shadow = project(k_flat, eta_hat_flat)
     l_shadow = project(l_flat, eta_hat_flat)
     inflat_fit = scale_fit(k_shadow, l_shadow)
-    sigma_inflat = math.inf if inflat_fit.degenerate else inflat_fit.sigma
+    sigma_inflat = inflat_fit.sigma
     applicable = sigma_inflat >= 1.0 - tol_geom
     if not applicable:
         return FlatLiftReport(False, None, sigma_inflat, sigma_ambient, None, None)
 
     # in-flat normalization translate: K_eta_hat + v inside L_eta_hat
-    if inflat_fit.degenerate:
-        v = l_shadow.vertices[0] - k_shadow.vertices[0]
-    else:
-        v = fit_translation(k_shadow, l_shadow, 1.0)
-        if v is None:
-            v = inflat_fit.translation
+    v = _unit_translation(k_shadow, l_shadow, inflat_fit)
     w = eta_hat_basis @ v  # lift back to an ambient vector inside the flat
 
     # support domination along eta for the normalized bodies

@@ -29,6 +29,10 @@ def test_fit_command(bodies, capsys):
     assert code == 0
     assert rep["result"]["fits"] is True
     assert rep["result"]["sigma"] == pytest.approx(2.0, abs=1e-7)
+    # the reported translation places the unit square inside [0, 2]^2
+    tx, ty = rep["result"]["translation"]
+    assert all(-1e-9 <= c <= 2.0 + 1e-9
+               for x, y in [[0, 0], [1, 0], [0, 1], [1, 1]] for c in (x + tx, y + ty))
     assert rep["command"] == "fit"
     assert rep["tolerances"]["tol_feas"] == 1e-9
     assert "timestamp" in rep

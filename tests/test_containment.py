@@ -10,7 +10,6 @@ from shadowcover.bodies import Polytope, canonicalize, point_in_hull, scale, sup
 from shadowcover.containment import (
     _scale_fit_lp,
     circumscribing_simplex_witness,
-    fit_translation,
     inscribed_equivalence_check,
     min_subset_sigma,
     replay_fit,
@@ -18,6 +17,7 @@ from shadowcover.containment import (
     subset_witness,
     translate_fits,
 )
+from shadowcover.core import TOL_GEOM
 
 UNIT_SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], canonical=True)
 TRIANGLE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], canonical=True)
@@ -84,11 +84,25 @@ def test_translate_fits_verdicts():
     assert np.allclose(UNIT_SQUARE.vertices + v0, UNIT_SQUARE.vertices, atol=1e-7)
 
 
-def test_fit_translation_fixed_scale():
-    v = fit_translation(UNIT_SQUARE, square(3.0), t=2.0)
-    assert v is not None
-    assert all(point_in_hull(2.0 * x + v, square(3.0)) for x in UNIT_SQUARE.vertices)
-    assert fit_translation(square(2.0), UNIT_SQUARE, t=1.0) is None
+@pytest.mark.parametrize("n", [2, 3])
+def test_translate_fits_witness_replays(n):
+    # the unit-scale witness comes from the scale fit by convexity: K + v
+    # lies in L for sigma well above and just above 1; inside the band
+    # [1 - tol, 1) it is the optimal-scale translation, so sigma*K + v does
+    rng = np.random.default_rng(71 + n)
+    for target in (40.0, 1.0 + 1e-7, 1.0 - 0.5 * TOL_GEOM):
+        for _ in range(8):
+            k = Polytope(rng.standard_normal((int(rng.integers(n + 1, n + 5)), n)))
+            l0 = Polytope(rng.standard_normal((int(rng.integers(n + 1, n + 6)), n)))
+            l = scale(l0, target / scale_fit(k, l0).sigma)
+            fit = scale_fit(k, l)
+            ok, v = translate_fits(k, l)
+            assert ok
+            t = 1.0 if fit.sigma >= 1.0 else fit.sigma
+            assert t == 1.0 or target < 1.0
+            assert all(point_in_hull(t * x + v, l) for x in k.vertices)
+    ok, v = translate_fits(Polytope(np.full((2, n), 0.3)), l)
+    assert ok and v == pytest.approx(l.vertices[0] - 0.3)
 
 
 def test_scale_fit_translation_invariance():
@@ -256,11 +270,14 @@ def test_low_dim_fit_matches_lp_random():
 
 
 def test_low_dim_fit_point_is_degenerate():
-    for n in (1, 2):
-        pt = Polytope(np.full((3, n), 0.25))
-        l = Polytope(np.random.default_rng(n).standard_normal((5, n)))
-        fit = _dual_route(pt, l)
-        assert fit.degenerate and fit.sigma == math.inf and fit.translation is None
+    # n = 3 takes the warm LP; the flat L in R^3 takes the general LP
+    flat = np.column_stack([np.random.default_rng(4).standard_normal((5, 2)), np.zeros(5)])
+    cases = [(n, Polytope(np.random.default_rng(n).standard_normal((5, n)))) for n in (1, 2, 3)]
+    for n, l in cases + [(3, Polytope(flat))]:
+        for value in (0.25, 0.1):
+            pt = Polytope(np.full((3, n), value))
+            fit = _dual_route(pt, l)
+            assert fit.degenerate and fit.sigma == math.inf and fit.translation is None
 
 
 def test_low_dim_fit_segment_in_polygon():
@@ -318,7 +335,7 @@ def test_planar_fit_repeated_and_collinear_vertices():
     _dual_route(TRIANGLE, Polytope([[0, 0], [1, 0], [2, 0], [2, 2], [0, 2], [0, 1], [2, 2]]))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_low_dim_fit_is_scale_and_offset_free(n):
     rng = np.random.default_rng(67 + n)
     for _ in range(10):

@@ -45,6 +45,17 @@ def test_shadow_sweep_self_covers():
     assert rep.samples == 50
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_shadow_sweep_point_body_covers(d):
+    # a point K has sigma = inf on every subspace
+    rep = shadow_sweep(Polytope([[0.2, 0.1, -0.3]]), CUBE, d, count=16)
+    assert np.isinf(rep.sigmas).all()
+    assert rep.min_sigma == math.inf
+    assert rep.verdict == "covers"
+    assert rep.borderline_count == 0
+    assert rep.argmin.basis is rep.bases[0]
+
+
 def test_shadow_sweep_double_covers():
     rep = shadow_sweep(CUBE, scale(CUBE, 2.0), 2, count=50)
     assert rep.verdict == "covers"
@@ -145,8 +156,7 @@ def test_edge_criterion_sigma_equals_min_edge_shadow():
             continue
         per_edge = []
         for e in simplex_edge_directions(tc):
-            f = shadow_fit(q, tc, Subspace(hb(e)))
-            per_edge.append(math.inf if f.degenerate else f.sigma)
+            per_edge.append(shadow_fit(q, tc, Subspace(hb(e))).sigma)
         assert min(per_edge) == pytest.approx(full, rel=1e-6, abs=1e-8)
         checked += 1
 
