@@ -31,7 +31,7 @@ from .construct import (
     replay_counterexample,
     verify_touching,
 )
-from .containment import scale_fit, subset_witness, translate_fits
+from .containment import _unit_translation, scale_fit, subset_witness, translate_fits
 from .core import TOL_FEAS, direction_grid
 from .harness import verify_suite
 from .lp import LpError
@@ -102,9 +102,9 @@ def _run_command(args, tol: float) -> dict:
     if cmd == "fit":
         k, l = read_body(args.body1), read_body(args.body2)
         fit = scale_fit(k, l)
-        fits, v = translate_fits(k, l, tol_geom=tol)
-        return {"fits": bool(fits), "sigma": _num(fit.sigma), "status": fit.status,
-                "translation": _vec(v)}
+        fits = bool(fit.sigma >= 1.0 - tol)
+        return {"fits": fits, "sigma": _num(fit.sigma), "status": fit.status,
+                "translation": _vec(_unit_translation(k, l, fit) if fits else None)}
 
     if cmd == "scale-fit":
         k, l = read_body(args.body1), read_body(args.body2)

@@ -11,8 +11,10 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   normals a_j (a fixed-dimension LP, enumerated outright);
 * everything else, a flat planar L, one with more than 48 edges, or a
   planar witness that fails its check: one LP over convex-combination
-  variables, solved on copies of the bodies centred on their vertex means
-  and scaled by L's extent.
+  variables (built by _scale_fit_lp, its one encoding), solved on copies of
+  the bodies centred on their vertex means and scaled by L's extent.  When
+  L spans its space, a simplex of L's vertices gives a feasible starting
+  basis and ``lp.solve_from`` runs phase 2 alone; otherwise ``lp.solve``.
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
 callers compare sigma directly.  The unit-scale witness of a fitting pair
@@ -60,11 +62,15 @@ class FitResult:
     translation   witness v at the optimum (None when degenerate)
     status        "ok", or "degenerate" when t is unbounded, which happens
                   exactly when K is a single point
+    dual          multipliers y of _scale_fit_lp(K, L), one (u_i, w_i) block
+                  of n+1 per vertex of K, with y.b >= sigma; set by the LP
+                  path only, None for the interval and planar methods
     """
 
     sigma: float
     translation: np.ndarray | None
     status: str = STATUS_OK
+    dual: np.ndarray | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -75,104 +81,54 @@ def _scale_fit_lp(kv: np.ndarray, lv: np.ndarray, fixed_t: float | None = None):
     """Build the scale-fit LP over variables (t, v, lambda).
 
     Constraints: t*x_i + v = sum_j lambda_ij y_j and sum_j lambda_ij = 1 for
-    each vertex x_i of K, lambda >= 0, v free, t >= 0.  With ``fixed_t`` the
-    t column is dropped and the products move to the right-hand side.
+    each vertex x_i of K, lambda >= 0, v free, t >= 0.  Rows come in one
+    block of n+1 per vertex of K, and lambda_ij is column off + n + i*ml + j.
+    With ``fixed_t`` the t column is dropped and the products move to the
+    right-hand side.
     """
     mk, n = kv.shape
     ml = lv.shape[0]
-    has_t = fixed_t is None
-    ncols = (1 if has_t else 0) + n + mk * ml
-    nrows = mk * (n + 1)
-    a = np.zeros((nrows, ncols))
-    b = np.zeros(nrows)
-    off = 1 if has_t else 0
-    for i in range(mk):
-        r0 = i * (n + 1)
-        if has_t:
-            a[r0:r0 + n, 0] = kv[i]
-        else:
-            b[r0:r0 + n] = -fixed_t * kv[i]
-        a[r0:r0 + n, off:off + n] = np.eye(n)
-        lam0 = off + n + i * ml
-        a[r0:r0 + n, lam0:lam0 + ml] = -lv.T
-        a[r0 + n, lam0:lam0 + ml] = 1.0
-        b[r0 + n] = 1.0
-    c = np.zeros(ncols)
-    if has_t:
-        c[0] = 1.0
-    nonneg = np.ones(ncols, dtype=bool)
+    off = 1 if fixed_t is None else 0
+    a = np.zeros((mk, n + 1, off + n + mk * ml))
+    b = np.zeros((mk, n + 1))
+    b[:, n] = 1.0
+    if fixed_t is None:
+        a[:, :n, 0] = kv
+    else:
+        b[:, :n] = -fixed_t * kv
+    a[:, :n, off:off + n] = np.eye(n)
+    lam = a[:, :, off + n:].reshape(mk, n + 1, mk, ml)   # a view: block i, vertex j
+    blocks = np.arange(mk)
+    lam[blocks, :n, blocks] = -lv.T
+    lam[blocks, n, blocks] = 1.0
+    c = np.zeros(a.shape[2])
+    c[0] = 1.0 if fixed_t is None else 0.0
+    nonneg = np.ones(a.shape[2], dtype=bool)
     nonneg[off:off + n] = False
-    return lp.LpProblem(a, b, c, nonneg)
+    return lp.LpProblem(a.reshape(mk * (n + 1), -1), b.reshape(-1), c, nonneg)
 
 
 def _affine_basis_rows(points: np.ndarray) -> list[int] | None:
-    """Indices of n+1 affinely independent rows, greedily; None if flat."""
-    m, n = points.shape
-    chosen = [0]
-    for i in range(1, m):
-        if len(chosen) == n + 1:
-            break
-        cand = points[chosen[1:] + [i]] - points[chosen[0]]
-        sv = np.linalg.svd(cand, compute_uv=False)
-        if sv[-1] > 1e-9 * max(1.0, sv[0]):
-            chosen.append(i)
-    return chosen if len(chosen) == n + 1 else None
+    """Indices of n+1 affinely independent rows, greedily; None if flat.
 
-
-def _warm_scale_fit(kv: np.ndarray, lv: np.ndarray):
-    """Phase-2-only simplex for the scale-fit LP from an explicit basis.
-
-    Translating L so that a chosen vertex simplex has its centroid at the
-    origin makes the uniform barycentric weights a feasible basis (all
-    convexity rows satisfied with t = 0, v = 0), so the artificial phase is
-    unnecessary.  Returns (sigma, v) on success, "unbounded", or None when
-    the structure does not apply (degenerate L) and the caller should use
-    the general solver.
+    Row i joins when its difference from row 0 keeps more than 1e-9 of its
+    length after projection off the directions already chosen, so the test
+    does not depend on the scale of the points.
     """
-    mk, n = kv.shape
-    ml = lv.shape[0]
-    idx = _affine_basis_rows(lv)
-    if idx is None:
-        return None
-    shift = lv[idx].mean(axis=0)
-    lv2 = lv - shift
-    bmat = np.vstack([-lv2[idx].T, np.ones(n + 1)])  # one block, shared by all i
-    if np.linalg.cond(bmat) > 1e10:
-        return None
-    binv = np.linalg.inv(bmat)
-    # columns: t | v+ (n) | v- (n) | lambda (mk*ml); rows: mk blocks of n+1
-    ncols = 1 + 2 * n + mk * ml
-    nrows = mk * (n + 1)
-    T = np.zeros((nrows + 1, ncols + 1))
-    basis = np.empty(nrows, dtype=np.int64)
-    block_b = np.zeros(n + 1)
-    block_b[n] = 1.0
-    rhs_block = binv @ block_b
-    lam_block = binv @ np.vstack([-lv2.T, np.ones(ml)])
-    vmat = binv[:, :n]
-    for i in range(mk):
-        r0 = i * (n + 1)
-        rows = slice(r0, r0 + n + 1)
-        T[rows, 0] = binv @ np.concatenate([kv[i], [0.0]])
-        T[rows, 1:1 + n] = vmat
-        T[rows, 1 + n:1 + 2 * n] = -vmat
-        lam0 = 1 + 2 * n + i * ml
-        T[rows, lam0:lam0 + ml] = lam_block
-        T[rows, -1] = rhs_block
-        for r in range(n + 1):
-            basis[r0 + r] = lam0 + idx[r]
-    T[-1, 0] = 1.0  # reduced costs: c_B = 0, so the cost row is just c
-    status = lp._run_simplex(T, basis, ncols, allow_unbounded=True,
-                             max_iter=2000 + 40 * (nrows + ncols))
-    if status == lp.UNBOUNDED:
-        return "unbounded"
-    if status != lp.OPTIMAL:
-        return None
-    z = np.zeros(ncols)
-    z[basis] = np.maximum(T[:nrows, -1], 0.0)
-    sigma = float(z[0])
-    v = z[1:1 + n] - z[1 + n:1 + 2 * n] + shift
-    return sigma, v
+    m, n = points.shape
+    diff = points - points[0]
+    chosen = [0]
+    q = np.zeros((n, n))   # orthonormal directions chosen so far
+    for i in range(1, m):
+        d = diff[i]
+        r = d - (q @ d) @ q
+        norm = math.sqrt(r @ r)
+        if norm > 1e-9 * math.sqrt(d @ d):
+            q[len(chosen) - 1] = r / norm
+            chosen.append(i)
+            if len(chosen) == n + 1:
+                return chosen
+    return None
 
 
 def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
@@ -262,29 +218,40 @@ def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
 
 
 def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
-    """Scale fit by the warm-start LP, or the general LP when L is flat.
+    """Scale fit by the LP, from a starting basis when L spans R^n.
 
     The LP pivots under the absolute TOL_FEAS, so it runs on both bodies
-    centred on their vertex means and divided by L's extent; sigma is
-    invariant under that common similarity, and v maps back as
-    v = s*v' + lc - sigma*kc.
+    centred on their vertex means and divided by L's extent s; sigma is
+    invariant under that similarity.  L is also shifted to put the centroid
+    of n+1 affinely independent vertices at the origin, so t = 0, v = 0 and
+    uniform weights on them in every block are a feasible basis for
+    ``lp.solve_from``.  A flat L, or a basis it turns down, goes to the
+    two-phase ``lp.solve``.  v and the dual map back to the input's frame.
     """
     kc, lc = kv.sum(axis=0) / kv.shape[0], lv.sum(axis=0) / lv.shape[0]
     s = float(np.abs(lv - lc).max()) or 1.0
     kv, lv = (kv - kc) / s, (lv - lc) / s
-    warm = _warm_scale_fit(kv, lv)
-    if warm == "unbounded":
+    mk, n = kv.shape
+    idx = _affine_basis_rows(lv)
+    shift = lv[idx].sum(axis=0) / (n + 1) if idx is not None else np.zeros(n)
+    problem = _scale_fit_lp(kv, lv - shift)
+    out = None
+    if idx is not None:
+        basis = 1 + n + np.arange(mk)[:, None] * lv.shape[0] + np.asarray(idx)
+        out = lp.solve_from(problem, basis.ravel())
+    if out is None:
+        out = lp.solve(problem)
+    if out.status == lp.UNBOUNDED:
         return FitResult(math.inf, None, STATUS_DEGENERATE)
-    if warm is not None:
-        sigma, v = warm
-    else:
-        out = lp.solve(_scale_fit_lp(kv, lv))
-        if out.status == lp.UNBOUNDED:
-            return FitResult(math.inf, None, STATUS_DEGENERATE)
-        if out.status != lp.OPTIMAL:
-            raise lp.LpError("scale-fit LP unexpectedly infeasible")
-        sigma, v = float(out.objective), out.z[1:1 + kv.shape[1]]
-    return FitResult(sigma, s * v + lc - sigma * kc, STATUS_OK)
+    if out.status != lp.OPTIMAL:
+        raise lp.LpError("scale-fit LP unexpectedly infeasible")
+    sigma = float(out.objective)
+    # per block (u_i, w_i) -> (u_i/s, w_i + u_i.(lc/s + shift)); y.b keeps
+    # its value, as sum_i u_i = 0
+    y = out.dual.reshape(mk, n + 1)
+    dual = np.column_stack([y[:, :n] / s, y[:, n] + y[:, :n] @ (lc / s + shift)]).ravel()
+    v = s * (out.z[1:1 + n] + shift) + lc - sigma * kc
+    return FitResult(sigma, v, STATUS_OK, dual)
 
 
 def scale_fit(k: Polytope, l: Polytope) -> FitResult:

@@ -2,8 +2,12 @@
 
 Problems are ``maximize c.z  subject to  A z = b`` where each variable is
 either sign-free or constrained nonnegative (``nonneg`` mask).  Solved by
-two-phase tableau simplex with Bland's anti-cycling rule; free variables are
-split into differences of nonnegative parts.
+tableau simplex with Bland's anti-cycling rule; free variables are split into
+differences of nonnegative parts.  A solve starts one of two ways: ``solve``
+finds a feasible basis itself (phase 1 over artificial variables), and
+``solve_from`` takes one from the caller and runs phase 2 alone.  Both end in
+the same phase-2 run and read z, the objective and the dual off the final
+tableau the same way.
 
 Every verdict carries a certificate: optimal outcomes return a dual vector
 (weak duality and complementary slackness hold within tolerance), infeasible
@@ -85,7 +89,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     prow /= prow[col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, prow)
+    T -= colvals[:, None] * prow
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -103,11 +107,11 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_eligible: int,
     obj = T[-1]
     for _ in range(max_iter):
         mask = obj[:n_eligible] > TOL_FEAS
-        j = int(np.argmax(mask))  # Bland: smallest eligible index
+        j = int(mask.argmax())  # Bland: smallest eligible index
         if not mask[j]:
             return OPTIMAL
         col = T[:m, j]
-        pos = np.nonzero(col > TOL_FEAS)[0]
+        pos = (col > TOL_FEAS).nonzero()[0]
         if pos.size == 0:
             if allow_unbounded:
                 return UNBOUNDED
@@ -141,27 +145,50 @@ def solve(problem: LpProblem) -> LpOutcome:
     return out
 
 
+def _split_free(nonneg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Variable and sign of each extended column: a free one is followed by its negation."""
+    col_var = np.repeat(np.arange(nonneg.shape[0]), np.where(nonneg, 1, 2))
+    col_sgn = np.ones(col_var.shape[0])
+    col_sgn[1:][col_var[1:] == col_var[:-1]] = -1.0
+    return col_var, col_sgn
+
+
+def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.ndarray,
+            col_sgn: np.ndarray, start: np.ndarray, start_inv: np.ndarray,
+            max_iter: int) -> LpOutcome | None:
+    """Phase 2 from a feasible tableau T = B^-1 [A_ext | b], where ``solve``
+    keeps its artificial columns before b; None on a stall.
+
+    The columns ``start`` were the identity at the starting basis S, with
+    S^-1 = ``start_inv``; they end as B^-1 S, which gives the dual c_B B^-1.
+    """
+    c = problem.c
+    c_ext = c[col_var] * col_sgn
+    n_ext, m = c_ext.shape[0], basis.shape[0]
+    T[-1] = -(c_ext[basis] @ T[:m])
+    T[-1, :n_ext] += c_ext
+    status = _run_simplex(T, basis, n_ext, allow_unbounded=True, max_iter=max_iter)
+    if status == "stall":
+        return None
+    if status == UNBOUNDED:
+        return LpOutcome(UNBOUNDED)
+    z_ext = np.zeros(n_ext)
+    z_ext[basis] = np.maximum(T[:m, -1], 0.0)
+    z = np.bincount(col_var, weights=col_sgn * z_ext, minlength=c.shape[0])
+    dual = (c_ext[basis] @ T[:m, start]) @ start_inv
+    return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual)
+
+
 def _solve_once(problem: LpProblem) -> LpOutcome | None:
     a, b, c, nonneg = problem.A, problem.b, problem.c, problem.nonneg
     m, nvar = a.shape
 
-    # split free variables into positive/negative parts
-    col_var = []   # original variable index per extended column
-    col_sgn = []   # +1 for the positive part, -1 for the negative part
-    for j in range(nvar):
-        col_var.append(j)
-        col_sgn.append(1.0)
-        if not nonneg[j]:
-            col_var.append(j)
-            col_sgn.append(-1.0)
-    col_var = np.asarray(col_var)
-    col_sgn = np.asarray(col_sgn)
+    col_var, col_sgn = _split_free(nonneg)
     a_ext = a[:, col_var] * col_sgn
-    c_ext = c[col_var] * col_sgn
     n_ext = a_ext.shape[1]
 
     if m == 0:
-        if np.any(c_ext > TOL_FEAS):
+        if np.any(c[col_var] * col_sgn > TOL_FEAS):
             return LpOutcome(UNBOUNDED)
         z = np.zeros(nvar)
         return LpOutcome(OPTIMAL, z=z, objective=0.0, dual=np.zeros(0))
@@ -190,13 +217,12 @@ def _solve_once(problem: LpProblem) -> LpOutcome | None:
     scale = max(1.0, float(np.abs(b_t).max(initial=0.0)))
     if art_sum > TOL_FEAS * scale:
         # Farkas certificate from the phase-1 multipliers
-        binv = T[:m, n_ext:n_ext + m]
-        cb = np.where(basis >= n_ext, -1.0, 0.0)
-        y = cb @ binv
-        farkas = -(srow * y)
-        return LpOutcome(INFEASIBLE, dual=farkas)
+        y = np.where(basis >= n_ext, -1.0, 0.0) @ T[:m, n_ext:n_ext + m]
+        return LpOutcome(INFEASIBLE, dual=-(srow * y))
 
-    # drive leftover artificials out of the basis (or drop redundant rows)
+    # drive leftover artificials out of the basis (or drop redundant rows);
+    # the artificial block keeps tracking the row operations, so the dual
+    # stays a valid multiplier set for all m original rows
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n_ext:
@@ -206,41 +232,45 @@ def _solve_once(problem: LpProblem) -> LpOutcome | None:
             else:
                 keep[i] = False  # redundant constraint
     if not keep.all():
-        rows = np.r_[np.nonzero(keep)[0], m]
-        T = T[rows]
+        T = T[np.r_[np.nonzero(keep)[0], m]]
         basis = basis[keep]
-        m_red = basis.shape[0]
-    else:
-        m_red = m
+    return _phase2(T, basis, problem, col_var, col_sgn, np.arange(n_ext, n_ext + m),
+                   np.diag(srow), max_iter)
 
-    # phase 2 objective
-    T[-1, :] = 0.0
-    T[-1, :n_ext] = c_ext
-    cb2 = c_ext[basis]
-    nzb = np.nonzero(np.abs(cb2) > 0.0)[0]
-    for i in nzb:
-        T[-1, :] -= cb2[i] * T[i, :]
 
-    status = _run_simplex(T, basis, n_ext, allow_unbounded=True, max_iter=max_iter)
-    if status == "stall":
+def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
+    """Phase 2 alone, from a caller-given feasible basis.
+
+    ``basis`` lists m nonnegative columns of ``problem.A``, the one basic in
+    each row; the tableau starts as B^-1 [A | b].  Returns None when B is
+    singular or its (1-norm) condition number exceeds 1e10, when B^-1 b has
+    a negative entry, or when the run stalls; the caller then falls back to
+    ``solve``.
+    """
+    a, b = problem.A, problem.b
+    m = b.shape[0]
+    basis = np.asarray(basis, dtype=np.intp)
+    if basis.shape != (m,) or not problem.nonneg[basis].all():
+        raise ValueError("the basis must list one nonnegative column per row")
+    bmat = a[:, basis]
+    try:
+        binv = np.linalg.inv(bmat)
+    except np.linalg.LinAlgError:
         return None
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
-
-    z_ext = np.zeros(n_ext)
-    z_ext[basis] = np.maximum(T[:m_red, -1], 0.0)
-    z = np.zeros(nvar)
-    np.add.at(z, col_var, col_sgn * z_ext)
-
-    # dual from the artificial block (tracks the accumulated row operations,
-    # so it stays a valid multiplier set for the original m rows even after
-    # redundant rows were dropped), mapped back through the row flips
-    binv = T[:m_red, n_ext:n_ext + m]
-    y = c_ext[basis] @ binv
-    dual = srow * y
-
-    objective = float(c @ z)
-    return LpOutcome(OPTIMAL, z=z, objective=objective, dual=dual)
+    if np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > 1e10:
+        return None   # 1-norm condition number: leave the LP to phase 1
+    col_var, col_sgn = _split_free(problem.nonneg)
+    n_ext = col_var.shape[0]
+    T = np.empty((m + 1, n_ext + 1))
+    T[:m, :n_ext] = binv @ (a[:, col_var] * col_sgn)
+    T[:m, -1] = binv @ b
+    if T[:m, -1].min(initial=0.0) < -TOL_FEAS:
+        return None
+    # a nonnegative column is not split, so its extended index is that of
+    # its positive part
+    ext_basis = np.flatnonzero(col_sgn > 0.0)[basis]
+    return _phase2(T, ext_basis.copy(), problem, col_var, col_sgn, ext_basis, binv,
+                   2000 + 40 * (m + n_ext))
 
 
 def feasible(problem_a: np.ndarray, problem_b: np.ndarray, nonneg: np.ndarray) -> LpOutcome:

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from shadowcover import cli, containment
+from shadowcover.bodies import read_body
 from shadowcover.cli import run
 
 
@@ -42,6 +44,27 @@ def test_fit_failure_direction(bodies, capsys):
     code, rep = _invoke(capsys, "fit", bodies["big"], bodies["square"])
     assert code == 0
     assert rep["result"]["fits"] is False
+
+
+@pytest.mark.parametrize("pair", [("square", "big"), ("big", "square"), ("tri", "big")])
+def test_fit_command_solves_one_scale_fit(bodies, capsys, monkeypatch, pair):
+    # the verdict and the witness come from the one fit the report prints
+    calls = []
+    original = containment.scale_fit
+
+    def spy(k, l):
+        calls.append(1)
+        return original(k, l)
+
+    monkeypatch.setattr(cli, "scale_fit", spy)
+    monkeypatch.setattr(containment, "scale_fit", spy)
+    code, rep = _invoke(capsys, "fit", bodies[pair[0]], bodies[pair[1]])
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    k, l = read_body(bodies[pair[0]]), read_body(bodies[pair[1]])
+    fits, v = containment.translate_fits(k, l)
+    assert rep["result"]["fits"] is fits
+    assert rep["result"]["translation"] == (None if v is None else [float(x) for x in v])
 
 
 def test_scale_fit_command(bodies, capsys):

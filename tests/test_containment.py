@@ -270,7 +270,7 @@ def test_low_dim_fit_matches_lp_random():
 
 
 def test_low_dim_fit_point_is_degenerate():
-    # n = 3 takes the warm LP; the flat L in R^3 takes the general LP
+    # n = 3 starts the LP from a simplex of L; the flat L in R^3 takes phase 1
     flat = np.column_stack([np.random.default_rng(4).standard_normal((5, 2)), np.zeros(5)])
     cases = [(n, Polytope(np.random.default_rng(n).standard_normal((5, n)))) for n in (1, 2, 3)]
     for n, l in cases + [(3, Polytope(flat))]:
@@ -348,3 +348,69 @@ def test_low_dim_fit_is_scale_and_offset_free(n):
         off = np.full(n, 1e9)
         got = scale_fit(Polytope(kv + off), Polytope(lv + off)).sigma
         assert got == pytest.approx(base, rel=1e-6)
+
+
+def test_lp_fit_witness_replays_and_dual_bounds_sigma():
+    # the 3-D fit starts phase 2 from a simplex of L; its multipliers, mapped
+    # back to the input's coordinates, certify sigma from above
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        k = Polytope(rng.standard_normal((6, 3)) + rng.uniform(-3.0, 3.0, 3))
+        l = Polytope(rng.standard_normal((8, 3)) * rng.uniform(0.5, 3.0))
+        fit = scale_fit(k, l)
+        assert fit.status == "ok" and replay_fit(k, l, fit)
+        prob = _scale_fit_lp(k.vertices, l.vertices)
+        slack = fit.dual @ prob.A - prob.c
+        assert slack[prob.nonneg].min() >= -1e-9
+        assert np.max(np.abs(slack[~prob.nonneg])) <= 1e-9
+        assert float(fit.dual @ prob.b) >= fit.sigma - 1e-9
+        assert float(fit.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
+        assert fit.sigma == pytest.approx(_lp_sigma(k, l), rel=1e-9)
+
+
+def _scale_fit_lp_loop(kv, lv, fixed_t=None):
+    """Reference: the scale-fit LP filled one K-vertex block at a time."""
+    mk, n = kv.shape
+    ml = lv.shape[0]
+    off = 1 if fixed_t is None else 0
+    a = np.zeros((mk * (n + 1), off + n + mk * ml))
+    b = np.zeros(mk * (n + 1))
+    for i in range(mk):
+        r0, lam0 = i * (n + 1), off + n + i * ml
+        if fixed_t is None:
+            a[r0:r0 + n, 0] = kv[i]
+        else:
+            b[r0:r0 + n] = -fixed_t * kv[i]
+        a[r0:r0 + n, off:off + n] = np.eye(n)
+        a[r0:r0 + n, lam0:lam0 + ml] = -lv.T
+        a[r0 + n, lam0:lam0 + ml] = 1.0
+        b[r0 + n] = 1.0
+    c = np.zeros(a.shape[1])
+    c[0] = 1.0 if fixed_t is None else 0.0
+    nonneg = np.ones(a.shape[1], dtype=bool)
+    nonneg[off:off + n] = False
+    return a, b, c, nonneg
+
+
+@pytest.mark.parametrize("fixed_t", [None, 1.0, 0.7])
+def test_scale_fit_lp_matches_loop_reference(fixed_t):
+    rng = np.random.default_rng(83)
+    for n, mk, ml in [(1, 1, 1), (2, 3, 4), (3, 4, 8), (3, 7, 5), (4, 2, 9)]:
+        kv, lv = rng.standard_normal((mk, n)), rng.standard_normal((ml, n))
+        prob = _scale_fit_lp(kv, lv, fixed_t=fixed_t)
+        for got, want in zip((prob.A, prob.b, prob.c, prob.nonneg),
+                             _scale_fit_lp_loop(kv, lv, fixed_t)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_affine_basis_rows_is_scale_free():
+    rng = np.random.default_rng(89)
+    pts = rng.standard_normal((7, 3))
+    # a repeat of row 0 and a point on the line of rows 0 and 2 are skipped
+    pts[1], pts[3] = pts[0], 0.3 * pts[0] + 0.7 * pts[2]
+    for factor in (1.0, 1e-9, 1e9):
+        assert containment._affine_basis_rows(pts * factor + 5.0 * factor) == [0, 2, 4, 5]
+    planar = np.column_stack([pts[:, :2], 2.0 * pts[:, 0] - pts[:, 1]])
+    for factor in (1.0, 1e-9, 1e9):
+        assert containment._affine_basis_rows(planar * factor) is None
+        assert containment._affine_basis_rows(planar[:, :2] * factor) == [0, 2, 4]
