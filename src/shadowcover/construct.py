@@ -8,6 +8,13 @@ ridges, then bound the direction-independent inflation factor by a sampled
 sweep with local refinement.  The inflated body fits through every sampled
 shadow of the simplex but cannot fit inside it, since the simplex is already
 maximally tight.
+
+One certification path: _certify alone computes the four invariants, and
+replay_counterexample runs it before its own three checks.  The hyperplane
+engine certifies the simplex it grows around K, full-dimensional or flat.  A
+lower shadow dimension, and a cover built inside K's own flat and lifted
+back, re-emit in the ambient space through _reemit, which first lowers
+epsilon over the d-subspaces it verifies on.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .bodies import (
     simplex_from_supports,
     support,
     support_set,
+    translate,
 )
 from .containment import _scale_fit_lp, scale_fit, translate_fits
 from .core import TOL_FEAS, TOL_GEOM, Subspace, direction_grid, haar_subspace, hyperplane_basis
@@ -132,24 +140,6 @@ def _selection_pass(k: Polytope, rng: np.random.Generator, tol_geom: float,
     return None
 
 
-def _select_normals(k: Polytope, rng: np.random.Generator, restarts: int,
-                    tol_geom: float, require_full_dim: bool) -> NormalSelection:
-    n = k.dim
-    if k.nverts < n + 1:
-        raise ConstructionError(
-            f"normal selection needs at least {n + 1} canonical vertices, got {k.nverts}")
-    if require_full_dim and affine_dim(k) != n:
-        raise ConstructionError("normal selection needs a full-dimensional body")
-    stats = {"restarts": 0, "irregular": 0, "reused_vertex": 0,
-             "dependent": 0, "closing_rejected": 0, "lp_rejected": 0}
-    for _ in range(max(1, restarts)):
-        stats["restarts"] += 1
-        sel = _selection_pass(k, rng, tol_geom, stats)
-        if sel is not None:
-            return sel
-    raise ConstructionError(f"selection failed after {restarts} restarts: {stats}")
-
-
 def select_regular_normals(k: Polytope, rng: np.random.Generator,
                            restarts: int = 50,
                            tol_geom: float = TOL_GEOM) -> NormalSelection:
@@ -159,11 +149,21 @@ def select_regular_normals(k: Polytope, rng: np.random.Generator,
     Regular directions of a polytope have full measure, so sampling
     terminates quickly; the interior-origin LP certifies the set.  Exhausting
     the restart budget raises with the rejection statistics, never a silent
-    fallback.  Requires a full-dimensional canonical body with at least n+1
-    vertices.
+    fallback.  Requires a canonical body with at least n+1 vertices; it need
+    not be full-dimensional.
     """
-    kc = canonicalize(k)
-    return _select_normals(kc, rng, restarts, tol_geom, require_full_dim=True)
+    n = k.dim
+    if k.nverts < n + 1:
+        raise ConstructionError(
+            f"normal selection needs at least {n + 1} canonical vertices, got {k.nverts}")
+    stats = {"restarts": 0, "irregular": 0, "reused_vertex": 0,
+             "dependent": 0, "closing_rejected": 0, "lp_rejected": 0}
+    for _ in range(max(1, restarts)):
+        stats["restarts"] += 1
+        sel = _selection_pass(k, rng, tol_geom, stats)
+        if sel is not None:
+            return sel
+    raise ConstructionError(f"selection failed after {restarts} restarts: {stats}")
 
 
 def circumscribe_simplex(k: Polytope, sel: NormalSelection) -> Polytope:
@@ -292,23 +292,36 @@ def farkas_excludes_translate(body: Polytope, cover: Polytope,
     return True
 
 
-def replay_counterexample(ce: Counterexample, sweep_count: int = 1000,
-                          tol_geom: float = TOL_GEOM) -> dict:
-    """Re-run every invariant of an emitted counterexample from scratch."""
-    fit = scale_fit(ce.body, ce.cover)
-    fits, _ = translate_fits(scale(ce.body, ce.epsilon), ce.cover, tol_geom=tol_geom)
-    sweep = shadow_sweep(scale(ce.body, ce.epsilon), ce.cover, ce.d,
-                         count=sweep_count, tol_geom=tol_geom)
-    log_min = float(np.min(ce.sample_log["sigmas"]))
+def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: int,
+             tol_geom: float) -> dict:
+    """The four invariants of a counterexample, computed from scratch.
+
+    The cover circumscribes the body (scale fit 1), epsilon exceeds 1, no
+    translate of epsilon * body fits in the cover, and the sampled d-shadow
+    sweep of epsilon * body covers.  Construction and replay both call it.
+    """
+    inflated = scale(body, eps)
+    fits, _ = translate_fits(inflated, cover, tol_geom=tol_geom)
+    sweep = shadow_sweep(inflated, cover, d, count=sweep_count, tol_geom=tol_geom)
+    fit = scale_fit(body, cover)
     return {
         "circumscribes": abs(fit.sigma - 1.0) <= 10.0 * tol_geom,
-        "epsilon_gt_one": ce.epsilon > 1.0 + tol_geom,
+        "epsilon_gt_one": eps > 1.0 + tol_geom,
         "translate_excluded": not fits,
-        "farkas_backed": farkas_excludes_translate(ce.body, ce.cover, ce.epsilon),
         "sweep_covers": sweep.verdict == COVERS,
-        "log_min_geq_epsilon": log_min >= ce.epsilon - tol_geom,
-        "certificate_valid": ce.certificate.validate(ce.body, tol_geom=tol_geom),
     }
+
+
+def replay_counterexample(ce: Counterexample, sweep_count: int = 1000,
+                          tol_geom: float = TOL_GEOM) -> dict:
+    """Re-run every invariant of an emitted counterexample from scratch: the
+    four of construction, the Farkas certificate, the sample log and the
+    normal selection."""
+    checks = _certify(ce.body, ce.cover, ce.epsilon, ce.d, sweep_count, tol_geom)
+    checks["farkas_backed"] = farkas_excludes_translate(ce.body, ce.cover, ce.epsilon)
+    checks["log_min_geq_epsilon"] = float(np.min(ce.sample_log["sigmas"])) >= ce.epsilon - tol_geom
+    checks["certificate_valid"] = ce.certificate.validate(ce.body, tol_geom=tol_geom)
+    return checks
 
 
 def _sweep_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -326,12 +339,16 @@ def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     return rng, None
 
 
-def _build_touching_counterexample(kc: Polytope, rng: np.random.Generator, restarts: int,
-                  directions: int, sweep_count: int, tol_geom: float,
-                  require_full_dim: bool, seed: int | None) -> Counterexample:
-    """Shared engine: normals -> simplex -> touching -> gap -> contradiction.
+def _gap_too_thin(eps: float, tol_geom: float) -> bool:
+    return eps <= 1.0 + max(tol_geom, EPSILON_FLOOR)
 
-    Needs at least n+1 canonical vertices; full dimensionality is optional
+
+def _build_touching_counterexample(kc: Polytope, rng: np.random.Generator, restarts: int,
+                                   directions: int, sweep_count: int, tol_geom: float,
+                                   seed: int | None) -> Counterexample:
+    """Hyperplane engine: normals -> simplex -> touching -> gap -> _certify.
+
+    Needs at least n+1 canonical vertices; full dimensionality is not needed,
     because the facet-interior touching argument never uses it.  The emitted
     epsilon is the minimum over the estimation directions, the verification
     sweep's own directions, and the local refinement, so the verification
@@ -342,8 +359,7 @@ def _build_touching_counterexample(kc: Polytope, rng: np.random.Generator, resta
     last_error = "no attempt succeeded"
     for _ in range(max(1, restarts)):
         try:
-            sel = _select_normals(kc, rng, restarts=1, tol_geom=tol_geom,
-                                  require_full_dim=require_full_dim)
+            sel = select_regular_normals(kc, rng, restarts=1, tol_geom=tol_geom)
         except ConstructionError as exc:
             last_error = str(exc)
             continue
@@ -360,20 +376,10 @@ def _build_touching_counterexample(kc: Polytope, rng: np.random.Generator, resta
         dirs = np.vstack([est_dirs, ver_dirs])
         sigmas = direction_sigmas(kc, simplex, dirs)
         eps = _refine_epsilon(kc, simplex, dirs, sigmas, rng, refine_steps=40)
-        if eps <= 1.0 + max(tol_geom, EPSILON_FLOOR):
+        if _gap_too_thin(eps, tol_geom):
             last_error = f"inflation gap too thin (eps={eps:.6g}); reselecting"
             continue
-        inflated = scale(kc, eps)
-        fits, _ = translate_fits(inflated, simplex, tol_geom=tol_geom)
-        sweep = shadow_sweep(inflated, simplex, n - 1, count=sweep_count,
-                             tol_geom=tol_geom)
-        fitres = scale_fit(kc, simplex)
-        checks = {
-            "circumscribes": abs(fitres.sigma - 1.0) <= 10.0 * tol_geom,
-            "epsilon_gt_one": eps > 1.0 + tol_geom,
-            "translate_excluded": not fits,
-            "sweep_covers": sweep.verdict == COVERS,
-        }
+        checks = _certify(kc, simplex, eps, n - 1, sweep_count, tol_geom)
         if not all(checks.values()):
             last_error = f"invariant replay failed: {checks}"
             continue
@@ -409,7 +415,7 @@ def build_counterexample(k: Polytope, rng=None, restarts: int = 50,
     if kc.nverts < n + 1:
         raise ValueError(f"need at least {n + 1} canonical vertices, got {kc.nverts}")
     return _build_touching_counterexample(kc, generator, restarts, directions, sweep_count,
-                         tol_geom, require_full_dim=True, seed=seed)
+                                          tol_geom, seed)
 
 
 def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
@@ -418,13 +424,13 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
                            tol_geom: float = TOL_GEOM) -> Counterexample:
     """Counterexample whose d-dimensional shadows cover those of K.
 
-    Full-dimensional bodies delegate to the hyperplane construction; every
-    d-subspace lies inside some hyperplane, so the covering transfers, and a
-    fresh sweep at the requested d re-checks the verdict.  Flat bodies are
-    rebuilt inside a flat of dimension max(dim K, d+1): when d < dim K the
-    construction runs in the body's own affine hull and lifts back; when
-    d >= dim K the circumscribing simplex is grown around the flat body
-    directly inside the padded flat.  Needs at least d+2 canonical vertices.
+    The cover lives in a flat of dimension n' = max(dim K, d+1).  When
+    n' = n the circumscribing simplex is grown around K in the ambient
+    space (K may be flat); every d-subspace lies inside some hyperplane, so
+    the covering transfers, and for d < n-1 the result is re-emitted at d.
+    When n' < n the construction runs inside an n'-flat through K and the
+    cover is lifted back, with the lift checked on sampled d-subspaces.
+    Needs at least d+2 canonical vertices.
     """
     generator, seed = _as_rng(rng)
     kc = canonicalize(k)
@@ -434,103 +440,65 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
     if kc.nverts < d + 2:
         raise ValueError(
             f"the hypothesis needs at least d+2 = {d + 2} canonical vertices, got {kc.nverts}")
-    m = affine_dim(kc)
-    if m == n:
-        ce = _build_touching_counterexample(kc, generator, restarts, directions, sweep_count,
-                           tol_geom, require_full_dim=True, seed=seed)
-        return _at_shadow_dim(ce, d, sweep_count, tol_geom)
-
-    nprime = max(m, d + 1)
+    nprime = max(affine_dim(kc), d + 1)
     if nprime == n:
-        # flat body whose cover must be full-dimensional: grow the simplex
-        # around the flat body directly in the ambient space (the touching
-        # argument never needs a full-dimensional body)
         ce = _build_touching_counterexample(kc, generator, restarts, directions, sweep_count,
-                           tol_geom, require_full_dim=False, seed=seed)
-        return _at_shadow_dim(ce, d, sweep_count, tol_geom)
+                                            tol_geom, seed)
+        if d == ce.d:
+            return ce
+        return _reemit(kc, ce.cover, ce.epsilon, d, ce.certificate, seed, sweep_count,
+                       tol_geom)
 
-    # recursion route: build inside the flat of dimension n' < n, then lift
     p0 = kc.vertices.mean(axis=0)
     diffs = kc.vertices - p0
     _, _, vt = np.linalg.svd(diffs, full_matrices=True)
     frame = vt[:nprime].T  # hull directions first, arbitrary padding after
     k_flat = canonicalize(Polytope(diffs @ frame))
-    ce_flat = _build_touching_counterexample(k_flat, generator, restarts, directions, sweep_count,
-                            tol_geom, require_full_dim=(m == nprime), seed=seed)
-
-    body = kc
+    ce_flat = _build_touching_counterexample(k_flat, generator, restarts, directions,
+                                             sweep_count, tol_geom, seed)
     cover = Polytope(ce_flat.cover.vertices @ frame.T + p0, canonical=True)
     certificate = NormalSelection(ce_flat.certificate.normals @ frame.T,
                                   ce_flat.certificate.touch_indices,
                                   ce_flat.certificate.coefficients)
-    eps = ce_flat.epsilon
+    lift_subs = tuple(haar_subspace(n, d, generator) for _ in range(lift_checks))
+    return _reemit(kc, cover, ce_flat.epsilon, d, certificate, seed, sweep_count, tol_geom,
+                   lift_subs)
 
-    # fold the ambient verification samples into epsilon, then certify the
-    # lift on sampled ambient d-subspaces
-    ver_subs = sweep_subspaces(n, d, sweep_count, rng=np.random.default_rng(0))
-    lift_subs = [haar_subspace(n, d, generator) for _ in range(lift_checks)]
-    subs = ver_subs + lift_subs
+
+def _reemit(body: Polytope, cover: Polytope, eps: float, d: int,
+            certificate: NormalSelection, seed: int | None, sweep_count: int,
+            tol_geom: float, lift_subs: tuple[Subspace, ...] = ()) -> Counterexample:
+    """Emit a counterexample at shadow dimension d of the ambient space.
+
+    Epsilon drops to the least sigma over the verification sweep's
+    d-subspaces and the lift subspaces, so that sweep covers by
+    construction; lower-dimensional sigmas can only exceed the hyperplane
+    ones, but they are checked, not assumed.  Each lift subspace must pass
+    flat_lift_check, and then _certify decides.
+    """
+    subs = sweep_subspaces(body.dim, d, sweep_count, rng=np.random.default_rng(0))
+    subs += lift_subs
     sigmas = sweep_sigmas(body, cover, subs)
     eps = min(eps, float(sigmas.min(initial=math.inf)))
-    if eps <= 1.0 + max(tol_geom, EPSILON_FLOOR):
+    if _gap_too_thin(eps, tol_geom):
         raise ConstructionError(f"ambient inflation gap too thin (eps={eps:.6g})")
-
-    inflated = scale(body, eps)
-    for eta in lift_subs:
-        rep = flat_lift_check(inflated, cover, eta, tol_geom=tol_geom)
-        if not (rep.applicable and rep.holds):
-            raise ConstructionError(
-                f"flat lift failed on a sampled subspace (sigma={rep.sigma_ambient:.6g})")
-    fits, _ = translate_fits(inflated, cover, tol_geom=tol_geom)
-    sweep = shadow_sweep(inflated, cover, d, count=sweep_count, tol_geom=tol_geom)
-    fitres = scale_fit(body, cover)
-    checks = {
-        "circumscribes": abs(fitres.sigma - 1.0) <= 10.0 * tol_geom,
-        "epsilon_gt_one": eps > 1.0 + tol_geom,
-        "translate_excluded": not fits,
-        "sweep_covers": sweep.verdict == COVERS,
-        "flat_lift_certified": True,
-    }
+    if lift_subs:
+        # inflate about K's centroid, which keeps K in the flat of the cover
+        c = body.vertices.mean(axis=0)
+        inflated = translate(scale(body, eps), (1.0 - eps) * c)
+        for eta in lift_subs:
+            rep = flat_lift_check(inflated, cover, eta, tol_geom=tol_geom)
+            if not (rep.applicable and rep.holds):
+                raise ConstructionError(
+                    f"flat lift failed on a sampled subspace (sigma={rep.sigma_ambient:.6g})")
+    checks = _certify(body, cover, eps, d, sweep_count, tol_geom)
+    if lift_subs:
+        checks["flat_lift_certified"] = True
     if not all(checks.values()):
-        raise ConstructionError(f"lifted counterexample failed replay: {checks}")
-    return Counterexample(
-        body=body,
-        cover=cover,
-        epsilon=eps,
-        d=d,
-        sample_log={"kind": "subspace_bases", "vectors": np.asarray([s.basis for s in subs]),
-                    "sigmas": sigmas},
-        certificate=certificate,
-        checks=checks,
-        seed=seed,
-    )
-
-
-def _at_shadow_dim(ce: Counterexample, d: int, sweep_count: int,
-                   tol_geom: float) -> Counterexample:
-    """Re-emit a hyperplane counterexample at a lower shadow dimension.
-
-    Lower-dimensional sweep sigmas can only exceed the hyperplane ones, but
-    the verdict is still re-checked (and epsilon lowered to any observed
-    sample) rather than assumed.
-    """
-    if d == ce.d:
-        return ce
-    subs = sweep_subspaces(ce.body.dim, d, sweep_count, rng=np.random.default_rng(0))
-    sigmas = sweep_sigmas(ce.body, ce.cover, subs)
-    eps = min(ce.epsilon, float(sigmas.min(initial=math.inf)))
-    if eps <= 1.0 + max(tol_geom, EPSILON_FLOOR):
-        raise ConstructionError("lower-dimensional sweep erased the inflation gap")
-    sweep = shadow_sweep(scale(ce.body, eps), ce.cover, d, count=sweep_count,
-                         tol_geom=tol_geom)
-    checks = dict(ce.checks)
-    checks["sweep_covers"] = sweep.verdict == COVERS
-    if sweep.verdict != COVERS:
-        raise ConstructionError("lower-dimensional sweep found a violation")
+        raise ConstructionError(f"re-emitted counterexample failed its checks: {checks}")
     log = {"kind": "subspace_bases", "vectors": np.asarray([s.basis for s in subs]),
            "sigmas": sigmas}
-    return Counterexample(ce.body, ce.cover, eps, d, log, ce.certificate,
-                          checks, ce.seed)
+    return Counterexample(body, cover, eps, d, log, certificate, checks, seed)
 
 
 def canonical_tetra_quad() -> tuple[Polytope, Polytope]:

@@ -41,11 +41,7 @@ from .bodies import (
     Polytope,
     canonical_vertex_indices,
     canonicalize,
-    origin_interior_coefficients,
     planar_hull,
-    point_in_hull,
-    simplex_from_supports,
-    support,
 )
 from .core import TOL_FEAS, TOL_GEOM
 
@@ -302,11 +298,13 @@ def translate_fits(k: Polytope, l: Polytope,
     return True, _unit_translation(k, l, fit)
 
 
-def replay_fit(k: Polytope, l: Polytope, fit: FitResult) -> bool:
-    """Certificate replay: every sigma*x_i + v must lie in L (point-in-hull LP)."""
-    if fit.degenerate:
-        return point_in_hull(l.vertices[0], l)
-    return all(point_in_hull(fit.sigma * x + fit.translation, l) for x in k.vertices)
+def _subset_sigmas(k: Polytope, l: Polytope, kcount: int):
+    """(combo, sigma) for each kcount-subset of K's canonical vertices, in
+    lexicographic order; kcount is clamped to the number of vertices."""
+    idx = list(range(k.nverts)) if k.canonical else canonical_vertex_indices(k)
+    v = k.vertices
+    for combo in combinations(idx, min(kcount, len(idx))):
+        yield list(combo), scale_fit(Polytope(v[list(combo)]), l).sigma
 
 
 def subset_witness(k: Polytope, l: Polytope, kcount: int,
@@ -319,13 +317,8 @@ def subset_witness(k: Polytope, l: Polytope, kcount: int,
     """
     if kcount < 1:
         raise ValueError("subset size must be at least 1")
-    idx = list(range(k.nverts)) if k.canonical else canonical_vertex_indices(k)
-    kcount = min(kcount, len(idx))
-    v = k.vertices
-    for combo in combinations(idx, kcount):
-        if scale_fit(Polytope(v[list(combo)]), l).sigma < 1.0 - tol_geom:
-            return list(combo)
-    return None
+    return next((combo for combo, sigma in _subset_sigmas(k, l, kcount)
+                 if sigma < 1.0 - tol_geom), None)
 
 
 def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
@@ -334,11 +327,7 @@ def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
     The margin |min - 1| quantifies how decisively the subset condition
     holds or fails; used by the randomized harnesses.
     """
-    idx = list(range(k.nverts)) if k.canonical else canonical_vertex_indices(k)
-    kcount = min(kcount, len(idx))
-    v = k.vertices
-    return min((scale_fit(Polytope(v[list(combo)]), l).sigma
-                for combo in combinations(idx, kcount)), default=math.inf)
+    return min((sigma for _, sigma in _subset_sigmas(k, l, kcount)), default=math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,31 +370,3 @@ def inscribed_equivalence_check(k: Polytope, l: Polytope, kcount: int,
         theorem_backed=(kcount == context_dim + 1),
     )
 
-
-def circumscribing_simplex_witness(k: Polytope, l: Polytope, restarts: int,
-                                   rng: np.random.Generator,
-                                   tol_geom: float = TOL_GEOM) -> Polytope | None:
-    """Heuristic search for a simplex containing L that K does not fit into.
-
-    When K does not translate into L, such a circumscribing simplex exists
-    but is non-constructive; this samples n+1 directions whose hull interior
-    contains the origin, builds the simplex supporting L in those directions,
-    and tests the fit.  Absence of a result is NOT a disproof.
-    """
-    fits, _ = translate_fits(k, l, tol_geom=tol_geom)
-    if fits:
-        raise ValueError("K translates into L; no circumscribing-simplex witness exists")
-    n = k.dim
-    for _ in range(restarts):
-        dirs = rng.standard_normal((n + 1, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        if origin_interior_coefficients(dirs, tol_geom=tol_geom) is None:
-            continue
-        heights = np.array([support(l, u) for u in dirs])
-        try:
-            simplex = simplex_from_supports(dirs, heights)
-        except ValueError:
-            continue
-        if scale_fit(k, simplex).sigma < 1.0 - tol_geom:
-            return simplex
-    return None

@@ -67,31 +67,23 @@ def sweep_sigmas(k: Polytope, l: Polytope, subspaces: list[Subspace]) -> np.ndar
     return np.array([shadow_fit(k, l, s).sigma for s in subspaces], dtype=np.float64)
 
 
-def sweep_subspaces(n: int, d: int, count: int, sampler: str = "auto",
+def sweep_subspaces(n: int, d: int, count: int,
                     rng: np.random.Generator | None = None) -> list[Subspace]:
-    """Subspace sample for a sweep: deterministic grids for hyperplane
-    shadows in R^2/R^3, Haar samples otherwise."""
-    grid_ok = (d == n - 1 and n in (2, 3)) or (d == 1 and n in (2, 3))
-    if sampler == "auto":
-        sampler = "grid" if d == n - 1 and n in (2, 3) else "haar"
-    if sampler == "grid":
-        if not grid_ok:
-            raise ValueError("grid sampler only supports d=1 or d=n-1 in R^2/R^3")
-        dirs = direction_grid(n, count)
-        if d == n - 1:
-            return [Subspace(hyperplane_basis(u)) for u in dirs]
-        return [Subspace(u[:, None]) for u in dirs]
-    if sampler != "haar":
-        raise ValueError(f"unknown sampler {sampler!r}")
+    """Subspace sample for a sweep: a deterministic direction grid of
+    hyperplanes for d = n-1 in R^2/R^3, Haar samples from rng otherwise."""
+    if d == n - 1 and n in (2, 3):
+        return [Subspace(hyperplane_basis(u)) for u in direction_grid(n, count)]
     if rng is None:
         rng = np.random.default_rng(0)
     return [haar_subspace(n, d, rng) for _ in range(count)]
 
 
-def shadow_sweep(k: Polytope, l: Polytope, d: int, sampler: str = "auto",
-                 count: int = 1000, rng: np.random.Generator | None = None,
+def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,
+                 rng: np.random.Generator | None = None,
                  tol_geom: float = TOL_GEOM) -> ShadowReport:
-    """Evaluate shadow_fit over sampled subspaces.
+    """Evaluate shadow_fit over the subspaces of sweep_subspaces: hyperplanes
+    along a direction grid for d = n-1 in R^2/R^3, where rng is unused, and
+    count Haar samples from rng (seed 0 when None) otherwise.
 
     Verdict: "fails" iff some sample has sigma < 1 - tol_geom, otherwise
     "covers".  Samples inside the band |sigma - 1| <= tol_geom are counted
@@ -100,7 +92,7 @@ def shadow_sweep(k: Polytope, l: Polytope, d: int, sampler: str = "auto",
     n = k.dim
     if not (1 <= d < n):
         raise ValueError(f"need 1 <= d < {n}, got {d}")
-    subs = sweep_subspaces(n, d, count, sampler=sampler, rng=rng)
+    subs = sweep_subspaces(n, d, count, rng=rng)
     sigmas = sweep_sigmas(k, l, subs)
     min_sigma = float(sigmas.min(initial=math.inf))
     return ShadowReport(

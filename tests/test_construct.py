@@ -17,6 +17,8 @@ from shadowcover.construct import (
 )
 from shadowcover.core import direction_grid
 
+SHARED_CHECKS = ("circumscribes", "epsilon_gt_one", "translate_excluded", "sweep_covers")
+
 TETRA = Polytope([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                   [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]], canonical=True)
 
@@ -40,6 +42,14 @@ def test_select_regular_normals_rejects_segment():
     seg = Polytope([[0.0, 0.0], [1.0, 0.0]], canonical=True)
     with pytest.raises(ConstructionError):
         select_regular_normals(seg, np.random.default_rng(2))
+
+
+def test_select_regular_normals_flat_body():
+    # the touching argument never needs a full-dimensional body
+    _, quad = canonical_tetra_quad()
+    sel = select_regular_normals(quad, np.random.default_rng(4))
+    assert sel.validate(quad)
+    assert sorted(int(t) for t in sel.touch_indices) == [0, 1, 2, 3]
 
 
 def test_circumscribe_tetrahedron_is_reflected_triple():
@@ -158,6 +168,42 @@ def test_build_counterexample_d_planar_quad_direct():
     assert ce.checks["translate_excluded"]
     rep = replay_counterexample(ce, sweep_count=300)
     assert all(rep.values()), rep
+
+
+def _replays_with_shared_checks(ce, sweep_count):
+    """Replay at the build's sample count passes, and the build's own checks
+    are the replay's four shared ones (plus the lift flag)."""
+    rep = replay_counterexample(ce, sweep_count=sweep_count)
+    assert all(rep.values()), rep
+    own = {key: val for key, val in ce.checks.items() if key != "flat_lift_certified"}
+    assert own == {key: rep[key] for key in SHARED_CHECKS}
+
+
+def test_build_counterexample_d_full_body_lower_dim():
+    # a full-dimensional body at d = 1 < n - 1 is re-emitted in the ambient space
+    k = Polytope(np.random.default_rng(7).standard_normal((8, 3)))
+    ce = build_counterexample_d(k, 1, rng=6, directions=300, sweep_count=300)
+    assert ce.d == 1 and ce.sample_log["kind"] == "subspace_bases"
+    assert ce.epsilon > 1.0
+    assert "flat_lift_certified" not in ce.checks
+    _replays_with_shared_checks(ce, 300)
+
+
+def test_build_counterexample_d_pentagon_lifted_flat_in_flat():
+    # a pentagon in R^4 at d = 2: the cover is a 3-simplex grown around the
+    # pentagon inside a 3-flat, in which the pentagon is itself flat; the
+    # flat misses the origin, so inflating about it would leave the flat
+    ang = 2.0 * np.pi * np.arange(5) / 5.0
+    pts = np.zeros((5, 4))
+    pts[:, 0], pts[:, 1] = np.cos(ang), np.sin(ang)
+    frame, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 4)))
+    pentagon = Polytope(pts @ frame.T + 0.3)
+    ce = build_counterexample_d(pentagon, 2, rng=3, directions=256, sweep_count=200,
+                                lift_checks=20)
+    assert ce.d == 2
+    assert affine_dim(ce.cover) == 3
+    assert ce.checks["flat_lift_certified"]
+    _replays_with_shared_checks(ce, 200)
 
 
 def test_build_counterexample_d_simplex_rejected():
