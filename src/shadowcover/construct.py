@@ -4,22 +4,24 @@ body itself cannot.
 Pipeline: pick regular unit normals at distinct exposed points whose convex
 hull has the origin interior, materialize the circumscribing simplex those
 normals support, verify that the body touches every facet away from all
-ridges, then bound the direction-independent inflation factor by a sampled
-sweep with local refinement.  The inflated body fits through every sampled
-shadow of the simplex but cannot fit inside it, since the simplex is already
-maximally tight.
+ridges, then take the exact inflation factor from the paper's Theorem 2.
+Applied to eps * K, it says every d-shadow of eps * K translates into the
+cover's shadow iff every (d+1)-point polytope in eps * K translates into the
+cover; 1/sigma of a (d+1)-point set is convex in its points, so vertex
+subsets suffice and eps* = min_subset_sigma(K, cover, d + 1).  The inflated
+body fits through every d-shadow of the simplex but cannot fit inside it,
+since the simplex is already maximally tight.
 
-One certification path: _certify alone computes the four invariants, and
-replay_counterexample runs it before its own three checks.  The hyperplane
-engine certifies the simplex it grows around K, full-dimensional or flat.  A
-lower shadow dimension, and a cover built inside K's own flat and lifted
-back, re-emit in the ambient space through _reemit, which first lowers
-epsilon over the d-subspaces it verifies on.
+One certification path: _emit sets epsilon a hair below eps* and runs
+_certify, which alone computes the four invariants; replay_counterexample
+runs _certify before its own checks.  The hyperplane engine grows the
+simplex around K, full-dimensional or flat, and emits at any d; a cover
+built inside K's own flat is lifted back and emitted in the ambient space.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,8 @@ from .bodies import (
     support_set,
     translate,
 )
-from .containment import _scale_fit_lp, scale_fit, translate_fits
-from .core import TOL_FEAS, TOL_GEOM, Subspace, direction_grid, haar_subspace, hyperplane_basis
+from .containment import _scale_fit_lp, min_subset_sigma, scale_fit, translate_fits
+from .core import TOL_FEAS, TOL_GEOM, Subspace, haar_subspace, hyperplane_basis
 from .shadows import (
     COVERS,
     flat_lift_check,
@@ -49,8 +51,8 @@ from .shadows import (
     sweep_subspaces,
 )
 
-# sampled inflation factors this thin are treated as construction failures
-# rather than emitted as certificates
+# inflation factors this thin are treated as construction failures rather
+# than emitted as certificates
 EPSILON_FLOOR = 1e-4
 
 
@@ -208,30 +210,28 @@ def epsilon_gap(k: Polytope, s: Polytope, directions: np.ndarray,
                 rng: np.random.Generator | None = None,
                 refine_steps: int = 40,
                 tol_geom: float = TOL_GEOM) -> float:
-    """Sampled inflation gap: min over directions of the shadow scale fit,
-    sharpened by local refinement from the five smallest samples.
+    """Exact inflation gap of a touching pair: the least hyperplane-shadow
+    scale fit, which Theorem 2 makes min_subset_sigma(k, s, n).
 
-    The touching hypothesis guarantees the true infimum exceeds 1; the
-    returned value is a sampled minimum, never claimed as the infimum.
+    The touching hypothesis guarantees it exceeds 1.  The minimum over the
+    sampled directions, sharpened by local refinement from the five smallest
+    samples, is a cross-check: falling below eps* (1 - tol_geom) raises
+    ConstructionError.
     """
     if not verify_touching(k, s, tol_geom=tol_geom):
         raise ValueError("epsilon gap requires the touching hypothesis; verify_touching failed")
+    eps = min_subset_sigma(k, s, k.dim)
     directions = np.asarray(directions, dtype=np.float64)
     sigmas = direction_sigmas(k, s, directions)
-    return _refine_epsilon(k, s, directions, sigmas, rng, refine_steps)
-
-
-def _refine_epsilon(k: Polytope, s: Polytope, directions: np.ndarray,
-                    sigmas: np.ndarray, rng: np.random.Generator | None,
-                    refine_steps: int) -> float:
-    eps = float(np.min(sigmas))
+    sampled = float(np.min(sigmas))
     if rng is None:
         rng = np.random.default_rng(0)
-    n = k.dim
     for idx in np.argsort(sigmas)[:5]:
         start = Subspace(hyperplane_basis(directions[idx]))
-        _, refined = refine_min_margin(k, s, n - 1, start, steps=refine_steps, rng=rng)
-        eps = min(eps, refined)
+        _, refined = refine_min_margin(k, s, k.dim - 1, start, steps=refine_steps, rng=rng)
+        sampled = min(sampled, refined)
+    if sampled < eps * (1.0 - tol_geom):
+        raise ConstructionError(f"sampled gap {sampled:.9g} is below the exact {eps:.9g}")
     return eps
 
 
@@ -315,20 +315,16 @@ def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: i
 def replay_counterexample(ce: Counterexample, sweep_count: int = 1000,
                           tol_geom: float = TOL_GEOM) -> dict:
     """Re-run every invariant of an emitted counterexample from scratch: the
-    four of construction, the Farkas certificate, the sample log and the
-    normal selection."""
+    four of construction, the Farkas certificate, epsilon against the exact
+    eps* recomputed from the vertex subsets, the sample log (every sample is
+    at least eps*, so it cross-checks the exact value) and the normal
+    selection."""
     checks = _certify(ce.body, ce.cover, ce.epsilon, ce.d, sweep_count, tol_geom)
     checks["farkas_backed"] = farkas_excludes_translate(ce.body, ce.cover, ce.epsilon)
+    checks["epsilon_leq_exact"] = ce.epsilon <= min_subset_sigma(ce.body, ce.cover, ce.d + 1)
     checks["log_min_geq_epsilon"] = float(np.min(ce.sample_log["sigmas"])) >= ce.epsilon - tol_geom
     checks["certificate_valid"] = ce.certificate.validate(ce.body, tol_geom=tol_geom)
     return checks
-
-
-def _sweep_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    if n in (2, 3):
-        return direction_grid(n, count)
-    g = rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
@@ -343,19 +339,16 @@ def _gap_too_thin(eps: float, tol_geom: float) -> bool:
     return eps <= 1.0 + max(tol_geom, EPSILON_FLOOR)
 
 
-def _build_touching_counterexample(kc: Polytope, rng: np.random.Generator, restarts: int,
-                                   directions: int, sweep_count: int, tol_geom: float,
-                                   seed: int | None) -> Counterexample:
-    """Hyperplane engine: normals -> simplex -> touching -> gap -> _certify.
+def _build_touching_counterexample(
+        kc: Polytope, rng: np.random.Generator, restarts: int, tol_geom: float,
+        emit: Callable[[Polytope, NormalSelection], Counterexample]) -> Counterexample:
+    """Hyperplane engine: normals -> simplex -> touching -> emit.
 
     Needs at least n+1 canonical vertices; full dimensionality is not needed,
-    because the facet-interior touching argument never uses it.  The emitted
-    epsilon is the minimum over the estimation directions, the verification
-    sweep's own directions, and the local refinement, so the verification
-    sweep of the inflated body covers by construction and independent
-    replays at the same sample count reproduce the verdict.
+    because the facet-interior touching argument never uses it.  emit turns
+    the simplex and its selection into a counterexample, or raises
+    ConstructionError, and then a fresh selection is tried.
     """
-    n = kc.dim
     last_error = "no attempt succeeded"
     for _ in range(max(1, restarts)):
         try:
@@ -371,28 +364,10 @@ def _build_touching_counterexample(kc: Polytope, rng: np.random.Generator, resta
         if not verify_touching(kc, simplex, tol_geom=tol_geom):
             last_error = "touching hypothesis failed; reselecting"
             continue
-        est_dirs = _sweep_directions(n, directions, rng)
-        ver_dirs = _sweep_directions(n, sweep_count, np.random.default_rng(0))
-        dirs = np.vstack([est_dirs, ver_dirs])
-        sigmas = direction_sigmas(kc, simplex, dirs)
-        eps = _refine_epsilon(kc, simplex, dirs, sigmas, rng, refine_steps=40)
-        if _gap_too_thin(eps, tol_geom):
-            last_error = f"inflation gap too thin (eps={eps:.6g}); reselecting"
-            continue
-        checks = _certify(kc, simplex, eps, n - 1, sweep_count, tol_geom)
-        if not all(checks.values()):
-            last_error = f"invariant replay failed: {checks}"
-            continue
-        return Counterexample(
-            body=kc,
-            cover=simplex,
-            epsilon=eps,
-            d=n - 1,
-            sample_log={"kind": "hyperplane_normals", "vectors": dirs, "sigmas": sigmas},
-            certificate=sel,
-            checks=checks,
-            seed=seed,
-        )
+        try:
+            return emit(simplex, sel)
+        except ConstructionError as exc:
+            last_error = str(exc)
     raise ConstructionError(f"counterexample construction failed: {last_error}")
 
 
@@ -401,21 +376,19 @@ def build_counterexample(k: Polytope, rng=None, restarts: int = 50,
                          tol_geom: float = TOL_GEOM) -> Counterexample:
     """Counterexample for a full-dimensional body with >= n+1 vertices.
 
-    Emits a simplex circumscribing K and an inflation factor epsilon > 1
-    such that every sampled hyperplane shadow of epsilon * K fits inside the
-    simplex's shadow while epsilon * K itself cannot fit (LP-certified,
-    Farkas-backed through the replay helpers).
+    Emits a simplex circumscribing K and an inflation factor epsilon > 1,
+    a hair below the exact eps* of Theorem 2, such that every hyperplane
+    shadow of epsilon * K fits inside the simplex's shadow while
+    epsilon * K itself cannot fit (LP-certified, Farkas-backed through the
+    replay helpers).  directions sizes the logged sample sweep, which the
+    replay reads as a cross-check of eps*.
     """
-    generator, seed = _as_rng(rng)
     kc = canonicalize(k)
-    n = kc.dim
-    if affine_dim(kc) != n:
+    if affine_dim(kc) != kc.dim:
         raise ValueError(
             "body is not full-dimensional; use build_counterexample_d for flat bodies")
-    if kc.nverts < n + 1:
-        raise ValueError(f"need at least {n + 1} canonical vertices, got {kc.nverts}")
-    return _build_touching_counterexample(kc, generator, restarts, directions, sweep_count,
-                                          tol_geom, seed)
+    return build_counterexample_d(kc, kc.dim - 1, rng, restarts, directions, sweep_count,
+                                  tol_geom=tol_geom)
 
 
 def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
@@ -426,11 +399,14 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
 
     The cover lives in a flat of dimension n' = max(dim K, d+1).  When
     n' = n the circumscribing simplex is grown around K in the ambient
-    space (K may be flat); every d-subspace lies inside some hyperplane, so
-    the covering transfers, and for d < n-1 the result is re-emitted at d.
-    When n' < n the construction runs inside an n'-flat through K and the
-    cover is lifted back, with the lift checked on sampled d-subspaces.
-    Needs at least d+2 canonical vertices.
+    space (K may be flat).  When n' < n the construction runs inside an
+    n'-flat through K and the cover is lifted back, with the lift checked
+    on sampled d-subspaces.  Either way epsilon sits a hair below the exact
+    eps*_d = min_subset_sigma(K, cover, d + 1).  Since a (d+1)-subset fits
+    no worse than the n-subsets that contain it, eps*_d is at least the
+    hyperplane value eps*_{n-1}, so the emitted epsilon can exceed the one
+    of a hyperplane build on the same cover; both are valid.  directions
+    sizes the logged sample sweep.  Needs at least d+2 canonical vertices.
     """
     generator, seed = _as_rng(rng)
     kc = canonicalize(k)
@@ -442,46 +418,43 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
             f"the hypothesis needs at least d+2 = {d + 2} canonical vertices, got {kc.nverts}")
     nprime = max(affine_dim(kc), d + 1)
     if nprime == n:
-        ce = _build_touching_counterexample(kc, generator, restarts, directions, sweep_count,
-                                            tol_geom, seed)
-        if d == ce.d:
-            return ce
-        return _reemit(kc, ce.cover, ce.epsilon, d, ce.certificate, seed, sweep_count,
-                       tol_geom)
+        return _build_touching_counterexample(
+            kc, generator, restarts, tol_geom,
+            lambda simplex, sel: _emit(kc, simplex, d, sel, seed, generator, directions,
+                                       sweep_count, tol_geom))
 
     p0 = kc.vertices.mean(axis=0)
     diffs = kc.vertices - p0
     _, _, vt = np.linalg.svd(diffs, full_matrices=True)
     frame = vt[:nprime].T  # hull directions first, arbitrary padding after
     k_flat = canonicalize(Polytope(diffs @ frame))
-    ce_flat = _build_touching_counterexample(k_flat, generator, restarts, directions,
-                                             sweep_count, tol_geom, seed)
-    cover = Polytope(ce_flat.cover.vertices @ frame.T + p0, canonical=True)
-    certificate = NormalSelection(ce_flat.certificate.normals @ frame.T,
-                                  ce_flat.certificate.touch_indices,
-                                  ce_flat.certificate.coefficients)
     lift_subs = tuple(haar_subspace(n, d, generator) for _ in range(lift_checks))
-    return _reemit(kc, cover, ce_flat.epsilon, d, certificate, seed, sweep_count, tol_geom,
-                   lift_subs)
+
+    def emit_lifted(simplex: Polytope, sel: NormalSelection) -> Counterexample:
+        cover = Polytope(simplex.vertices @ frame.T + p0, canonical=True)
+        certificate = NormalSelection(sel.normals @ frame.T, sel.touch_indices,
+                                      sel.coefficients)
+        return _emit(kc, cover, d, certificate, seed, generator, directions, sweep_count,
+                     tol_geom, lift_subs)
+
+    return _build_touching_counterexample(k_flat, generator, restarts, tol_geom, emit_lifted)
 
 
-def _reemit(body: Polytope, cover: Polytope, eps: float, d: int,
-            certificate: NormalSelection, seed: int | None, sweep_count: int,
-            tol_geom: float, lift_subs: tuple[Subspace, ...] = ()) -> Counterexample:
-    """Emit a counterexample at shadow dimension d of the ambient space.
+def _emit(body: Polytope, cover: Polytope, d: int, certificate: NormalSelection,
+          seed: int | None, rng: np.random.Generator, directions: int, sweep_count: int,
+          tol_geom: float, lift_subs: tuple[Subspace, ...] = ()) -> Counterexample:
+    """Emit a counterexample at shadow dimension d of the body's ambient space.
 
-    Epsilon drops to the least sigma over the verification sweep's
-    d-subspaces and the lift subspaces, so that sweep covers by
-    construction; lower-dimensional sigmas can only exceed the hyperplane
-    ones, but they are checked, not assumed.  Each lift subspace must pass
-    flat_lift_check, and then _certify decides.
+    Epsilon is eps* (1 - 2 tol_geom) with eps* = min_subset_sigma(body,
+    cover, d + 1), the least d-shadow sigma: at eps* itself a sample near
+    the minimizing subspace would land in the borderline band, not in
+    "covers".  Each lift subspace must pass flat_lift_check, and then
+    _certify decides.  The log holds sigma on the sweep_subspaces sample of
+    size directions and on the lift subspaces; each is at least eps*.
     """
-    subs = sweep_subspaces(body.dim, d, sweep_count, rng=np.random.default_rng(0))
-    subs += lift_subs
-    sigmas = sweep_sigmas(body, cover, subs)
-    eps = min(eps, float(sigmas.min(initial=math.inf)))
+    eps = min_subset_sigma(body, cover, d + 1) * (1.0 - 2.0 * tol_geom)
     if _gap_too_thin(eps, tol_geom):
-        raise ConstructionError(f"ambient inflation gap too thin (eps={eps:.6g})")
+        raise ConstructionError(f"inflation gap too thin (eps={eps:.6g}); reselecting")
     if lift_subs:
         # inflate about K's centroid, which keeps K in the flat of the cover
         c = body.vertices.mean(axis=0)
@@ -495,9 +468,10 @@ def _reemit(body: Polytope, cover: Polytope, eps: float, d: int,
     if lift_subs:
         checks["flat_lift_certified"] = True
     if not all(checks.values()):
-        raise ConstructionError(f"re-emitted counterexample failed its checks: {checks}")
+        raise ConstructionError(f"invariant replay failed: {checks}")
+    subs = sweep_subspaces(body.dim, d, directions, rng) + list(lift_subs)
     log = {"kind": "subspace_bases", "vectors": np.asarray([s.basis for s in subs]),
-           "sigmas": sigmas}
+           "sigmas": sweep_sigmas(body, cover, subs)}
     return Counterexample(body, cover, eps, d, log, certificate, checks, seed)
 
 

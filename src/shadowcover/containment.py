@@ -324,8 +324,11 @@ def subset_witness(k: Polytope, l: Polytope, kcount: int,
 def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
     """Minimum of scale_fit over all kcount-subsets of canonical vertices.
 
-    The margin |min - 1| quantifies how decisively the subset condition
-    holds or fails; used by the randomized harnesses.
+    With kcount = d + 1 this is the least scale fit of K's d-shadows in L's
+    (the paper's Theorem 2, reduced to vertex subsets by convexity), which
+    counterexample construction and replay take as the exact inflation
+    factor.  The margin |min - 1| quantifies how decisively the subset
+    condition holds or fails; the randomized harnesses use it.
     """
     return min((sigma for _, sigma in _subset_sigmas(k, l, kcount)), default=math.inf)
 

@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from shadowcover.bodies import Polytope, affine_dim, canonicalize, scale, support, support_set
-from shadowcover.containment import scale_fit, translate_fits
+from shadowcover.containment import min_subset_sigma, scale_fit, translate_fits
 from shadowcover.construct import (
     ConstructionError,
     NormalSelection,
@@ -15,9 +17,17 @@ from shadowcover.construct import (
     select_regular_normals,
     verify_touching,
 )
-from shadowcover.core import direction_grid
+from shadowcover.core import TOL_GEOM, Subspace, direction_grid
+from shadowcover.shadows import shadow_fit
 
 SHARED_CHECKS = ("circumscribes", "epsilon_gt_one", "translate_excluded", "sweep_covers")
+
+
+def assert_exact_epsilon(ce):
+    """The emitted epsilon sits just below the exact eps* of Theorem 2."""
+    exact = min_subset_sigma(ce.body, ce.cover, ce.d + 1)
+    assert (1.0 - 3.0 * TOL_GEOM) * exact <= ce.epsilon <= exact
+
 
 TETRA = Polytope([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                   [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]], canonical=True)
@@ -121,7 +131,7 @@ def test_canonical_tetra_quad_geometry():
 def test_canonical_pair_epsilon_and_exclusion():
     delta, quad = canonical_tetra_quad()
     eps = epsilon_gap(quad, delta, direction_grid(3, 2000))
-    assert eps > 1.001
+    assert eps == pytest.approx(4.0 / 3.0, abs=1e-12)
     fits, _ = translate_fits(scale(quad, eps), delta)
     assert not fits
 
@@ -129,17 +139,38 @@ def test_canonical_pair_epsilon_and_exclusion():
 def test_build_counterexample_tetrahedron():
     ce = build_counterexample(TETRA, rng=0, directions=400, sweep_count=400)
     assert ce.epsilon > 1.0 + 1e-6
+    assert_exact_epsilon(ce)
     rep = replay_counterexample(ce, sweep_count=400)
     assert all(rep.values()), rep
+
+
+def _random_body_counterexample():
+    rng = np.random.default_rng(42)
+    k = canonicalize(Polytope(rng.standard_normal((10, 3))))
+    return build_counterexample(k, rng=rng, directions=400, sweep_count=400)
 
 
 def test_build_counterexample_random_body():
-    rng = np.random.default_rng(42)
-    k = canonicalize(Polytope(rng.standard_normal((10, 3))))
-    ce = build_counterexample(k, rng=rng, directions=400, sweep_count=400)
+    ce = _random_body_counterexample()
     assert ce.epsilon > 1.0
+    assert_exact_epsilon(ce)
     rep = replay_counterexample(ce, sweep_count=400)
     assert all(rep.values()), rep
+
+
+def test_counterexample_covers_on_the_minimizing_plane():
+    # the 2-plane spanned by the active dual normals of the worst vertex
+    # triple attains eps*; a sampled estimate of epsilon above eps* makes
+    # the shadow of epsilon * K on it fail to fit
+    ce = _random_body_counterexample()
+    v = ce.body.vertices
+    fits = [scale_fit(Polytope(v[list(c)]), ce.cover) for c in combinations(range(len(v)), 3)]
+    worst = min(fits, key=lambda f: f.sigma)
+    u = worst.dual.reshape(3, 4)[:, :3]
+    u = u[np.linalg.norm(u, axis=1) > 1e-9 * np.abs(u).max()]
+    xi = Subspace(np.linalg.svd(u)[2][:2].T)
+    assert shadow_fit(ce.body, ce.cover, xi).sigma == pytest.approx(worst.sigma, rel=1e-9)
+    assert shadow_fit(scale(ce.body, ce.epsilon), ce.cover, xi).sigma >= 1.0 - TOL_GEOM
 
 
 def test_build_counterexample_rejects_flat_body():
@@ -155,6 +186,7 @@ def test_build_counterexample_d_planar_quad_lifted():
     assert ce.d == 1
     assert ce.epsilon > 1.0
     assert affine_dim(ce.cover) == 2  # triangle in the quad's plane
+    assert_exact_epsilon(ce)
     rep = replay_counterexample(ce, sweep_count=300)
     assert all(rep.values()), rep
 
@@ -171,8 +203,10 @@ def test_build_counterexample_d_planar_quad_direct():
 
 
 def _replays_with_shared_checks(ce, sweep_count):
-    """Replay at the build's sample count passes, and the build's own checks
-    are the replay's four shared ones (plus the lift flag)."""
+    """Epsilon is exact, replay at the build's sample count passes, and the
+    build's own checks are the replay's four shared ones (plus the lift
+    flag)."""
+    assert_exact_epsilon(ce)
     rep = replay_counterexample(ce, sweep_count=sweep_count)
     assert all(rep.values()), rep
     own = {key: val for key, val in ce.checks.items() if key != "flat_lift_certified"}
