@@ -4,9 +4,10 @@ Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 In the plane that pass is a monotone-chain hull (``planar_hull``), which also
 gives the edges that the planar scale fit and perimeter use; in higher
-dimensions it is one point-in-hull LP per vertex, and no facets are
-enumerated there: containment questions reduce to LPs over
-convex-combination variables.
+dimensions it is one point-in-hull LP per vertex.  In R^3, ``hull_facets``
+enumerates the facets of up to 24 points from the planes of their point
+triples; the 3-D scale fit runs its LP over them.  Other containment
+questions reduce to LPs over convex-combination variables.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -199,6 +201,67 @@ def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
         return out[:-1]
 
     return chain(seq) + chain(seq[::-1])
+
+
+@lru_cache(maxsize=16)
+def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All triples i < j < k of range(m) as rows, with their two cyclic shifts."""
+    t = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+    return t, t[:, [1, 2, 0]], t[:, [2, 0, 1]]
+
+
+# the enumeration tests all C(m, 3) triple planes against all m points; past
+# this many points that outgrows the LP a hull would save
+_MAX_HULL_POINTS = 24
+
+
+def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
+    """Facets {x : a.x <= b} of the hull of a 3-D point set: unit outward
+    normals a, one row per facet, and offsets b.  None when the set is flat
+    (or a point, or collinear) or has more than _MAX_HULL_POINTS points.
+
+    Every triple of points spans a candidate plane, and it is a facet plane
+    when no point lies above it.  Triples with the same points on their
+    plane are one facet, given by its triple of largest area.  The work is
+    done on a copy centred on the vertex mean and divided by its extent, so
+    the tolerances are relative to the set's size: a triple whose sine is
+    at most 1e-9 spans no plane, a point may lie 1e-12 above a facet plane,
+    and points within 1e-12 of it are on it.  A set whose mean lies within
+    1e-9 of a facet plane counts as flat.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"3-D hull needs an (m, 3) array, got shape {pts.shape}")
+    m = pts.shape[0]
+    if not 4 <= m <= _MAX_HULL_POINTS:
+        return None
+    c = pts.sum(axis=0) / m
+    s = float(np.abs(pts - c).max())
+    if s == 0.0:
+        return None
+    p = (pts - c) / s
+    corner = p.T.take(_triples(m)[0], axis=1)       # (coordinate, triple, corner)
+    e1, e2 = corner[:, :, 1] - corner[:, :, 0], corner[:, :, 2] - corner[:, :, 0]
+    nrm = e1[[1, 2, 0]] * e2[[2, 0, 1]] - e1[[2, 0, 1]] * e2[[1, 2, 0]]
+    area = np.sqrt((nrm * nrm).sum(axis=0))
+    spans = area > 1e-9 * np.sqrt((e1 * e1).sum(axis=0) * (e2 * e2).sum(axis=0))
+    a = nrm / np.where(spans, area, 1.0)
+    b = (a * corner[:, :, 0]).sum(axis=0)
+    # the mean, now the origin, lies inside: an outward normal has b >= 0
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    a, b = a * flip, b * flip
+    dist = p @ a - b                                # (point, triple)
+    facet = spans & (dist.max(axis=0) <= 1e-12)
+    if not facet.any() or b[facet].min() <= 1e-9:
+        return None
+    # one facet per set of incident points (a bit mask, as m <= 24), from
+    # its largest triple
+    order = np.flatnonzero(facet)[np.argsort(-area[facet], kind="stable")]
+    incident = (dist[:, order] >= -1e-12).T @ (1 << np.arange(m))
+    _, first = np.unique(incident, return_index=True)
+    keep = np.sort(order[first])
+    a = np.ascontiguousarray(a[:, keep].T)
+    return a, s * b[keep] + a @ c
 
 
 def canonicalize(p: Polytope) -> Polytope:

@@ -41,7 +41,7 @@ from .bodies import (
     translate,
 )
 from .containment import _scale_fit_lp, min_subset_sigma, scale_fit, translate_fits
-from .core import TOL_FEAS, TOL_GEOM, Subspace, haar_subspace, hyperplane_basis
+from .core import TOL_FEAS, TOL_GEOM, Subspace, haar_subspaces, hyperplane_basis
 from .shadows import (
     COVERS,
     flat_lift_check,
@@ -428,7 +428,7 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
     _, _, vt = np.linalg.svd(diffs, full_matrices=True)
     frame = vt[:nprime].T  # hull directions first, arbitrary padding after
     k_flat = canonicalize(Polytope(diffs @ frame))
-    lift_subs = tuple(haar_subspace(n, d, generator) for _ in range(lift_checks))
+    lift_subs = haar_subspaces(n, d, lift_checks, generator)
 
     def emit_lifted(simplex: Polytope, sel: NormalSelection) -> Counterexample:
         cover = Polytope(simplex.vertices @ frame.T + p0, canonical=True)
@@ -469,7 +469,7 @@ def _emit(body: Polytope, cover: Polytope, d: int, certificate: NormalSelection,
         checks["flat_lift_certified"] = True
     if not all(checks.values()):
         raise ConstructionError(f"invariant replay failed: {checks}")
-    subs = sweep_subspaces(body.dim, d, directions, rng) + list(lift_subs)
+    subs = sweep_subspaces(body.dim, d, directions, rng) + lift_subs
     log = {"kind": "subspace_bases", "vectors": np.asarray([s.basis for s in subs]),
            "sigmas": sweep_sigmas(body, cover, subs)}
     return Counterexample(body, cover, eps, d, log, certificate, checks, seed)

@@ -9,12 +9,18 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   of L's edge lines, of the fit of K in T.  These are the dual bases of the
   3-variable LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's edge
   normals a_j (a fixed-dimension LP, enumerated outright);
-* everything else, a flat planar L, one with more than 48 edges, or a
-  planar witness that fails its check: one LP over convex-combination
-  variables (built by _scale_fit_lp, its one encoding), solved on copies of
-  the bodies centred on their vertex means and scaled by L's extent.  When
-  L spans its space, a simplex of L's vertices gives a feasible starting
-  basis and ``lp.solve_from`` runs phase 2 alone; otherwise ``lp.solve``.
+* bodies in R^3: the same LP over the facets of L's hull (from
+  ``bodies.hull_facets``), 4 variables and one slack per facet, solved by
+  ``lp.solve_from`` from the slack basis.  Its dual maps onto that of the
+  LP below, and the subset witnesses share L's facets across subsets;
+* everything else, a flat planar L, one with more than 48 edges, a flat L
+  in R^3 or one of more than 24 points, any pair in R^4 and up, or a
+  planar or facet witness that fails its check: one LP over
+  convex-combination variables (built by _scale_fit_lp, its one encoding),
+  solved on copies of the bodies centred on their vertex means and scaled
+  by L's extent.  When L spans its space, a simplex of L's vertices gives a
+  feasible starting basis and ``lp.solve_from`` runs phase 2 alone;
+  otherwise ``lp.solve``.
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
 callers compare sigma directly.  The unit-scale witness of a fitting pair
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -39,8 +44,10 @@ import numpy as np
 from . import lp
 from .bodies import (
     Polytope,
+    _triples,
     canonical_vertex_indices,
     canonicalize,
+    hull_facets,
     planar_hull,
 )
 from .core import TOL_FEAS, TOL_GEOM
@@ -59,8 +66,9 @@ class FitResult:
     status        "ok", or "degenerate" when t is unbounded, which happens
                   exactly when K is a single point
     dual          multipliers y of _scale_fit_lp(K, L), one (u_i, w_i) block
-                  of n+1 per vertex of K, with y.b >= sigma; set by the LP
-                  path only, None for the interval and planar methods
+                  of n+1 per vertex of K, with y.b >= sigma; set by the
+                  facet and LP paths, None for the interval and planar
+                  methods
     """
 
     sigma: float
@@ -143,13 +151,6 @@ _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand
 _MAX_PLANAR_EDGES = 48
 
 
-@lru_cache(maxsize=16)
-def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All triples i < j < k of range(m) as rows, with their two cyclic shifts."""
-    t = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
-    return t, t[:, [1, 2, 0]], t[:, [2, 0, 1]]
-
-
 def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
     """Scale fit in the plane by dual-basis enumeration; None when L is flat,
     has more than _MAX_PLANAR_EDGES edges, or the witness fails its check,
@@ -213,6 +214,47 @@ def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
     return FitResult(sigma, v + lc - sigma * kc, STATUS_OK)
 
 
+def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
+               b: np.ndarray) -> FitResult | None:
+    """Scale fit in R^3 over L's facets a_f.x <= b_f, which are those of
+    (L - lc) / s; None when ``lp.solve_from`` turns the start down or the
+    witness fails its check, and the caller should solve the V-form LP.
+
+    With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
+    it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet.  The
+    mean of L lies inside L, so b > 0 and the slacks are a feasible starting
+    basis.  The facet multipliers y map onto the blocks of _scale_fit_lp:
+    facet f adds y_f*a_f/s to u_i and y_f*h_L(a_f)/s to w_i for a vertex x_i
+    of K attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
+    sum_i w_i = sigma, and w_i >= h_L(u_i) as h_L is sublinear.
+    """
+    if (kv == kv[0]).all():
+        return FitResult(math.inf, None, STATUS_DEGENERATE)
+    mk = kv.shape[0]
+    f, n = a.shape
+    kc = kv.sum(axis=0) / mk
+    hk = a @ ((kv - kc) / s).T
+    top = hk.argmax(axis=1)
+    h = hk[np.arange(f), top]
+    c = np.zeros(1 + n + f)
+    c[0] = 1.0
+    nonneg = np.ones(1 + n + f, dtype=bool)
+    nonneg[1:1 + n] = False
+    problem = lp.LpProblem(np.column_stack([h, a, np.eye(f)]), b, c, nonneg)
+    out = lp.solve_from(problem, np.arange(1 + n, 1 + n + f))
+    if out is None or out.status != lp.OPTIMAL:
+        return None
+    sigma = float(out.objective)
+    v = out.z[1:1 + n]
+    if not (a @ v + sigma * h - b).max() <= TOL_FEAS * b.max():
+        return None
+    y = out.dual
+    u, w = np.zeros((mk, n)), np.zeros(mk)
+    np.add.at(u, top, y[:, None] * a / s)
+    np.add.at(w, top, y * (b + a @ lc / s))
+    return FitResult(sigma, s * v + lc - sigma * kc, STATUS_OK, np.column_stack([u, w]).ravel())
+
+
 def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     """Scale fit by the LP, from a starting basis when L spans R^n.
 
@@ -250,23 +292,48 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     return FitResult(sigma, v, STATUS_OK, dual)
 
 
+def _shared_facets(k: Polytope, l: Polytope):
+    """What every fit of K, or of a vertex subset of K, in L can share: in
+    R^3, L's vertex mean lc, its extent s and the facets (a, b) of
+    (L - lc) / s from ``hull_facets``; None in other dimensions or when L
+    has no such facets.  Raises on a dimension mismatch.
+    """
+    if k.dim != l.dim:
+        raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
+    if l.dim != 3:
+        return None
+    lv = l.vertices
+    lc = lv.sum(axis=0) / lv.shape[0]
+    s = float(np.abs(lv - lc).max()) or 1.0
+    facets = hull_facets((lv - lc) / s)
+    return None if facets is None else (lc, s, *facets)
+
+
+def _fit(kv: np.ndarray, lv: np.ndarray, facets) -> FitResult:
+    """scale_fit on vertex arrays, given _shared_facets of L."""
+    n = kv.shape[1]
+    if n == 1:
+        return _interval_fit(kv, lv)
+    fit = None
+    if n == 2:
+        fit = _planar_fit(kv, lv)
+    elif facets is not None:
+        fit = _facet_fit(kv, *facets)
+    return fit if fit is not None else _lp_scale_fit(kv, lv)
+
+
 def scale_fit(k: Polytope, l: Polytope) -> FitResult:
     """Maximal t with t*K + v inside L, and the witness translation.
 
     K fits in L by translation iff sigma >= 1 - TOL_GEOM.  When t is
     unbounded (K is a single point) the result is degenerate with
     sigma = inf rather than a guess.  Intervals use the closed form, planar
-    pairs the dual-basis enumeration, and the rest the LP.
+    pairs the dual-basis enumeration, pairs in R^3 the LP over L's facets,
+    and the rest (a flat L, or one of more than 24 points, in R^3; any
+    pair in R^4 and up; a planar or facet fit that fails its check) the LP
+    over convex-combination variables.
     """
-    if k.dim != l.dim:
-        raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
-    if k.dim == 1:
-        return _interval_fit(k.vertices, l.vertices)
-    if k.dim == 2:
-        fit = _planar_fit(k.vertices, l.vertices)
-        if fit is not None:
-            return fit
-    return _lp_scale_fit(k.vertices, l.vertices)
+    return _fit(k.vertices, l.vertices, _shared_facets(k, l))
 
 
 def _unit_translation(k: Polytope, l: Polytope, fit: FitResult) -> np.ndarray:
@@ -300,11 +367,13 @@ def translate_fits(k: Polytope, l: Polytope,
 
 def _subset_sigmas(k: Polytope, l: Polytope, kcount: int):
     """(combo, sigma) for each kcount-subset of K's canonical vertices, in
-    lexicographic order; kcount is clamped to the number of vertices."""
+    lexicographic order; kcount is clamped to the number of vertices.  The
+    subset fits share L's facets, computed once per call."""
+    facets = _shared_facets(k, l)
     idx = list(range(k.nverts)) if k.canonical else canonical_vertex_indices(k)
     v = k.vertices
     for combo in combinations(idx, min(kcount, len(idx))):
-        yield list(combo), scale_fit(Polytope(v[list(combo)]), l).sigma
+        yield list(combo), _fit(v[list(combo)], l.vertices, facets).sigma
 
 
 def subset_witness(k: Polytope, l: Polytope, kcount: int,

@@ -112,6 +112,30 @@ def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
             continue  # measure-zero degenerate draw
 
 
+def haar_subspaces(n: int, d: int, count: int,
+                   rng: np.random.Generator) -> tuple[Subspace, ...]:
+    """count draws of ``haar_subspace(n, d, rng)``, from one Gaussian sample.
+
+    The subspaces, and the generator state after, are bit for bit those of
+    count calls of haar_subspace: one (count, n, d) sample fills in the
+    same order, and stacked svd and qr run the same LAPACK routines per
+    matrix.  If any draw is degenerate, the generator is rewound and the
+    draws are made one at a time, which redraws it as haar_subspace does.
+    """
+    if not (1 <= d <= n):
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    state = rng.bit_generator.state
+    g = rng.standard_normal((count, n, d))
+    sv = np.linalg.svd(g, compute_uv=False)
+    if not np.all(sv[:, -1] > TOL_FEAS * np.maximum(1.0, sv[:, 0])):
+        rng.bit_generator.state = state
+        return tuple(haar_subspace(n, d, rng) for _ in range(count))
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    signs[signs == 0.0] = 1.0
+    return tuple(Subspace(b) for b in q * signs[:, None, :])
+
+
 def direction_grid(n: int, count: int) -> np.ndarray:
     """Deterministic well-spread unit directions: angles in R^2, a Fibonacci
     sphere lattice in R^3.  Returns a (count, n) array.

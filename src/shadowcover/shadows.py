@@ -10,7 +10,9 @@ are the vertex-subset witnesses and the simplex edge criterion.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +32,7 @@ from .core import (
     TOL_GEOM,
     Subspace,
     direction_grid,
-    haar_subspace,
+    haar_subspaces,
     hyperplane_basis,
     orthonormalize,
     unit,
@@ -62,20 +64,27 @@ def shadow_fit(k: Polytope, l: Polytope, s: Subspace) -> FitResult:
     return scale_fit(project(k, s), project(l, s))
 
 
-def sweep_sigmas(k: Polytope, l: Polytope, subspaces: list[Subspace]) -> np.ndarray:
+def sweep_sigmas(k: Polytope, l: Polytope, subspaces: Sequence[Subspace]) -> np.ndarray:
     """Shadow scale fit of (K, L) on each subspace; inf for a point shadow."""
     return np.array([shadow_fit(k, l, s).sigma for s in subspaces], dtype=np.float64)
 
 
+@lru_cache(maxsize=8)
+def _hyperplane_grid(n: int, count: int) -> tuple[Subspace, ...]:
+    """The hyperplanes normal to direction_grid(n, count); subspaces are
+    immutable, so every sweep of that size shares them."""
+    return tuple(Subspace(hyperplane_basis(u)) for u in direction_grid(n, count))
+
+
 def sweep_subspaces(n: int, d: int, count: int,
-                    rng: np.random.Generator | None = None) -> list[Subspace]:
+                    rng: np.random.Generator | None = None) -> tuple[Subspace, ...]:
     """Subspace sample for a sweep: a deterministic direction grid of
     hyperplanes for d = n-1 in R^2/R^3, Haar samples from rng otherwise."""
     if d == n - 1 and n in (2, 3):
-        return [Subspace(hyperplane_basis(u)) for u in direction_grid(n, count)]
+        return _hyperplane_grid(n, count)
     if rng is None:
         rng = np.random.default_rng(0)
-    return [haar_subspace(n, d, rng) for _ in range(count)]
+    return haar_subspaces(n, d, count, rng)
 
 
 def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,

@@ -26,7 +26,7 @@ from .bodies import (
     translate,
 )
 from .containment import scale_fit, subset_witness, translate_fits
-from .core import TOL_GEOM, direction_grid, haar_subspace, hyperplane_basis
+from .core import TOL_GEOM, direction_grid, haar_subspaces, hyperplane_basis
 
 # unit-ball volumes omega_n, exact pi expressions in 64-bit
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
@@ -123,10 +123,8 @@ def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> Kub
     if affine_dim(k) != 3:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     w3 = mean_width_exact(k)
-    vals = np.empty(n_subspaces)
-    for i in range(n_subspaces):
-        xi = haar_subspace(3, 2, rng)
-        vals[i] = mean_width_exact(project(k, xi))
+    vals = np.array([mean_width_exact(project(k, xi))
+                     for xi in haar_subspaces(3, 2, n_subspaces, rng)])
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(n_subspaces)
     return KubotaReport(w3, mean, stderr, abs(mean - w3) / abs(w3), n_subspaces)

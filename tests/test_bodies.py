@@ -10,6 +10,7 @@ from shadowcover.bodies import (
     canonicalize,
     diameter,
     edges,
+    hull_facets,
     hyperplane_shadow,
     linear_image,
     origin_interior_coefficients,
@@ -194,6 +195,72 @@ def test_planar_hull_is_counterclockwise():
         assert np.all(turns > 0.0)
     assert planar_hull([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]]) == [1, 2]
     assert planar_hull([[3.0, 1.0], [3.0, 1.0]]) == [0]
+
+
+def _planes(a, b):
+    """Facet planes as sorted rows (a, b), rounded so that equal planes match."""
+    return np.unique(np.round(np.column_stack([a, b]), 8), axis=0)
+
+
+def _scipy_planes(points):
+    spatial = pytest.importorskip("scipy.spatial")
+    eq = spatial.ConvexHull(points).equations   # a.x + e <= 0, one row per triangle
+    return _planes(eq[:, :3], -eq[:, 3])
+
+
+def test_hull_facets_match_scipy_on_clouds():
+    rng = np.random.default_rng(97)
+    for m in [4, 5, 8, 12, 16, 20, 24] * 3:
+        pts = rng.standard_normal((m, 3)) * rng.uniform(0.5, 3.0) + rng.uniform(-4, 4, 3)
+        a, b = hull_facets(pts)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
+        assert (pts @ a.T - b).max() <= 1e-12 * np.abs(pts).max()
+        want = _scipy_planes(pts)
+        got = _planes(a, b)
+        assert got.shape == want.shape and np.allclose(got, want, atol=1e-7)
+
+
+def test_hull_facets_merge_coplanar_points():
+    # a cube has four points on each facet, and C(4, 3) triples span it
+    a, b = hull_facets(CUBE.vertices)
+    assert len(b) == 6
+    assert np.array_equal(_planes(a, b), _scipy_planes(CUBE.vertices))
+    assert np.allclose(np.abs(a).sum(axis=1), 1.0)
+    assert np.allclose(b, (a > 0.5).any(axis=1))
+
+
+def test_hull_facets_ignore_duplicate_and_interior_points():
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        pts = rng.standard_normal((9, 3))
+        weights = rng.dirichlet(np.ones(9), size=4)
+        cloud = np.vstack([pts, pts[[2, 5, 2]], weights @ pts, pts.mean(axis=0)])
+        want = _planes(*hull_facets(pts))
+        assert np.allclose(_planes(*hull_facets(cloud)), want, atol=1e-9)
+        assert np.allclose(_planes(*hull_facets(cloud)), _scipy_planes(cloud), atol=1e-7)
+
+
+def test_hull_facets_are_scale_and_offset_free():
+    rng = np.random.default_rng(103)
+    pts = rng.standard_normal((10, 3))
+    a, b = hull_facets(pts)
+    for factor in (1e9, 1e-9):
+        a2, b2 = hull_facets(pts * factor)
+        assert np.allclose(a2, a, atol=1e-12) and np.allclose(b2 / factor, b, atol=1e-12)
+    a3, b3 = hull_facets(pts + 1e6)
+    assert np.allclose(a3, a, atol=1e-8) and np.allclose(b3 - a3.sum(axis=1) * 1e6, b, atol=1e-6)
+
+
+def test_hull_facets_none_when_flat_or_too_large():
+    rng = np.random.default_rng(107)
+    planar = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 3)) + 1.0
+    line = np.outer(rng.standard_normal(6), [1.0, 2.0, -1.0])
+    for pts in (planar, line, np.ones((5, 3)), rng.standard_normal((3, 3)),
+                rng.standard_normal((25, 3))):
+        assert hull_facets(pts) is None
+    assert hull_facets(rng.standard_normal((24, 3))) is not None
+    with pytest.raises(ValueError):
+        hull_facets(rng.standard_normal((6, 2)))
 
 
 def test_edges_cube():

@@ -1,11 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from oracles import grid_scale_fit_2d
 
-from shadowcover import containment, lp
+from shadowcover import bodies, containment, lp
 from shadowcover.bodies import Polytope, canonicalize, point_in_hull, scale, translate
 from shadowcover.containment import (
     _scale_fit_lp,
@@ -382,3 +383,89 @@ def test_affine_basis_rows_is_scale_free():
     for factor in (1.0, 1e-9, 1e9):
         assert containment._affine_basis_rows(planar * factor) is None
         assert containment._affine_basis_rows(planar[:, :2] * factor) == [0, 2, 4]
+
+
+def _spy_vform(monkeypatch):
+    """Record the L of every V-form LP fit."""
+    calls = []
+    original = containment._lp_scale_fit
+
+    def spy(kv, lv):
+        calls.append(lv.shape)
+        return original(kv, lv)
+
+    monkeypatch.setattr(containment, "_lp_scale_fit", spy)
+    return calls
+
+
+def _random_pair(rng, mk=(2, 11), ml=(4, 17)):
+    k = rng.standard_normal((int(rng.integers(*mk)), 3)) + rng.uniform(-3.0, 3.0, 3)
+    l = rng.standard_normal((int(rng.integers(*ml)), 3)) * rng.uniform(0.3, 3.0)
+    return k, l
+
+
+def test_facet_fit_matches_vform_lp(monkeypatch):
+    # the fit over L's facets and the LP over convex combinations agree on
+    # random pairs and on their scaled and offset copies
+    rng = np.random.default_rng(109)
+    calls = _spy_vform(monkeypatch)
+    for _ in range(40):
+        kv, lv = _random_pair(rng)
+        for kk, ll in ((kv, lv), (kv * 1e9, lv * 1e9), (kv * 1e-9, lv * 1e-9),
+                       (kv + 1e9, lv + 1e9)):
+            fit = scale_fit(Polytope(kk), Polytope(ll))
+            assert calls == []
+            ref = containment._lp_scale_fit(kk, ll)
+            calls.clear()
+            assert fit.sigma == pytest.approx(ref.sigma, rel=1e-12)
+
+
+def test_facet_fit_witness_replays(monkeypatch):
+    rng = np.random.default_rng(113)
+    calls = _spy_vform(monkeypatch)
+    for _ in range(20):
+        kv, lv = _random_pair(rng)
+        k, l = Polytope(kv), Polytope(lv)
+        fit = scale_fit(k, l)
+        assert fit_replays(k, l, fit)
+        ok, v = translate_fits(k, scale(l, 1.1 / fit.sigma))
+        assert ok and all(point_in_hull(x + v, scale(l, 1.1 / fit.sigma)) for x in k.vertices)
+    assert calls == []
+
+
+def test_facet_fit_falls_back_to_vform(monkeypatch):
+    # a flat L has no facets, and past 24 points L gets no hull
+    rng = np.random.default_rng(127)
+    calls = _spy_vform(monkeypatch)
+    k = Polytope(rng.standard_normal((4, 3)) * 0.1)
+    k_flat = Polytope(k.vertices * [1.0, 1.0, 0.0])
+    flat = Polytope(np.column_stack([rng.standard_normal((6, 2)), np.zeros(6)]))
+    assert scale_fit(k_flat, flat).sigma == pytest.approx(_lp_sigma(k_flat, flat), rel=1e-9)
+    assert calls == [(6, 3)]
+    big = Polytope(rng.standard_normal((25, 3)))
+    assert scale_fit(k, big).sigma == pytest.approx(_lp_sigma(k, big), rel=1e-9)
+    assert calls == [(6, 3), (25, 3)]
+    scale_fit(k, Polytope(big.vertices[:24]))
+    assert len(calls) == 2
+    scale_fit(Polytope(rng.standard_normal((3, 4))), Polytope(rng.standard_normal((6, 4))))
+    assert calls[-1] == (6, 4)
+
+
+def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
+    # decide-style pairs: the subset witness over shared facets equals the
+    # lexicographic search with one V-form LP per subset, and each search
+    # computes L's facets once
+    hulls = []
+    monkeypatch.setattr(containment, "hull_facets",
+                        lambda p: hulls.append(p.shape) or bodies.hull_facets(p))
+    rng = np.random.default_rng(131)
+    for i in range(60):
+        k = canonicalize(Polytope(rng.standard_normal((6 + i % 5, 3))))
+        l = Polytope(rng.standard_normal((8 + i % 7, 3)) * (1.5, 2.0, 2.5, 3.0)[i % 4])
+        sigmas = [(list(c), containment._lp_scale_fit(k.vertices[list(c)], l.vertices).sigma)
+                  for c in combinations(range(k.nverts), 4)]
+        want = next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
+        assert subset_witness(k, l, 4) == want
+        assert min_subset_sigma(k, l, 4) == pytest.approx(min(s for _, s in sigmas), rel=1e-12)
+        assert hulls == [l.vertices.shape] * 2
+        hulls.clear()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from shadowcover import core
 from shadowcover.core import (
     Subspace,
     direction_grid,
     haar_subspace,
+    haar_subspaces,
     hyperplane_basis,
     orthonormalize,
     unit,
@@ -68,6 +70,33 @@ def test_haar_deterministic_given_seed():
     a = haar_subspace(4, 2, np.random.default_rng(11))
     b = haar_subspace(4, 2, np.random.default_rng(11))
     assert np.array_equal(a.basis, b.basis)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 1), (4, 2), (2, 2)])
+def test_haar_subspaces_match_one_draw_at_a_time(n, d):
+    # one stacked draw gives the same bits, and leaves the same generator
+    # state, as count calls of haar_subspace
+    loop, batch = np.random.default_rng(5), np.random.default_rng(5)
+    want = [haar_subspace(n, d, loop) for _ in range(1000)]
+    got = haar_subspaces(n, d, 1000, batch)
+    assert len(got) == 1000
+    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(want, got))
+    assert batch.standard_normal() == loop.standard_normal()
+    assert haar_subspaces(n, d, 0, batch) == ()
+
+
+def test_haar_subspaces_redraw_degenerate_as_the_loop_does(monkeypatch):
+    # at this tolerance about one 3 x 2 draw in ten is degenerate: the
+    # stacked draw is rewound and haar_subspace redraws those one at a time
+    monkeypatch.setattr(core, "TOL_FEAS", 0.1)
+    loop, batch = np.random.default_rng(9), np.random.default_rng(9)
+    want = [haar_subspace(3, 2, loop) for _ in range(60)]
+    plain = np.random.default_rng(9)
+    plain.standard_normal((60, 3, 2))
+    assert plain.bit_generator.state != loop.bit_generator.state   # some draw was redrawn
+    got = haar_subspaces(3, 2, 60, batch)
+    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(want, got))
+    assert batch.bit_generator.state == loop.bit_generator.state
 
 
 def test_haar_column_moments():

@@ -7,7 +7,13 @@ from oracles import width_1d
 
 from shadowcover.bodies import Polytope, canonicalize, scale
 from shadowcover.containment import scale_fit, translate_fits
-from shadowcover.core import Subspace, direction_grid, orthonormalize
+from shadowcover.core import (
+    Subspace,
+    direction_grid,
+    haar_subspace,
+    hyperplane_basis,
+    orthonormalize,
+)
 from shadowcover.shadows import (
     flat_lift_check,
     oblique_equivalence_check,
@@ -16,6 +22,7 @@ from shadowcover.shadows import (
     shadow_sweep,
     simplex_edge_criterion,
     simplex_edge_directions,
+    sweep_subspaces,
 )
 
 CUBE = Polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], canonical=True)
@@ -54,6 +61,15 @@ def test_shadow_sweep_point_body_covers(d):
     assert rep.verdict == "covers"
     assert rep.borderline_count == 0
     assert rep.argmin.basis is rep.bases[0]
+
+
+def test_sweep_subspaces_share_the_grid_and_draw_haar_from_rng():
+    grid = sweep_subspaces(3, 2, 40)
+    assert sweep_subspaces(3, 2, 40) is grid
+    assert np.array_equal(grid[7].basis, hyperplane_basis(direction_grid(3, 40)[7]))
+    drawn = sweep_subspaces(3, 1, 40, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    assert all(np.array_equal(s.basis, haar_subspace(3, 1, rng).basis) for s in drawn)
 
 
 def test_shadow_sweep_double_covers():
