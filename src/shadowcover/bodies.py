@@ -3,11 +3,13 @@
 Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 In the plane that pass is a monotone-chain hull (``planar_hull``), which also
-gives the edges that the planar scale fit and perimeter use; in higher
-dimensions it is one point-in-hull LP per vertex.  In R^3, ``hull_facets``
+gives the edges that the planar scale fit uses.  In R^3, ``hull_facets``
 enumerates the facets of up to 24 points from the planes of their point
-triples; the 3-D scale fit runs its LP over them.  Other containment
-questions reduce to LPs over convex-combination variables.
+triples; the 3-D scale fit runs its LP over them, and the points on each
+facet give the extreme points and the edges (``_hull_skeleton``).  For more
+points, flat sets and higher dimensions the pass is one point-in-hull LP per
+vertex, and ``edges`` one LP per vertex pair.  Other containment questions
+reduce to LPs over convex-combination variables.
 """
 
 from __future__ import annotations
@@ -154,11 +156,20 @@ def _distinct_indices(v: np.ndarray) -> list[int]:
 
 
 def canonical_vertex_indices(p: Polytope) -> list[int]:
-    """Indices (into p.vertices) of the extreme points, by point-in-hull LPs."""
+    """Indices (into p.vertices) of the extreme points, in input order; of
+    equal points the first is kept.
+
+    In R^3 the distinct points of a full-dimensional set of at most
+    _MAX_HULL_POINTS go through ``_hull_skeleton``; otherwise each point is
+    tested against the hull of the others by a point-in-hull LP.
+    """
     v = p.vertices
     keep = _distinct_indices(v)
     if len(keep) == 1:
         return keep
+    skeleton = _hull_skeleton(v[keep]) if p.dim == 3 else None
+    if skeleton is not None:
+        return [keep[i] for i in skeleton[0]]
     i = 0
     while i < len(keep):
         others = keep[:i] + keep[i + 1:]
@@ -213,6 +224,10 @@ def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the enumeration tests all C(m, 3) triple planes against all m points; past
 # this many points that outgrows the LP a hull would save
 _MAX_HULL_POINTS = 24
+# bytes of the (point, triple) distances of one block of triples: under
+# glibc's 128 KiB mmap threshold, so that a block's temporaries reuse heap
+# memory instead of faulting in fresh pages on every call
+_HULL_BLOCK_BYTES = 120_000
 
 
 def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
@@ -229,6 +244,13 @@ def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
     and points within 1e-12 of it are on it.  A set whose mean lies within
     1e-9 of a facet plane counts as flat.
     """
+    hull = _hull(points)
+    return None if hull is None else hull[:2]
+
+
+def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``hull_facets`` plus incidences: incident[f, i] says point i lies on
+    facet f.  The triples go in blocks of _HULL_BLOCK_BYTES."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"3-D hull needs an (m, 3) array, got shape {pts.shape}")
@@ -240,7 +262,26 @@ def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
     if s == 0.0:
         return None
     p = (pts - c) / s
-    corner = p.T.take(_triples(m)[0], axis=1)       # (coordinate, triple, corner)
+    triples = _triples(m)[0]
+    step = _HULL_BLOCK_BYTES // (8 * m)
+    blocks = [_facet_triples(p, triples[lo:lo + step]) for lo in range(0, len(triples), step)]
+    a, b, area, on = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    if b.size == 0 or b.min() <= 1e-9:
+        return None
+    # one facet per set of incident points (a bit mask, as m <= 24), from
+    # its largest triple
+    order = np.argsort(-area, kind="stable")
+    _, unique = np.unique(on[:, order].T @ (1 << np.arange(m)), return_index=True)
+    keep = np.sort(order[unique])
+    a = np.ascontiguousarray(a[:, keep].T)
+    return a, s * b[keep] + a @ c, on[:, keep].T
+
+
+def _facet_triples(p: np.ndarray, t: np.ndarray):
+    """Of the triples t of the centred points p, those that span a facet
+    plane: their outward normals (3, k), offsets, areas and the (point, k)
+    mask of the points on their planes."""
+    corner = p.T.take(t, axis=1)                    # (coordinate, triple, corner)
     e1, e2 = corner[:, :, 1] - corner[:, :, 0], corner[:, :, 2] - corner[:, :, 0]
     nrm = e1[[1, 2, 0]] * e2[[2, 0, 1]] - e1[[2, 0, 1]] * e2[[1, 2, 0]]
     area = np.sqrt((nrm * nrm).sum(axis=0))
@@ -252,23 +293,37 @@ def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
     a, b = a * flip, b * flip
     dist = p @ a - b                                # (point, triple)
     facet = spans & (dist.max(axis=0) <= 1e-12)
-    if not facet.any() or b[facet].min() <= 1e-9:
+    return a[:, facet], b[facet], area[facet], dist[:, facet] >= -1e-12
+
+
+def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]] | None:
+    """Extreme points and edges of the hull of a 3-D point set, from the
+    incidences of ``_hull``; None where it gives no facets.
+
+    The extreme points are those on at least three facets.  An edge is a
+    pair of facets that share exactly two extreme points; its pairs come
+    sorted, as (i, j) with i < j.  Incidences that break Euler's formula
+    V - E + F = 2 (near-equal points, say) also give None.
+    """
+    hull = _hull(v)
+    if hull is None:
         return None
-    # one facet per set of incident points (a bit mask, as m <= 24), from
-    # its largest triple
-    order = np.flatnonzero(facet)[np.argsort(-area[facet], kind="stable")]
-    incident = (dist[:, order] >= -1e-12).T @ (1 << np.arange(m))
-    _, first = np.unique(incident, return_index=True)
-    keep = np.sort(order[first])
-    a = np.ascontiguousarray(a[:, keep].T)
-    return a, s * b[keep] + a @ c
+    incident = hull[2]
+    extreme = incident.sum(axis=0) >= 3
+    on = incident & extreme
+    f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))
+    ends = np.nonzero(on[f] & on[g])[1].reshape(-1, 2)
+    pairs = sorted(map(tuple, ends.tolist()))
+    if int(extreme.sum()) - len(pairs) + len(incident) != 2:
+        return None
+    return np.flatnonzero(extreme), pairs
 
 
 def canonicalize(p: Polytope) -> Polytope:
     """Remove redundant generators so every vertex is an extreme point.
 
     The kept vertices stay in input order.  Planar bodies go through
-    ``planar_hull``; higher dimensions through ``canonical_vertex_indices``.
+    ``planar_hull``; other dimensions through ``canonical_vertex_indices``.
     """
     if p.canonical:
         return p
@@ -281,11 +336,12 @@ def canonicalize(p: Polytope) -> Polytope:
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
-    """1-skeleton of a canonical 3-polytope.
+    """1-skeleton of a canonical 3-polytope, as pairs (i, j) with i < j.
 
-    A pair (i, j) is an edge iff some direction exposes exactly {i, j};
-    decided by an LP maximizing the exposure margin over box-bounded
-    directions.
+    In R^3, up to _MAX_HULL_POINTS vertices, the edges come from the facet
+    incidences of ``_hull_skeleton``.  Otherwise a pair (i, j) is an edge
+    iff some direction exposes exactly {i, j}; decided by an LP maximizing
+    the exposure margin over box-bounded directions.
     """
     if not p.canonical:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
@@ -294,6 +350,9 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     n = p.dim
     v = p.vertices
     m = v.shape[0]
+    skeleton = _hull_skeleton(v) if n == 3 else None
+    if skeleton is not None and len(skeleton[0]) == m:
+        return skeleton[1]
     result = []
     for i, j in combinations(range(m), 2):
         if _edge_exposure_margin(v, i, j, n) > TOL_GEOM:

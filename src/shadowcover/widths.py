@@ -4,7 +4,9 @@ W(K) = (2 / (n omega_n)) * integral of h_K over the unit sphere, which a
 Monte Carlo average of 2 h_K(u) estimates directly.  Exact closed forms back
 the estimator in the plane (perimeter / pi) and in R^3 (edge lengths times
 exterior dihedral angles over 4 pi), and the Grassmannian average of planar
-shadow widths must reproduce the spatial value (Kubota consistency).
+shadow widths must reproduce the spatial value (Kubota consistency).  Every
+planar perimeter comes from one vectorised gift-wrap kernel, which takes all
+the shadows of a Kubota check in one pass.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .bodies import (
     canonicalize,
     diameter,
     edges,
-    planar_hull,
-    project,
     support,
     translate,
 )
@@ -56,10 +56,43 @@ def mean_width_mc(k: Polytope, n_samples: int, rng: np.random.Generator) -> Mean
     return MeanWidthEstimate(value, stderr, n_samples)
 
 
-def _perimeter_2d(k: Polytope) -> float:
-    hull = k.vertices[planar_hull(k.vertices)]
-    diffs = np.roll(hull, -1, axis=0) - hull
-    return float(np.linalg.norm(diffs, axis=1).sum())
+def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
+    """Perimeters of the convex hulls of S planar point sets, given as an
+    (S, m, 2) array, by gift wrapping (Jarvis) all of them at once.
+
+    Each walk starts at the lowest of the leftmost points, heading down, and
+    steps to the point of least left turn, the farthest of exact ties;
+    points equal to the current one are skipped.  Turns lie in [0, pi] up
+    to rounding, so one below -pi/2 (-pi from a signed zero, say) is read
+    as itself plus 2 pi.  A walk closes when it is back at its start, within
+    m steps; one that is not raises ValueError, never a partial perimeter.
+    """
+    pts = np.asarray(shadows, dtype=np.float64)
+    count, m, _ = pts.shape
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    start = np.argmin(np.where(x == x.min(axis=1, keepdims=True), y, np.inf), axis=1)
+    rows = np.arange(count)
+    cur = start.copy()
+    hx, hy = np.zeros(count), np.full(count, -1.0)
+    total = np.zeros(count)
+    walking = np.ones(count, dtype=bool)
+    for _ in range(m):
+        dx = x - x[rows, cur][:, None]
+        dy = y - y[rows, cur][:, None]
+        ux, uy = hx[:, None], hy[:, None]
+        turn = np.arctan2(ux * dy - uy * dx, ux * dx + uy * dy)
+        turn[turn < -0.5 * math.pi] += 2.0 * math.pi
+        turn[(dx == 0.0) & (dy == 0.0)] = np.inf
+        dist = np.sqrt(dx * dx + dy * dy)
+        least = turn.min(axis=1, keepdims=True)
+        cur = np.argmax(np.where(turn == least, dist, -1.0), axis=1)
+        total += np.where(walking, dist[rows, cur], 0.0)
+        hx, hy = dx[rows, cur], dy[rows, cur]
+        # a set of equal points has no turn at all: its hull is the point
+        walking &= (cur != start) & np.isfinite(least[:, 0])
+        if not walking.any():
+            return total
+    raise ValueError(f"{walking.sum()} of {count} planar hulls did not close in {m} steps")
 
 
 def _edge_exterior_angle(v: np.ndarray, i: int, j: int) -> float:
@@ -88,14 +121,15 @@ def mean_width_exact(k: Polytope) -> float:
     """Closed-form mean width for full-dimensional bodies in R^2 or R^3.
 
     Plane: perimeter / pi (Cauchy).  Space: sum of edge length times
-    exterior dihedral angle, divided by 4 pi; the dihedral angles come from
-    exact normal-arc measures, no facet enumeration.
+    exterior dihedral angle, divided by 4 pi, over the edges of
+    ``bodies.edges``; each dihedral angle is the exact measure of its
+    edge's normal arc.
     """
     n = k.dim
     if n == 2:
         if affine_dim(k) != 2:
             raise ValueError("exact mean width needs a full-dimensional body")
-        return _perimeter_2d(k) / math.pi
+        return float(_hull_perimeters(k.vertices[None])[0]) / math.pi
     if n == 3:
         if affine_dim(k) != 3:
             raise ValueError("exact mean width needs a full-dimensional body")
@@ -119,12 +153,15 @@ class KubotaReport:
 
 def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> KubotaReport:
     """Compare the spatial mean width against the Haar average of planar
-    shadow mean widths over sampled 2-subspaces."""
+    shadow mean widths over sampled 2-subspaces.  The canonical vertices
+    are projected onto every sampled plane at once, and all the shadow
+    perimeters come from one pass of the gift-wrap kernel."""
     if affine_dim(k) != 3:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
-    w3 = mean_width_exact(k)
-    vals = np.array([mean_width_exact(project(k, xi))
-                     for xi in haar_subspaces(3, 2, n_subspaces, rng)])
+    kc = canonicalize(k)
+    w3 = mean_width_exact(kc)
+    bases = np.stack([xi.basis for xi in haar_subspaces(3, 2, n_subspaces, rng)])
+    vals = _hull_perimeters(kc.vertices @ bases) / math.pi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(n_subspaces)
     return KubotaReport(w3, mean, stderr, abs(mean - w3) / abs(w3), n_subspaces)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,82 @@ def test_hull_facets_none_when_flat_or_too_large():
     assert hull_facets(rng.standard_normal((24, 3))) is not None
     with pytest.raises(ValueError):
         hull_facets(rng.standard_normal((6, 2)))
+
+
+def _spatial_cloud(rng, m):
+    """A Gaussian cloud with an interior point, a duplicate of a hull vertex,
+    and points inside a hull edge and inside a hull facet, shuffled."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pts = rng.standard_normal((m, 3)) * rng.uniform(0.5, 3.0) + rng.uniform(-4, 4, 3)
+    i, j, k = spatial.ConvexHull(pts).simplices[0]   # a triangular facet
+    w = rng.uniform(0.2, 0.8)
+    extra = [pts.mean(axis=0), pts[i], (1.0 - w) * pts[i] + w * pts[j],
+             (pts[i] + pts[j] + pts[k]) / 3.0]
+    out = np.vstack([pts, extra])
+    return out[rng.permutation(len(out))]
+
+
+def _first_copies(points, indices):
+    """Sorted first indices of the rows equal to points[indices]."""
+    return sorted({int(np.flatnonzero((points == points[i]).all(axis=1))[0]) for i in indices})
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or original(*a, **kw))
+    return calls
+
+
+def test_canonical_vertex_indices_match_scipy_on_both_routes(monkeypatch):
+    spatial = pytest.importorskip("scipy.spatial")
+    from shadowcover import bodies
+
+    lps = _count_calls(monkeypatch, bodies, "point_in_hull")
+    rng = np.random.default_rng(109)
+    for m in [5, 8, 12, 16, 20] * 4:
+        cloud = _spatial_cloud(rng, m)
+        idx = canonical_vertex_indices(Polytope(cloud))
+        assert idx == _first_copies(cloud, spatial.ConvexHull(cloud).vertices)
+        assert lps == []
+    # past 24 points: one point-in-hull LP per distinct point
+    cloud = _spatial_cloud(rng, 26)
+    idx = canonical_vertex_indices(Polytope(cloud))
+    assert idx == _first_copies(cloud, spatial.ConvexHull(cloud).vertices)
+    assert len(lps) == len(cloud) - 1
+
+
+def test_canonical_vertex_indices_fall_back_to_lps_when_incidences_break_euler(monkeypatch):
+    # a point 1e-11 from a vertex tilts the planes of the triples through
+    # both; the incidences then break V - E + F = 2, and the LPs decide
+    spatial = pytest.importorskip("scipy.spatial")
+    from shadowcover import bodies
+
+    lps = _count_calls(monkeypatch, bodies, "point_in_hull")
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((8, 3))
+    v = spatial.ConvexHull(pts).vertices
+    cloud = np.vstack([pts, pts[v[0]] + 1e-11 * rng.standard_normal(3)])
+    assert hull_facets(cloud) is not None and bodies._hull_skeleton(cloud) is None
+    idx = canonical_vertex_indices(Polytope(cloud))
+    assert len(lps) == len(cloud)
+    assert set(idx) - {v[0], 8} == set(v) - {v[0]} and len(set(idx) & {v[0], 8}) == 1
+
+
+def test_edges_match_scipy_simplices(monkeypatch):
+    spatial = pytest.importorskip("scipy.spatial")
+    from shadowcover import bodies
+
+    lps = _count_calls(monkeypatch, bodies, "_edge_exposure_margin")
+    rng = np.random.default_rng(113)
+    for m in [4, 6, 9, 12, 16, 20, 24, 30] * 3:
+        p = canonicalize(Polytope(rng.standard_normal((m, 3))))
+        if p.nverts > 24:
+            continue
+        tri = spatial.ConvexHull(p.vertices).simplices
+        want = sorted({tuple(sorted(map(int, e))) for t in tri for e in combinations(t, 2)})
+        assert edges(p) == want
+    assert lps == []
 
 
 def test_edges_cube():

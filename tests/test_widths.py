@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import perimeter2d
+from oracles import hull2d, perimeter2d
 
-from shadowcover.bodies import Polytope, canonicalize, scale, translate
+from shadowcover import lp, widths
+from shadowcover.bodies import (
+    Polytope,
+    canonicalize,
+    point_in_hull,
+    project,
+    scale,
+    translate,
+)
+from shadowcover.core import haar_subspaces
 from shadowcover.widths import (
     BALL_VOLUME,
     corollary_checks,
@@ -85,6 +94,49 @@ def test_exact_vs_perimeter_oracle_2d():
                                                     abs=1e-9)
 
 
+def _shadow_with_boundary_extras(rng, m):
+    """m planar points: a Gaussian cloud plus copies of its lowest leftmost
+    point and of another hull vertex, points inside hull edges and the mean."""
+    pts = rng.standard_normal((m - 5, 2))
+    hull = hull2d(pts)
+    w = rng.uniform(0.2, 0.8, 2)[:, None]
+    lexmin = pts[np.lexsort((pts[:, 1], pts[:, 0]))[0]]
+    extra = [lexmin, hull[1], (1 - w[0]) * hull[0] + w[0] * hull[1],
+             (1 - w[1]) * hull[-1] + w[1] * hull[0], pts.mean(axis=0)]
+    out = np.vstack([pts, extra])
+    return out[rng.permutation(m)]
+
+
+def test_batched_perimeters_match_monotone_chain():
+    rng = np.random.default_rng(29)
+    m = 12
+    shadows = [_shadow_with_boundary_extras(rng, m) for _ in range(40)]
+    # collinear runs and signed zeros on grids: columns and rows of equal
+    # coordinates, vertical edges at the leftmost column, segments
+    for _ in range(40):
+        grid = rng.integers(0, 3, (m, 2)).astype(float)
+        grid[rng.random((m, 2)) < 0.3] *= -1.0
+        shadows.append(grid)
+    segment = np.outer(rng.uniform(-1, 1, m), [1.0, -2.0]) + [0.5, 0.0]
+    shadows += [segment, np.column_stack([np.zeros(m), segment[:, 1]]),
+                np.array([[0.0, 0.0], [-0.0, 1.0], [0.0, 2.0], [1.0, 1.0]] * 3)]
+    got = widths._hull_perimeters(np.array(shadows))
+    want = np.array([perimeter2d(s) for s in shadows])
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert widths._hull_perimeters(np.ones((1, 5, 2)))[0] == 0.0
+
+
+def test_batched_perimeters_raise_on_a_walk_that_does_not_close(monkeypatch):
+    # a turn function that always prefers point 0, then point 1, never lets
+    # a walk from point 2 back: the kernel raises, it returns no partial sum
+    monkeypatch.setattr(widths.np, "arctan2",
+                        lambda y, x: np.broadcast_to(np.arange(y.shape[1], dtype=float),
+                                                     y.shape).copy())
+    square = np.array([[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="did not close"):
+        widths._hull_perimeters(square)
+
+
 def test_width_monotone_under_inclusion():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -128,6 +180,27 @@ def test_kubota_random_body():
     p = random_3poly(rng)
     rep = kubota_check(p, 800, rng)
     assert rep.rel_error <= 0.03
+
+
+def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(monkeypatch):
+    calls = []
+    for name in ("solve", "feasible"):
+        original = getattr(lp, name)
+        monkeypatch.setattr(lp, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    rng = np.random.default_rng(31)
+    body = Polytope(rng.standard_normal((16, 3)))
+    rep = kubota_check(body, 300, np.random.default_rng(5))
+    assert calls == []
+    point_in_hull(body.vertices[0], body)
+    assert "feasible" in calls
+    vals = np.array([perimeter2d(project(body, xi).vertices) / math.pi
+                     for xi in haar_subspaces(3, 2, 300, np.random.default_rng(5))])
+    assert rep.width_exact == mean_width_exact(body)
+    assert rep.width_projected_mean == pytest.approx(vals.mean(), rel=1e-12)
+    assert rep.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(300), rel=1e-12)
+    assert rep.rel_error == pytest.approx(abs(vals.mean() - rep.width_exact) / rep.width_exact,
+                                          abs=1e-12)
 
 
 def test_corollary_translate_pair():
