@@ -2,14 +2,16 @@
 
 Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
-In the plane that pass is a monotone-chain hull (``planar_hull``), which also
-gives the edges that the planar scale fit uses.  In R^3, ``hull_facets``
+``canonical_vertex_indices`` picks the extreme points for that pass, after
+merging points that agree to 12 decimals relative to the set's extent.  In
+the plane it is a monotone-chain hull (``planar_hull``), which also gives
+the edges that the planar scale fit uses.  In R^3, ``hull_facets``
 enumerates the facets of up to 24 points from the planes of their point
 triples; the 3-D scale fit runs its LP over them, and the points on each
 facet give the extreme points and the edges (``_hull_skeleton``).  For more
-points, flat sets and higher dimensions the pass is one point-in-hull LP per
-vertex, and ``edges`` one LP per vertex pair.  Other containment questions
-reduce to LPs over convex-combination variables.
+points, flat sets, the line and dimensions past 3 the pass is one
+point-in-hull LP per vertex, and ``edges`` one LP per vertex pair.  Other
+containment questions reduce to LPs over convex-combination variables.
 """
 
 from __future__ import annotations
@@ -118,12 +120,14 @@ def linear_image(p: Polytope, m) -> Polytope:
 
 
 def affine_dim(p: Polytope) -> int:
-    """Dimension of the affine hull (rank of the difference set)."""
+    """Dimension of the affine hull: the rank of the difference set, with
+    singular values counted above TOL_FEAS times the largest, so the answer
+    does not depend on the units."""
     if p.nverts == 1:
         return 0
     diffs = p.vertices[1:] - p.vertices[0]
     sv = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(sv > TOL_FEAS * max(1.0, sv[0])))
+    return int(np.sum(sv > TOL_FEAS * sv[0]))
 
 
 def diameter(p: Polytope) -> float:
@@ -144,29 +148,33 @@ def point_in_hull(x, p: Polytope) -> bool:
 
 
 def _distinct_indices(v: np.ndarray) -> list[int]:
-    """First occurrences of the rows of v, equal when rounded to 12 decimals."""
-    seen: set[bytes] = set()
-    out = []
-    for i in range(v.shape[0]):
-        key = np.round(v[i], 12).tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
-    return out
+    """First occurrences of the rows of v, equal when rounded to 12 decimals
+    after centring on their mean and dividing by their extent."""
+    c = v.mean(axis=0)
+    extent = float(np.abs(v - c).max())
+    if extent == 0.0:
+        return [0]
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(map(tuple, np.round((v - c) / extent, 12).tolist())):
+        first.setdefault(key, i)
+    return list(first.values())
 
 
 def canonical_vertex_indices(p: Polytope) -> list[int]:
     """Indices (into p.vertices) of the extreme points, in input order; of
     equal points the first is kept.
 
-    In R^3 the distinct points of a full-dimensional set of at most
-    _MAX_HULL_POINTS go through ``_hull_skeleton``; otherwise each point is
-    tested against the hull of the others by a point-in-hull LP.
+    Planar sets go through ``planar_hull``.  In R^3 the distinct points of
+    a full-dimensional set of at most _MAX_HULL_POINTS go through
+    ``_hull_skeleton``.  Otherwise each point is tested against the hull of
+    the others by a point-in-hull LP.
     """
     v = p.vertices
     keep = _distinct_indices(v)
     if len(keep) == 1:
         return keep
+    if p.dim == 2:
+        return sorted(keep[i] for i in planar_hull(v[keep]))
     skeleton = _hull_skeleton(v[keep]) if p.dim == 3 else None
     if skeleton is not None:
         return [keep[i] for i in skeleton[0]]
@@ -322,17 +330,12 @@ def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]] | 
 def canonicalize(p: Polytope) -> Polytope:
     """Remove redundant generators so every vertex is an extreme point.
 
-    The kept vertices stay in input order.  Planar bodies go through
-    ``planar_hull``; other dimensions through ``canonical_vertex_indices``.
+    The kept vertices stay in input order; ``canonical_vertex_indices``
+    picks them.
     """
     if p.canonical:
         return p
-    if p.dim == 2:
-        distinct = _distinct_indices(p.vertices)
-        idx = sorted(distinct[i] for i in planar_hull(p.vertices[distinct]))
-    else:
-        idx = canonical_vertex_indices(p)
-    return Polytope(p.vertices[idx], canonical=True)
+    return Polytope(p.vertices[canonical_vertex_indices(p)], canonical=True)
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
@@ -446,34 +449,6 @@ def simplex_facet_normals(s: Polytope) -> tuple[np.ndarray, np.ndarray]:
         normals[j] = normal
         heights[j] = h
     return normals, heights
-
-
-def origin_interior_coefficients(dirs: np.ndarray,
-                                 tol_geom: float = TOL_GEOM) -> np.ndarray | None:
-    """Positive convex coefficients a with sum a_i u_i = 0, when the origin
-    lies in the interior of conv(dirs); None otherwise.
-
-    LP: maximize delta s.t. sum a_i u_i = 0, sum a_i = 1, a_i >= delta.
-    """
-    dirs = np.asarray(dirs, dtype=np.float64)
-    k, n = dirs.shape
-    # columns: a (k) | delta | slack (k)
-    ncols = 2 * k + 1
-    a = np.zeros((n + 1 + k, ncols))
-    b = np.zeros(n + 1 + k)
-    a[:n, :k] = dirs.T
-    a[n, :k] = 1.0
-    b[n] = 1.0
-    for i in range(k):
-        a[n + 1 + i, i] = 1.0
-        a[n + 1 + i, k] = -1.0
-        a[n + 1 + i, k + 1 + i] = -1.0
-    c = np.zeros(ncols)
-    c[k] = 1.0
-    out = lp.solve(lp.LpProblem(a, b, c, np.ones(ncols, dtype=bool)))
-    if out.status != lp.OPTIMAL or out.objective <= tol_geom:
-        return None
-    return out.z[:k].copy()
 
 
 # --- JSON body format -------------------------------------------------------

@@ -1,10 +1,13 @@
 """Command-line surface: JSON reports for every query, seeded and replayable.
 
 Every report embeds the command, the seed, and the tolerances in force, so
-a third party can replay the verdict.  Reports are byte-identical across
-runs with the same argv and seed, except for the "timestamp" object, which
-carries wall-clock time and elapsed seconds and is excluded from the
-determinism contract.
+a third party can replay the verdict.  Each command declares only the flags
+it reads: --samples and --seed where it samples or draws, --tol-geom where
+a verdict has a tolerance band.  A command that draws nothing (fit,
+scale-fit, witness, edge-criterion) reports "seed": null.  Reports are
+byte-identical across runs with the same argv, except for the "timestamp"
+object, which carries wall-clock time and elapsed seconds and is excluded
+from the determinism contract.
 
 Exit codes: 0 verdict computed (the verdict itself is in the JSON),
 2 precondition or input error, 3 internal numerical failure.
@@ -55,48 +58,56 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Translative containment and shadow covering for convex polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bodies=0, d=False, k=False):
+    def add_common(p, bodies=0, d=False, k=False, samples=False, seed=False, tol=False):
         for i in range(bodies):
             p.add_argument(f"body{i + 1}", help="path to a body JSON file")
         if d:
             p.add_argument("--d", type=int, default=None, help="shadow dimension")
         if k:
             p.add_argument("--k", type=int, required=True, help="vertex-subset size")
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-geom", type=float, default=None,
-                       help="override the geometric verdict tolerance")
+        if samples:
+            p.add_argument("--samples", type=int, default=1000)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol-geom", type=float, default=None,
+                           help="override the geometric verdict tolerance")
         p.add_argument("-o", "--output", default=None, help="also write the report here")
 
-    add_common(sub.add_parser("fit", help="does L contain a translate of K"), bodies=2)
+    add_common(sub.add_parser("fit", help="does L contain a translate of K"), bodies=2,
+               tol=True)
     add_common(sub.add_parser("scale-fit", help="maximal scale of K inside L"), bodies=2)
     add_common(sub.add_parser("witness", help="vertex-subset non-fitting witness"),
-               bodies=2, k=True)
+               bodies=2, k=True, tol=True)
     add_common(sub.add_parser("shadow-sweep", help="sampled shadow covering verdict"),
-               bodies=2, d=True)
+               bodies=2, d=True, samples=True, seed=True, tol=True)
     add_common(sub.add_parser("edge-criterion",
-                              help="finite edge-direction test against a simplex"), bodies=2)
+                              help="finite edge-direction test against a simplex"),
+               bodies=2, tol=True)
     add_common(sub.add_parser("counterexample",
-                              help="certified shadow-covering counterexample"), bodies=1, d=True)
+                              help="certified shadow-covering counterexample"),
+               bodies=1, d=True, samples=True, seed=True, tol=True)
     tq = sub.add_parser("tetra-quad", help="the canonical tetrahedron-quadrilateral pair")
-    add_common(tq, bodies=0)
+    add_common(tq, samples=True, seed=True, tol=True)
     tq.add_argument("--save", default=None,
                     help="prefix; writes PREFIX_delta.json and PREFIX_quad.json")
     mw = sub.add_parser("meanwidth", help="mean width (Monte Carlo, optionally exact)")
-    add_common(mw, bodies=1)
+    add_common(mw, bodies=1, samples=True, seed=True)
     mw.add_argument("--exact", action="store_true")
-    add_common(sub.add_parser("kubota", help="Grassmannian mean-width consistency"), bodies=1)
+    add_common(sub.add_parser("kubota", help="Grassmannian mean-width consistency"),
+               bodies=1, samples=True, seed=True)
     ob = sub.add_parser("oblique", help="covering invariance under a random linear map")
-    add_common(ob, bodies=2)
+    add_common(ob, bodies=2, seed=True, tol=True)
     vs = sub.add_parser("verify-suite", help="randomized equivalence harness")
-    add_common(vs, bodies=0)
+    add_common(vs, samples=True, seed=True, tol=True)
     vs.add_argument("--n", type=int, default=3, dest="ambient")
     vs.add_argument("--trials", type=int, default=50)
     return parser
 
 
 def _run_command(args, tol: float) -> dict:
-    rng = np.random.default_rng(args.seed)
+    # only the commands that take --seed draw random numbers
+    rng = np.random.default_rng(args.seed) if hasattr(args, "seed") else None
     cmd = args.command
 
     if cmd == "fit":
@@ -221,7 +232,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 
-    tol = args.tol_geom if args.tol_geom is not None else core.TOL_GEOM
+    seed = getattr(args, "seed", None)
+    tol = getattr(args, "tol_geom", None)
+    tol = core.TOL_GEOM if tol is None else tol
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -240,7 +253,7 @@ def run(argv=None) -> int:
 
     report = {
         "command": args.command,
-        "seed": args.seed,
+        "seed": seed,
         "tolerances": {"tol_feas": TOL_FEAS, "tol_geom": tol},
         "result": result,
         "timestamp": {"utc": started,

@@ -2,7 +2,9 @@
 body itself cannot.
 
 Pipeline: pick regular unit normals at distinct exposed points whose convex
-hull has the origin interior, materialize the circumscribing simplex those
+hull has the origin interior (the last normal is drawn from the negative
+cone of the others, so its weights are the positive dependence that
+certifies this, with no LP), materialize the circumscribing simplex those
 normals support, verify that the body touches every facet away from all
 ridges, then take the exact inflation factor from the paper's Theorem 2.
 Applied to eps * K, it says every d-shadow of eps * K translates into the
@@ -32,7 +34,6 @@ from .bodies import (
     affine_dim,
     body_to_dict,
     canonicalize,
-    origin_interior_coefficients,
     scale,
     simplex_facet_normals,
     simplex_from_supports,
@@ -64,9 +65,10 @@ class ConstructionError(RuntimeError):
 class NormalSelection:
     """n+1 regular unit normals at distinct exposed points of a body.
 
-    coefficients are positive with sum a_i u_i = 0, certifying that the
-    origin is interior to the hull of the normals, so the normals bound a
-    genuine simplex.
+    coefficients are the positive dependence sum a_i u_i = 0, summing to 1,
+    that certifies the origin interior to the hull of the normals, so the
+    normals bound a genuine simplex.  The selection knows it exactly: the
+    closing normal is drawn as a negative combination of the others.
     """
 
     normals: np.ndarray
@@ -133,12 +135,13 @@ def _selection_pass(k: Polytope, rng: np.random.Generator, tol_geom: float,
         if len(ss) != 1 or ss[0] in touched:
             stats["irregular"] += 1
             continue
-        dirs = np.vstack([base, u])
-        coeffs = origin_interior_coefficients(dirs, tol_geom=tol_geom)
-        if coeffs is None:
-            stats["lp_rejected"] += 1
+        # a @ base + norm * u = 0 by construction: the positive dependence,
+        # unique up to scale as the chosen normals are independent
+        coeffs = np.append(a, norm) / (a.sum() + norm)
+        if coeffs.min() <= tol_geom:
+            stats["margin_rejected"] += 1
             continue
-        return NormalSelection(dirs, np.array(touched + [ss[0]]), coeffs)
+        return NormalSelection(np.vstack([base, u]), np.array(touched + [ss[0]]), coeffs)
     return None
 
 
@@ -149,7 +152,10 @@ def select_regular_normals(k: Polytope, rng: np.random.Generator,
     with the origin interior to their convex hull.
 
     Regular directions of a polytope have full measure, so sampling
-    terminates quickly; the interior-origin LP certifies the set.  Exhausting
+    terminates quickly.  The closing normal is u = -(a @ base) / |a @ base|
+    for positive weights a, so (a, |a @ base|), normalised to sum 1, is the
+    set's positive dependence in closed form; a set whose least coefficient
+    is at most tol_geom is rejected.  No LP is solved.  Exhausting
     the restart budget raises with the rejection statistics, never a silent
     fallback.  Requires a canonical body with at least n+1 vertices; it need
     not be full-dimensional.
@@ -159,7 +165,7 @@ def select_regular_normals(k: Polytope, rng: np.random.Generator,
         raise ConstructionError(
             f"normal selection needs at least {n + 1} canonical vertices, got {k.nverts}")
     stats = {"restarts": 0, "irregular": 0, "reused_vertex": 0,
-             "dependent": 0, "closing_rejected": 0, "lp_rejected": 0}
+             "dependent": 0, "closing_rejected": 0, "margin_rejected": 0}
     for _ in range(max(1, restarts)):
         stats["restarts"] += 1
         sel = _selection_pass(k, rng, tol_geom, stats)

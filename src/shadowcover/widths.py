@@ -104,7 +104,9 @@ def _edge_exterior_angle(v: np.ndarray, i: int, j: int) -> float:
     rel = v[i] - v  # pointing from every other vertex toward v[i]
     a = rel @ frame[:, 0]
     b = rel @ frame[:, 1]
-    keep = np.hypot(a, b) > 1e-12
+    # v[i] and v[j] project to (rounding noise at) the origin; the cutoff
+    # is relative to the body's size, so the angle does not depend on units
+    keep = np.hypot(a, b) > 1e-12 * np.abs(rel).max()
     if not keep.any():
         return 2.0 * math.pi
     theta = np.arctan2(b[keep], a[keep])

@@ -15,8 +15,8 @@ from shadowcover.bodies import (
     hull_facets,
     hyperplane_shadow,
     linear_image,
-    origin_interior_coefficients,
     planar_hull,
+    point_in_hull,
     project,
     simplex_facet_normals,
     simplex_from_supports,
@@ -179,11 +179,25 @@ def _planar_cloud(rng):
     return out[rng.permutation(len(out))]
 
 
+def _lp_extreme_points(v):
+    """First copies of the points that are not in the hull of the others,
+    in input order, by one point-in-hull LP each."""
+    keep = [i for i in range(len(v)) if not (v[:i] == v[i]).all(axis=1).any()]
+    i = 0
+    while i < len(keep):
+        if point_in_hull(v[keep[i]], Polytope(v[keep[:i] + keep[i + 1:]])):
+            keep.pop(i)
+        else:
+            i += 1
+    return keep
+
+
 def test_planar_canonicalize_matches_lp_route_in_input_order():
     rng = np.random.default_rng(41)
     flat = Polytope([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5], [2.0, 1.0], [-1.0, -0.5]])
     for p in [flat] + [Polytope(_planar_cloud(rng)) for _ in range(60)]:
-        idx = canonical_vertex_indices(p)
+        idx = _lp_extreme_points(p.vertices)
+        assert canonical_vertex_indices(p) == idx
         assert canonicalize(p).vertices.tolist() == p.vertices[idx].tolist()
 
 
@@ -383,17 +397,6 @@ def test_simplex_from_supports_round_trip():
                            sorted(map(tuple, s.vertices)), atol=1e-8)
         # normals are outward: every vertex satisfies all inequalities
         assert np.all(verts @ normals.T <= heights[None, :] + 1e-9)
-
-
-def test_origin_interior_coefficients():
-    dirs = np.array([[1.0, 0.0], [-0.5, 1.0], [-0.5, -1.0]])
-    coeffs = origin_interior_coefficients(dirs)
-    assert coeffs is not None
-    assert np.all(coeffs > 0)
-    assert np.allclose(coeffs @ dirs, 0.0, atol=1e-8)
-    # all in a halfplane: origin not interior
-    bad = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.8]])
-    assert origin_interior_coefficients(bad) is None
 
 
 def test_body_json_round_trip():

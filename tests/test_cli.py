@@ -188,6 +188,33 @@ def test_workers_flag_removed(bodies):
     assert run(["fit", bodies["square"], bodies["big"], "--workers", "2"]) == 2
 
 
+# (command, flag) pairs where the command does not read the flag, so does not declare it
+UNREAD_FLAGS = ([(cmd, "--samples", "64") for cmd in
+                 ["fit", "scale-fit", "witness", "edge-criterion", "oblique"]]
+                + [(cmd, "--seed", "3") for cmd in
+                   ["fit", "scale-fit", "witness", "edge-criterion"]]
+                + [(cmd, "--tol-geom", "1e-3") for cmd in ["scale-fit", "meanwidth", "kubota"]])
+
+
+@pytest.mark.parametrize("cmd,flag,value", UNREAD_FLAGS)
+def test_unread_flags_removed(bodies, capsys, cmd, flag, value):
+    argv = [cmd, bodies["square"]]
+    if cmd not in ("meanwidth", "kubota"):
+        argv.append(bodies["big"])
+    if cmd == "witness":
+        argv += ["--k", "3"]
+    assert run(argv + [flag, value]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unseeded_commands_report_null_seed(bodies, capsys):
+    code, rep = _invoke(capsys, "scale-fit", bodies["square"], bodies["big"])
+    assert code == 0 and rep["seed"] is None
+    assert rep["tolerances"]["tol_geom"] == 1e-6
+    code, rep = _invoke(capsys, "meanwidth", bodies["square"], "--exact")
+    assert code == 0 and rep["seed"] == 0
+
+
 def test_output_file_written(bodies, tmp_path, capsys):
     out = tmp_path / "report.json"
     code, rep = _invoke(capsys, "fit", bodies["square"], bodies["big"], "-o", str(out))

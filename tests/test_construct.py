@@ -62,6 +62,31 @@ def test_select_regular_normals_flat_body():
     assert sorted(int(t) for t in sel.touch_indices) == [0, 1, 2, 3]
 
 
+def _random_canonical_body(rng):
+    n = int(rng.integers(2, 5))
+    return canonicalize(Polytope(rng.standard_normal((int(rng.integers(n + 3, 13)), n))))
+
+
+def test_select_regular_normals_solves_no_lp(lp_calls):
+    rng = np.random.default_rng(23)
+    ks = [_random_canonical_body(rng) for _ in range(20)]
+    lp_calls.clear()  # canonicalize solves LPs in R^4
+    for k in ks:
+        assert select_regular_normals(k, rng).validate(k)
+    assert lp_calls == []
+
+
+def test_selection_coefficients_are_the_null_vector_of_the_normals():
+    # the closed-form weights of the closing normal are the positive
+    # dependence of the normals, which is unique up to scale
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        sel = select_regular_normals(_random_canonical_body(rng), rng)
+        null = np.linalg.svd(sel.normals.T)[2][-1]
+        assert np.abs(sel.coefficients - null / null.sum()).max() <= 1e-14
+        assert sel.coefficients.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_circumscribe_tetrahedron_is_reflected_triple():
     # the idealized vertex-direction selection reproduces -3K
     normals = TETRA.vertices / np.sqrt(3.0)

@@ -258,6 +258,29 @@ def test_low_dim_fit_segment_in_polygon():
     assert fit.translation == pytest.approx([-1.0], abs=1e-12)
 
 
+def test_planar_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
+    # K carries an interior point and a duplicate: its extreme points come
+    # from the planar hull, and every subset fit from the planar enumeration
+    rng = np.random.default_rng(137)
+    pairs = []
+    for i in range(20):
+        pts = rng.standard_normal((7, 2))
+        k = Polytope(np.vstack([pts, pts.mean(axis=0), pts[0]]))
+        pairs.append((k, Polytope(rng.standard_normal((8, 2)) * (1.5 + i % 4))))
+    witnesses = [subset_witness(k, l, 3) for k, l in pairs]
+    assert lp_calls == []
+    for (k, l), w in zip(pairs, witnesses):
+        v = k.vertices
+        first = [i for i in range(len(v)) if not (v[:i] == v[i]).all(axis=1).any()]
+        idx = [i for i in first
+               if not point_in_hull(v[i], Polytope(v[[j for j in first if j != i]]))]
+        sigmas = [(list(c), containment._lp_scale_fit(v[list(c)], l.vertices).sigma)
+                  for c in combinations(idx, 3)]
+        assert w == next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
+    assert "feasible" in lp_calls  # the spy sees the reference's LPs
+    assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
+
+
 def test_planar_fit_flat_or_large_l_takes_lp_fallback(monkeypatch):
     calls = []
     original = containment._lp_scale_fit

@@ -5,9 +5,10 @@ import pytest
 
 from oracles import hull2d, perimeter2d
 
-from shadowcover import lp, widths
+from shadowcover import widths
 from shadowcover.bodies import (
     Polytope,
+    canonical_vertex_indices,
     canonicalize,
     point_in_hull,
     project,
@@ -182,18 +183,26 @@ def test_kubota_random_body():
     assert rep.rel_error <= 0.03
 
 
-def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(monkeypatch):
-    calls = []
-    for name in ("solve", "feasible"):
-        original = getattr(lp, name)
-        monkeypatch.setattr(lp, name,
-                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+@pytest.mark.parametrize("factor,offset", [(1e-13, 0.0), (1e-11, 0.0), (1.0, 0.0), (1e9, 1e6)])
+def test_canonical_vertices_and_mean_width_do_not_depend_on_units(factor, offset):
+    cube = Polytope(CUBE.vertices * factor + offset)
+    assert canonicalize(cube).nverts == 8
+    assert mean_width_exact(cube) == pytest.approx(1.5 * factor, rel=1e-12)
+    assert widths._edge_exterior_angle(cube.vertices, 0, 1) == pytest.approx(math.pi / 2)
+    cloud = np.random.default_rng(37).standard_normal((12, 3))
+    body = Polytope(cloud * factor + offset)
+    assert canonical_vertex_indices(body) == canonical_vertex_indices(Polytope(cloud))
+    assert mean_width_exact(body) == pytest.approx(
+        factor * mean_width_exact(Polytope(cloud)), rel=1e-12)
+
+
+def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(lp_calls):
     rng = np.random.default_rng(31)
     body = Polytope(rng.standard_normal((16, 3)))
     rep = kubota_check(body, 300, np.random.default_rng(5))
-    assert calls == []
+    assert lp_calls == []
     point_in_hull(body.vertices[0], body)
-    assert "feasible" in calls
+    assert "feasible" in lp_calls
     vals = np.array([perimeter2d(project(body, xi).vertices) / math.pi
                      for xi in haar_subspaces(3, 2, 300, np.random.default_rng(5))])
     assert rep.width_exact == mean_width_exact(body)
