@@ -10,8 +10,9 @@ enumerates the facets of up to 24 points from the planes of their point
 triples; the 3-D scale fit runs its LP over them, and the points on each
 facet give the extreme points and the edges (``_hull_skeleton``).  For more
 points, flat sets, the line and dimensions past 3 the pass is one
-point-in-hull LP per vertex, and ``edges`` one LP per vertex pair.  Other
-containment questions reduce to LPs over convex-combination variables.
+point-in-hull LP per vertex, and ``edges`` one LP per vertex pair, all in
+the unit frame of ``_unit_frame``.  Other containment questions reduce to
+LPs over convex-combination variables.
 """
 
 from __future__ import annotations
@@ -147,15 +148,24 @@ def point_in_hull(x, p: Polytope) -> bool:
     return out.status == lp.OPTIMAL
 
 
+def _unit_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """v centred on its mean c and divided by its extent s = max |v - c|, and
+    c and s (s = 0 for one repeated point, then only centred).  Hulls keep
+    their combinatorics, and absolute tolerances become relative to size."""
+    c = v.mean(axis=0)
+    d = v - c
+    s = float(np.abs(d).max())
+    return (d / s if s > 0.0 else d), c, s
+
+
 def _distinct_indices(v: np.ndarray) -> list[int]:
     """First occurrences of the rows of v, equal when rounded to 12 decimals
-    after centring on their mean and dividing by their extent."""
-    c = v.mean(axis=0)
-    extent = float(np.abs(v - c).max())
+    in the unit frame."""
+    w, _, extent = _unit_frame(v)
     if extent == 0.0:
         return [0]
     first: dict[tuple, int] = {}
-    for i, key in enumerate(map(tuple, np.round((v - c) / extent, 12).tolist())):
+    for i, key in enumerate(map(tuple, np.round(w, 12).tolist())):
         first.setdefault(key, i)
     return list(first.values())
 
@@ -167,7 +177,7 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     Planar sets go through ``planar_hull``.  In R^3 the distinct points of
     a full-dimensional set of at most _MAX_HULL_POINTS go through
     ``_hull_skeleton``.  Otherwise each point is tested against the hull of
-    the others by a point-in-hull LP.
+    the others by a point-in-hull LP, in the unit frame.
     """
     v = p.vertices
     keep = _distinct_indices(v)
@@ -178,13 +188,10 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     skeleton = _hull_skeleton(v[keep]) if p.dim == 3 else None
     if skeleton is not None:
         return [keep[i] for i in skeleton[0]]
-    i = 0
-    while i < len(keep):
-        others = keep[:i] + keep[i + 1:]
-        if point_in_hull(v[keep[i]], Polytope(v[others])):
-            keep.pop(i)
-        else:
-            i += 1
+    w = _unit_frame(v)[0]
+    for i in list(keep):
+        if point_in_hull(w[i], Polytope(w[[j for j in keep if j != i]])):
+            keep.remove(i)
     return keep
 
 
@@ -236,6 +243,7 @@ _MAX_HULL_POINTS = 24
 # glibc's 128 KiB mmap threshold, so that a block's temporaries reuse heap
 # memory instead of faulting in fresh pages on every call
 _HULL_BLOCK_BYTES = 120_000
+_COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
 def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
@@ -265,11 +273,9 @@ def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     m = pts.shape[0]
     if not 4 <= m <= _MAX_HULL_POINTS:
         return None
-    c = pts.sum(axis=0) / m
-    s = float(np.abs(pts - c).max())
+    p, c, s = _unit_frame(pts)
     if s == 0.0:
         return None
-    p = (pts - c) / s
     triples = _triples(m)[0]
     step = _HULL_BLOCK_BYTES // (8 * m)
     blocks = [_facet_triples(p, triples[lo:lo + step]) for lo in range(0, len(triples), step)]
@@ -344,7 +350,7 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     In R^3, up to _MAX_HULL_POINTS vertices, the edges come from the facet
     incidences of ``_hull_skeleton``.  Otherwise a pair (i, j) is an edge
     iff some direction exposes exactly {i, j}; decided by an LP maximizing
-    the exposure margin over box-bounded directions.
+    the exposure margin over box-bounded directions, in the unit frame.
     """
     if not p.canonical:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
@@ -356,40 +362,32 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     skeleton = _hull_skeleton(v) if n == 3 else None
     if skeleton is not None and len(skeleton[0]) == m:
         return skeleton[1]
-    result = []
-    for i, j in combinations(range(m), 2):
-        if _edge_exposure_margin(v, i, j, n) > TOL_GEOM:
-            result.append((i, j))
-    return result
+    w = _unit_frame(v)[0]
+    return [(i, j) for i, j in combinations(range(m), 2)
+            if _edge_exposure_margin(w, i, j, n) > TOL_GEOM]
 
 
 def _edge_exposure_margin(v: np.ndarray, i: int, j: int, n: int) -> float:
     """Optimal margin of an LP searching for u with v_i.u = v_j.u = h and
     v_k.u <= h - delta for all other k, subject to |u|_inf <= 1."""
-    m = v.shape[0]
-    others = [k for k in range(m) if k not in (i, j)]
+    others = np.delete(np.arange(v.shape[0]), [i, j])
     no = len(others)
-    # columns: u (n free) | h (free) | delta | s_k (no) | box slacks (2n)
+    # columns: u (n free) | h (free) | delta | s_k (no) | box slacks (2n);
+    # rows: v_i.u = v_j.u, v_i.u = h, v_k.u - h + delta + s_k = 0, +-u_c <= 1
     ncols = n + 2 + no + 2 * n
-    nrows = 2 + no + 2 * n
-    a = np.zeros((nrows, ncols))
-    b = np.zeros(nrows)
+    a = np.zeros((2 + no + 2 * n, ncols))
     a[0, :n] = v[i] - v[j]
     a[1, :n] = v[i]
-    a[1, n] = -1.0
-    for r, k in enumerate(others):
-        a[2 + r, :n] = v[k]
-        a[2 + r, n] = -1.0
-        a[2 + r, n + 1] = 1.0
-        a[2 + r, n + 2 + r] = 1.0
-    base = 2 + no
-    for cidx in range(n):
-        a[base + 2 * cidx, cidx] = 1.0
-        a[base + 2 * cidx, n + 2 + no + 2 * cidx] = 1.0
-        b[base + 2 * cidx] = 1.0
-        a[base + 2 * cidx + 1, cidx] = -1.0
-        a[base + 2 * cidx + 1, n + 2 + no + 2 * cidx + 1] = 1.0
-        b[base + 2 * cidx + 1] = 1.0
+    a[1:2 + no, n] = -1.0
+    rows = 2 + np.arange(no)
+    a[rows, :n] = v[others]
+    a[rows, n + 1] = 1.0
+    a[rows, n + 2 + np.arange(no)] = 1.0
+    box = 2 + no + np.arange(2 * n)
+    a[box, np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
+    a[box, n + 2 + no + np.arange(2 * n)] = 1.0
+    b = np.zeros(len(a))
+    b[box] = 1.0
     c = np.zeros(ncols)
     c[n + 1] = 1.0
     nonneg = np.ones(ncols, dtype=bool)
@@ -400,13 +398,12 @@ def _edge_exposure_margin(v: np.ndarray, i: int, j: int, n: int) -> float:
     return float(out.objective)
 
 
-def simplex_from_supports(normals: np.ndarray, heights: np.ndarray,
-                          cond_limit: float = 1e12) -> Polytope:
+def simplex_from_supports(normals: np.ndarray, heights: np.ndarray) -> Polytope:
     """Vertices of the simplex {x : x.u_i <= h_i} by Cramer-style solves.
 
     Vertex j solves the n x n system {x.u_i = h_i, i != j}; solvable when any
     n of the normals are independent (guaranteed by the interior-origin
-    condition on the normal set).  Raises on ill-conditioned systems.
+    condition on the normal set).  Raises past _COND_LIMIT.
     """
     normals = np.asarray(normals, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64).reshape(-1)
@@ -417,7 +414,7 @@ def simplex_from_supports(normals: np.ndarray, heights: np.ndarray,
     for j in range(k):
         rows = [i for i in range(k) if i != j]
         a = normals[rows]
-        if np.linalg.cond(a) > cond_limit:
+        if np.linalg.cond(a) > _COND_LIMIT:
             raise ValueError("ill-conditioned simplex system")
         verts[j] = np.linalg.solve(a, heights[rows])
     return Polytope(verts, canonical=True)
@@ -440,7 +437,7 @@ def simplex_facet_normals(s: Polytope) -> tuple[np.ndarray, np.ndarray]:
         base = v[rows[0]]
         diffs = v[rows[1:]] - base
         _, sv, vt = np.linalg.svd(diffs)
-        if sv[-1] <= TOL_FEAS * max(1.0, sv[0]):
+        if sv[-1] <= TOL_FEAS * sv[0]:
             raise ValueError("degenerate simplex")
         normal = vt[-1]
         h = float(normal @ base)

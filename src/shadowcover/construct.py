@@ -55,6 +55,8 @@ from .shadows import (
 # inflation factors this thin are treated as construction failures rather
 # than emitted as certificates
 EPSILON_FLOOR = 1e-4
+_RESTARTS = 50        # normal selections a build tries
+_REFINE_STEPS = 40    # per local refinement in epsilon_gap's cross-check
 
 
 class ConstructionError(RuntimeError):
@@ -214,7 +216,6 @@ def direction_sigmas(k: Polytope, s: Polytope, directions: np.ndarray) -> np.nda
 
 def epsilon_gap(k: Polytope, s: Polytope, directions: np.ndarray,
                 rng: np.random.Generator | None = None,
-                refine_steps: int = 40,
                 tol_geom: float = TOL_GEOM) -> float:
     """Exact inflation gap of a touching pair: the least hyperplane-shadow
     scale fit, which Theorem 2 makes min_subset_sigma(k, s, n).
@@ -234,7 +235,7 @@ def epsilon_gap(k: Polytope, s: Polytope, directions: np.ndarray,
         rng = np.random.default_rng(0)
     for idx in np.argsort(sigmas)[:5]:
         start = Subspace(hyperplane_basis(directions[idx]))
-        _, refined = refine_min_margin(k, s, k.dim - 1, start, steps=refine_steps, rng=rng)
+        _, refined = refine_min_margin(k, s, k.dim - 1, start, steps=_REFINE_STEPS, rng=rng)
         sampled = min(sampled, refined)
     if sampled < eps * (1.0 - tol_geom):
         raise ConstructionError(f"sampled gap {sampled:.9g} is below the exact {eps:.9g}")
@@ -346,7 +347,7 @@ def _gap_too_thin(eps: float, tol_geom: float) -> bool:
 
 
 def _build_touching_counterexample(
-        kc: Polytope, rng: np.random.Generator, restarts: int, tol_geom: float,
+        kc: Polytope, rng: np.random.Generator, tol_geom: float,
         emit: Callable[[Polytope, NormalSelection], Counterexample]) -> Counterexample:
     """Hyperplane engine: normals -> simplex -> touching -> emit.
 
@@ -356,7 +357,7 @@ def _build_touching_counterexample(
     ConstructionError, and then a fresh selection is tried.
     """
     last_error = "no attempt succeeded"
-    for _ in range(max(1, restarts)):
+    for _ in range(_RESTARTS):
         try:
             sel = select_regular_normals(kc, rng, restarts=1, tol_geom=tol_geom)
         except ConstructionError as exc:
@@ -377,9 +378,8 @@ def _build_touching_counterexample(
     raise ConstructionError(f"counterexample construction failed: {last_error}")
 
 
-def build_counterexample(k: Polytope, rng=None, restarts: int = 50,
-                         directions: int = 1200, sweep_count: int = 1000,
-                         tol_geom: float = TOL_GEOM) -> Counterexample:
+def build_counterexample(k: Polytope, rng=None, directions: int = 1200,
+                         sweep_count: int = 1000, tol_geom: float = TOL_GEOM) -> Counterexample:
     """Counterexample for a full-dimensional body with >= n+1 vertices.
 
     Emits a simplex circumscribing K and an inflation factor epsilon > 1,
@@ -393,13 +393,12 @@ def build_counterexample(k: Polytope, rng=None, restarts: int = 50,
     if affine_dim(kc) != kc.dim:
         raise ValueError(
             "body is not full-dimensional; use build_counterexample_d for flat bodies")
-    return build_counterexample_d(kc, kc.dim - 1, rng, restarts, directions, sweep_count,
+    return build_counterexample_d(kc, kc.dim - 1, rng, directions, sweep_count,
                                   tol_geom=tol_geom)
 
 
-def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
-                           directions: int = 1200, sweep_count: int = 1000,
-                           lift_checks: int = 100,
+def build_counterexample_d(k: Polytope, d: int, rng=None, directions: int = 1200,
+                           sweep_count: int = 1000, lift_checks: int = 100,
                            tol_geom: float = TOL_GEOM) -> Counterexample:
     """Counterexample whose d-dimensional shadows cover those of K.
 
@@ -425,7 +424,7 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
     nprime = max(affine_dim(kc), d + 1)
     if nprime == n:
         return _build_touching_counterexample(
-            kc, generator, restarts, tol_geom,
+            kc, generator, tol_geom,
             lambda simplex, sel: _emit(kc, simplex, d, sel, seed, generator, directions,
                                        sweep_count, tol_geom))
 
@@ -434,7 +433,7 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
     _, _, vt = np.linalg.svd(diffs, full_matrices=True)
     frame = vt[:nprime].T  # hull directions first, arbitrary padding after
     k_flat = canonicalize(Polytope(diffs @ frame))
-    lift_subs = haar_subspaces(n, d, lift_checks, generator)
+    lift_subs = tuple(Subspace(b) for b in haar_subspaces(n, d, lift_checks, generator))
 
     def emit_lifted(simplex: Polytope, sel: NormalSelection) -> Counterexample:
         cover = Polytope(simplex.vertices @ frame.T + p0, canonical=True)
@@ -443,7 +442,7 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, restarts: int = 50,
         return _emit(kc, cover, d, certificate, seed, generator, directions, sweep_count,
                      tol_geom, lift_subs)
 
-    return _build_touching_counterexample(k_flat, generator, restarts, tol_geom, emit_lifted)
+    return _build_touching_counterexample(k_flat, generator, tol_geom, emit_lifted)
 
 
 def _emit(body: Polytope, cover: Polytope, d: int, certificate: NormalSelection,

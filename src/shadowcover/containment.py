@@ -52,19 +52,14 @@ from .bodies import (
 )
 from .core import TOL_FEAS, TOL_GEOM
 
-STATUS_OK = "ok"
-STATUS_DEGENERATE = "degenerate"
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a scale-fit query.
 
-    sigma         maximal homothety factor t with t*K + v inside L
-                  (math.inf when unconstrained, see status)
+    sigma         maximal homothety factor t with t*K + v inside L;
+                  math.inf, the one degenerate marker, when t is unbounded,
+                  which happens exactly when K is a single point
     translation   witness v at the optimum (None when degenerate)
-    status        "ok", or "degenerate" when t is unbounded, which happens
-                  exactly when K is a single point
     dual          multipliers y of _scale_fit_lp(K, L), one (u_i, w_i) block
                   of n+1 per vertex of K, with y.b >= sigma; set by the
                   facet and LP paths, None for the interval and planar
@@ -73,12 +68,15 @@ class FitResult:
 
     sigma: float
     translation: np.ndarray | None
-    status: str = STATUS_OK
     dual: np.ndarray | None = None
 
     @property
     def degenerate(self) -> bool:
-        return self.status == STATUS_DEGENERATE
+        return self.sigma == math.inf
+
+    @property
+    def status(self) -> str:
+        return "degenerate" if self.degenerate else "ok"
 
 
 def _scale_fit_lp(kv: np.ndarray, lv: np.ndarray, fixed_t: float | None = None):
@@ -140,9 +138,9 @@ def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     k0, k1 = float(kv.min()), float(kv.max())
     l0, l1 = float(lv.min()), float(lv.max())
     if k1 == k0:
-        return FitResult(math.inf, None, STATUS_DEGENERATE)
+        return FitResult(math.inf, None)
     sigma = (l1 - l0) / (k1 - k0)
-    return FitResult(sigma, np.array([l0 - sigma * k0]), STATUS_OK)
+    return FitResult(sigma, np.array([l0 - sigma * k0]))
 
 
 _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand normal
@@ -166,7 +164,7 @@ def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
     offset and scale.
     """
     if (kv == kv[0]).all():
-        return FitResult(math.inf, None, STATUS_DEGENERATE)
+        return FitResult(math.inf, None)
     # a turn this far above rounding is a true one, so every edge line of
     # the hull supports L; a dropped point moves L by a 1e-12 relative step
     hull = planar_hull(lv, tol=1e-12)
@@ -211,7 +209,7 @@ def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
     v = np.array([x0 + tau * ny, y0 - tau * nx])
     if not (a @ v - e).max() <= TOL_FEAS * b.max():
         return None
-    return FitResult(sigma, v + lc - sigma * kc, STATUS_OK)
+    return FitResult(sigma, v + lc - sigma * kc)
 
 
 def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
@@ -229,7 +227,7 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     sum_i w_i = sigma, and w_i >= h_L(u_i) as h_L is sublinear.
     """
     if (kv == kv[0]).all():
-        return FitResult(math.inf, None, STATUS_DEGENERATE)
+        return FitResult(math.inf, None)
     mk = kv.shape[0]
     f, n = a.shape
     kc = kv.sum(axis=0) / mk
@@ -252,7 +250,7 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     u, w = np.zeros((mk, n)), np.zeros(mk)
     np.add.at(u, top, y[:, None] * a / s)
     np.add.at(w, top, y * (b + a @ lc / s))
-    return FitResult(sigma, s * v + lc - sigma * kc, STATUS_OK, np.column_stack([u, w]).ravel())
+    return FitResult(sigma, s * v + lc - sigma * kc, np.column_stack([u, w]).ravel())
 
 
 def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
@@ -280,7 +278,7 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     if out is None:
         out = lp.solve(problem)
     if out.status == lp.UNBOUNDED:
-        return FitResult(math.inf, None, STATUS_DEGENERATE)
+        return FitResult(math.inf, None)
     if out.status != lp.OPTIMAL:
         raise lp.LpError("scale-fit LP unexpectedly infeasible")
     sigma = float(out.objective)
@@ -289,7 +287,7 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     y = out.dual.reshape(mk, n + 1)
     dual = np.column_stack([y[:, :n] / s, y[:, n] + y[:, :n] @ (lc / s + shift)]).ravel()
     v = s * (out.z[1:1 + n] + shift) + lc - sigma * kc
-    return FitResult(sigma, v, STATUS_OK, dual)
+    return FitResult(sigma, v, dual)
 
 
 def _shared_facets(k: Polytope, l: Polytope):

@@ -6,6 +6,10 @@ Two tolerances are used everywhere:
 * ``TOL_GEOM`` (1e-6) governs geometric verdict margins (fits / fails bands).
 
 Both can be overridden per call through keyword arguments.
+
+Points of G(n, d) are orthonormal n x d bases.  One kernel orthonormalizes a
+stack of matrices and one check tests a stack; ``Subspace``, ``orthonormalize``
+and the Haar sampler, whose draw is one (count, n, d) array, all use both.
 """
 
 from __future__ import annotations
@@ -41,24 +45,42 @@ def unit(v) -> np.ndarray:
     return arr / norm
 
 
+def _orthonormal_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of the QR of each (n, d) matrix of a stack (or of one matrix), signs
+    fixed so diag(R) >= 0 (unique, idempotent), and a mask, False where the
+    least singular value is at most TOL_FEAS * max(1, largest).  Stacked svd
+    and qr give each matrix the bits they give it alone."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    ok = sv[..., -1] > TOL_FEAS * np.maximum(1.0, sv[..., 0])
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    return q * signs[..., None, :], ok
+
+
+def _check_orthonormal(b: np.ndarray) -> None:
+    """Raise ValueError unless every (n, d) matrix of a stack (or one matrix)
+    has orthonormal columns: its Gram matrix within 1e2 * TOL_FEAS of I."""
+    gram = np.swapaxes(b, -1, -2) @ b
+    if np.abs(gram - np.eye(b.shape[-1])).max(initial=0.0) > 1e2 * TOL_FEAS:
+        raise ValueError("basis columns are not orthonormal")
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A d-dimensional linear subspace of R^n, stored as an n x d orthonormal basis.
 
     Points of the Grassmannian G(n, d).  The orthonormality invariant
-    (basis^T basis = I within ``TOL_FEAS``) is checked on construction.
+    (basis^T basis = I within ``1e2 * TOL_FEAS``) is checked on construction.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.float64)
+        b = np.array(self.basis, dtype=np.float64)
         if b.ndim != 2 or b.shape[1] < 1 or b.shape[0] < b.shape[1]:
             raise ValueError(f"basis must be n x d with 1 <= d <= n, got shape {b.shape}")
-        gram = b.T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e2 * TOL_FEAS:
-            raise ValueError("basis columns are not orthonormal")
-        b = b.copy()
+        _check_orthonormal(b)
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
@@ -85,55 +107,36 @@ def orthonormalize(m) -> Subspace:
         a = a[:, None]
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"more columns than rows: shape {a.shape}")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= TOL_FEAS * max(1.0, sv[0]):
+    q, ok = _orthonormal_stack(a)
+    if not ok:
         raise ValueError("degenerate basis")
-    q, r = np.linalg.qr(a)
-    # fix signs so the decomposition is unique and idempotent
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return Subspace(q * signs)
+    return Subspace(q)
 
 
 def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
-    """Sample a subspace from the rotation-invariant measure on G(n, d).
+    """Sample a subspace from the rotation-invariant measure on G(n, d): the
+    draw ``haar_subspaces(n, d, 1, rng)``."""
+    return Subspace(haar_subspaces(n, d, 1, rng)[0])
 
-    Orthonormalizes an n x d standard-Gaussian sample; rotation invariance of
-    the Gaussian makes the result Haar-distributed.  Deterministic for a
-    given generator state.
+
+def haar_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar samples of G(n, d): a read-only (count, n, d) array of
+    orthonormal bases, empty for count 0.
+
+    Orthonormalizes one (count, n, d) standard-Gaussian sample; rotation
+    invariance of the Gaussian makes each basis Haar-distributed.  A
+    degenerate matrix (measure zero) is redrawn in place after the whole
+    sample.  Deterministic for a given generator state.
     """
     if not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    while True:
-        g = rng.standard_normal((n, d))
-        try:
-            return orthonormalize(g)
-        except ValueError:
-            continue  # measure-zero degenerate draw
-
-
-def haar_subspaces(n: int, d: int, count: int,
-                   rng: np.random.Generator) -> tuple[Subspace, ...]:
-    """count draws of ``haar_subspace(n, d, rng)``, from one Gaussian sample.
-
-    The subspaces, and the generator state after, are bit for bit those of
-    count calls of haar_subspace: one (count, n, d) sample fills in the
-    same order, and stacked svd and qr run the same LAPACK routines per
-    matrix.  If any draw is degenerate, the generator is rewound and the
-    draws are made one at a time, which redraws it as haar_subspace does.
-    """
-    if not (1 <= d <= n):
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    state = rng.bit_generator.state
-    g = rng.standard_normal((count, n, d))
-    sv = np.linalg.svd(g, compute_uv=False)
-    if not np.all(sv[:, -1] > TOL_FEAS * np.maximum(1.0, sv[:, 0])):
-        rng.bit_generator.state = state
-        return tuple(haar_subspace(n, d, rng) for _ in range(count))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    signs[signs == 0.0] = 1.0
-    return tuple(Subspace(b) for b in q * signs[:, None, :])
+    q, ok = _orthonormal_stack(rng.standard_normal((count, n, d)))
+    while not ok.all():
+        bad = np.flatnonzero(~ok)
+        q[bad], ok[bad] = _orthonormal_stack(rng.standard_normal((bad.size, n, d)))
+    _check_orthonormal(q)
+    q.flags.writeable = False
+    return q
 
 
 def direction_grid(n: int, count: int) -> np.ndarray:

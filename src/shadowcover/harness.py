@@ -16,26 +16,25 @@ from .core import TOL_GEOM, Subspace
 from .shadows import refine_min_margin, shadow_sweep
 
 
-def random_polytope(n: int, nverts: int, rng: np.random.Generator,
-                    spread: float = 1.0) -> Polytope:
-    """Canonical hull of Gaussian points with the requested vertex count."""
+def random_polytope(n: int, nverts: int, rng: np.random.Generator) -> Polytope:
+    """Canonical hull of standard Gaussian points with the requested vertex count."""
     for _ in range(200):
-        p = canonicalize(Polytope(spread * rng.standard_normal((nverts, n))))
+        p = canonicalize(Polytope(rng.standard_normal((nverts, n))))
         if p.nverts == nverts:
             return p
     return p  # extremely lopsided draw: accept fewer vertices
 
 
-def scaled_pair(n: int, rng: np.random.Generator, target: float,
-                vmin: int = 4, vmax: int = 8) -> tuple[Polytope, Polytope]:
-    """A pair (K, L) with scale_fit(K, L) equal to ``target`` by homothety.
+def scaled_pair(n: int, rng: np.random.Generator, target: float) -> tuple[Polytope, Polytope]:
+    """A pair (K, L) of 4 to 8 vertices each with scale_fit(K, L) equal to
+    ``target`` by homothety.
 
     scale_fit is positively homogeneous in L, so rescaling a random L by
     target / sigma places the fit scale exactly where requested.
     """
     while True:
-        k = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
-        l0 = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
+        k = random_polytope(n, int(rng.integers(4, 9)), rng)
+        l0 = random_polytope(n, int(rng.integers(4, 9)), rng)
         sigma = scale_fit(k, l0).sigma
         if not 1e-9 < sigma < np.inf:
             continue
@@ -43,17 +42,17 @@ def scaled_pair(n: int, rng: np.random.Generator, target: float,
 
 
 def margin_pair_for_subsets(n: int, d: int, rng: np.random.Generator,
-                            covers: bool, margin: float = 0.1,
-                            vmin: int = 4, vmax: int = 6) -> tuple[Polytope, Polytope]:
-    """A pair whose minimal (d+1)-subset fit scale sits at 1 +/- margin.
+                            covers: bool, margin: float = 0.1) -> tuple[Polytope, Polytope]:
+    """A pair of 4 to 6 vertices each whose minimal (d+1)-subset fit scale
+    sits at 1 +/- margin.
 
     Rescaling L moves every subset sigma uniformly, so the minimum can be
     pinned exactly; the sign of the offset decides covers versus fails.
     """
     target = 1.0 + margin if covers else 1.0 - margin
     while True:
-        k = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
-        l0 = random_polytope(n, int(rng.integers(vmin, vmax + 1)), rng)
+        k = random_polytope(n, int(rng.integers(4, 7)), rng)
+        l0 = random_polytope(n, int(rng.integers(4, 7)), rng)
         base = min_subset_sigma(k, l0, d + 1)
         if not 1e-9 < base < np.inf:
             continue

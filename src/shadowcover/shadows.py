@@ -84,7 +84,7 @@ def sweep_subspaces(n: int, d: int, count: int,
         return _hyperplane_grid(n, count)
     if rng is None:
         rng = np.random.default_rng(0)
-    return haar_subspaces(n, d, count, rng)
+    return tuple(Subspace(b) for b in haar_subspaces(n, d, count, rng))
 
 
 def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,

@@ -156,14 +156,14 @@ class KubotaReport:
 def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> KubotaReport:
     """Compare the spatial mean width against the Haar average of planar
     shadow mean widths over sampled 2-subspaces.  The canonical vertices
-    are projected onto every sampled plane at once, and all the shadow
-    perimeters come from one pass of the gift-wrap kernel."""
+    are projected at once onto the (n_subspaces, 3, 2) stack of Haar bases
+    that ``haar_subspaces`` returns, so no Subspace is built, and all the
+    shadow perimeters come from one pass of the gift-wrap kernel."""
     if affine_dim(k) != 3:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     kc = canonicalize(k)
     w3 = mean_width_exact(kc)
-    bases = np.stack([xi.basis for xi in haar_subspaces(3, 2, n_subspaces, rng)])
-    vals = _hull_perimeters(kc.vertices @ bases) / math.pi
+    vals = _hull_perimeters(kc.vertices @ haar_subspaces(3, 2, n_subspaces, rng)) / math.pi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(n_subspaces)
     return KubotaReport(w3, mean, stderr, abs(mean - w3) / abs(w3), n_subspaces)

@@ -355,6 +355,29 @@ def test_edges_match_scipy_simplices(monkeypatch):
     assert lps == []
 
 
+def test_lp_extreme_points_are_unit_free():
+    # R^3 past 24 points and R^4 run one point-in-hull LP per point, in the
+    # unit frame, so scaling the cloud keeps every extreme point
+    rng = np.random.default_rng(3)
+    for shape in [(30, 3), (14, 4)]:
+        cloud = rng.standard_normal(shape)
+        want = canonical_vertex_indices(Polytope(cloud))
+        for factor in [1e-9, 1e-10]:
+            assert canonical_vertex_indices(Polytope(cloud * factor)) == want
+
+
+def test_lp_edges_and_mean_width_are_unit_free():
+    # 26 vertices: edges run one exposure LP per pair, in the unit frame
+    from shadowcover.widths import mean_width_exact
+
+    g = np.random.default_rng(1).standard_normal((26, 3))
+    k = canonicalize(Polytope(g / np.linalg.norm(g, axis=1, keepdims=True)))
+    small = Polytope(k.vertices * 1e-6, canonical=True)
+    assert k.nverts == 26
+    assert edges(small) == edges(k)
+    assert mean_width_exact(small) / 1e-6 == pytest.approx(mean_width_exact(k), abs=1e-9)
+
+
 def test_edges_cube():
     got = set(edges(CUBE))
     expect = set()
@@ -397,6 +420,15 @@ def test_simplex_from_supports_round_trip():
                            sorted(map(tuple, s.vertices)), atol=1e-8)
         # normals are outward: every vertex satisfies all inequalities
         assert np.all(verts @ normals.T <= heights[None, :] + 1e-9)
+
+
+def test_simplex_facet_normals_are_unit_free():
+    corner = Polytope(np.vstack([np.zeros(3), np.eye(3)]), canonical=True)
+    normals, heights = simplex_facet_normals(corner)
+    tiny_normals, tiny_heights = simplex_facet_normals(
+        Polytope(corner.vertices * 1e-10, canonical=True))
+    assert np.allclose(tiny_normals, normals, atol=1e-12)
+    assert np.allclose(tiny_heights, heights * 1e-10, rtol=1e-9, atol=1e-22)
 
 
 def test_body_json_round_trip():

@@ -72,31 +72,61 @@ def test_haar_deterministic_given_seed():
     assert np.array_equal(a.basis, b.basis)
 
 
+def _orthonormal_reference(g):
+    # numpy's qr of one matrix with the signs fixed so diag(R) >= 0
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs
+
+
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 1), (4, 2), (2, 2)])
 def test_haar_subspaces_match_one_draw_at_a_time(n, d):
     # one stacked draw gives the same bits, and leaves the same generator
-    # state, as count calls of haar_subspace
+    # state, as orthonormalizing count Gaussian draws one at a time
     loop, batch = np.random.default_rng(5), np.random.default_rng(5)
-    want = [haar_subspace(n, d, loop) for _ in range(1000)]
+    want = np.stack([_orthonormal_reference(loop.standard_normal((n, d)))
+                     for _ in range(1000)])
     got = haar_subspaces(n, d, 1000, batch)
-    assert len(got) == 1000
-    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(want, got))
+    assert got.shape == (1000, n, d)
+    assert np.array_equal(got, want)
     assert batch.standard_normal() == loop.standard_normal()
-    assert haar_subspaces(n, d, 0, batch) == ()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0, 0] = 0.0
+    empty = haar_subspaces(n, d, 0, batch)
+    assert empty.shape == (0, n, d)
+    assert batch.standard_normal() == loop.standard_normal()
 
 
-def test_haar_subspaces_redraw_degenerate_as_the_loop_does(monkeypatch):
-    # at this tolerance about one 3 x 2 draw in ten is degenerate: the
-    # stacked draw is rewound and haar_subspace redraws those one at a time
+def test_haar_subspaces_redraw_degenerate_rows_in_place(monkeypatch):
+    # at this tolerance 4 of these 60 draws are degenerate: those rows are
+    # redrawn, and every other row is the plain stacked draw's
     monkeypatch.setattr(core, "TOL_FEAS", 0.1)
-    loop, batch = np.random.default_rng(9), np.random.default_rng(9)
-    want = [haar_subspace(3, 2, loop) for _ in range(60)]
     plain = np.random.default_rng(9)
-    plain.standard_normal((60, 3, 2))
-    assert plain.bit_generator.state != loop.bit_generator.state   # some draw was redrawn
+    g = plain.standard_normal((60, 3, 2))
+    sv = np.linalg.svd(g, compute_uv=False)
+    flagged = sv[:, -1] <= 0.1 * np.maximum(1.0, sv[:, 0])
+    assert 0 < flagged.sum() < 60
+    batch = np.random.default_rng(9)
     got = haar_subspaces(3, 2, 60, batch)
-    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(want, got))
-    assert batch.bit_generator.state == loop.bit_generator.state
+    assert batch.bit_generator.state != plain.bit_generator.state   # something was redrawn
+    for row, gi, bad in zip(got, g, flagged):
+        assert np.array_equal(row, _orthonormal_reference(gi)) != bad
+        assert np.max(np.abs(row.T @ row - np.eye(2))) <= 1e-12
+    again = np.random.default_rng(9)
+    assert np.array_equal(haar_subspaces(3, 2, 60, again), got)
+    assert again.bit_generator.state == batch.bit_generator.state
+
+
+def test_orthonormality_check_rejects_a_stretched_column():
+    stack = np.array(haar_subspaces(3, 2, 10, np.random.default_rng(2)))
+    core._check_orthonormal(stack)
+    stack[4, :, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not orthonormal"):
+        core._check_orthonormal(stack)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(stack[4])
 
 
 def test_haar_column_moments():

@@ -11,11 +11,10 @@ from shadowcover.bodies import (
     canonical_vertex_indices,
     canonicalize,
     point_in_hull,
-    project,
     scale,
     translate,
 )
-from shadowcover.core import haar_subspaces
+from shadowcover.core import Subspace, haar_subspaces
 from shadowcover.widths import (
     BALL_VOLUME,
     corollary_checks,
@@ -203,13 +202,23 @@ def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(lp_calls):
     assert lp_calls == []
     point_in_hull(body.vertices[0], body)
     assert "feasible" in lp_calls
-    vals = np.array([perimeter2d(project(body, xi).vertices) / math.pi
-                     for xi in haar_subspaces(3, 2, 300, np.random.default_rng(5))])
+    vals = np.array([perimeter2d(body.vertices @ basis) / math.pi
+                     for basis in haar_subspaces(3, 2, 300, np.random.default_rng(5))])
     assert rep.width_exact == mean_width_exact(body)
     assert rep.width_projected_mean == pytest.approx(vals.mean(), rel=1e-12)
     assert rep.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(300), rel=1e-12)
     assert rep.rel_error == pytest.approx(abs(vals.mean() - rep.width_exact) / rep.width_exact,
                                           abs=1e-12)
+
+
+def test_kubota_check_builds_no_subspace(monkeypatch):
+    # the Haar bases stay one stacked array from the draw to the projection
+    def refuse(self):
+        raise AssertionError("kubota_check built a Subspace")
+
+    monkeypatch.setattr(Subspace, "__post_init__", refuse)
+    body = Polytope(np.random.default_rng(31).standard_normal((12, 3)))
+    assert kubota_check(body, 50, np.random.default_rng(5)).samples == 50
 
 
 def test_corollary_translate_pair():
