@@ -1,18 +1,22 @@
-"""The polytope type and its geometric primitives.
+"""The polytope type, its geometric primitives, and the one owner of a point
+set's frame: ``_unit_frame`` centres the set on its vertex mean and divides
+by its extent (the largest coordinate distance from the mean), and
+``affine_frame`` adds an orthonormal basis of its affine hull and its rank.
+Every length tolerance is relative to the owning body's extent and every
+flatness test is that rank, so verdicts do not change under x -> f x + v.
 
 Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 ``canonical_vertex_indices`` picks the extreme points for that pass, after
-merging points that agree to 12 decimals relative to the set's extent.  In
-the plane it is a monotone-chain hull (``planar_hull``), which also gives
-the edges that the planar scale fit uses.  In R^3, ``hull_facets``
-enumerates the facets of up to 24 points from the planes of their point
-triples; the 3-D scale fit runs its LP over them, and the points on each
-facet give the extreme points and the edges (``_hull_skeleton``).  For more
-points, flat sets, the line and dimensions past 3 the pass is one
-point-in-hull LP per vertex, and ``edges`` one LP per vertex pair, all in
-the unit frame of ``_unit_frame``.  Other containment questions reduce to
-LPs over convex-combination variables.
+merging points that agree to 12 decimals in the unit frame.  In the plane it
+is a monotone-chain hull (``planar_hull``), which also gives the edges that
+the planar scale fit uses.  In R^3, ``hull_facets`` enumerates the facets of
+up to 24 points from the planes of their point triples; the 3-D scale fit
+runs its LP over them, and the points on each facet give the extreme points
+and the edges (``_hull_skeleton``).  For more points, flat sets, the line
+and dimensions past 3 the pass is one point-in-hull LP per vertex, and
+``edges`` one LP per vertex pair, each in a unit frame.  Other containment
+questions reduce to LPs over convex-combination variables.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ def support(p: Polytope, u) -> float:
 
 
 def support_set(p: Polytope, u, tol_geom: float = TOL_GEOM) -> list[int]:
-    """Indices of vertices attaining the support value within tol_geom * |u|.
+    """Indices of vertices attaining the support value within
+    tol_geom * |u| times P's extent, so a similarity of P keeps the set.
 
     A singleton certifies an exposed point, and u as a regular normal of P.
     """
@@ -93,7 +98,7 @@ def support_set(p: Polytope, u, tol_geom: float = TOL_GEOM) -> list[int]:
     if norm <= TOL_FEAS:
         raise ValueError("support set needs a nonzero direction")
     vals = p.vertices @ u
-    cutoff = vals.max() - tol_geom * norm
+    cutoff = vals.max() - tol_geom * norm * _unit_frame(p.vertices)[2]
     return [int(i) for i in np.nonzero(vals >= cutoff)[0]]
 
 
@@ -121,14 +126,9 @@ def linear_image(p: Polytope, m) -> Polytope:
 
 
 def affine_dim(p: Polytope) -> int:
-    """Dimension of the affine hull: the rank of the difference set, with
-    singular values counted above TOL_FEAS times the largest, so the answer
-    does not depend on the units."""
-    if p.nverts == 1:
-        return 0
-    diffs = p.vertices[1:] - p.vertices[0]
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(sv > TOL_FEAS * sv[0]))
+    """Dimension of the affine hull: the rank of ``affine_frame``, so the
+    answer does not depend on the units or the placement."""
+    return affine_frame(p.vertices)[2]
 
 
 def diameter(p: Polytope) -> float:
@@ -139,12 +139,12 @@ def diameter(p: Polytope) -> float:
 
 
 def point_in_hull(x, p: Polytope) -> bool:
-    """LP feasibility: does x lie in conv(vertices)?"""
-    x = np.asarray(x, dtype=np.float64)
-    m = p.nverts
-    a = np.vstack([p.vertices.T, np.ones((1, m))])
-    b = np.concatenate([x, [1.0]])
-    out = lp.feasible(a, b, np.ones(m, dtype=bool))
+    """LP feasibility: does x lie in conv(vertices)?  Solved in the unit
+    frame of the vertices, so TOL_FEAS is relative to their extent."""
+    w, c, s = _unit_frame(p.vertices)
+    x = (np.asarray(x, dtype=np.float64) - c) / (s or 1.0)
+    a = np.vstack([w.T, np.ones((1, p.nverts))])
+    out = lp.feasible(a, np.append(x, 1.0), np.ones(p.nverts, dtype=bool))
     return out.status == lp.OPTIMAL
 
 
@@ -156,6 +156,17 @@ def _unit_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     d = v - c
     s = float(np.abs(d).max())
     return (d / s if s > 0.0 else d), c, s
+
+
+def affine_frame(points) -> tuple[np.ndarray, np.ndarray, int]:
+    """(c, frame, r): the vertex mean, an orthonormal n x n matrix whose first
+    r columns span the affine hull's directions, and r, the count of the
+    centred set's singular values above TOL_FEAS times the largest.  One
+    repeated point, which its mean can miss by a rounding step, has r = 0."""
+    v = np.asarray(points, dtype=np.float64)
+    c = v.mean(axis=0)
+    _, sv, vt = np.linalg.svd(v - c)
+    return c, vt.T, 0 if (v == v[0]).all() else int(np.sum(sv > TOL_FEAS * sv[0]))
 
 
 def _distinct_indices(v: np.ndarray) -> list[int]:
@@ -177,7 +188,7 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     Planar sets go through ``planar_hull``.  In R^3 the distinct points of
     a full-dimensional set of at most _MAX_HULL_POINTS go through
     ``_hull_skeleton``.  Otherwise each point is tested against the hull of
-    the others by a point-in-hull LP, in the unit frame.
+    the others by ``point_in_hull``.
     """
     v = p.vertices
     keep = _distinct_indices(v)
@@ -188,9 +199,8 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     skeleton = _hull_skeleton(v[keep]) if p.dim == 3 else None
     if skeleton is not None:
         return [keep[i] for i in skeleton[0]]
-    w = _unit_frame(v)[0]
     for i in list(keep):
-        if point_in_hull(w[i], Polytope(w[[j for j in keep if j != i]])):
+        if point_in_hull(v[i], Polytope(v[[j for j in keep if j != i]])):
             keep.remove(i)
     return keep
 

@@ -31,7 +31,10 @@ import numpy as np
 from . import lp
 from .bodies import (
     Polytope,
+    _distinct_indices,
+    _unit_frame,
     affine_dim,
+    affine_frame,
     body_to_dict,
     canonicalize,
     scale,
@@ -192,19 +195,23 @@ def verify_touching(k: Polytope, s: Polytope, tol_geom: float = TOL_GEOM) -> boo
 
     This is the hypothesis that keeps the inflation gap bounded away from 1:
     the touch margin demands each touching vertex stays at least tol_geom
-    inside all other facets.
+    times K's extent inside all other facets.  Equal vertices count once,
+    so neither duplicates nor a similarity of the pair change the verdict.
     """
     normals, heights = simplex_facet_normals(s)
-    vals = k.vertices @ normals.T  # (mk, n+1)
-    if np.any(vals > heights[None, :] + 1e2 * TOL_FEAS):
+    v = k.vertices[_distinct_indices(k.vertices)]
+    extent = _unit_frame(v)[2]
+    margin = tol_geom * extent
+    vals = v @ normals.T  # (mk, n+1)
+    if np.any(vals > heights[None, :] + 1e2 * TOL_FEAS * extent):
         return False  # K is not inside S at all
     for i in range(normals.shape[0]):
-        touching = np.nonzero(vals[:, i] >= heights[i] - tol_geom)[0]
+        touching = np.nonzero(vals[:, i] >= heights[i] - margin)[0]
         if touching.shape[0] != 1:
             return False
         x = touching[0]
         others = [j for j in range(normals.shape[0]) if j != i]
-        if np.any(vals[x, others] > heights[others] - tol_geom):
+        if np.any(vals[x, others] > heights[others] - margin):
             return False
     return True
 
@@ -283,20 +290,19 @@ class Counterexample:
 def farkas_excludes_translate(body: Polytope, cover: Polytope,
                               factor: float) -> bool:
     """Is there a verified Farkas certificate that factor * body cannot be
-    translated into cover?"""
-    prob = _scale_fit_lp(scale(body, factor).vertices, cover.vertices, fixed_t=1.0)
+    translated into cover?  The LP runs in the cover's unit frame, with the
+    body centred on its vertex mean (translations are free), so its
+    tolerances are relative to the cover's extent."""
+    lv, _, s = _unit_frame(cover.vertices)
+    kv = body.vertices - body.vertices.mean(axis=0)
+    prob = _scale_fit_lp(factor / (s or 1.0) * kv, lv, fixed_t=1.0)
     out = lp.solve(prob)
     if out.status != lp.INFEASIBLE or out.dual is None:
         return False
     y = out.dual
-    if float(y @ prob.b) <= TOL_FEAS:
-        return False
-    prod = y @ prob.A
-    if np.max(prod[prob.nonneg], initial=0.0) > 1e-6:
-        return False
-    if np.max(np.abs(prod[~prob.nonneg]), initial=0.0) > 1e-6:
-        return False
-    return True
+    prod = y @ prob.A   # at most 0 on the nonnegative columns, 0 on the free ones
+    return bool(y @ prob.b > TOL_FEAS
+                and np.where(prob.nonneg, prod, np.abs(prod)).max(initial=0.0) <= 1e-6)
 
 
 def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: int,
@@ -421,18 +427,16 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, directions: int = 1200
     if kc.nverts < d + 2:
         raise ValueError(
             f"the hypothesis needs at least d+2 = {d + 2} canonical vertices, got {kc.nverts}")
-    nprime = max(affine_dim(kc), d + 1)
+    p0, frame, rank = affine_frame(kc.vertices)
+    nprime = max(rank, d + 1)
     if nprime == n:
         return _build_touching_counterexample(
             kc, generator, tol_geom,
             lambda simplex, sel: _emit(kc, simplex, d, sel, seed, generator, directions,
                                        sweep_count, tol_geom))
 
-    p0 = kc.vertices.mean(axis=0)
-    diffs = kc.vertices - p0
-    _, _, vt = np.linalg.svd(diffs, full_matrices=True)
-    frame = vt[:nprime].T  # hull directions first, arbitrary padding after
-    k_flat = canonicalize(Polytope(diffs @ frame))
+    frame = frame[:, :nprime]  # hull directions first, arbitrary padding after
+    k_flat = canonicalize(Polytope((kc.vertices - p0) @ frame))
     lift_subs = tuple(Subspace(b) for b in haar_subspaces(n, d, lift_checks, generator))
 
     def emit_lifted(simplex: Polytope, sel: NormalSelection) -> Counterexample:

@@ -45,6 +45,7 @@ from . import lp
 from .bodies import (
     Polytope,
     _triples,
+    _unit_frame,
     canonical_vertex_indices,
     canonicalize,
     hull_facets,
@@ -264,9 +265,10 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     ``lp.solve_from``.  A flat L, or a basis it turns down, goes to the
     two-phase ``lp.solve``.  v and the dual map back to the input's frame.
     """
-    kc, lc = kv.sum(axis=0) / kv.shape[0], lv.sum(axis=0) / lv.shape[0]
-    s = float(np.abs(lv - lc).max()) or 1.0
-    kv, lv = (kv - kc) / s, (lv - lc) / s
+    lv, lc, s = _unit_frame(lv)
+    s = s or 1.0
+    kc = kv.sum(axis=0) / kv.shape[0]
+    kv = (kv - kc) / s
     mk, n = kv.shape
     idx = _affine_basis_rows(lv)
     shift = lv[idx].sum(axis=0) / (n + 1) if idx is not None else np.zeros(n)
@@ -300,10 +302,8 @@ def _shared_facets(k: Polytope, l: Polytope):
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
     if l.dim != 3:
         return None
-    lv = l.vertices
-    lc = lv.sum(axis=0) / lv.shape[0]
-    s = float(np.abs(lv - lc).max()) or 1.0
-    facets = hull_facets((lv - lc) / s)
+    w, lc, s = _unit_frame(l.vertices)
+    facets = hull_facets(w)
     return None if facets is None else (lc, s, *facets)
 
 

@@ -24,13 +24,11 @@ TOL_GEOM = 1e-6
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
-def as_vector(v, n: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D float64 array, optionally checking its length."""
+def as_vector(v) -> np.ndarray:
+    """Coerce to a 1-D float64 array of finite entries."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a vector, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"expected length {n}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector has non-finite entries")
     return arr

@@ -19,7 +19,9 @@ import numpy as np
 
 from .bodies import (
     Polytope,
+    _unit_frame,
     affine_dim,
+    affine_frame,
     canonicalize,
     linear_image,
     project,
@@ -41,6 +43,7 @@ from .core import (
 COVERS = "covers"
 FAILS = "fails"
 BORDERLINE = "borderline"
+_LIFT_DIRECTIONS = 64   # of flat_lift_check's support domination, for d >= 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +149,8 @@ def refine_min_margin(k: Polytope, l: Polytope, d: int, start: Subspace,
 
 
 def simplex_edge_directions(t: Polytope) -> np.ndarray:
-    """Unit vertex-difference directions of a simplex, deduplicated up to sign."""
-    v = t.vertices
+    """Unit edge directions of a simplex, from its unit frame, deduplicated up to sign."""
+    v = _unit_frame(t.vertices)[0]
     dirs = []
     for i, j in combinations(range(v.shape[0]), 2):
         e = unit(v[i] - v[j])
@@ -230,44 +233,30 @@ class FlatLiftReport:
     translation: np.ndarray | None
 
 
-def _common_flat(k: Polytope, l: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor point and orthonormal direction basis of the smallest flat
-    containing both bodies; error when no common flat exists below ambient."""
-    pts = np.vstack([k.vertices, l.vertices])
-    p0 = pts.mean(axis=0)
-    diffs = pts - p0
-    u_, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-    scale_ref = max(1.0, float(sv[0]) if sv.size else 1.0)
-    rank = int(np.sum(sv > 1e3 * TOL_FEAS * scale_ref))
-    basis = vt[:rank].T
-    resid = diffs - (diffs @ basis) @ basis.T
-    if np.max(np.abs(resid)) > 1e-7 * scale_ref:
-        raise ValueError("bodies do not lie in a common flat")
-    return p0, basis
-
-
 def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
                     tol_geom: float = TOL_GEOM) -> FlatLiftReport:
     """Verify that in-flat shadow covering lifts to an ambient subspace eta.
 
-    Projects eta into the bodies' common flat, finds the in-flat translation
-    aligning the shadows there, then checks both the ambient shadow fit and
-    the pointwise support-function domination that the lift argument rests
-    on.  Raises when K and L do not share a proper flat.
+    Projects eta into the bodies' common flat, their joint ``affine_frame``,
+    finds the in-flat translation aligning the shadows there, then checks
+    both the ambient shadow fit and the pointwise support-function
+    domination the lift argument rests on, within 10 tol_geom times L's
+    extent.  Raises when K and L span the ambient space.
     """
-    p0, vbasis = _common_flat(k, l)
-    n, flat_dim = vbasis.shape
+    p0, frame, flat_dim = affine_frame(np.vstack([k.vertices, l.vertices]))
+    n = k.dim
     if flat_dim >= n:
         raise ValueError("bodies span the ambient space; nothing to lift")
     if eta.n != n:
         raise ValueError("eta must live in the ambient space")
+    vbasis = frame[:, :flat_dim]
     k_flat = Polytope((k.vertices - p0) @ vbasis)
     l_flat = Polytope((l.vertices - p0) @ vbasis)
 
-    # project eta into the flat (as a set of directions)
+    # project eta into the flat (as a set of directions, singular values <= 1)
     proj = vbasis @ (vbasis.T @ eta.basis)
-    sv = np.linalg.svd(proj, compute_uv=False)
-    eta_hat_dim = int(np.sum(sv > 1e3 * TOL_FEAS * max(1.0, sv[0] if sv.size else 1.0)))
+    u_p, sv, _ = np.linalg.svd(proj, full_matrices=False)
+    eta_hat_dim = int(np.sum(sv > 1e3 * TOL_FEAS))
 
     sigma_ambient = shadow_fit(k, l, eta).sigma
 
@@ -276,7 +265,6 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
         return FlatLiftReport(True, sigma_ambient >= 1.0 - tol_geom, math.inf,
                               sigma_ambient, True, np.zeros(n))
 
-    u_p, _, _ = np.linalg.svd(proj, full_matrices=False)
     eta_hat_basis = u_p[:, :eta_hat_dim]  # ambient orthonormal basis inside the flat
     eta_hat_flat = Subspace(vbasis.T @ eta_hat_basis)
 
@@ -294,24 +282,21 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
 
     # support domination along eta for the normalized bodies
     k_moved = translate(k, w)
-    dirs = _subspace_directions(eta)
-    scale_ref = max(1.0, np.abs(l.vertices).max())
-    support_ok = all(
-        support(k_moved, g) <= support(l, g) + 10.0 * tol_geom * scale_ref
-        for g in dirs
-    )
+    slack = 10.0 * tol_geom * _unit_frame(l.vertices)[2]
+    support_ok = all(support(k_moved, g) <= support(l, g) + slack
+                     for g in _subspace_directions(eta))
     holds = sigma_ambient >= 1.0 - tol_geom
     return FlatLiftReport(True, holds, sigma_inflat, sigma_ambient, support_ok, w)
 
 
-def _subspace_directions(s: Subspace, count: int = 64) -> np.ndarray:
+def _subspace_directions(s: Subspace) -> np.ndarray:
     """Deterministic unit directions spanning a subspace."""
     if s.d == 1:
         b = s.basis[:, 0]
         return np.array([b, -b])
     if s.d in (2, 3):
-        return direction_grid(s.d, count) @ s.basis.T
+        return direction_grid(s.d, _LIFT_DIRECTIONS) @ s.basis.T
     rng = np.random.default_rng(0)
-    g = rng.standard_normal((count, s.d))
+    g = rng.standard_normal((_LIFT_DIRECTIONS, s.d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return g @ s.basis.T

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bodies import (
     Polytope,
+    _unit_frame,
     affine_dim,
     canonicalize,
     diameter,
@@ -192,16 +193,16 @@ def corollary_checks(k: Polytope, l: Polytope, d: int, samples: int = 256,
 
     Hypotheses: every triangle in K translates into L (checked by the
     3-vertex subset witness over canonical vertices), plus equality of
-    diameters or mean widths within tolerance.  Conclusions: L contains a
-    translate of K, respectively K and L are translates (fits both ways and
-    matched support functions on a direction grid).  Instances violating a
-    hypothesis are reported not applicable, never failed.
+    diameters or mean widths within tol_geom times L's extent.  Conclusions:
+    L contains a translate of K, respectively K and L are translates (fits
+    both ways and matched support functions on a direction grid).  Instances
+    violating a hypothesis are reported not applicable, never failed.
     """
     if d < 2:
         raise ValueError("the corollaries need shadow dimension d >= 2")
     kc = canonicalize(k)
     lc = canonicalize(l)
-    scale_ref = max(1.0, diameter(lc))
+    scale_ref = _unit_frame(lc.vertices)[2]
     triangle_ok = subset_witness(kc, lc, 3, tol_geom=tol_geom) is None
     dk, dl = diameter(kc), diameter(lc)
     wk, wl = mean_width_exact(kc), mean_width_exact(lc)

@@ -440,3 +440,12 @@ def test_body_json_round_trip():
 def test_body_json_ragged_rejected():
     with pytest.raises(ValueError, match="row 1"):
         body_from_dict({"dim": 2, "vertices": [[0.0, 0.0], [1.0]]})
+
+
+def test_point_in_hull_is_unit_free():
+    # with the LP's absolute tolerance, the scaled cube took in a point
+    # 1e-7 of its size outside it for scales up to 1e-3
+    for factor in (1e-9, 1e-6, 1e-3, 1.0, 1e6):
+        cube = Polytope(factor * CUBE.vertices)
+        assert not point_in_hull(factor * np.array([1.0 + 1e-7, 0.5, 0.5]), cube)
+        assert point_in_hull(factor * np.array([1.0 - 1e-7, 0.5, 0.5]), cube)

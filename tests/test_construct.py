@@ -13,6 +13,7 @@ from shadowcover.construct import (
     canonical_tetra_quad,
     circumscribe_simplex,
     epsilon_gap,
+    farkas_excludes_translate,
     replay_counterexample,
     select_regular_normals,
     verify_touching,
@@ -286,3 +287,30 @@ def test_counterexample_serialization():
                                    "translate_excluded", "sweep_covers"}
     import json
     json.dumps(data)  # JSON-serializable end to end
+
+
+def test_build_and_replay_follow_a_similarity_of_the_body():
+    # support_set's tolerance was absolute, so at 1e-9 scale every direction
+    # was irregular and at 1e-6 another selection won; at a 1e6 offset the
+    # Farkas LP found no certificate
+    cloud = Polytope(np.random.default_rng(3).standard_normal((9, 3)))
+    base = build_counterexample(cloud, rng=5, directions=16, sweep_count=100)
+    assert all(replay_counterexample(base, sweep_count=100).values())
+    for factor, offset in [(1e-9, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e6)]:
+        ce = build_counterexample(Polytope(factor * cloud.vertices + offset), rng=5,
+                                  directions=16, sweep_count=100)
+        # coordinates near 1e6 carry a 1.2e-10 rounding, which moves eps by 4e-11
+        rel = 1e-12 if offset == 0.0 else 1e-9
+        assert ce.epsilon == pytest.approx(base.epsilon, rel=rel)
+        assert np.allclose(ce.cover.vertices, factor * base.cover.vertices + offset,
+                           rtol=0.0, atol=1e3 * rel * factor)
+        assert all(replay_counterexample(ce, sweep_count=100).values())
+
+
+def test_farkas_certificate_is_unit_free():
+    delta, quad = canonical_tetra_quad()
+    for factor, offset in [(1e-9, 0.0), (1.0, 0.0), (1e6, 0.0), (1.0, 1e6)]:
+        q = Polytope(factor * quad.vertices + offset)
+        d = Polytope(factor * delta.vertices + offset)
+        assert farkas_excludes_translate(q, d, 1.2)
+        assert not farkas_excludes_translate(q, d, 0.9)

@@ -1,0 +1,105 @@
+"""Similarity invariance as properties.
+
+A similarity x -> f (R x + t), with f = 10^k for k in [-9, 9], an orthogonal
+R and an offset t of up to 1e6 body sizes, together with a vertex
+permutation and duplicated vertices, must leave unchanged every answer that
+reads a body's frame: the affine dimension, the canonical vertex set, the
+scale fit, the support set and the touching verdict.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from shadowcover.bodies import (  # noqa: E402
+    Polytope,
+    affine_dim,
+    canonical_vertex_indices,
+    support_set,
+)
+from shadowcover.construct import verify_touching  # noqa: E402
+from shadowcover.containment import scale_fit  # noqa: E402
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+
+@st.composite
+def similarities(draw):
+    """(n, rng, move, rot): an ambient dimension, a generator for the bodies,
+    and a random similarity of R^n with its orthogonal part."""
+    n = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = 10.0 ** draw(st.integers(-9, 9))
+    direction = rng.standard_normal(n)
+    shift = draw(st.floats(0.0, 1e6)) * direction / np.linalg.norm(direction)
+    rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return n, rng, lambda x: factor * (x @ rot.T + shift), rot
+
+
+def _reorder(rng, m, repeats=3):
+    """A permutation of range(m) with `repeats` entries listed twice."""
+    return rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, repeats)]))
+
+
+@PROPERTY
+@given(similarities(), st.integers(0, 3))
+def test_affine_dim(case, rank):
+    n, rng, move, _ = case
+    rank = min(rank, n)
+    x = rng.standard_normal((8, rank)) @ rng.standard_normal((rank, n)) + rng.standard_normal(n)
+    assert affine_dim(Polytope(x)) == rank
+    assert affine_dim(Polytope(move(x)[_reorder(rng, 8)])) == rank
+
+
+@PROPERTY
+@given(similarities(), st.integers(5, 12))
+def test_canonical_vertex_set(case, m):
+    n, rng, move, _ = case
+    x = rng.standard_normal((m, n))
+    order = _reorder(rng, m)
+    moved = canonical_vertex_indices(Polytope(move(x)[order]))
+    assert sorted(order[moved]) == canonical_vertex_indices(Polytope(x))
+
+
+@PROPERTY
+@given(similarities(), st.integers(2, 8), st.integers(4, 10))
+def test_scale_fit_sigma(case, mk, ml):
+    n, rng, move, _ = case
+    k, l = rng.standard_normal((mk, n)), 2.0 * rng.standard_normal((ml, n))
+    moved = scale_fit(Polytope(move(k)[_reorder(rng, mk)]),
+                      Polytope(move(l)[_reorder(rng, ml)]))
+    assert moved.sigma == pytest.approx(scale_fit(Polytope(k), Polytope(l)).sigma, rel=1e-9)
+
+
+@PROPERTY
+@given(similarities(), st.integers(3, 12))
+def test_support_set(case, m):
+    n, rng, move, rot = case
+    x, u = rng.standard_normal((m, n)), rng.standard_normal(n)
+    order = _reorder(rng, m)
+    moved = support_set(Polytope(move(x)[order]), rot @ u)
+    assert sorted(set(order[moved])) == support_set(Polytope(x), u)
+
+
+@PROPERTY
+@given(similarities(), st.booleans())
+def test_verify_touching_verdict(case, every_facet):
+    # K holds a point inside facet j (opposite vertex j) of the simplex S for
+    # every j, or for all but the last, and S's centroid
+    n, rng, move, _ = case
+    s = rng.standard_normal((n + 1, n))
+    while np.linalg.cond(s[1:] - s[0]) > 1e3:
+        s = rng.standard_normal((n + 1, n))
+    points = [np.full(n + 1, 1.0 / (n + 1)) @ s]
+    for j in range(n + 1 if every_facet else n):
+        w = rng.uniform(0.2, 1.0, n + 1)
+        w[j] = 0.0
+        points.append(w / w.sum() @ s)
+    k = np.array(points)
+    verdict = verify_touching(Polytope(k), Polytope(s))
+    assert verdict == every_facet
+    moved_k = Polytope(move(k)[_reorder(rng, len(k))])
+    assert verify_touching(moved_k, Polytope(move(s)[rng.permutation(n + 1)])) == verdict

@@ -259,3 +259,34 @@ def test_few_vertex_covering_implies_containment():
         ok, _ = translate_fits(q, l)
         assert ok
         checked += 1
+
+
+def test_simplex_edge_criterion_is_unit_free():
+    # the edge directions were normalized under an absolute zero test,
+    # which raised for a simplex at 1e-10 scale
+    t = Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    q = Polytope([[0.1, 0.1, 0.1], [0.3, 0.1, 0.1], [0.1, 0.3, 0.1]])
+    for factor in (1e-10, 1.0, 1e9):
+        assert simplex_edge_criterion(scale(q, 3.0 * factor), scale(t, factor))
+        assert not simplex_edge_criterion(scale(q, 6.0 * factor), scale(t, factor))
+
+def test_flat_lift_check_is_unit_free():
+    # criterion 7's pair: the common flat had an absolute rank cutoff, so
+    # it raised at 1e-7 scale and found no flat directions at 1e-9
+    from shadowcover.construct import build_counterexample_d, canonical_tetra_quad
+    _, quad = canonical_tetra_quad()
+    ce = build_counterexample_d(quad, 1, rng=7, directions=600, sweep_count=1000,
+                                lift_checks=50)
+    inflated = scale(ce.body, ce.epsilon)
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        eta = haar_subspace(3, 1, rng)
+        base = flat_lift_check(inflated, ce.cover, eta)
+        assert base.applicable and base.holds and base.support_dominates
+        for factor in (1e-7, 1e-9):
+            rep = flat_lift_check(scale(inflated, factor), scale(ce.cover, factor), eta)
+            assert (rep.applicable, rep.holds, rep.support_dominates) == (True, True, True)
+            assert rep.sigma_inflat == pytest.approx(base.sigma_inflat, rel=1e-12)
+            assert rep.sigma_ambient == pytest.approx(base.sigma_ambient, rel=1e-12)
+            assert np.allclose(rep.translation, factor * base.translation,
+                               rtol=0.0, atol=1e-12 * factor)
