@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -239,20 +239,19 @@ def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
     return chain(seq) + chain(seq[::-1])
 
 
-@lru_cache(maxsize=16)
-def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All triples i < j < k of range(m) as rows, with their two cyclic shifts."""
-    t = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
-    return t, t[:, [1, 2, 0]], t[:, [2, 0, 1]]
+@lru_cache(maxsize=64)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
 
 
 # the enumeration tests all C(m, 3) triple planes against all m points; past
 # this many points that outgrows the LP a hull would save
 _MAX_HULL_POINTS = 24
-# bytes of the (point, triple) distances of one block of triples: under
+# bytes of one block's temporaries (here the (point, triple) distances): under
 # glibc's 128 KiB mmap threshold, so that a block's temporaries reuse heap
 # memory instead of faulting in fresh pages on every call
-_HULL_BLOCK_BYTES = 120_000
+_BLOCK_BYTES = 120_000
 _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
@@ -276,7 +275,7 @@ def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``hull_facets`` plus incidences: incident[f, i] says point i lies on
-    facet f.  The triples go in blocks of _HULL_BLOCK_BYTES."""
+    facet f.  The triples go in blocks of _BLOCK_BYTES."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"3-D hull needs an (m, 3) array, got shape {pts.shape}")
@@ -286,8 +285,8 @@ def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     p, c, s = _unit_frame(pts)
     if s == 0.0:
         return None
-    triples = _triples(m)[0]
-    step = _HULL_BLOCK_BYTES // (8 * m)
+    triples = _combinations(m, 3)
+    step = _BLOCK_BYTES // (8 * m)
     blocks = [_facet_triples(p, triples[lo:lo + step]) for lo in range(0, len(triples), step)]
     a, b, area, on = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
     if b.size == 0 or b.min() <= 1e-9:

@@ -219,9 +219,9 @@ def _run_command(args, tol: float) -> dict:
 
 def _num(x) -> float | str:
     x = float(x)
-    if np.isfinite(x):
-        return x
-    return "inf" if x > 0 else "-inf"
+    if np.isnan(x):
+        raise FloatingPointError("a reported value is NaN")
+    return x if np.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
 def run(argv=None) -> int:
@@ -247,7 +247,7 @@ def run(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LpError, ConstructionError, np.linalg.LinAlgError) as exc:
+    except (LpError, ConstructionError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -40,7 +40,6 @@ from .bodies import (
     scale,
     simplex_facet_normals,
     simplex_from_supports,
-    support,
     support_set,
     translate,
 )
@@ -184,9 +183,11 @@ def circumscribe_simplex(k: Polytope, sel: NormalSelection) -> Polytope:
 
     Vertex j solves the n x n system formed by the other n supporting
     hyperplanes; ill-conditioned systems raise so the caller can reselect.
+    Solved in K's unit frame, so a far-off K loses no digits to its offset.
     """
-    heights = np.array([support(k, u) for u in sel.normals])
-    return simplex_from_supports(sel.normals, heights)
+    w, c, s = _unit_frame(k.vertices)
+    unit = simplex_from_supports(sel.normals, (w @ sel.normals.T).max(axis=0))
+    return Polytope(s * unit.vertices + c, canonical=True)
 
 
 def verify_touching(k: Polytope, s: Polytope, tol_geom: float = TOL_GEOM) -> bool:

@@ -5,22 +5,15 @@ translation v.  K fits in L by translation iff that maximum is at least 1
 (up to the geometric tolerance band).  The method follows the dimension:
 
 * intervals: the closed form t = width(L) / width(K);
-* planar bodies: t = min over circumscribing triangles T of L, made of three
-  of L's edge lines, of the fit of K in T.  These are the dual bases of the
-  3-variable LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's edge
-  normals a_j (a fixed-dimension LP, enumerated outright);
-* bodies in R^3: the same LP over the facets of L's hull (from
-  ``bodies.hull_facets``), 4 variables and one slack per facet, solved by
-  ``lp.solve_from`` from the slack basis.  Its dual maps onto that of the
-  LP below, and the subset witnesses share L's facets across subsets;
-* everything else, a flat planar L, one with more than 48 edges, a flat L
-  in R^3 or one of more than 24 points, any pair in R^4 and up, or a
-  planar or facet witness that fails its check: one LP over
-  convex-combination variables (built by _scale_fit_lp, its one encoding),
-  solved on copies of the bodies centred on their vertex means and scaled
-  by L's extent.  When L spans its space, a simplex of L's vertices gives a
-  feasible starting basis and ``lp.solve_from`` runs phase 2 alone;
-  otherwise ``lp.solve``.
+* planar bodies: the LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's
+  unit edge normals a_j, by LP duality the least bound over the extreme
+  rays of L's dual cone (``_dual_rays``), as is every vertex-subset fit in
+  the plane and in R^3, with no LP;
+* a whole K in R^3: the same LP over the facets of L's hull, solved by
+  ``lp.solve_from`` from the slack basis; its dual maps onto the LP below;
+* everything else (a flat L, one of more than 48 edges or 24 points, R^4 and
+  up, a planar or facet witness that fails its check): one LP over convex-
+  combination variables in L's unit frame (``_lp_scale_fit``).
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
 callers compare sigma directly.  The unit-scale witness of a fitting pair
@@ -37,14 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
 from . import lp
 from .bodies import (
+    _BLOCK_BYTES,
     Polytope,
-    _triples,
+    _combinations,
     _unit_frame,
     canonical_vertex_indices,
     canonicalize,
@@ -138,54 +132,72 @@ def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     """Scale fit of two intervals: the ratio of their widths."""
     k0, k1 = float(kv.min()), float(kv.max())
     l0, l1 = float(lv.min()), float(lv.max())
-    if k1 == k0:
-        return FitResult(math.inf, None)
     sigma = (l1 - l0) / (k1 - k0)
     return FitResult(sigma, np.array([l0 - sigma * k0]))
 
 
 _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand normal
-# the enumeration holds all C(m, 3) triples of L's m edges; past this many
-# edges the LP, whose size grows only linearly in m, is the lighter route
+# the rays come from all C(m, 3) triples of L's m edges; past this many edges
+# the LP, whose size grows only linearly in m, is the lighter route
 _MAX_PLANAR_EDGES = 48
+_RAY_TOL = 1e-12   # R^3: ray entries above -_RAY_TOL * max count as 0; all minors below: no ray
 
 
-def _planar_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult | None:
-    """Scale fit in the plane by dual-basis enumeration; None when L is flat,
-    has more than _MAX_PLANAR_EDGES edges, or the witness fails its check,
-    and the caller should solve the LP.
+def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sets, c): the extreme rays c >= 0 of {y >= 0 : sum_f y_f a_f = 0} over the unit normals
+    a of L's edges (counter-clockwise) or facets: per (n+1)-subset of rows whose null vector keeps
+    one sign, c_i = (-1)^i times its minor without row i, read from one table antisymmetric to the
+    last bit, so short rays of antipodal or coplanar normals come through the subsets padding
+    them.  By LP duality K's scale fit in L is the least c.h_L(a) / c.h_K(a) with c.h_K(a) > 0."""
+    f, n = a.shape
+    if n == 2:
+        g = (a[:, ::-1] * _OUTWARD) @ a.T        # -[a_p, a_q] up to rounding
+        table, blocks = 0.5 * (g.T - g), [_planar_minors(f)]
+    else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
+        u = np.linalg.svd(a, full_matrices=False)[0]
+        table = np.einsum("pqd,rd->pqr", np.cross(u[:, None], u), u)   # (u_p x u_q).u_r
+        blocks = _minor_blocks(f, n)
+    parts = []
+    for subsets, minors in blocks:
+        c = table.take(minors)
+        if n == 3:   # facets come in no order, nor does the sign of c
+            c *= np.sign(c.sum(axis=1, keepdims=True))
+            top = c.max(axis=1, keepdims=True)
+            c = np.where(c < -_RAY_TOL * top, c, np.maximum(c, 0.0))
+            c[top[:, 0] <= _RAY_TOL] = -1.0
+        keep = np.minimum.reduce(c, axis=1) >= 0.0
+        parts.append((subsets.compress(keep, axis=0), c.compress(keep, axis=0)))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
-    With unit outward edge normals a_j of L, heights b_j = h_L(a_j) and
-    h_j = h_K(a_j), a dual basis is a triple y >= 0 with sum y_j a_j = 0 and
-    sum y_j h_j = 1.  In the plane y is proportional to the cross products
-    c = ([a_j, a_k], [a_k, a_i], [a_i, a_j]), so each triple of
-    counter-clockwise normals that positively spans (c >= 0) gives the bound
-    c.b / c.h, and sigma is the least of them.  Both bodies are centred on
-    their own vertex means first, which keeps every term free of the bodies'
-    offset and scale.
-    """
-    if (kv == kv[0]).all():
-        return FitResult(math.inf, None)
-    # a turn this far above rounding is a true one, so every edge line of
-    # the hull supports L; a dropped point moves L by a 1e-12 relative step
-    hull = planar_hull(lv, tol=1e-12)
-    m = len(hull)
-    if not 3 <= m <= _MAX_PLANAR_EDGES:
-        return None
-    kc, lc = kv.sum(axis=0) / kv.shape[0], lv.sum(axis=0) / lv.shape[0]
-    p = lv[hull] - lc
-    edge = lv[hull[1:] + hull[:1]] - lv[hull]
-    eu = edge / np.sqrt((edge * edge).sum(axis=1))[:, None]
-    a = eu[:, ::-1] * _OUTWARD
-    b = (a * p).sum(axis=1)
-    h = (a @ (kv - kc).T).max(axis=1)
-    t, t_next, t_prev = _triples(m)
-    # [a_p, a_q] = eu_p . a_q; made exactly antisymmetric, so that of the two
-    # triples through an antipodal pair, one always passes c >= 0
-    g = eu @ a.T
-    c = (0.5 * (g - g.T))[t_next, t_prev]
-    num, den = (c * b[t]).sum(axis=1), (c * h[t]).sum(axis=1)
-    ok = (c.min(axis=1) >= 0.0) & (den > 0.0)
+
+def _minor_blocks(f: int, n: int):
+    """The (n+1)-subsets (i, j, k[, l]) of range(f), a lexicographic block per first index i, and
+    the flat (f,)*n table indices of their minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l),
+    (j,i,k); unlike _planar_minors, nothing of size C(f, 4) stays cached."""
+    ff = f * f
+    place = np.array([[0, 1, f], [f, 0, 1], [1, f, 0]] if n == 2 else
+                     [[0, f, ff, f], [ff, 0, f, ff], [f, ff, 0, 1], [1, 1, 1, 0]])
+    for i in range(f - n):
+        subsets = np.insert(_combinations(f - i - 1, n) + i + 1, 0, i, axis=1)
+        yield subsets, subsets @ place
+
+
+@lru_cache(maxsize=16)
+def _planar_minors(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """_minor_blocks(f, 2) as one block, cached: planar fits are most of a build."""
+    return tuple(map(np.concatenate, zip(*_minor_blocks(f, 2))))
+
+
+def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
+                b: np.ndarray) -> FitResult | None:
+    """Scale fit in the plane over the edge lines a_j.x <= b_j of L - lc, from
+    L's dual rays; None when the witness fails its check.  Ufunc reductions
+    skip ndarray methods' wrappers: planar fits are most of a build."""
+    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
+    h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
+    t, c = _dual_rays(a)
+    num, den = np.add.reduce(c * b.take(t), axis=1), np.add.reduce(c * h.take(t), axis=1)
+    ok = den > 0.0
     ratios = np.where(ok, num, np.inf) / np.where(ok, den, 1.0)
     best = int(ratios.argmin())
     sigma = float(ratios[best])
@@ -227,8 +239,6 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     of K attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
     sum_i w_i = sigma, and w_i >= h_L(u_i) as h_L is sublinear.
     """
-    if (kv == kv[0]).all():
-        return FitResult(math.inf, None)
     mk = kv.shape[0]
     f, n = a.shape
     kc = kv.sum(axis=0) / mk
@@ -292,32 +302,40 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     return FitResult(sigma, v, dual)
 
 
-def _shared_facets(k: Polytope, l: Polytope):
-    """What every fit of K, or of a vertex subset of K, in L can share: in
-    R^3, L's vertex mean lc, its extent s and the facets (a, b) of
-    (L - lc) / s from ``hull_facets``; None in other dimensions or when L
-    has no such facets.  Raises on a dimension mismatch.
-    """
+def _supports(k: Polytope, l: Polytope):
+    """(lc, s, a, b), shared by every fit of K or its vertex subsets in L: the unit outward
+    normals a and offsets b of the edges (s = 1) or facets (s = L's extent) of (L - lc) / s, lc
+    L's vertex mean; None in other dimensions or for a flat L, more than _MAX_PLANAR_EDGES edges
+    or _MAX_HULL_POINTS points.  Raises on a dimension mismatch."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
+    lv = l.vertices
+    if l.dim == 2:
+        # a turn this far above rounding is a true one, so every edge line of
+        # the hull supports L; a dropped point moves L by a 1e-12 relative step
+        hull = planar_hull(lv, tol=1e-12)
+        if not 3 <= len(hull) <= _MAX_PLANAR_EDGES:
+            return None
+        lc = np.add.reduce(lv, axis=0) / lv.shape[0]
+        q = lv[hull + hull[:1]]
+        edge = q[1:] - q[:-1]
+        a = (edge / np.sqrt(np.add.reduce(edge * edge, axis=1, keepdims=True)))[:, ::-1] * _OUTWARD
+        return lc, 1.0, a, np.add.reduce(a * (q[:-1] - lc), axis=1)
     if l.dim != 3:
         return None
-    w, lc, s = _unit_frame(l.vertices)
+    w, lc, s = _unit_frame(lv)
     facets = hull_facets(w)
-    return None if facets is None else (lc, s, *facets)
+    return None if facets is None or len(facets[1]) <= 3 else (lc, s, *facets)
 
 
-def _fit(kv: np.ndarray, lv: np.ndarray, facets) -> FitResult:
-    """scale_fit on vertex arrays, given _shared_facets of L."""
-    n = kv.shape[1]
-    if n == 1:
+def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
+    """scale_fit on vertex arrays, given _supports of L."""
+    if (kv == kv[0]).all():
+        return FitResult(math.inf, None)
+    if kv.shape[1] == 1:
         return _interval_fit(kv, lv)
-    fit = None
-    if n == 2:
-        fit = _planar_fit(kv, lv)
-    elif facets is not None:
-        fit = _facet_fit(kv, *facets)
-    return fit if fit is not None else _lp_scale_fit(kv, lv)
+    fit = supports and (_planar_fit if kv.shape[1] == 2 else _facet_fit)(kv, *supports)
+    return fit or _lp_scale_fit(kv, lv)
 
 
 def scale_fit(k: Polytope, l: Polytope) -> FitResult:
@@ -325,13 +343,10 @@ def scale_fit(k: Polytope, l: Polytope) -> FitResult:
 
     K fits in L by translation iff sigma >= 1 - TOL_GEOM.  When t is
     unbounded (K is a single point) the result is degenerate with
-    sigma = inf rather than a guess.  Intervals use the closed form, planar
-    pairs the dual-basis enumeration, pairs in R^3 the LP over L's facets,
-    and the rest (a flat L, or one of more than 24 points, in R^3; any
-    pair in R^4 and up; a planar or facet fit that fails its check) the LP
-    over convex-combination variables.
+    sigma = inf rather than a guess.  The method follows the dimension, as
+    the module docstring sets out.
     """
-    return _fit(k.vertices, l.vertices, _shared_facets(k, l))
+    return _fit(k.vertices, l.vertices, _supports(k, l))
 
 
 def _unit_translation(k: Polytope, l: Polytope, fit: FitResult) -> np.ndarray:
@@ -363,15 +378,27 @@ def translate_fits(k: Polytope, l: Polytope,
     return True, _unit_translation(k, l, fit)
 
 
-def _subset_sigmas(k: Polytope, l: Polytope, kcount: int):
-    """(combo, sigma) for each kcount-subset of K's canonical vertices, in
-    lexicographic order; kcount is clamped to the number of vertices.  The
-    subset fits share L's facets, computed once per call."""
-    facets = _shared_facets(k, l)
-    idx = list(range(k.nverts)) if k.canonical else canonical_vertex_indices(k)
-    v = k.vertices
-    for combo in combinations(idx, min(kcount, len(idx))):
-        yield list(combo), _fit(v[list(combo)], l.vertices, facets).sigma
+def _subset_sigmas(k: Polytope, l: Polytope, kcount: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sigmas): K's canonical kcount-subsets (kcount clamped to their number), as
+    lexicographic rows of indices into k.vertices, and their fits in L: the least c.b / c.h_Q
+    over L's dual rays, in blocks of subsets Q, else (or if no ray bounds Q) by _fit."""
+    idx = np.arange(k.nverts) if k.canonical else np.array(canonical_vertex_indices(k))
+    rows = idx[_combinations(len(idx), min(kcount, len(idx)))]
+    v, supports = k.vertices, _supports(k, l)
+    if supports is None:
+        return rows, np.array([_fit(v[r], l.vertices, None).sigma for r in rows])
+    _, s, a, b = supports
+    sets, c = _dual_rays(a)
+    weights = np.zeros((len(c), len(a)))   # rays scaled to c.b = 1: 1/sigma_Q = max c.h_Q
+    np.put_along_axis(weights, sets, c / (c * b[sets]).sum(axis=1, keepdims=True), axis=1)
+    hk, inv = a @ ((v - v.sum(axis=0) / len(v)) / s).T, np.empty(len(rows))
+    step = max(1, _BLOCK_BYTES // (8 * max(len(c), len(a) * rows.shape[1])))
+    for i in range(0, len(rows), step):
+        inv[i:i + step] = (weights @ hk[:, rows[i:i + step]].max(axis=2)).max(axis=0, initial=0.0)
+    sigmas = np.divide(1.0, inv, out=np.empty(len(inv)), where=inv > 0.0)
+    for j in np.flatnonzero(inv <= 0.0):   # no ray bounds Q: equal points, or facets bound nothing
+        sigmas[j] = _fit(v[rows[j]], l.vertices, supports).sigma
+    return rows, sigmas
 
 
 def subset_witness(k: Polytope, l: Polytope, kcount: int,
@@ -379,13 +406,13 @@ def subset_witness(k: Polytope, l: Polytope, kcount: int,
     """Some kcount-subset of K's canonical vertices whose hull does not
     translate into L, or None when every subset fits.
 
-    Indices refer to ``k.vertices``.  Search is lexicographic over
-    combinations with early exit, so results are deterministic.
+    Indices refer to ``k.vertices``.  All subset fits are computed and the
+    lexicographically first below 1 - tol_geom wins, so results repeat.
     """
     if kcount < 1:
         raise ValueError("subset size must be at least 1")
-    return next((combo for combo, sigma in _subset_sigmas(k, l, kcount)
-                 if sigma < 1.0 - tol_geom), None)
+    rows, sigmas = _subset_sigmas(k, l, kcount)
+    return next((r.tolist() for r, s in zip(rows, sigmas) if s < 1.0 - tol_geom), None)
 
 
 def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
@@ -397,7 +424,7 @@ def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
     factor.  The margin |min - 1| quantifies how decisively the subset
     condition holds or fails; the randomized harnesses use it.
     """
-    return min((sigma for _, sigma in _subset_sigmas(k, l, kcount)), default=math.inf)
+    return float(_subset_sigmas(k, l, kcount)[1].min(initial=math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,36 +434,30 @@ class EquivalenceReport:
     sigma: float
     fits: bool
     witness: list[int] | None
-    subset_empty: bool
     agrees: bool
     borderline: bool
-    theorem_backed: bool
 
     @property
     def hard_failure(self) -> bool:
-        return self.theorem_backed and not self.agrees and not self.borderline
+        return not self.agrees and not self.borderline
 
 
-def inscribed_equivalence_check(k: Polytope, l: Polytope, kcount: int,
-                                context_dim: int,
+def inscribed_equivalence_check(k: Polytope, l: Polytope,
                                 tol_geom: float = TOL_GEOM) -> EquivalenceReport:
-    """Compare subset-witness emptiness against the direct translate verdict.
+    """Compare (n+1)-subset witness emptiness against the translate verdict.
 
-    For kcount = context_dim + 1 the two verdicts must agree; a disagreement
-    outside the band |sigma - 1| <= 10 * tol_geom is a hard failure.
-    Borderline instances are tagged and excluded from pass/fail statistics.
+    By Helly's theorem the two verdicts must agree; a disagreement outside
+    the band |sigma - 1| <= 10 * tol_geom is a hard failure.  Borderline
+    instances are tagged and excluded from pass/fail statistics.
     """
     kc = canonicalize(k)
     sigma = scale_fit(kc, l).sigma
     fits = sigma >= 1.0 - tol_geom
-    witness = subset_witness(kc, l, kcount, tol_geom=tol_geom)
+    witness = subset_witness(kc, l, k.dim + 1, tol_geom=tol_geom)
     return EquivalenceReport(
         sigma=sigma,
         fits=fits,
         witness=witness,
-        subset_empty=witness is None,
         agrees=(witness is None) == fits,
         borderline=abs(sigma - 1.0) <= 10.0 * tol_geom,
-        theorem_backed=(kcount == context_dim + 1),
     )
-

@@ -104,6 +104,8 @@ def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,
     n = k.dim
     if not (1 <= d < n):
         raise ValueError(f"need 1 <= d < {n}, got {d}")
+    if count < 1:
+        raise ValueError(f"need at least 1 sample, got {count}")
     subs = sweep_subspaces(n, d, count, rng=rng)
     sigmas = sweep_sigmas(k, l, subs)
     min_sigma = float(sigmas.min(initial=math.inf))

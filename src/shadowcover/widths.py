@@ -160,6 +160,8 @@ def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> Kub
     are projected at once onto the (n_subspaces, 3, 2) stack of Haar bases
     that ``haar_subspaces`` returns, so no Subspace is built, and all the
     shadow perimeters come from one pass of the gift-wrap kernel."""
+    if n_subspaces < 2:
+        raise ValueError(f"Kubota check needs at least 2 subspaces, got {n_subspaces}")
     if affine_dim(k) != 3:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     kc = canonicalize(k)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -140,6 +141,25 @@ def test_kubota_command(tmp_path, capsys):
     code, rep = _invoke(capsys, "kubota", str(cube), "--samples", "300")
     assert code == 0
     assert rep["result"]["rel_error"] <= 0.03
+
+
+@pytest.mark.parametrize("argv", [("kubota", "--samples", "0"), ("kubota", "--samples", "1"),
+                                  ("shadow-sweep", "--d", "1", "--samples", "0")])
+def test_too_few_samples_exit_code(tmp_path, capsys, argv):
+    # these raised ZeroDivisionError, reported a "-inf" stderr, and raised
+    # AttributeError on an empty sweep
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"dim": 3, "vertices":
+                                [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}))
+    cmd, *flags = argv
+    assert run([cmd] + [str(cube)] * (2 if cmd == "shadow-sweep" else 1) + flags) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_nan_result_exit_code(bodies, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scale_fit", lambda k, l: containment.FitResult(math.nan, None))
+    assert run(["scale-fit", bodies["square"], bodies["big"]]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_oblique_command(tmp_path, capsys):

@@ -197,7 +197,7 @@ def test_equivalence_check_randomized():
             continue
         target = float(rng.choice([0.7, 1.3]))
         l = scale(l0, target / base.sigma)
-        rep = inscribed_equivalence_check(k, l, n + 1, n)
+        rep = inscribed_equivalence_check(k, l)
         if rep.hard_failure:
             hard_failures += 1
         if not rep.borderline:
@@ -258,27 +258,32 @@ def test_low_dim_fit_segment_in_polygon():
     assert fit.translation == pytest.approx([-1.0], abs=1e-12)
 
 
-def test_planar_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
+def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
     # K carries an interior point and a duplicate: its extreme points come
-    # from the planar hull, and every subset fit from the planar enumeration
+    # from the planar or 3-D hull, and every subset fit from L's dual rays
     rng = np.random.default_rng(137)
     pairs = []
-    for i in range(20):
-        pts = rng.standard_normal((7, 2))
+    for i in range(40):
+        n = 2 + i % 2
+        pts = rng.standard_normal((7, n))
         k = Polytope(np.vstack([pts, pts.mean(axis=0), pts[0]]))
-        pairs.append((k, Polytope(rng.standard_normal((8, 2)) * (1.5 + i % 4))))
-    witnesses = [subset_witness(k, l, 3) for k, l in pairs]
+        pairs.append((k, Polytope(rng.standard_normal((8, n)) * (1.5 + i % 4))))
+    witnesses = [subset_witness(k, l, k.dim + 1) for k, l in pairs]
+    margins = [min_subset_sigma(k, l, k.dim + 1) for k, l in pairs]
     assert lp_calls == []
-    for (k, l), w in zip(pairs, witnesses):
+    for (k, l), w, margin in zip(pairs, witnesses, margins):
         v = k.vertices
         first = [i for i in range(len(v)) if not (v[:i] == v[i]).all(axis=1).any()]
         idx = [i for i in first
                if not point_in_hull(v[i], Polytope(v[[j for j in first if j != i]]))]
         sigmas = [(list(c), containment._lp_scale_fit(v[list(c)], l.vertices).sigma)
-                  for c in combinations(idx, 3)]
+                  for c in combinations(idx, k.dim + 1)]
         assert w == next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
+        assert margin == pytest.approx(min(s for _, s in sigmas), rel=1e-12)
     assert "feasible" in lp_calls  # the spy sees the reference's LPs
-    assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
+    for n in (2, 3):
+        found = [w for (k, _), w in zip(pairs, witnesses) if k.dim == n]
+        assert any(w is None for w in found) and any(w is not None for w in found)
 
 
 def test_planar_fit_flat_or_large_l_takes_lp_fallback(monkeypatch):
@@ -474,21 +479,50 @@ def test_facet_fit_falls_back_to_vform(monkeypatch):
     assert calls[-1] == (6, 4)
 
 
+def _degenerate_ls(rng):
+    """L with exactly or nearly antipodal or coplanar normals, whose short
+    rays arrive through the subsets that pad them: a cube, a rotated
+    hexagonal prism, a cube with repeated points, a square and a rotated
+    regular hexagon; and a rotated slab 1e-6 thick, whose normals crowd
+    near two antipodal directions.  Each comes with the relative tolerance
+    of its check: 1e-8 on the slab, the per-subset LP's own accuracy there."""
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    cube = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+    turns = np.arange(6) * np.pi / 3.0
+    hexagon = np.column_stack([np.cos(turns), np.sin(turns)])
+    prism = np.vstack([np.column_stack([hexagon, np.full(6, z)]) for z in (-1.0, 1.0)])
+    ls = [cube, prism @ rot.T + 5.0, np.vstack([cube, cube[:3]]),
+          np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]), hexagon @ rot[:2, :2].T]
+    slab = rng.standard_normal((10, 3)) * [1.0, 1.0, 1e-6] @ rot.T
+    return [(lv, 1e-12) for lv in ls] + [(slab, 1e-8)]
+
+
 def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
-    # decide-style pairs: the subset witness over shared facets equals the
-    # lexicographic search with one V-form LP per subset, and each search
-    # computes L's facets once
+    # decide-style pairs and degenerate L: the subset fits from L's dual rays
+    # equal one V-form LP per subset, so the witness equals the lexicographic
+    # search, and each search computes L's facets once
     hulls = []
     monkeypatch.setattr(containment, "hull_facets",
                         lambda p: hulls.append(p.shape) or bodies.hull_facets(p))
     rng = np.random.default_rng(131)
+    cases = []
     for i in range(60):
         k = canonicalize(Polytope(rng.standard_normal((6 + i % 5, 3))))
         l = Polytope(rng.standard_normal((8 + i % 7, 3)) * (1.5, 2.0, 2.5, 3.0)[i % 4])
+        cases.append((k, l, 4, 1e-12))
+    for lv, rel in _degenerate_ls(rng):
+        n = lv.shape[1]
+        for kcount in (3, 4):
+            k = canonicalize(Polytope(rng.standard_normal((7, n)) * (0.6 if n == 3 else 0.8)))
+            cases.append((k, Polytope(lv), kcount, rel))
+    for k, l, kcount, rel in cases:
         sigmas = [(list(c), containment._lp_scale_fit(k.vertices[list(c)], l.vertices).sigma)
-                  for c in combinations(range(k.nverts), 4)]
+                  for c in combinations(range(k.nverts), kcount)]
         want = next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
-        assert subset_witness(k, l, 4) == want
-        assert min_subset_sigma(k, l, 4) == pytest.approx(min(s for _, s in sigmas), rel=1e-12)
-        assert hulls == [l.vertices.shape] * 2
+        assert subset_witness(k, l, kcount) == want
+        rows, got = containment._subset_sigmas(k, l, kcount)
+        assert rows.tolist() == [c for c, _ in sigmas]
+        assert got == pytest.approx([s for _, s in sigmas], rel=rel)
+        assert min_subset_sigma(k, l, kcount) == pytest.approx(min(got), rel=1e-12)
+        assert hulls == [l.vertices.shape] * 3 * (l.dim == 3)
         hulls.clear()

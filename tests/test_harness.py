@@ -36,7 +36,7 @@ def test_margin_pair_pins_min_subset_sigma():
 
 def test_containment_equivalence_suite_runs_clean():
     rep = containment_equivalence_suite(2, 20, np.random.default_rng(4))
-    assert rep["hard_failures"] == 0
+    assert rep["disagreements"] == 0
     assert rep["witness_replay_failures"] == 0
 
 

@@ -4,7 +4,8 @@ A similarity x -> f (R x + t), with f = 10^k for k in [-9, 9], an orthogonal
 R and an offset t of up to 1e6 body sizes, together with a vertex
 permutation and duplicated vertices, must leave unchanged every answer that
 reads a body's frame: the affine dimension, the canonical vertex set, the
-scale fit, the support set and the touching verdict.
+scale fit and the least vertex-subset fit, the support set and the touching
+verdict.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from shadowcover.bodies import (  # noqa: E402
     support_set,
 )
 from shadowcover.construct import verify_touching  # noqa: E402
-from shadowcover.containment import scale_fit  # noqa: E402
+from shadowcover.containment import min_subset_sigma, scale_fit  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -69,9 +70,12 @@ def test_canonical_vertex_set(case, m):
 def test_scale_fit_sigma(case, mk, ml):
     n, rng, move, _ = case
     k, l = rng.standard_normal((mk, n)), 2.0 * rng.standard_normal((ml, n))
-    moved = scale_fit(Polytope(move(k)[_reorder(rng, mk)]),
-                      Polytope(move(l)[_reorder(rng, ml)]))
+    moved_k = Polytope(move(k)[_reorder(rng, mk)])
+    moved_l = Polytope(move(l)[_reorder(rng, ml)])
+    moved = scale_fit(moved_k, moved_l)
     assert moved.sigma == pytest.approx(scale_fit(Polytope(k), Polytope(l)).sigma, rel=1e-9)
+    assert min_subset_sigma(moved_k, moved_l, n + 1) == pytest.approx(
+        min_subset_sigma(Polytope(k), Polytope(l), n + 1), rel=1e-9)
 
 
 @PROPERTY
