@@ -8,15 +8,16 @@ flatness test is that rank, so verdicts do not change under x -> f x + v.
 Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 ``canonical_vertex_indices`` picks the extreme points for that pass, after
-merging points that agree to 12 decimals in the unit frame.  In the plane it
-is a monotone-chain hull (``planar_hull``), which also gives the edges that
-the planar scale fit uses.  In R^3, ``hull_facets`` enumerates the facets of
-up to 24 points from the planes of their point triples; the 3-D scale fit
-runs its LP over them, and the points on each facet give the extreme points
-and the edges (``_hull_skeleton``).  For more points, flat sets, the line
-and dimensions past 3 the pass is one point-in-hull LP per vertex, and
-``edges`` one LP per vertex pair, each in a unit frame.  Other containment
-questions reduce to LPs over convex-combination variables.
+merging points that agree to 12 decimals in the unit frame.  A set in R^3
+goes through one Quickhull at every size (``_hull``); a set of lower affine
+rank r, or one in another dimension, is read in its ``affine_frame``: the two
+ends for r = 1, a monotone-chain hull (``planar_hull``, which also gives the
+edges that the planar scale fit uses) for r = 2 and the Quickhull for r = 3.
+``hull_facets`` returns its facets, over which the 3-D scale fit runs its LP,
+and the vertices of each facet give the extreme points and ``edges``
+(``_hull_skeleton``).  From rank 4 on the pass is one point-in-hull LP per
+vertex, in a unit frame.  Other containment questions reduce to LPs over
+convex-combination variables.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations
+from fractions import Fraction
 
 import numpy as np
 
@@ -185,20 +185,26 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     """Indices (into p.vertices) of the extreme points, in input order; of
     equal points the first is kept.
 
-    Planar sets go through ``planar_hull``.  In R^3 the distinct points of
-    a full-dimensional set of at most _MAX_HULL_POINTS go through
-    ``_hull_skeleton``.  Otherwise each point is tested against the hull of
-    the others by ``point_in_hull``.
+    The distinct points of a set in R^3 go through ``_hull_skeleton``.  A
+    set that it finds flat, or one in another dimension, is read in its
+    ``affine_frame``: rank 1 gives the two ends, rank 2 goes through
+    ``planar_hull`` and rank 3 through ``_hull_skeleton``.  From rank 4 on,
+    each point is tested against the hull of the others by ``point_in_hull``.
     """
     v = p.vertices
     keep = _distinct_indices(v)
     if len(keep) == 1:
         return keep
-    if p.dim == 2:
-        return sorted(keep[i] for i in planar_hull(v[keep]))
-    skeleton = _hull_skeleton(v[keep]) if p.dim == 3 else None
-    if skeleton is not None:
+    if p.dim == 3 and (skeleton := _hull_skeleton(v[keep])) is not None:
         return [keep[i] for i in skeleton[0]]
+    c, frame, r = affine_frame(v[keep])
+    x = v[keep] if r == p.dim else (v[keep] - c) @ frame[:, :r]
+    if r == 1:
+        return sorted({keep[int(x.argmin())], keep[int(x.argmax())]})
+    if r == 2:
+        return sorted(keep[i] for i in planar_hull(x))
+    if r == 3:
+        return [keep[i] for i in _hull_skeleton(x)[0]]
     for i in list(keep):
         if point_in_hull(v[i], Polytope(v[[j for j in keep if j != i]])):
             keep.remove(i)
@@ -239,107 +245,265 @@ def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
     return chain(seq) + chain(seq[::-1])
 
 
-@lru_cache(maxsize=64)
-def _combinations(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
-    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
-
-
-# the enumeration tests all C(m, 3) triple planes against all m points; past
-# this many points that outgrows the LP a hull would save
-_MAX_HULL_POINTS = 24
-# bytes of one block's temporaries (here the (point, triple) distances): under
-# glibc's 128 KiB mmap threshold, so that a block's temporaries reuse heap
-# memory instead of faulting in fresh pages on every call
-_BLOCK_BYTES = 120_000
+# unit-frame distances: a point more than _ON above a facet plane lies outside
+# the hull, and adjacent triangles whose far corners lie within _ON of each
+# other's plane are one facet.  A float distance past _SURE keeps its sign and
+# a nearer one is decided exactly: _plane's normals are good to 8e-13 radians,
+# and no two points are more than 2 sqrt(3) apart.
+_ON = 1e-12
+_SURE = 3e-12
 _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
 def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
     """Facets {x : a.x <= b} of the hull of a 3-D point set: unit outward
     normals a, one row per facet, and offsets b.  None when the set is flat
-    (or a point, or collinear) or has more than _MAX_HULL_POINTS points.
-
-    Every triple of points spans a candidate plane, and it is a facet plane
-    when no point lies above it.  Triples with the same points on their
-    plane are one facet, given by its triple of largest area.  The work is
-    done on a copy centred on the vertex mean and divided by its extent, so
-    the tolerances are relative to the set's size: a triple whose sine is
-    at most 1e-9 spans no plane, a point may lie 1e-12 above a facet plane,
-    and points within 1e-12 of it are on it.  A set whose mean lies within
-    1e-9 of a facet plane counts as flat.
+    (a point, collinear or coplanar) by the rank of ``affine_frame``, the
+    rule of ``affine_dim``.  Every point lies at most 1e-12 of the set's
+    extent above every facet plane.
     """
     hull = _hull(points)
     return None if hull is None else hull[:2]
 
 
 def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``hull_facets`` plus incidences: incident[f, i] says point i lies on
-    facet f.  The triples go in blocks of _BLOCK_BYTES."""
+    """``hull_facets`` plus incidences: incident[f, i] says point i is a
+    vertex of facet f, one of its corners or a point that ``_quickhull``
+    lifted onto one of its edges or into it.
+
+    The work is done in the set's unit frame, from a tetrahedron of its
+    lexicographically least and greatest points, the one farthest from
+    their line and the one farthest from the plane of those three.  Each
+    facet's plane is the ``_plane`` of its vertex triple of largest area
+    (the first in lexicographic order on ties), and the facets come in the
+    lexicographic order of those triples.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"3-D hull needs an (m, 3) array, got shape {pts.shape}")
-    m = pts.shape[0]
-    if not 4 <= m <= _MAX_HULL_POINTS:
+    if len(pts) < 4:
         return None
-    p, c, s = _unit_frame(pts)
-    if s == 0.0:
+    w, c, s = _unit_frame(pts)
+    p = w.tolist()
+    x0, x1 = min(range(len(p)), key=p.__getitem__), max(range(len(p)), key=p.__getitem__)
+    d = w - w[x0]
+    x2 = int(((d * d).sum(axis=1) * (d[x1] @ d[x1]) - (d @ d[x1]) ** 2).argmax())
+    h = d @ np.array(_cross(d[x1], d[x2]))
+    x3 = int(np.abs(h).argmax())
+    # the tetrahedron's volume V = |h| / 6 bounds the unit frame's singular
+    # values by s3 / s1 >= V / (7 sqrt(m)), so past V = 1e-8 sqrt(m) the
+    # rank is surely 3 and the SVD of affine_frame is not needed
+    if abs(h[x3]) <= 6e-8 * math.sqrt(len(p)) and affine_frame(pts)[2] < 3:
         return None
-    triples = _combinations(m, 3)
-    step = _BLOCK_BYTES // (8 * m)
-    blocks = [_facet_triples(p, triples[lo:lo + step]) for lo in range(0, len(triples), step)]
-    a, b, area, on = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
-    if b.size == 0 or b.min() <= 1e-9:
-        return None
-    # one facet per set of incident points (a bit mask, as m <= 24), from
-    # its largest triple
-    order = np.argsort(-area, kind="stable")
-    _, unique = np.unique(on[:, order].T @ (1 << np.arange(m)), return_index=True)
-    keep = np.sort(order[unique])
-    a = np.ascontiguousarray(a[:, keep].T)
-    return a, s * b[keep] + a @ c, on[:, keep].T
+    facets = sorted(_quickhull(p, (x0, x2, x1, x3) if h[x3] > 0.0 else (x0, x1, x2, x3)))
+    planes = np.array([f[1] for f in facets])
+    a = planes[:, :3].copy()
+    incident = np.zeros(len(facets) * len(p), dtype=bool)
+    incident[[r * len(p) + i for r, f in enumerate(facets) for i in f[2]]] = True
+    return a, s * planes[:, 3] + a @ c, incident.reshape(len(facets), len(p))
 
 
-def _facet_triples(p: np.ndarray, t: np.ndarray):
-    """Of the triples t of the centred points p, those that span a facet
-    plane: their outward normals (3, k), offsets, areas and the (point, k)
-    mask of the points on their planes."""
-    corner = p.T.take(t, axis=1)                    # (coordinate, triple, corner)
-    e1, e2 = corner[:, :, 1] - corner[:, :, 0], corner[:, :, 2] - corner[:, :, 0]
-    nrm = e1[[1, 2, 0]] * e2[[2, 0, 1]] - e1[[2, 0, 1]] * e2[[1, 2, 0]]
-    area = np.sqrt((nrm * nrm).sum(axis=0))
-    spans = area > 1e-9 * np.sqrt((e1 * e1).sum(axis=0) * (e2 * e2).sum(axis=0))
-    a = nrm / np.where(spans, area, 1.0)
-    b = (a * corner[:, :, 0]).sum(axis=0)
-    # the mean, now the origin, lies inside: an outward normal has b >= 0
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    a, b = a * flip, b * flip
-    dist = p @ a - b                                # (point, triple)
-    facet = spans & (dist.max(axis=0) <= 1e-12)
-    return a[:, facet], b[facet], area[facet], dist[:, facet] >= -1e-12
+def _quickhull(p: list, tetra: tuple) -> list[tuple[tuple, tuple, list[int]]]:
+    """Facets (triple, plane, sorted vertices) of the hull of the points p,
+    coordinate triples of a full-dimensional set in its unit frame, started
+    from the tetrahedron tetra, whose last point lies below the others.
+
+    Quickhull (Barber, Dobkin and Huhdanpaa, TOMS 1996): each step takes the
+    point farthest above a triangle, if more than _ON, removes the triangles
+    it sees (found by a walk from that one, by the exact side of their
+    planes) and joins it to their horizon; the points above the removed
+    triangles pass to the new ones.  Adjacent triangles whose far corners
+    lie within _ON of each other's plane form one facet, and a triangle
+    whose corners lie within _ON of one line (a sliver on points that
+    rounding moved off a hull edge) joins the first neighbour whose plane
+    they lie on.  Python floats do the work: per-step numpy calls would cost
+    more than the arithmetic on the few points of a typical body.
+    """
+    x0, x1, x2, x3 = tetra
+    tri = [(x0, x1, x2), (x0, x3, x1), (x1, x3, x2), (x2, x3, x0)]
+    plane = [_plane(p, *t) for t in tri]
+    out: list = [[], [], [], []]
+    _assign(p, [i for i in range(len(p)) if i not in tetra], range(4), plane, out)
+    edge = {}
+    for f, (a, b, c) in enumerate(tri):
+        edge[a, b] = edge[b, c] = edge[c, a] = f
+    pending, near = [f for f in range(4) if out[f]], []   # near: pairs that may be coplanar
+    while pending:
+        f = pending.pop()
+        if not out[f]:
+            continue
+        nx, ny, nz, _ = plane[f]
+        top = -math.inf
+        for i in out[f]:
+            x, y, z = p[i]
+            if nx * x + ny * y + nz * z > top:
+                top, eye = nx * x + ny * y + nz * z, i
+        q = qx, qy, qz = p[eye]
+        seen, close, walk, horizon = {f: True}, set(), [f], []
+        for t in walk:
+            a, b, c = tri[t]
+            for u, v in ((a, b), (b, c), (c, a)):
+                g = edge[v, u]
+                sees = seen.get(g)
+                if sees is None:
+                    nx, ny, nz, off = plane[g]
+                    h = nx * qx + ny * qy + nz * qz - off
+                    sees = seen[g] = h > 0.0 if abs(h) > _SURE else _exact_sees(p, tri[g], q)
+                    if sees:
+                        walk.append(g)
+                    elif abs(h) <= _ON:
+                        close.add(g)
+                if not sees:
+                    horizon.append((u, v, g))
+        orphans = []
+        for g in walk:
+            a, b, c = tri[g]
+            del edge[a, b], edge[b, c], edge[c, a]
+            orphans += out[g]
+            out[g] = None
+        new = range(len(tri), len(tri) + len(horizon))
+        for u, v, g in horizon:
+            if g in close:
+                near.append((len(tri), g))
+            edge[u, v] = edge[v, eye] = edge[eye, u] = len(tri)
+            tri.append((u, v, eye))
+            plane.append(_plane(p, u, v, eye))
+            out.append([])
+        for f in new:   # the next cone triangle (v, w, eye) may lie in f's plane
+            g = edge[eye, tri[f][1]]
+            nx, ny, nz, off = plane[f]
+            x, y, z = p[tri[g][1]]
+            if abs(nx * x + ny * y + nz * z - off) <= _ON:
+                near.append((f, g))
+        orphans.remove(eye)
+        _assign(p, orphans, new, plane, out)
+        pending += [g for g in new if out[g]]
+    live = [f for f in range(len(tri)) if out[f] is not None]
+
+    def lies_on(f, g):   # f's corners lie within _ON of g's plane
+        nx, ny, nz, off = plane[g]
+        return all(abs(nx * p[i][0] + ny * p[i][1] + nz * p[i][2] - off) <= _ON for i in tri[f])
+
+    def flat(f):   # f's corners lie within _ON of one line, so its plane is arbitrary
+        a, b, c = ([x - y for x, y in zip(p[i], p[tri[f][0]])] for i in tri[f])
+        return sum(x * x for x in _cross(b, c)) <= _ON ** 2 * max(
+            sum(x * x for x in e) for e in (b, c, [x - y for x, y in zip(c, b)]))
+
+    group = {}   # of the merged triangles: their set, shared by all of them
+    for f, g in near:
+        if out[f] is None or out[g] is None:
+            continue
+        on_g, on_f = lies_on(f, g), lies_on(g, f)
+        # a flat triangle joins the first neighbour it lies on, and no other
+        if on_g and (on_f or f not in group and flat(f)) or on_f and g not in group and flat(g):
+            merged = group.get(f, {f}) | group.get(g, {g})
+            group.update(dict.fromkeys(merged, merged))
+    facets = [(tuple(sorted(tri[f])), plane[f], sorted(tri[f])) for f in live if f not in group]
+    for f in live:
+        if f in group and f == min(group[f]):
+            verts = sorted({i for e in group[f] for i in tri[e]})
+            t = _largest_triple(np.array([p[i] for i in verts]), verts)
+            pl = _plane(p, *t)   # outward as the triangles
+            up = pl[0] * plane[f][0] + pl[1] * plane[f][1] + pl[2] * plane[f][2] > 0.0
+            facets.append((t, pl if up else tuple(-x for x in pl), verts))
+    return facets
+
+
+def _largest_triple(q: np.ndarray, verts: list[int]) -> tuple[int, int, int]:
+    """The triple of verts (sorted; q holds their points) of largest area,
+    the first in lexicographic order on ties: one array pass per first
+    point, so a facet of k vertices costs k numpy passes."""
+    best, top = None, -1.0
+    for a in range(len(verts) - 2):
+        e = q[a + 1:] - q[a]
+        area = np.sqrt((np.cross(e[:, None], e) ** 2).sum(axis=2))
+        area[np.tri(len(e), dtype=bool)] = -1.0   # pairs (j, k) with j < k only
+        j, k = divmod(int(area.argmax()), len(e))
+        if area[j, k] > top:
+            best, top = (verts[a], verts[a + 1 + j], verts[a + 1 + k]), area[j, k]
+    return best
+
+
+def _assign(p, points, facets, plane, out) -> None:
+    """Put each point on the outside list of the first facet it lies more
+    than _ON above."""
+    for i in points:
+        x, y, z = p[i]
+        for f in facets:
+            nx, ny, nz, off = plane[f]
+            if nx * x + ny * y + nz * z - off > _ON:
+                out[f].append(i)
+                break
+
+
+def _plane(p, i: int, j: int, k: int) -> tuple[float, float, float, float]:
+    """(nx, ny, nz, b): the plane n.x = b through p[i], p[j], p[k], with the
+    unit normal n that makes them counter-clockwise, from the edges that
+    leave the point of least index; where their sine is below 1e-3 the cross
+    product is exact, so the normal is good to 8e-13 radians."""
+    if j < i and j < k:
+        i, j, k = j, k, i
+    elif k < i:
+        i, j, k = k, i, j
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p[i], p[j], p[k]
+    ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    nn = nx * nx + ny * ny + nz * nz
+    if nn < 1e-6 * (ux * ux + uy * uy + uz * uz) * (vx * vx + vy * vy + vz * vz):
+        nx, ny, nz = map(float, _exact_normal(p[i], p[j], p[k]))
+        nn = nx * nx + ny * ny + nz * nz
+    s = math.sqrt(nn)
+    nx, ny, nz = nx / s, ny / s, nz / s
+    return nx, ny, nz, nx * ax + ny * ay + nz * az
+
+
+def _cross(u, v) -> tuple:
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def _exact_normal(a, b, c) -> tuple:
+    """(b - a) x (c - a) in exact rationals."""
+    a = [Fraction(x) for x in a]
+    return _cross([Fraction(x) - y for x, y in zip(b, a)], [Fraction(x) - y for x, y in zip(c, a)])
+
+
+def _exact_sees(p, t, q) -> bool:
+    """Does q lie strictly above the plane of the triangle t, by the exact
+    orientation determinant?"""
+    a = p[t[0]]
+    return sum(x * (Fraction(y) - Fraction(z)) for x, y, z in
+               zip(_exact_normal(a, p[t[1]], p[t[2]]), q, a)) > 0
 
 
 def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]] | None:
     """Extreme points and edges of the hull of a 3-D point set, from the
-    incidences of ``_hull``; None where it gives no facets.
+    incidences of ``_hull``; None when the set is flat.
 
     The extreme points are those on at least three facets.  An edge is a
-    pair of facets that share exactly two extreme points; its pairs come
-    sorted, as (i, j) with i < j.  Incidences that break Euler's formula
-    V - E + F = 2 (near-equal points, say) also give None.
+    pair of facets with three or more extreme points that share exactly
+    two; its pairs come sorted, as (i, j) with i < j.  Those facets are the
+    ones of the hull of the extreme points, so V - E + F = 2.  Of the ends
+    of an edge shorter than TOL_FEAS of the set's extent the first stands
+    for both, as of equal points: the other is dropped and the hull of the
+    rest read again.
     """
-    hull = _hull(v)
+    keep, hull = np.arange(len(v)), _hull(v)
     if hull is None:
         return None
-    incident = hull[2]
-    extreme = incident.sum(axis=0) >= 3
-    on = incident & extreme
-    f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))
-    ends = np.nonzero(on[f] & on[g])[1].reshape(-1, 2)
-    pairs = sorted(map(tuple, ends.tolist()))
-    if int(extreme.sum()) - len(pairs) + len(incident) != 2:
-        return None
-    return np.flatnonzero(extreme), pairs
+    tol = (TOL_FEAS * _unit_frame(v)[2]) ** 2
+    while True:
+        on = hull[2] & (hull[2].sum(axis=0) >= 3)
+        on = on[on.sum(axis=1) >= 3]
+        f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))
+        ends = keep[np.nonzero(on[f] & on[g])[1].reshape(-1, 2)]
+        d = v[ends[:, 0]] - v[ends[:, 1]]
+        short = (d * d).sum(axis=1) <= tol
+        if short.any():
+            rest = np.setdiff1d(keep, ends[short, 1])
+            if (hull := _hull(v[rest])) is not None:
+                keep = rest
+                continue
+        return keep[on.any(axis=0)], sorted(map(tuple, ends.tolist()))
 
 
 def canonicalize(p: Polytope) -> Polytope:
@@ -354,57 +518,19 @@ def canonicalize(p: Polytope) -> Polytope:
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
-    """1-skeleton of a canonical 3-polytope, as pairs (i, j) with i < j.
-
-    In R^3, up to _MAX_HULL_POINTS vertices, the edges come from the facet
-    incidences of ``_hull_skeleton``.  Otherwise a pair (i, j) is an edge
-    iff some direction exposes exactly {i, j}; decided by an LP maximizing
-    the exposure margin over box-bounded directions, in the unit frame.
-    """
+    """1-skeleton of a canonical body of affine dimension 3, as pairs (i, j)
+    with i < j, from the facet incidences of ``_hull_skeleton``; a body in
+    R^4 and up is read in its ``affine_frame``."""
     if not p.canonical:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
-    if affine_dim(p) != 3:
-        raise ValueError("edges requires a full-dimensional body in R^3")
-    n = p.dim
     v = p.vertices
-    m = v.shape[0]
-    skeleton = _hull_skeleton(v) if n == 3 else None
-    if skeleton is not None and len(skeleton[0]) == m:
-        return skeleton[1]
-    w = _unit_frame(v)[0]
-    return [(i, j) for i, j in combinations(range(m), 2)
-            if _edge_exposure_margin(w, i, j, n) > TOL_GEOM]
-
-
-def _edge_exposure_margin(v: np.ndarray, i: int, j: int, n: int) -> float:
-    """Optimal margin of an LP searching for u with v_i.u = v_j.u = h and
-    v_k.u <= h - delta for all other k, subject to |u|_inf <= 1."""
-    others = np.delete(np.arange(v.shape[0]), [i, j])
-    no = len(others)
-    # columns: u (n free) | h (free) | delta | s_k (no) | box slacks (2n);
-    # rows: v_i.u = v_j.u, v_i.u = h, v_k.u - h + delta + s_k = 0, +-u_c <= 1
-    ncols = n + 2 + no + 2 * n
-    a = np.zeros((2 + no + 2 * n, ncols))
-    a[0, :n] = v[i] - v[j]
-    a[1, :n] = v[i]
-    a[1:2 + no, n] = -1.0
-    rows = 2 + np.arange(no)
-    a[rows, :n] = v[others]
-    a[rows, n + 1] = 1.0
-    a[rows, n + 2 + np.arange(no)] = 1.0
-    box = 2 + no + np.arange(2 * n)
-    a[box, np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
-    a[box, n + 2 + no + np.arange(2 * n)] = 1.0
-    b = np.zeros(len(a))
-    b[box] = 1.0
-    c = np.zeros(ncols)
-    c[n + 1] = 1.0
-    nonneg = np.ones(ncols, dtype=bool)
-    nonneg[:n + 1] = False
-    out = lp.solve(lp.LpProblem(a, b, c, nonneg))
-    if out.status != lp.OPTIMAL:
-        return 0.0
-    return float(out.objective)
+    if p.dim > 3:
+        c, frame, r = affine_frame(v)
+        v = (v - c) @ frame[:, :3] if r == 3 else v
+    skeleton = _hull_skeleton(v) if v.shape[1] == 3 else None
+    if skeleton is None:
+        raise ValueError("edges requires a body of affine dimension 3")
+    return skeleton[1]
 
 
 def simplex_from_supports(normals: np.ndarray, heights: np.ndarray) -> Polytope:

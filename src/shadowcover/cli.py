@@ -165,7 +165,7 @@ def _run_command(args, tol: float) -> dict:
 
     if cmd == "tetra-quad":
         delta, quad = canonical_tetra_quad()
-        eps = epsilon_gap(quad, delta, direction_grid(3, max(args.samples, 1000)),
+        eps = epsilon_gap(quad, delta, direction_grid(3, args.samples),
                           rng=rng, tol_geom=tol)
         out = {"delta": body_to_dict(delta), "quad": body_to_dict(quad),
                "touching": bool(verify_touching(quad, delta, tol_geom=tol)),
@@ -179,7 +179,7 @@ def _run_command(args, tol: float) -> dict:
 
     if cmd == "meanwidth":
         k = read_body(args.body1)
-        est = mean_width_mc(k, max(args.samples, 1000), rng)
+        est = mean_width_mc(k, args.samples, rng)
         out = {"mc": {"value": _num(est.value), "stderr": _num(est.stderr),
                       "samples": est.samples}}
         if args.exact:

@@ -10,9 +10,10 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   rays of L's dual cone (``_dual_rays``), as is every vertex-subset fit in
   the plane and in R^3, with no LP;
 * a whole K in R^3: the same LP over the facets of L's hull, solved by
-  ``lp.solve_from`` from the slack basis; its dual maps onto the LP below;
-* everything else (a flat L, one of more than 48 edges or 24 points, R^4 and
-  up, a planar or facet witness that fails its check): one LP over convex-
+  ``lp.solve_from`` from the slack basis; its dual maps onto the LP below,
+  as does every subset fit when L has more than _MAX_FACETS facets;
+* everything else (a flat L, one of more than 48 edges, R^4 and up, a
+  planar or facet witness that fails its check): one LP over convex-
   combination variables in L's unit frame (``_lp_scale_fit``).
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
@@ -31,15 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import lp
 from .bodies import (
-    _BLOCK_BYTES,
     Polytope,
-    _combinations,
     _unit_frame,
+    affine_frame,
     canonical_vertex_indices,
     canonicalize,
     hull_facets,
@@ -141,6 +142,19 @@ _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand
 # the LP, whose size grows only linearly in m, is the lighter route
 _MAX_PLANAR_EDGES = 48
 _RAY_TOL = 1e-12   # R^3: ray entries above -_RAY_TOL * max count as 0; all minors below: no ray
+# the rays come from all C(F, 4) quadruples of L's F facets; 44 is the most
+# that 24 points can have, and past it one facet LP per subset is lighter
+_MAX_FACETS = 44
+# bytes of one block's (ray, subset) temporaries: under glibc's 128 KiB mmap
+# threshold, so that a block's temporaries reuse heap memory instead of
+# faulting in fresh pages on every call
+_BLOCK_BYTES = 120_000
+
+
+@lru_cache(maxsize=64)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
 
 
 def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,21 +287,25 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     of n+1 affinely independent vertices at the origin, so t = 0, v = 0 and
     uniform weights on them in every block are a feasible basis for
     ``lp.solve_from``.  A flat L, or a basis it turns down, goes to the
-    two-phase ``lp.solve``.  v and the dual map back to the input's frame.
+    two-phase ``lp.solve``, unless L's ``affine_frame`` rank is below K's:
+    then no t > 0 fits, and sigma = 0 at a vertex of L.  v and the dual map
+    back to the input's frame.
     """
-    lv, lc, s = _unit_frame(lv)
+    lw, lc, s = _unit_frame(lv)
     s = s or 1.0
     kc = kv.sum(axis=0) / kv.shape[0]
-    kv = (kv - kc) / s
-    mk, n = kv.shape
-    idx = _affine_basis_rows(lv)
-    shift = lv[idx].sum(axis=0) / (n + 1) if idx is not None else np.zeros(n)
-    problem = _scale_fit_lp(kv, lv - shift)
+    kw = (kv - kc) / s
+    mk, n = kw.shape
+    idx = _affine_basis_rows(lw)
+    shift = lw[idx].sum(axis=0) / (n + 1) if idx is not None else np.zeros(n)
+    problem = _scale_fit_lp(kw, lw - shift)
     out = None
     if idx is not None:
-        basis = 1 + n + np.arange(mk)[:, None] * lv.shape[0] + np.asarray(idx)
+        basis = 1 + n + np.arange(mk)[:, None] * lw.shape[0] + np.asarray(idx)
         out = lp.solve_from(problem, basis.ravel())
     if out is None:
+        if affine_frame(kv)[2] > affine_frame(lv)[2]:
+            return FitResult(0.0, lv[0].copy())
         out = lp.solve(problem)
     if out.status == lp.UNBOUNDED:
         return FitResult(math.inf, None)
@@ -305,8 +323,8 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
 def _supports(k: Polytope, l: Polytope):
     """(lc, s, a, b), shared by every fit of K or its vertex subsets in L: the unit outward
     normals a and offsets b of the edges (s = 1) or facets (s = L's extent) of (L - lc) / s, lc
-    L's vertex mean; None in other dimensions or for a flat L, more than _MAX_PLANAR_EDGES edges
-    or _MAX_HULL_POINTS points.  Raises on a dimension mismatch."""
+    L's vertex mean; None in other dimensions, for a flat L or one of more than
+    _MAX_PLANAR_EDGES edges.  Raises on a dimension mismatch."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
     lv = l.vertices
@@ -325,7 +343,7 @@ def _supports(k: Polytope, l: Polytope):
         return None
     w, lc, s = _unit_frame(lv)
     facets = hull_facets(w)
-    return None if facets is None or len(facets[1]) <= 3 else (lc, s, *facets)
+    return None if facets is None else (lc, s, *facets)
 
 
 def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
@@ -381,12 +399,13 @@ def translate_fits(k: Polytope, l: Polytope,
 def _subset_sigmas(k: Polytope, l: Polytope, kcount: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sigmas): K's canonical kcount-subsets (kcount clamped to their number), as
     lexicographic rows of indices into k.vertices, and their fits in L: the least c.b / c.h_Q
-    over L's dual rays, in blocks of subsets Q, else (or if no ray bounds Q) by _fit."""
+    over L's dual rays, in blocks of subsets Q, else (past _MAX_FACETS facets, or if no ray
+    bounds Q) by _fit."""
     idx = np.arange(k.nverts) if k.canonical else np.array(canonical_vertex_indices(k))
     rows = idx[_combinations(len(idx), min(kcount, len(idx)))]
     v, supports = k.vertices, _supports(k, l)
-    if supports is None:
-        return rows, np.array([_fit(v[r], l.vertices, None).sigma for r in rows])
+    if supports is None or l.dim == 3 and len(supports[3]) > _MAX_FACETS:
+        return rows, np.array([_fit(v[r], l.vertices, supports).sigma for r in rows])
     _, s, a, b = supports
     sets, c = _dual_rays(a)
     weights = np.zeros((len(c), len(a)))   # rays scaled to c.b = 1: 1/sigma_Q = max c.h_Q

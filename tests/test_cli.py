@@ -144,10 +144,11 @@ def test_kubota_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [("kubota", "--samples", "0"), ("kubota", "--samples", "1"),
-                                  ("shadow-sweep", "--d", "1", "--samples", "0")])
+                                  ("shadow-sweep", "--d", "1", "--samples", "0"),
+                                  ("meanwidth", "--samples", "5")])
 def test_too_few_samples_exit_code(tmp_path, capsys, argv):
-    # these raised ZeroDivisionError, reported a "-inf" stderr, and raised
-    # AttributeError on an empty sweep
+    # these raised ZeroDivisionError, reported a "-inf" stderr, raised
+    # AttributeError on an empty sweep, and ran 1000 samples in place of 5
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps({"dim": 3, "vertices":
                                 [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}))

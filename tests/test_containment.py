@@ -462,7 +462,8 @@ def test_facet_fit_witness_replays(monkeypatch):
 
 
 def test_facet_fit_falls_back_to_vform(monkeypatch):
-    # a flat L has no facets, and past 24 points L gets no hull
+    # a flat L has no facets and R^4 no facet fit; an L of any size in R^3
+    # has its hull
     rng = np.random.default_rng(127)
     calls = _spy_vform(monkeypatch)
     k = Polytope(rng.standard_normal((4, 3)) * 0.1)
@@ -472,9 +473,8 @@ def test_facet_fit_falls_back_to_vform(monkeypatch):
     assert calls == [(6, 3)]
     big = Polytope(rng.standard_normal((25, 3)))
     assert scale_fit(k, big).sigma == pytest.approx(_lp_sigma(k, big), rel=1e-9)
-    assert calls == [(6, 3), (25, 3)]
-    scale_fit(k, Polytope(big.vertices[:24]))
-    assert len(calls) == 2
+    scale_fit(k, Polytope(rng.standard_normal((200, 3))))
+    assert calls == [(6, 3)]
     scale_fit(Polytope(rng.standard_normal((3, 4))), Polytope(rng.standard_normal((6, 4))))
     assert calls[-1] == (6, 4)
 
@@ -526,3 +526,46 @@ def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
         assert min_subset_sigma(k, l, kcount) == pytest.approx(min(got), rel=1e-12)
         assert hulls == [l.vertices.shape] * 3 * (l.dim == 3)
         hulls.clear()
+
+
+def test_flat_l_fits_no_body_of_higher_rank():
+    # rotated L of 4-8 points, 1e-11 to 1e-8 thick, that affine_dim calls
+    # flat: the V-form LP raised "unexpectedly infeasible" on about a quarter
+    # of these scale_fit and min_subset_sigma calls against a round K
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((12, 3))
+    k = Polytope(g / np.linalg.norm(g, axis=1, keepdims=True))
+    flat = 0
+    while flat < 12:
+        m = int(rng.integers(4, 9))
+        x = np.column_stack([rng.standard_normal((m, 2)),
+                             10 ** rng.uniform(-11, -8) * rng.standard_normal(m)])
+        l = Polytope(x @ np.linalg.qr(rng.standard_normal((3, 3)))[0].T)
+        if bodies.affine_dim(l) == 2:
+            flat += 1
+            fit = scale_fit(k, l)
+            assert 0.0 <= fit.sigma <= 1e-8 and fit.translation is not None
+            assert 0.0 <= min_subset_sigma(k, l, 4) <= 1e-8
+
+
+def test_subset_fits_in_thin_slabs_match_the_vform_lp():
+    # 5-point slabs 10^-9.5 to 10^-7.5 thick that affine_dim calls full now
+    # have facets, and the dual-ray kernel reads every subset fit from them.
+    # A fit does not change under an affine map, so the reference is the
+    # V-form LP on both bodies stretched to unit thickness: on the slabs
+    # themselves its TOL_FEAS pivots miss sigma by up to 80 %
+    rng = np.random.default_rng(7)
+    done = 0
+    while done < 50:
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        thick = np.array([1.0, 1.0, 10 ** rng.uniform(-9.5, -7.5)])
+        l = Polytope(rng.standard_normal((5, 3)) * thick @ rot.T)
+        if bodies.affine_dim(l) < 3:
+            continue
+        done += 1
+        k = canonicalize(Polytope(0.5 * rng.standard_normal((6, 3)) * thick @ rot.T))
+        rows, sigmas = containment._subset_sigmas(k, l, 4)
+        stretch = rot @ np.diag(1.0 / thick) @ rot.T
+        want = [containment._lp_scale_fit(k.vertices[r] @ stretch.T, l.vertices @ stretch.T).sigma
+                for r in rows]
+        assert sigmas == pytest.approx(want, rel=1e-6)

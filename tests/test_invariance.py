@@ -56,7 +56,7 @@ def test_affine_dim(case, rank):
 
 
 @PROPERTY
-@given(similarities(), st.integers(5, 12))
+@given(similarities(), st.integers(5, 40))
 def test_canonical_vertex_set(case, m):
     n, rng, move, _ = case
     x = rng.standard_normal((m, n))
