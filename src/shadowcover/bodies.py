@@ -106,11 +106,19 @@ def project(p: Polytope, s: Subspace) -> Polytope:
     """Orthogonal projection onto a subspace, in d-coordinate representation.
 
     The support function of the result is the restriction of h_P to the
-    subspace: h_{P_S}(w) = h_P(basis @ w).
+    subspace: h_{P_S}(w) = h_P(basis @ w).  The product is a fresh (m, d)
+    array: checked finite, as it can overflow, and kept read-only, uncopied.
     """
     if s.n != p.dim:
         raise ValueError(f"subspace lives in R^{s.n}, polytope in R^{p.dim}")
-    return Polytope(p.vertices @ s.basis)
+    v = p.vertices @ s.basis
+    if not np.isfinite(v).all():
+        raise ValueError("vertex coordinates must be finite")
+    v.flags.writeable = False
+    out = object.__new__(Polytope)
+    object.__setattr__(out, "vertices", v)
+    object.__setattr__(out, "canonical", False)
+    return out
 
 
 def hyperplane_shadow(p: Polytope, u) -> Polytope:

@@ -160,7 +160,7 @@ def _run_command(args, tol: float) -> dict:
         report = ce.to_dict()
         report["contains_translate"] = False
         report["replay"] = {key: bool(val) for key, val in replay_counterexample(
-            ce, sweep_count=min(args.samples, 500), tol_geom=tol).items()}
+            ce, sweep_count=args.samples, tol_geom=tol).items()}
         return report
 
     if cmd == "tetra-quad":

@@ -44,7 +44,7 @@ from .bodies import (
     translate,
 )
 from .containment import _scale_fit_lp, min_subset_sigma, scale_fit, translate_fits
-from .core import TOL_FEAS, TOL_GEOM, Subspace, haar_subspaces, hyperplane_basis
+from .core import TOL_FEAS, TOL_GEOM, Subspace, _subspace_rows, haar_subspaces, hyperplane_basis
 from .shadows import (
     COVERS,
     flat_lift_check,
@@ -438,7 +438,7 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, directions: int = 1200
 
     frame = frame[:, :nprime]  # hull directions first, arbitrary padding after
     k_flat = canonicalize(Polytope((kc.vertices - p0) @ frame))
-    lift_subs = tuple(Subspace(b) for b in haar_subspaces(n, d, lift_checks, generator))
+    lift_subs = _subspace_rows(haar_subspaces(n, d, lift_checks, generator))
 
     def emit_lifted(simplex: Polytope, sel: NormalSelection) -> Counterexample:
         cover = Polytope(simplex.vertices @ frame.T + p0, canonical=True)

@@ -130,9 +130,11 @@ def _affine_basis_rows(points: np.ndarray) -> list[int] | None:
 
 
 def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
-    """Scale fit of two intervals: the ratio of their widths."""
-    k0, k1 = float(kv.min()), float(kv.max())
-    l0, l1 = float(lv.min()), float(lv.max())
+    """Scale fit of two intervals: the ratio of their widths, inf for a point K."""
+    ks, ls = kv.ravel().tolist(), lv.ravel().tolist()
+    k0, k1, l0, l1 = min(ks), max(ks), min(ls), max(ls)
+    if k0 == k1:
+        return FitResult(math.inf, None)
     sigma = (l1 - l0) / (k1 - k0)
     return FitResult(sigma, np.array([l0 - sigma * k0]))
 
@@ -185,15 +187,22 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _minor_blocks(f: int, n: int):
-    """The (n+1)-subsets (i, j, k[, l]) of range(f), a lexicographic block per first index i, and
-    the flat (f,)*n table indices of their minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l),
-    (j,i,k); unlike _planar_minors, nothing of size C(f, 4) stays cached."""
+    """The (n+1)-subsets (i, j, k[, l]) of range(f), lexicographic, in blocks of consecutive first
+    indices i within _BLOCK_BYTES unless of one i alone, and the flat (f,)*n table indices of their
+    minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l), (j,i,k); no block is cached."""
     ff = f * f
     place = np.array([[0, 1, f], [f, 0, 1], [1, f, 0]] if n == 2 else
                      [[0, f, ff, f], [ff, 0, f, ff], [f, ff, 0, 1], [1, 1, 1, 0]])
-    for i in range(f - n):
-        subsets = np.insert(_combinations(f - i - 1, n) + i + 1, 0, i, axis=1)
+    cap = _BLOCK_BYTES // (8 * (n + 1))   # rows of one block
+    sizes, start = [math.comb(f - i - 1, n) for i in range(f - n)], 0
+    while start < f - n:
+        stop = next((j for j in range(start + 1, f - n) if sum(sizes[start:j + 1]) > cap), f - n)
+        subsets = np.empty((sum(sizes[start:stop]), n + 1), np.intp)
+        subsets[:, 0] = np.repeat(range(start, stop), sizes[start:stop])
+        np.concatenate([_combinations(f - i - 1, n) + (i + 1) for i in range(start, stop)],
+                       out=subsets[:, 1:])
         yield subsets, subsets @ place
+        start = stop
 
 
 @lru_cache(maxsize=16)
@@ -348,10 +357,10 @@ def _supports(k: Polytope, l: Polytope):
 
 def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
     """scale_fit on vertex arrays, given _supports of L."""
-    if (kv == kv[0]).all():
-        return FitResult(math.inf, None)
     if kv.shape[1] == 1:
         return _interval_fit(kv, lv)
+    if (kv == kv[0]).all():
+        return FitResult(math.inf, None)
     fit = supports and (_planar_fit if kv.shape[1] == 2 else _facet_fit)(kv, *supports)
     return fit or _lp_scale_fit(kv, lv)
 

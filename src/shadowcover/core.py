@@ -10,6 +10,7 @@ Both can be overridden per call through keyword arguments.
 Points of G(n, d) are orthonormal n x d bases.  One kernel orthonormalizes a
 stack of matrices and one check tests a stack; ``Subspace``, ``orthonormalize``
 and the Haar sampler, whose draw is one (count, n, d) array, all use both.
+Haar rows are wrapped as ``Subspace`` objects with no second check.
 """
 
 from __future__ import annotations
@@ -91,6 +92,15 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def _subspace_rows(stack: np.ndarray) -> tuple[Subspace, ...]:
+    """The rows of a read-only (count, n, d) stack that has passed
+    _check_orthonormal, as Subspaces sharing its memory, with no second check."""
+    subs = tuple(object.__new__(Subspace) for _ in stack)
+    for s, b in zip(subs, stack):
+        object.__setattr__(s, "basis", b)
+    return subs
+
+
 def orthonormalize(m) -> Subspace:
     """Orthonormalize the columns of an n x d matrix into a Subspace.
 
@@ -114,7 +124,7 @@ def orthonormalize(m) -> Subspace:
 def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     """Sample a subspace from the rotation-invariant measure on G(n, d): the
     draw ``haar_subspaces(n, d, 1, rng)``."""
-    return Subspace(haar_subspaces(n, d, 1, rng)[0])
+    return _subspace_rows(haar_subspaces(n, d, 1, rng))[0]
 
 
 def haar_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,6 +33,7 @@ from .core import (
     TOL_FEAS,
     TOL_GEOM,
     Subspace,
+    _subspace_rows,
     direction_grid,
     haar_subspaces,
     hyperplane_basis,
@@ -82,12 +83,13 @@ def _hyperplane_grid(n: int, count: int) -> tuple[Subspace, ...]:
 def sweep_subspaces(n: int, d: int, count: int,
                     rng: np.random.Generator | None = None) -> tuple[Subspace, ...]:
     """Subspace sample for a sweep: a deterministic direction grid of
-    hyperplanes for d = n-1 in R^2/R^3, Haar samples from rng otherwise."""
+    hyperplanes for d = n-1 in R^2/R^3, else the rows of one Haar stack
+    from rng, which haar_subspaces has checked, wrapped with no second check."""
     if d == n - 1 and n in (2, 3):
         return _hyperplane_grid(n, count)
     if rng is None:
         rng = np.random.default_rng(0)
-    return tuple(Subspace(b) for b in haar_subspaces(n, d, count, rng))
+    return _subspace_rows(haar_subspaces(n, d, count, rng))
 
 
 def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,

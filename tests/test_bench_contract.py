@@ -42,3 +42,12 @@ def test_one_instance_of_each_workload_passes_its_check(name):
     out, error, _ = workloads.run_instance(wl, inst)
     assert error is None
     assert wl.check(inst, out) in (workloads.OK, workloads.BORDERLINE)
+
+
+def test_a_traced_sweep_makes_one_fit_per_subspace():
+    # bench/selftest.py runs these checks before every traced pass; here a
+    # library change that would break that pass fails the test suite first
+    import selftest
+
+    selftest.check_sweep_spans(8)
+    selftest.check_restored()

@@ -80,6 +80,26 @@ def test_project_identity_is_same_body():
     assert np.allclose(q.vertices, TETRA.vertices)
 
 
+def test_project_keeps_its_product_read_only_and_rejects_overflow():
+    # the shadow is vertices @ basis itself, set read-only, with no copy
+    rng = np.random.default_rng(2)
+    p = Polytope(rng.standard_normal((7, 3)))
+    s = orthonormalize(rng.standard_normal((3, 2)))
+    q = project(p, s)
+    assert q.vertices.shape == (7, 2) and not q.canonical
+    assert q.vertices.tobytes() == (p.vertices @ s.basis).tobytes()
+    with pytest.raises(ValueError):
+        q.vertices[0, 0] = 0.0
+    # the product of finite vertices can overflow under a basis that mixes axes
+    huge = Polytope([[1.5e308, 1.5e308, 0.0], [-1.5e308, 1.5e308, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        project(huge, orthonormalize([[1.0], [1.0], [0.0]]))
+    # the public constructor still validates its input
+    for bad in ([[0.0, np.nan]], [[np.inf, 0.0]], np.zeros((0, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            Polytope(bad)
+
+
 def test_projection_support_compatibility():
     # h of the projection equals the restriction of h to the subspace
     rng = np.random.default_rng(8)

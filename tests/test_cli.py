@@ -123,6 +123,21 @@ def test_counterexample_full_dim(tmp_path, capsys):
     assert rep["result"]["checks"]["translate_excluded"]
 
 
+def test_counterexample_replays_at_its_samples(tmp_path, capsys, monkeypatch):
+    # replay re-checks the sampled sweep on the grid construction swept
+    tetra = tmp_path / "tetra.json"
+    tetra.write_text(json.dumps({"dim": 3, "vertices":
+                                 [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}))
+    counts, original = [], cli.replay_counterexample
+    monkeypatch.setattr(cli, "replay_counterexample",
+                        lambda ce, sweep_count, tol_geom: counts.append(sweep_count)
+                        or original(ce, sweep_count=sweep_count, tol_geom=tol_geom))
+    code, rep = _invoke(capsys, "counterexample", str(tetra), "--samples", "600")
+    assert code == 0
+    assert counts == [600]
+    assert all(rep["result"]["replay"].values())
+
+
 def test_meanwidth_command(tmp_path, capsys):
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps({"dim": 3, "vertices":

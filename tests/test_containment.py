@@ -16,7 +16,8 @@ from shadowcover.containment import (
     subset_witness,
     translate_fits,
 )
-from shadowcover.core import TOL_GEOM
+from shadowcover.core import TOL_GEOM, Subspace
+from shadowcover.shadows import shadow_fit
 
 UNIT_SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], canonical=True)
 TRIANGLE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], canonical=True)
@@ -236,6 +237,19 @@ def test_low_dim_fit_matches_lp_random():
         k = Polytope(rng.standard_normal((int(rng.integers(2, 8)), n)))
         l = Polytope(rng.standard_normal((int(rng.integers(2, 10)), n)) * rng.uniform(0.5, 2.0))
         _dual_route(k, l)
+
+
+def test_interval_fit_of_a_point_is_unbounded():
+    # K's extremes compare exactly, as the equal-points test did: a point,
+    # and a segment orthogonal to the line it is projected on
+    seg = Polytope([[-1.0], [2.0]])
+    for k in (Polytope([[0.5]]), Polytope([[0.5], [0.5], [0.5]])):
+        fit = scale_fit(k, seg)
+        assert fit.sigma == math.inf and fit.translation is None
+    line = Subspace(np.array([[1.0], [0.0]]))
+    fit = shadow_fit(Polytope([[0.3, -1.0], [0.3, 4.0]]), UNIT_SQUARE, line)
+    assert fit.sigma == math.inf and fit.translation is None
+    assert scale_fit(Polytope([[0.5], [np.nextafter(0.5, 1.0)]]), seg).sigma < math.inf
 
 
 def test_low_dim_fit_point_is_degenerate():
@@ -526,6 +540,35 @@ def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
         assert min_subset_sigma(k, l, kcount) == pytest.approx(min(got), rel=1e-12)
         assert hulls == [l.vertices.shape] * 3 * (l.dim == 3)
         hulls.clear()
+
+
+@pytest.mark.parametrize("m,f", [(4, 4), (8, 12), (14, 24), (24, 44)])
+def test_dual_rays_match_an_enumeration_in_order(m, f):
+    # m points on a sphere have a simplicial hull of 2m - 4 facets; the blocked
+    # kernel gives the rays of one itertools enumeration over the same table,
+    # bit for bit and in order, and each block of first indices stays small
+    g = np.random.default_rng(m).standard_normal((m, 3))
+    a = bodies.hull_facets(g / np.linalg.norm(g, axis=1, keepdims=True))[0]
+    assert a.shape == (f, 3)
+    u = np.linalg.svd(a, full_matrices=False)[0]
+    table = np.einsum("pqd,rd->pqr", np.cross(u[:, None], u), u)
+    sets = np.array(list(combinations(range(f), 4)))
+    i, j, k, l = sets.T
+    c = np.column_stack([table[j, k, l], table[k, i, l], table[i, j, l], table[j, i, k]])
+    c *= np.sign(c.sum(axis=1, keepdims=True))
+    top = c.max(axis=1, keepdims=True)
+    c = np.where(c < -containment._RAY_TOL * top, c, np.maximum(c, 0.0))
+    c[top[:, 0] <= containment._RAY_TOL] = -1.0
+    keep = c.min(axis=1) >= 0.0
+    got_sets, got_c = containment._dual_rays(a)
+    assert got_sets.tolist() == sets[keep].tolist()
+    assert got_c.tobytes() == c[keep].tobytes()
+    for n, count in ((3, f), (2, 48)):
+        blocks = [subsets for subsets, _ in containment._minor_blocks(count, n)]
+        want = [list(r) for r in combinations(range(count), n + 1)]
+        assert np.concatenate(blocks).tolist() == want
+        assert all(b.nbytes <= containment._BLOCK_BYTES or len(set(b[:, 0].tolist())) == 1
+                   for b in blocks)
 
 
 def test_flat_l_fits_no_body_of_higher_rank():

@@ -11,6 +11,7 @@ from shadowcover.core import (
     Subspace,
     direction_grid,
     haar_subspace,
+    haar_subspaces,
     hyperplane_basis,
     orthonormalize,
 )
@@ -28,6 +29,24 @@ from shadowcover.shadows import (
 CUBE = Polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], canonical=True)
 SQUARE105 = Polytope(1.05 * np.array([[0, 0], [1, 0], [0, 1], [1, 1]]), canonical=True)
 DISK64 = Polytope(0.6 * direction_grid(2, 64), canonical=True)
+
+
+@pytest.mark.parametrize("n,d,count", [(3, 1, 64), (5, 2, 40)])
+def test_haar_sweep_wraps_the_checked_stack(n, d, count):
+    # the sweep's subspaces are the rows of one Haar draw, read-only, and
+    # leave the generator where the draw leaves it
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    subs = sweep_subspaces(n, d, count, rng)
+    want = haar_subspaces(n, d, count, ref)
+    assert len(subs) == count
+    for s, b in zip(subs, want):
+        assert type(s) is Subspace and (s.n, s.d) == (n, d)
+        assert s.basis.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            s.basis[0, 0] = 0.0
+    assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ValueError):
+        Subspace(2.0 * want[0])
 
 
 def test_shadow_fit_inclusion_preserved():
