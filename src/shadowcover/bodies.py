@@ -14,8 +14,9 @@ rank r, or one in another dimension, is read in its ``affine_frame``: the two
 ends for r = 1, a monotone-chain hull (``planar_hull``, which also gives the
 edges that the planar scale fit uses) for r = 2 and the Quickhull for r = 3.
 ``hull_facets`` returns its facets, over which the 3-D scale fit runs its LP,
-and the vertices of each facet give the extreme points and ``edges``
-(``_hull_skeleton``).  From rank 4 on the pass is one point-in-hull LP per
+and the vertices and normals of the facets give the extreme points, the
+``edges`` and each edge's exterior angle (``_hull_skeleton``), which the exact
+mean width reads.  From rank 4 on the pass is one point-in-hull LP per
 vertex, in a unit frame.  Other containment questions reduce to LPs over
 convex-combination variables.
 """
@@ -483,17 +484,19 @@ def _exact_sees(p, t, q) -> bool:
                zip(_exact_normal(a, p[t[1]], p[t[2]]), q, a)) > 0
 
 
-def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]] | None:
-    """Extreme points and edges of the hull of a 3-D point set, from the
-    incidences of ``_hull``; None when the set is flat.
+def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Extreme points, edges and exterior angles of the hull of a 3-D point
+    set, from the facets of ``_hull``; None when the set is flat.
 
     The extreme points are those on at least three facets.  An edge is a
     pair of facets with three or more extreme points that share exactly
-    two; its pairs come sorted, as (i, j) with i < j.  Those facets are the
-    ones of the hull of the extreme points, so V - E + F = 2.  Of the ends
-    of an edge shorter than TOL_FEAS of the set's extent the first stands
-    for both, as of equal points: the other is dropped and the hull of the
-    rest read again.
+    two; its pairs come as sorted rows (i, j) with i < j, and its exterior
+    angle, the angle between the two facets' unit outward normals a_f and
+    a_g, is atan2(|a_f x a_g|, a_f . a_g), which keeps its digits near 0
+    and pi.  Those facets are the ones of the hull of the extreme points, so
+    V - E + F = 2.  Of the ends of an edge shorter than TOL_FEAS of the
+    set's extent the first stands for both, as of equal points: the other
+    is dropped and the hull of the rest read again.
     """
     keep, hull = np.arange(len(v)), _hull(v)
     if hull is None:
@@ -501,7 +504,8 @@ def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]] | 
     tol = (TOL_FEAS * _unit_frame(v)[2]) ** 2
     while True:
         on = hull[2] & (hull[2].sum(axis=0) >= 3)
-        on = on[on.sum(axis=1) >= 3]
+        rows = on.sum(axis=1) >= 3
+        on, a = on[rows], hull[0][rows]
         f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))
         ends = keep[np.nonzero(on[f] & on[g])[1].reshape(-1, 2)]
         d = v[ends[:, 0]] - v[ends[:, 1]]
@@ -511,7 +515,10 @@ def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]] | 
             if (hull := _hull(v[rest])) is not None:
                 keep = rest
                 continue
-        return keep[on.any(axis=0)], sorted(map(tuple, ends.tolist()))
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        angle = np.arctan2(np.linalg.norm(np.cross(a[f], a[g]), axis=1),
+                           (a[f] * a[g]).sum(axis=1))
+        return keep[on.any(axis=0)], ends[order], angle[order]
 
 
 def canonicalize(p: Polytope) -> Polytope:
@@ -526,9 +533,9 @@ def canonicalize(p: Polytope) -> Polytope:
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
-    """1-skeleton of a canonical body of affine dimension 3, as pairs (i, j)
-    with i < j, from the facet incidences of ``_hull_skeleton``; a body in
-    R^4 and up is read in its ``affine_frame``."""
+    """1-skeleton of a canonical body of affine dimension 3, as sorted pairs
+    (i, j) with i < j: the edges of ``_hull_skeleton``, whose exterior angles
+    are dropped here; a body in R^4 and up is read in its ``affine_frame``."""
     if not p.canonical:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
     v = p.vertices
@@ -538,7 +545,7 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     skeleton = _hull_skeleton(v) if v.shape[1] == 3 else None
     if skeleton is None:
         raise ValueError("edges requires a body of affine dimension 3")
-    return skeleton[1]
+    return list(map(tuple, skeleton[1].tolist()))
 
 
 def simplex_from_supports(normals: np.ndarray, heights: np.ndarray) -> Polytope:

@@ -25,8 +25,6 @@ from .bodies import (
     canonicalize,
     linear_image,
     project,
-    support,
-    translate,
 )
 from .containment import FitResult, _unit_translation, scale_fit
 from .core import (
@@ -285,10 +283,10 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
     w = eta_hat_basis @ v  # lift back to an ambient vector inside the flat
 
     # support domination along eta for the normalized bodies
-    k_moved = translate(k, w)
+    dirs = _subspace_directions(eta).T
     slack = 10.0 * tol_geom * _unit_frame(l.vertices)[2]
-    support_ok = all(support(k_moved, g) <= support(l, g) + slack
-                     for g in _subspace_directions(eta))
+    support_ok = bool(np.all(((k.vertices + w) @ dirs).max(axis=0)
+                             <= (l.vertices @ dirs).max(axis=0) + slack))
     holds = sigma_ambient >= 1.0 - tol_geom
     return FlatLiftReport(True, holds, sigma_inflat, sigma_ambient, support_ok, w)
 

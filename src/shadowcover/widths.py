@@ -3,10 +3,11 @@
 W(K) = (2 / (n omega_n)) * integral of h_K over the unit sphere, which a
 Monte Carlo average of 2 h_K(u) estimates directly.  Exact closed forms back
 the estimator in the plane (perimeter / pi) and in R^3 (edge lengths times
-exterior dihedral angles over 4 pi), and the Grassmannian average of planar
-shadow widths must reproduce the spatial value (Kubota consistency).  Every
-planar perimeter comes from one vectorised gift-wrap kernel, which takes all
-the shadows of a Kubota check in one pass.
+exterior dihedral angles over 4 pi, each angle the one between the unit
+normals of the edge's two facets in the hull skeleton), and the Grassmannian
+average of planar shadow widths must reproduce the spatial value (Kubota
+consistency).  Every planar perimeter comes from one vectorised gift-wrap
+kernel, which takes all the shadows of a Kubota check in one pass.
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ import numpy as np
 
 from .bodies import (
     Polytope,
+    _hull_skeleton,
     _unit_frame,
     affine_dim,
     canonicalize,
     diameter,
-    edges,
-    support,
-    translate,
 )
 from .containment import scale_fit, subset_witness, translate_fits
-from .core import TOL_GEOM, direction_grid, haar_subspaces, hyperplane_basis
+from .core import TOL_GEOM, direction_grid, haar_subspaces
 
 # unit-ball volumes omega_n, exact pi expressions in 64-bit
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
@@ -96,37 +95,13 @@ def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
     raise ValueError(f"{walking.sum()} of {count} planar hulls did not close in {m} steps")
 
 
-def _edge_exterior_angle(v: np.ndarray, i: int, j: int) -> float:
-    """Angular measure of the normal arc of edge (i, j) in the plane
-    orthogonal to the edge: the exterior dihedral angle."""
-    e = v[j] - v[i]
-    e = e / np.linalg.norm(e)
-    frame = hyperplane_basis(e)  # 3 x 2
-    rel = v[i] - v  # pointing from every other vertex toward v[i]
-    a = rel @ frame[:, 0]
-    b = rel @ frame[:, 1]
-    # v[i] and v[j] project to (rounding noise at) the origin; the cutoff
-    # is relative to the body's size, so the angle does not depend on units
-    keep = np.hypot(a, b) > 1e-12 * np.abs(rel).max()
-    if not keep.any():
-        return 2.0 * math.pi
-    theta = np.arctan2(b[keep], a[keep])
-    # each constraint allows a closed half-circle around theta_k; center the
-    # common window on the circular mean before intersecting
-    mean = math.atan2(float(np.sin(theta).sum()), float(np.cos(theta).sum()))
-    shifted = np.mod(theta - mean + math.pi, 2.0 * math.pi) - math.pi
-    lo = float(shifted.max()) - math.pi / 2.0
-    hi = float(shifted.min()) + math.pi / 2.0
-    return max(0.0, hi - lo)
-
-
 def mean_width_exact(k: Polytope) -> float:
     """Closed-form mean width for full-dimensional bodies in R^2 or R^3.
 
     Plane: perimeter / pi (Cauchy).  Space: sum of edge length times
-    exterior dihedral angle, divided by 4 pi, over the edges of
-    ``bodies.edges``; each dihedral angle is the exact measure of its
-    edge's normal arc.
+    exterior dihedral angle, divided by 4 pi, over the edges of the hull
+    skeleton of the canonical body; each angle is the one between the unit
+    outward normals of the edge's two facets.
     """
     n = k.dim
     if n == 2:
@@ -134,14 +109,12 @@ def mean_width_exact(k: Polytope) -> float:
             raise ValueError("exact mean width needs a full-dimensional body")
         return float(_hull_perimeters(k.vertices[None])[0]) / math.pi
     if n == 3:
-        if affine_dim(k) != 3:
+        v = canonicalize(k).vertices
+        if (skeleton := _hull_skeleton(v)) is None:
             raise ValueError("exact mean width needs a full-dimensional body")
-        kc = canonicalize(k)
-        total = 0.0
-        for i, j in edges(kc):
-            length = float(np.linalg.norm(kc.vertices[j] - kc.vertices[i]))
-            total += length * _edge_exterior_angle(kc.vertices, i, j)
-        return total / (4.0 * math.pi)
+        _, ends, angle = skeleton
+        length = np.linalg.norm(v[ends[:, 1]] - v[ends[:, 0]], axis=1)
+        return float(length @ angle) / (4.0 * math.pi)
     raise ValueError("exact mean width implemented for n in {2, 3} only")
 
 
@@ -243,9 +216,6 @@ def _are_translates(k: Polytope, l: Polytope, samples: int, tol_geom: float,
     ok, v = translate_fits(k, l, tol_geom=tol_geom)
     if not ok:
         return False
-    moved = translate(k, v)
-    dirs = direction_grid(k.dim, max(8, samples))
-    for u in dirs:
-        if abs(support(moved, u) - support(l, u)) > 100.0 * tol_geom * scale_ref:
-            return False
-    return True
+    dirs = direction_grid(k.dim, max(8, samples)).T
+    gap = np.abs(((k.vertices + v) @ dirs).max(axis=0) - (l.vertices @ dirs).max(axis=0))
+    return bool(gap.max() <= 100.0 * tol_geom * scale_ref)

@@ -395,7 +395,8 @@ def test_hull_of_near_degenerate_clouds(lp_calls):
         a, b = hull_facets(cloud)
         assert (cloud @ a.T - b).max() <= 1e-12 * extent
         kept = canonicalize(Polytope(cloud)).vertices
-        extreme, pairs = bodies._hull_skeleton(kept)
+        extreme, pairs, angles = bodies._hull_skeleton(kept)
+        assert len(angles) == len(pairs) and 0.0 < angles.min() and angles.max() < np.pi
         incident = bodies._hull(kept)[2][:, extreme]
         assert len(extreme) - len(pairs) + int((incident.sum(axis=1) >= 3).sum()) == 2
         idx = canonical_vertex_indices(Polytope(cloud))

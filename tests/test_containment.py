@@ -362,8 +362,9 @@ def test_low_dim_fit_is_scale_and_offset_free(n):
 
 
 def test_lp_fit_witness_replays_and_dual_bounds_sigma():
-    # the 3-D fit starts phase 2 from a simplex of L; its multipliers, mapped
-    # back to the input's coordinates, certify sigma from above
+    # the 3-D fit starts phase 2 from the slack basis of L's facets; its
+    # multipliers, mapped back to the input's coordinates, certify sigma
+    # from above
     rng = np.random.default_rng(79)
     for _ in range(30):
         k = Polytope(rng.standard_normal((6, 3)) + rng.uniform(-3.0, 3.0, 3))
@@ -540,6 +541,37 @@ def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
         assert min_subset_sigma(k, l, kcount) == pytest.approx(min(got), rel=1e-12)
         assert hulls == [l.vertices.shape] * 3 * (l.dim == 3)
         hulls.clear()
+
+
+def _highs_sigma(kv, lv):
+    """max t s.t. t*k_i + v = sum_j lam_ij l_j, sum_j lam_ij = 1, lam >= 0:
+    the V-form scale fit, solved by HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    (mk, n), ml = kv.shape, len(lv)
+    a = np.zeros((mk * (n + 1), 1 + n + mk * ml))
+    for i in range(mk):
+        rows, lam = slice(i * (n + 1), i * (n + 1) + n), slice(1 + n + i * ml, 1 + n + (i + 1) * ml)
+        a[rows, 0], a[rows, 1:1 + n], a[rows, lam] = kv[i], np.eye(n), -lv.T
+        a[i * (n + 1) + n, lam] = 1.0
+    b = np.tile(np.append(np.zeros(n), 1.0), mk)
+    bounds = [(0.0, None)] + [(None, None)] * n + [(0.0, None)] * (mk * ml)
+    out = optimize.linprog(-np.eye(1, a.shape[1])[0], A_eq=a, b_eq=b, bounds=bounds,
+                           method="highs")
+    assert out.status == 0
+    return -out.fun
+
+
+def test_scale_fit_and_subset_fits_match_highs():
+    # an LP solver outside the library: the facet-form fit of the whole K and
+    # the least 4-subset fit from L's dual rays (equal to it by Helly) agree
+    # with its V-form optimum on decide-style pairs
+    rng = np.random.default_rng(137)
+    for i in range(40):
+        k = Polytope(rng.standard_normal((6 + i % 5, 3)))
+        l = Polytope(rng.standard_normal((8 + i % 7, 3)) * (1.5, 2.0, 2.5, 3.0)[i % 4])
+        want = _highs_sigma(k.vertices, l.vertices)
+        assert scale_fit(k, l).sigma == pytest.approx(want, rel=1e-9)
+        assert min_subset_sigma(k, l, 4) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("m,f", [(4, 4), (8, 12), (14, 24), (24, 44)])

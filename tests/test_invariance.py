@@ -5,7 +5,7 @@ R and an offset t of up to 1e6 body sizes, together with a vertex
 permutation and duplicated vertices, must leave unchanged every answer that
 reads a body's frame: the affine dimension, the canonical vertex set, the
 scale fit and the least vertex-subset fit, the support set and the touching
-verdict.
+verdict; the exact mean width scales by f.
 """
 
 import numpy as np
@@ -23,21 +23,23 @@ from shadowcover.bodies import (  # noqa: E402
 )
 from shadowcover.construct import verify_touching  # noqa: E402
 from shadowcover.containment import min_subset_sigma, scale_fit  # noqa: E402
+from shadowcover.widths import mean_width_exact  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
 
 @st.composite
 def similarities(draw):
-    """(n, rng, move, rot): an ambient dimension, a generator for the bodies,
-    and a random similarity of R^n with its orthogonal part."""
+    """(n, rng, move, rot, factor): an ambient dimension, a generator for the
+    bodies, and a random similarity of R^n with its orthogonal part and its
+    factor."""
     n = draw(st.sampled_from((2, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factor = 10.0 ** draw(st.integers(-9, 9))
     direction = rng.standard_normal(n)
     shift = draw(st.floats(0.0, 1e6)) * direction / np.linalg.norm(direction)
     rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return n, rng, lambda x: factor * (x @ rot.T + shift), rot
+    return n, rng, lambda x: factor * (x @ rot.T + shift), rot, factor
 
 
 def _reorder(rng, m, repeats=3):
@@ -48,7 +50,7 @@ def _reorder(rng, m, repeats=3):
 @PROPERTY
 @given(similarities(), st.integers(0, 3))
 def test_affine_dim(case, rank):
-    n, rng, move, _ = case
+    n, rng, move, *_ = case
     rank = min(rank, n)
     x = rng.standard_normal((8, rank)) @ rng.standard_normal((rank, n)) + rng.standard_normal(n)
     assert affine_dim(Polytope(x)) == rank
@@ -58,7 +60,7 @@ def test_affine_dim(case, rank):
 @PROPERTY
 @given(similarities(), st.integers(5, 40))
 def test_canonical_vertex_set(case, m):
-    n, rng, move, _ = case
+    n, rng, move, *_ = case
     x = rng.standard_normal((m, n))
     order = _reorder(rng, m)
     moved = canonical_vertex_indices(Polytope(move(x)[order]))
@@ -68,7 +70,7 @@ def test_canonical_vertex_set(case, m):
 @PROPERTY
 @given(similarities(), st.integers(2, 8), st.integers(4, 10))
 def test_scale_fit_sigma(case, mk, ml):
-    n, rng, move, _ = case
+    n, rng, move, *_ = case
     k, l = rng.standard_normal((mk, n)), 2.0 * rng.standard_normal((ml, n))
     moved_k = Polytope(move(k)[_reorder(rng, mk)])
     moved_l = Polytope(move(l)[_reorder(rng, ml)])
@@ -81,7 +83,7 @@ def test_scale_fit_sigma(case, mk, ml):
 @PROPERTY
 @given(similarities(), st.integers(3, 12))
 def test_support_set(case, m):
-    n, rng, move, rot = case
+    n, rng, move, rot, _ = case
     x, u = rng.standard_normal((m, n)), rng.standard_normal(n)
     order = _reorder(rng, m)
     moved = support_set(Polytope(move(x)[order]), rot @ u)
@@ -93,7 +95,7 @@ def test_support_set(case, m):
 def test_verify_touching_verdict(case, every_facet):
     # K holds a point inside facet j (opposite vertex j) of the simplex S for
     # every j, or for all but the last, and S's centroid
-    n, rng, move, _ = case
+    n, rng, move, *_ = case
     s = rng.standard_normal((n + 1, n))
     while np.linalg.cond(s[1:] - s[0]) > 1e3:
         s = rng.standard_normal((n + 1, n))
@@ -107,3 +109,12 @@ def test_verify_touching_verdict(case, every_facet):
     assert verdict == every_facet
     moved_k = Polytope(move(k)[_reorder(rng, len(k))])
     assert verify_touching(moved_k, Polytope(move(s)[rng.permutation(n + 1)])) == verdict
+
+
+@PROPERTY
+@given(similarities(), st.integers(4, 30))
+def test_mean_width_exact(case, m):
+    n, rng, move, _, factor = case
+    x = rng.standard_normal((m, n))
+    moved = mean_width_exact(Polytope(move(x)[_reorder(rng, m)]))
+    assert moved == pytest.approx(factor * mean_width_exact(Polytope(x)), rel=1e-9)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import hull2d, perimeter2d
 
-from shadowcover import widths
+from shadowcover import bodies, widths
 from shadowcover.bodies import (
     Polytope,
     canonical_vertex_indices,
@@ -53,6 +53,92 @@ def test_mean_width_exact_rejects_degenerate():
     seg = Polytope([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="full-dimensional"):
         mean_width_exact(seg)
+
+
+def _rigid(rng, x, size):
+    """x under a random rotation and an offset of up to 5 times size."""
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return x @ rot.T + rng.uniform(-5.0, 5.0, 3) * size
+
+
+@pytest.mark.parametrize("a", [1e-6, 1.0, 3e4])
+def test_mean_width_exact_matches_closed_forms(a):
+    # W = sum of edge length times exterior angle over 4 pi: a regular
+    # tetrahedron's angle is arccos(-1/3), a regular octahedron's arccos(1/3),
+    # and a right prism over a regular m-gon has W = (h + perimeter / 2) / 2
+    rng = np.random.default_rng(41)
+    tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) * a / math.sqrt(8.0)
+    assert mean_width_exact(Polytope(_rigid(rng, tetra, a))) == pytest.approx(
+        3.0 * a * math.acos(-1.0 / 3.0) / (2.0 * math.pi), rel=1e-12)
+    octa = np.vstack([np.eye(3), -np.eye(3)]) * a / math.sqrt(2.0)
+    assert mean_width_exact(Polytope(_rigid(rng, octa, a))) == pytest.approx(
+        3.0 * a * math.acos(1.0 / 3.0) / math.pi, rel=1e-12)
+    m, radius, h = 200, 0.7 * a, 1.3 * a
+    ring = np.column_stack([radius * np.cos(2.0 * math.pi * np.arange(m) / m),
+                            radius * np.sin(2.0 * math.pi * np.arange(m) / m)])
+    prism = np.vstack([np.column_stack([ring, np.zeros(m)]), np.column_stack([ring, np.full(m, h)])])
+    assert mean_width_exact(Polytope(_rigid(rng, prism, a))) == pytest.approx(
+        (h + m * radius * math.sin(math.pi / m)) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_mean_width_exact_of_thin_prisms(t):
+    # a prism of height t over a polygon P has W = perimeter(P) / 4 + t / 2;
+    # the angles between facet normals keep their digits as t goes to 0
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        turn = np.sort(rng.uniform(0.0, 2.0 * math.pi, 7))
+        base = np.column_stack([np.cos(turn), np.sin(turn)])
+        perimeter = np.linalg.norm(np.roll(base, -1, axis=0) - base, axis=1).sum()
+        prism = np.vstack([np.column_stack([base, np.zeros(7)]),
+                           np.column_stack([base, np.full(7, t)])])
+        assert mean_width_exact(Polytope(_rigid(rng, prism, 1.0))) == pytest.approx(
+            perimeter / 4.0 + t / 2.0, rel=1e-12)
+
+
+def _qhull_mean_width(points):
+    """W from Qhull's triangles: over each pair of adjacent triangles, the
+    shared edge's length times the angle between their normals, over 4 pi;
+    the triangles of one merged facet share its normal and add 0."""
+    hull = pytest.importorskip("scipy.spatial").ConvexHull(points)
+    total = 0.0
+    for f, (tri, near) in enumerate(zip(hull.simplices, hull.neighbors)):
+        for k, g in enumerate(near):
+            if g > f:
+                i, j = np.delete(tri, k)
+                a, b = hull.equations[f, :3], hull.equations[g, :3]
+                angle = math.atan2(np.linalg.norm(np.cross(a, b)), a @ b)
+                total += np.linalg.norm(points[i] - points[j]) * angle
+    return total / (4.0 * math.pi)
+
+
+def test_mean_width_exact_matches_qhull_triangles():
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        cloud = rng.standard_normal((rng.integers(5, 30), 3))
+        inner = cloud.mean(axis=0) + 0.3 * (cloud[:4] - cloud.mean(axis=0))
+        points = np.vstack([cloud, inner, cloud[rng.integers(0, len(cloud), 3)]])
+        points = points[rng.permutation(len(points))]
+        assert mean_width_exact(Polytope(points)) == pytest.approx(
+            _qhull_mean_width(points), rel=1e-12)
+
+
+def test_mean_width_exact_reads_one_hull_skeleton(monkeypatch):
+    body = canonicalize(Polytope(np.random.default_rng(53).standard_normal((16, 3))))
+    calls = []
+    skeleton, hull = widths._hull_skeleton, bodies._hull
+    monkeypatch.setattr(widths, "_hull_skeleton", lambda v: calls.append("skeleton") or skeleton(v))
+    monkeypatch.setattr(bodies, "_hull", lambda p: calls.append("hull") or hull(p))
+
+    def refuse(*args):
+        raise AssertionError("mean_width_exact took the affine rank")
+
+    monkeypatch.setattr(widths, "affine_dim", refuse)
+    assert mean_width_exact(body) > 0.0
+    assert calls == ["skeleton", "hull"]
+    flat = Polytope([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="full-dimensional"):
+        mean_width_exact(flat)
 
 
 def test_mean_width_mc_ball_surrogate():
@@ -187,7 +273,7 @@ def test_canonical_vertices_and_mean_width_do_not_depend_on_units(factor, offset
     cube = Polytope(CUBE.vertices * factor + offset)
     assert canonicalize(cube).nverts == 8
     assert mean_width_exact(cube) == pytest.approx(1.5 * factor, rel=1e-12)
-    assert widths._edge_exterior_angle(cube.vertices, 0, 1) == pytest.approx(math.pi / 2)
+    assert np.allclose(bodies._hull_skeleton(cube.vertices)[2], math.pi / 2, rtol=1e-14, atol=0)
     cloud = np.random.default_rng(37).standard_normal((12, 3))
     body = Polytope(cloud * factor + offset)
     assert canonical_vertex_indices(body) == canonical_vertex_indices(Polytope(cloud))
