@@ -8,25 +8,27 @@ flatness test is that rank, so verdicts do not change under x -> f x + v.
 Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 ``canonical_vertex_indices`` picks the extreme points for that pass, after
-merging points that agree to 12 decimals in the unit frame.  A set in R^3
-goes through one Quickhull at every size (``_hull``); a set of lower affine
-rank r, or one in another dimension, is read in its ``affine_frame``: the two
-ends for r = 1, a monotone-chain hull (``planar_hull``, which also gives the
-edges that the planar scale fit uses) for r = 2 and the Quickhull for r = 3.
-``hull_facets`` returns its facets, over which the 3-D scale fit runs its LP,
-and the vertices and normals of the facets give the extreme points, the
-``edges`` and each edge's exterior angle (``_hull_skeleton``), which the exact
-mean width reads.  From rank 4 on the pass is one point-in-hull LP per
-vertex, in a unit frame.  Other containment questions reduce to LPs over
-convex-combination variables.
+merging points that agree to 12 decimals in the unit frame.  A body in R^3
+owns its hull: one Quickhull (``_hull``) of its distinct vertices, built on
+first use and kept on the body as a ``_Hull`` record of extreme points,
+``edges``, exterior angles and facets, which the canonical vertices, the
+3-D scale fits and the exact mean width all read; ``canonicalize`` hands
+the record on to the canonical body.  A set of lower affine rank r, or one
+in another dimension, is read in its ``affine_frame``: the two ends for
+r = 1, a monotone-chain hull (``planar_hull``, which also gives the edges
+that the planar scale fit uses) for r = 2 and the Quickhull for r = 3.  From
+rank 4 on the pass is one point-in-hull LP per vertex, in a unit frame.
+Other containment questions reduce to LPs over convex-combination variables.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +69,12 @@ class Polytope:
 
     def __repr__(self) -> str:
         return f"Polytope({self.nverts} vertices in R^{self.dim}, canonical={self.canonical})"
+
+    @cached_property
+    def _hull_record(self) -> _Hull | None:
+        """The ``_hull_skeleton`` of a body in R^3, built on first use; None
+        when the body is flat or in another dimension."""
+        return _hull_skeleton(self.vertices) if self.dim == 3 else None
 
 
 def translate(p: Polytope, w) -> Polytope:
@@ -194,18 +202,18 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     """Indices (into p.vertices) of the extreme points, in input order; of
     equal points the first is kept.
 
-    The distinct points of a set in R^3 go through ``_hull_skeleton``.  A
-    set that it finds flat, or one in another dimension, is read in its
-    ``affine_frame``: rank 1 gives the two ends, rank 2 goes through
-    ``planar_hull`` and rank 3 through ``_hull_skeleton``.  From rank 4 on,
-    each point is tested against the hull of the others by ``point_in_hull``.
+    A body in R^3 reads them from its hull record.  A set that is flat, or
+    one in another dimension, is read in the ``affine_frame`` of its distinct
+    points: rank 1 gives the two ends, rank 2 goes through ``planar_hull``
+    and rank 3 through ``_hull_skeleton``.  From rank 4 on, each point is
+    tested against the hull of the others by ``point_in_hull``.
     """
+    if (hull := p._hull_record) is not None:
+        return hull.extreme.tolist()
     v = p.vertices
     keep = _distinct_indices(v)
     if len(keep) == 1:
         return keep
-    if p.dim == 3 and (skeleton := _hull_skeleton(v[keep])) is not None:
-        return [keep[i] for i in skeleton[0]]
     c, frame, r = affine_frame(v[keep])
     x = v[keep] if r == p.dim else (v[keep] - c) @ frame[:, :r]
     if r == 1:
@@ -213,7 +221,7 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     if r == 2:
         return sorted(keep[i] for i in planar_hull(x))
     if r == 3:
-        return [keep[i] for i in _hull_skeleton(x)[0]]
+        return [keep[i] for i in _hull_skeleton(x).extreme]
     for i in list(keep):
         if point_in_hull(v[i], Polytope(v[[j for j in keep if j != i]])):
             keep.remove(i)
@@ -264,28 +272,25 @@ _SURE = 3e-12
 _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
-def hull_facets(points) -> tuple[np.ndarray, np.ndarray] | None:
-    """Facets {x : a.x <= b} of the hull of a 3-D point set: unit outward
-    normals a, one row per facet, and offsets b.  None when the set is flat
-    (a point, collinear or coplanar) by the rank of ``affine_frame``, the
-    rule of ``affine_dim``.  Every point lies at most 1e-12 of the set's
-    extent above every facet plane.
-    """
-    hull = _hull(points)
-    return None if hull is None else hull[:2]
+# a 3-D hull as _hull_skeleton reads it: extreme points, edges as sorted rows
+# (i, j) with i < j, their exterior angles, and the facets {x : a.x <= b} of
+# the unit frame (X - c) / s of the points X, in which the scale fits run
+_Hull = namedtuple("_Hull", "extreme edges angles a b c s")
 
 
-def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``hull_facets`` plus incidences: incident[f, i] says point i is a
-    vertex of facet f, one of its corners or a point that ``_quickhull``
-    lifted onto one of its edges or into it.
+def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
+    """(a, b, c, s, incident): the facets {x : a.x <= b} of the hull of a
+    3-D point set X in its unit frame (X - c) / s, unit outward normals a
+    and offsets b, and incident[f, i], which says point i is a vertex of
+    facet f, one of its corners or a point that ``_quickhull`` lifted onto
+    it.  None when the set is flat by the rank of ``affine_frame``.  Every
+    point lies at most 1e-12 above every facet plane.
 
-    The work is done in the set's unit frame, from a tetrahedron of its
-    lexicographically least and greatest points, the one farthest from
-    their line and the one farthest from the plane of those three.  Each
-    facet's plane is the ``_plane`` of its vertex triple of largest area
-    (the first in lexicographic order on ties), and the facets come in the
-    lexicographic order of those triples.
+    The work starts from a tetrahedron of the lexicographically least and
+    greatest points, the one farthest from their line and the one farthest
+    from the plane of those three.  Each facet's plane is the ``_plane`` of
+    its vertex triple of largest area (the first in lexicographic order on
+    ties), and the facets come in the lexicographic order of those triples.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -306,10 +311,9 @@ def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         return None
     facets = sorted(_quickhull(p, (x0, x2, x1, x3) if h[x3] > 0.0 else (x0, x1, x2, x3)))
     planes = np.array([f[1] for f in facets])
-    a = planes[:, :3].copy()
     incident = np.zeros(len(facets) * len(p), dtype=bool)
     incident[[r * len(p) + i for r, f in enumerate(facets) for i in f[2]]] = True
-    return a, s * planes[:, 3] + a @ c, incident.reshape(len(facets), len(p))
+    return planes[:, :3].copy(), planes[:, 3].copy(), c, s, incident.reshape(len(facets), len(p))
 
 
 def _quickhull(p: list, tetra: tuple) -> list[tuple[tuple, tuple, list[int]]]:
@@ -484,9 +488,10 @@ def _exact_sees(p, t, q) -> bool:
                zip(_exact_normal(a, p[t[1]], p[t[2]]), q, a)) > 0
 
 
-def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Extreme points, edges and exterior angles of the hull of a 3-D point
-    set, from the facets of ``_hull``; None when the set is flat.
+def _hull_skeleton(v: np.ndarray) -> _Hull | None:
+    """The ``_Hull`` record of a 3-D point set, from the facets of ``_hull``
+    on its distinct points (``_distinct_indices``), with indices into v;
+    None when the set is flat.
 
     The extreme points are those on at least three facets.  An edge is a
     pair of facets with three or more extreme points that share exactly
@@ -496,14 +501,15 @@ def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
     and pi.  Those facets are the ones of the hull of the extreme points, so
     V - E + F = 2.  Of the ends of an edge shorter than TOL_FEAS of the
     set's extent the first stands for both, as of equal points: the other
-    is dropped and the hull of the rest read again.
+    is dropped and the hull of the rest read again.  The facets and frame
+    stay those of the whole set, so that every point lies below them.
     """
-    keep, hull = np.arange(len(v)), _hull(v)
-    if hull is None:
+    keep = np.array(_distinct_indices(v))
+    if (hull := _hull(v[keep])) is None:
         return None
-    tol = (TOL_FEAS * _unit_frame(v)[2]) ** 2
+    whole, tol = hull[:4], (TOL_FEAS * hull[3]) ** 2
     while True:
-        on = hull[2] & (hull[2].sum(axis=0) >= 3)
+        on = hull[4] & (hull[4].sum(axis=0) >= 3)
         rows = on.sum(axis=1) >= 3
         on, a = on[rows], hull[0][rows]
         f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))
@@ -516,36 +522,40 @@ def _hull_skeleton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
                 keep = rest
                 continue
         order = np.lexsort((ends[:, 1], ends[:, 0]))
-        angle = np.arctan2(np.linalg.norm(np.cross(a[f], a[g]), axis=1),
-                           (a[f] * a[g]).sum(axis=1))
-        return keep[on.any(axis=0)], ends[order], angle[order]
+        # |a_f x a_g| and a_f . a_g by their sums, cheaper than np.cross and norm
+        (x, y, z), (p, q, r) = a[f].T, a[g].T
+        cross = np.sqrt((y * r - z * q) ** 2 + (z * p - x * r) ** 2 + (x * q - y * p) ** 2)
+        angle = np.arctan2(cross, x * p + y * q + z * r)
+        return _Hull(keep[on.any(axis=0)], ends[order], angle[order], *whole)
 
 
 def canonicalize(p: Polytope) -> Polytope:
     """Remove redundant generators so every vertex is an extreme point.
 
     The kept vertices stay in input order; ``canonical_vertex_indices``
-    picks them.
+    picks them, and a body in R^3 hands on the hull record that chose them.
     """
     if p.canonical:
         return p
-    return Polytope(p.vertices[canonical_vertex_indices(p)], canonical=True)
+    idx = canonical_vertex_indices(p)
+    out = Polytope(p.vertices[idx], canonical=True)
+    if (hull := p._hull_record) is not None:   # idx is hull.extreme, increasing
+        object.__setattr__(out, "_hull_record", hull._replace(
+            extreme=np.arange(len(idx)), edges=np.searchsorted(idx, hull.edges)))
+    return out
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
     """1-skeleton of a canonical body of affine dimension 3, as sorted pairs
-    (i, j) with i < j: the edges of ``_hull_skeleton``, whose exterior angles
-    are dropped here; a body in R^4 and up is read in its ``affine_frame``."""
+    (i, j) with i < j: the edges of its hull record; a body in R^4 and up is
+    read in its ``affine_frame``."""
     if not p.canonical:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
-    v = p.vertices
-    if p.dim > 3:
-        c, frame, r = affine_frame(v)
-        v = (v - c) @ frame[:, :3] if r == 3 else v
-    skeleton = _hull_skeleton(v) if v.shape[1] == 3 else None
-    if skeleton is None:
+    if p.dim > 3 and (frame := affine_frame(p.vertices))[2] == 3:
+        p = Polytope((p.vertices - frame[0]) @ frame[1][:, :3])
+    if (hull := p._hull_record) is None:
         raise ValueError("edges requires a body of affine dimension 3")
-    return list(map(tuple, skeleton[1].tolist()))
+    return list(map(tuple, hull.edges.tolist()))
 
 
 def simplex_from_supports(normals: np.ndarray, heights: np.ndarray) -> Polytope:

@@ -43,7 +43,6 @@ from .bodies import (
     affine_frame,
     canonical_vertex_indices,
     canonicalize,
-    hull_facets,
     planar_hull,
 )
 from .core import TOL_FEAS, TOL_GEOM
@@ -256,7 +255,7 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
 
     With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
     it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet.  The
-    mean of L lies inside L, so b > 0 and the slacks are a feasible starting
+    centre lc lies inside L, so b > 0 and the slacks are a feasible starting
     basis.  The facet multipliers y map onto the blocks of _scale_fit_lp:
     facet f adds y_f*a_f/s to u_i and y_f*h_L(a_f)/s to w_i for a vertex x_i
     of K attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
@@ -331,11 +330,13 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
 
 def _supports(k: Polytope, l: Polytope):
     """(lc, s, a, b), shared by every fit of K or its vertex subsets in L: the unit outward
-    normals a and offsets b of the edges (s = 1) or facets (s = L's extent) of (L - lc) / s, lc
-    L's vertex mean; None in other dimensions, for a flat L or one of more than
-    _MAX_PLANAR_EDGES edges.  Raises on a dimension mismatch."""
+    normals a and offsets b of the edges (lc L's vertex mean, s = 1) or of the facets in L's hull
+    record (lc and s its frame) of (L - lc) / s; None in other dimensions, for a flat L or one of
+    more than _MAX_PLANAR_EDGES edges.  Raises on a dimension mismatch."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
+    if l.dim == 3:
+        return (hull := l._hull_record) and (hull.c, hull.s, hull.a, hull.b)
     lv = l.vertices
     if l.dim == 2:
         # a turn this far above rounding is a true one, so every edge line of
@@ -348,11 +349,7 @@ def _supports(k: Polytope, l: Polytope):
         edge = q[1:] - q[:-1]
         a = (edge / np.sqrt(np.add.reduce(edge * edge, axis=1, keepdims=True)))[:, ::-1] * _OUTWARD
         return lc, 1.0, a, np.add.reduce(a * (q[:-1] - lc), axis=1)
-    if l.dim != 3:
-        return None
-    w, lc, s = _unit_frame(lv)
-    facets = hull_facets(w)
-    return None if facets is None else (lc, s, *facets)
+    return None
 
 
 def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:

@@ -4,10 +4,11 @@ W(K) = (2 / (n omega_n)) * integral of h_K over the unit sphere, which a
 Monte Carlo average of 2 h_K(u) estimates directly.  Exact closed forms back
 the estimator in the plane (perimeter / pi) and in R^3 (edge lengths times
 exterior dihedral angles over 4 pi, each angle the one between the unit
-normals of the edge's two facets in the hull skeleton), and the Grassmannian
-average of planar shadow widths must reproduce the spatial value (Kubota
-consistency).  Every planar perimeter comes from one vectorised gift-wrap
-kernel, which takes all the shadows of a Kubota check in one pass.
+normals of the edge's two facets in the body's hull record), and the
+Grassmannian average of planar shadow widths must reproduce the spatial
+value (Kubota consistency).  Every planar perimeter comes from one
+vectorised gift-wrap kernel, which takes all the shadows of a Kubota check
+in one pass.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (
-    Polytope,
-    _hull_skeleton,
-    _unit_frame,
-    affine_dim,
-    canonicalize,
-    diameter,
-)
+from .bodies import Polytope, _unit_frame, affine_dim, canonicalize, diameter
 from .containment import scale_fit, subset_witness, translate_fits
 from .core import TOL_GEOM, direction_grid, haar_subspaces
 
@@ -99,9 +93,9 @@ def mean_width_exact(k: Polytope) -> float:
     """Closed-form mean width for full-dimensional bodies in R^2 or R^3.
 
     Plane: perimeter / pi (Cauchy).  Space: sum of edge length times
-    exterior dihedral angle, divided by 4 pi, over the edges of the hull
-    skeleton of the canonical body; each angle is the one between the unit
-    outward normals of the edge's two facets.
+    exterior dihedral angle, divided by 4 pi, over the edges of the body's
+    hull record; each angle is the one between the unit outward normals of
+    the edge's two facets.
     """
     n = k.dim
     if n == 2:
@@ -109,12 +103,10 @@ def mean_width_exact(k: Polytope) -> float:
             raise ValueError("exact mean width needs a full-dimensional body")
         return float(_hull_perimeters(k.vertices[None])[0]) / math.pi
     if n == 3:
-        v = canonicalize(k).vertices
-        if (skeleton := _hull_skeleton(v)) is None:
+        if (hull := k._hull_record) is None:
             raise ValueError("exact mean width needs a full-dimensional body")
-        _, ends, angle = skeleton
-        length = np.linalg.norm(v[ends[:, 1]] - v[ends[:, 0]], axis=1)
-        return float(length @ angle) / (4.0 * math.pi)
+        length = np.linalg.norm(np.subtract(*k.vertices[hull.edges.T]), axis=1)
+        return float(length @ hull.angles) / (4.0 * math.pi)
     raise ValueError("exact mean width implemented for n in {2, 3} only")
 
 
@@ -132,10 +124,11 @@ def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> Kub
     shadow mean widths over sampled 2-subspaces.  The canonical vertices
     are projected at once onto the (n_subspaces, 3, 2) stack of Haar bases
     that ``haar_subspaces`` returns, so no Subspace is built, and all the
-    shadow perimeters come from one pass of the gift-wrap kernel."""
+    shadow perimeters come from one pass of the gift-wrap kernel.  One hull
+    record serves the flatness test, the canonical body and its width."""
     if n_subspaces < 2:
         raise ValueError(f"Kubota check needs at least 2 subspaces, got {n_subspaces}")
-    if affine_dim(k) != 3:
+    if k._hull_record is None:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     kc = canonicalize(k)
     w3 = mean_width_exact(kc)

@@ -1,6 +1,6 @@
 import pytest
 
-from shadowcover import lp
+from shadowcover import bodies, lp
 
 
 @pytest.fixture
@@ -11,4 +11,13 @@ def lp_calls(monkeypatch):
         original = getattr(lp, name)
         monkeypatch.setattr(lp, name,
                             lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Point counts of the Quickhulls (``bodies._hull``) built from here on."""
+    calls = []
+    original = bodies._hull
+    monkeypatch.setattr(bodies, "_hull", lambda p: calls.append(len(p)) or original(p))
     return calls

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from shadowcover import bodies
 from shadowcover.bodies import (
     Polytope,
     affine_dim,
@@ -12,7 +13,6 @@ from shadowcover.bodies import (
     canonicalize,
     diameter,
     edges,
-    hull_facets,
     hyperplane_shadow,
     linear_image,
     planar_hull,
@@ -238,6 +238,13 @@ def _planes(a, b):
     return np.unique(np.round(np.column_stack([a, b]), 8), axis=0)
 
 
+def _facets(points):
+    """The facets {x : a.x <= b} of the points' hull record, in their own
+    coordinates; None when the record is."""
+    hull = Polytope(points)._hull_record
+    return None if hull is None else (hull.a, hull.s * hull.b + hull.a @ hull.c)
+
+
 def _scipy_planes(points):
     spatial = pytest.importorskip("scipy.spatial")
     eq = spatial.ConvexHull(points).equations   # a.x + e <= 0, one row per triangle
@@ -248,7 +255,7 @@ def test_hull_facets_match_scipy_on_clouds():
     rng = np.random.default_rng(97)
     for m in [4, 5, 8, 12, 16, 20, 24, 26, 48, 200] * 3:
         pts = rng.standard_normal((m, 3)) * rng.uniform(0.5, 3.0) + rng.uniform(-4, 4, 3)
-        a, b = hull_facets(pts)
+        a, b = _facets(pts)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
         assert (pts @ a.T - b).max() <= 1e-12 * np.abs(pts).max()
         want = _scipy_planes(pts)
@@ -258,7 +265,7 @@ def test_hull_facets_match_scipy_on_clouds():
 
 def test_hull_facets_merge_coplanar_points():
     # a cube has four points on each facet, and C(4, 3) triples span it
-    a, b = hull_facets(CUBE.vertices)
+    a, b = _facets(CUBE.vertices)
     assert len(b) == 6
     assert np.array_equal(_planes(a, b), _scipy_planes(CUBE.vertices))
     assert np.allclose(np.abs(a).sum(axis=1), 1.0)
@@ -267,13 +274,13 @@ def test_hull_facets_merge_coplanar_points():
     # lines by a hair, and the slivers the hull builds on them join a face
     rot = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
     grid = np.array(list(product(range(4), repeat=3)), dtype=float) @ rot.T + 3.0
-    a, b = hull_facets(grid)
+    a, b = _facets(grid)
     assert len(b) == 6 and np.allclose(_planes(a, b), _scipy_planes(grid), atol=1e-7)
     # a prism over a regular 100-gon: two facets of 100 vertices each
     turns = np.arange(100) * np.pi / 50
     prism = np.vstack([np.column_stack([np.cos(turns), np.sin(turns), np.full(100, z)])
                        for z in (0.0, 1.0)])
-    a, b = hull_facets(prism)
+    a, b = _facets(prism)
     assert len(b) == 102 and np.allclose(_planes(a, b), _scipy_planes(prism), atol=1e-7)
 
 
@@ -283,19 +290,19 @@ def test_hull_facets_ignore_duplicate_and_interior_points():
         pts = rng.standard_normal((9, 3))
         weights = rng.dirichlet(np.ones(9), size=4)
         cloud = np.vstack([pts, pts[[2, 5, 2]], weights @ pts, pts.mean(axis=0)])
-        want = _planes(*hull_facets(pts))
-        assert np.allclose(_planes(*hull_facets(cloud)), want, atol=1e-9)
-        assert np.allclose(_planes(*hull_facets(cloud)), _scipy_planes(cloud), atol=1e-7)
+        want = _planes(*_facets(pts))
+        assert np.allclose(_planes(*_facets(cloud)), want, atol=1e-9)
+        assert np.allclose(_planes(*_facets(cloud)), _scipy_planes(cloud), atol=1e-7)
 
 
 def test_hull_facets_are_scale_and_offset_free():
     rng = np.random.default_rng(103)
     pts = rng.standard_normal((10, 3))
-    a, b = hull_facets(pts)
+    a, b = _facets(pts)
     for factor in (1e9, 1e-9):
-        a2, b2 = hull_facets(pts * factor)
+        a2, b2 = _facets(pts * factor)
         assert np.allclose(a2, a, atol=1e-12) and np.allclose(b2 / factor, b, atol=1e-12)
-    a3, b3 = hull_facets(pts + 1e6)
+    a3, b3 = _facets(pts + 1e6)
     assert np.allclose(a3, a, atol=1e-8) and np.allclose(b3 - a3.sum(axis=1) * 1e6, b, atol=1e-6)
 
 
@@ -304,11 +311,12 @@ def test_hull_facets_none_only_when_flat():
     planar = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 3)) + 1.0
     line = np.outer(rng.standard_normal(6), [1.0, 2.0, -1.0])
     for pts in (planar, line, np.ones((5, 3)), rng.standard_normal((3, 3))):
-        assert hull_facets(pts) is None
+        assert _facets(pts) is None
     pts = rng.standard_normal((25, 3))
-    assert np.allclose(_planes(*hull_facets(pts)), _scipy_planes(pts), atol=1e-7)
+    assert np.allclose(_planes(*_facets(pts)), _scipy_planes(pts), atol=1e-7)
+    assert Polytope(rng.standard_normal((6, 2)))._hull_record is None
     with pytest.raises(ValueError):
-        hull_facets(rng.standard_normal((6, 2)))
+        bodies._hull_skeleton(rng.standard_normal((6, 2)))
 
 
 def test_hull_facets_flat_exactly_when_affine_dim_says_so():
@@ -321,7 +329,7 @@ def test_hull_facets_flat_exactly_when_affine_dim_says_so():
         thick = 10 ** rng.uniform(-9.5, -7.5)
         pts = rng.standard_normal((5, 3)) * [1.0, 1.0, thick] @ rot.T
         ranks.append(affine_dim(Polytope(pts)))
-        assert (hull_facets(pts) is None) == (ranks[-1] < 3)
+        assert (_facets(pts) is None) == (ranks[-1] < 3)
     assert 200 < ranks.count(3) < 1800
 
 
@@ -386,18 +394,16 @@ def test_hull_of_near_degenerate_clouds(lp_calls):
     # such clouds, so the extreme points changed past 24 points; now every
     # point lies within 1e-12 of the extent below every facet, V - E + F = 2,
     # and interior points that keep the vertex mean and extent change nothing
-    from shadowcover import bodies
-
     rng = np.random.default_rng(17)
     for _ in range(300):
         cloud = _near_degenerate_cloud(rng)
         extent = np.abs(cloud - cloud.mean(axis=0)).max()
-        a, b = hull_facets(cloud)
+        a, b = _facets(cloud)
         assert (cloud @ a.T - b).max() <= 1e-12 * extent
         kept = canonicalize(Polytope(cloud)).vertices
-        extreme, pairs, angles = bodies._hull_skeleton(kept)
+        extreme, pairs, angles = bodies._hull_skeleton(kept)[:3]
         assert len(angles) == len(pairs) and 0.0 < angles.min() and angles.max() < np.pi
-        incident = bodies._hull(kept)[2][:, extreme]
+        incident = bodies._hull(kept)[4][:, extreme]
         assert len(extreme) - len(pairs) + int((incident.sum(axis=1) >= 3).sum()) == 2
         idx = canonical_vertex_indices(Polytope(cloud))
         inner = cloud.mean(axis=0) + 0.5 * (cloud - cloud.mean(axis=0))
@@ -405,6 +411,23 @@ def test_hull_of_near_degenerate_clouds(lp_calls):
         assert len(cloud) <= 24 < len(bigger)
         assert canonical_vertex_indices(Polytope(bigger)) == idx
     assert lp_calls == []
+
+
+def test_canonical_body_keeps_the_skeleton_that_chose_its_vertices():
+    # cloud 427 of the probe: a point near a hull edge leaves two triangles
+    # within about 1e-12 of one plane, which merge in the frame of all 18
+    # points and not in that of the 14 extreme points, whose own hull has 36
+    # edges; the canonical body reads the 35 of the skeleton that chose it
+    rng = np.random.default_rng(0)
+    for _ in range(428):
+        cloud = _near_degenerate_cloud(rng)
+    p = Polytope(cloud)
+    chosen = p._hull_record
+    kc = canonicalize(p)
+    assert (len(cloud), kc.nverts, len(chosen.edges)) == (18, 14, 35)
+    where = {int(i): j for j, i in enumerate(chosen.extreme)}
+    assert edges(kc) == [(where[i], where[j]) for i, j in chosen.edges.tolist()]
+    assert canonicalize(kc) is kc and edges(kc) == edges(canonicalize(Polytope(cloud)))
 
 
 def test_edges_match_scipy_simplices(lp_calls):

@@ -315,3 +315,14 @@ def test_farkas_certificate_is_unit_free():
         d = Polytope(factor * delta.vertices + offset)
         assert farkas_excludes_translate(q, d, 1.2)
         assert not farkas_excludes_translate(q, d, 0.9)
+
+
+def test_build_and_replay_build_two_hulls(hull_calls):
+    # the body's Quickhull picks its canonical vertices and the cover's
+    # serves every fit in it, at build and at replay
+    for seed in range(3):
+        body = Polytope(np.random.default_rng(seed).standard_normal((8, 3)))
+        hull_calls.clear()
+        ce = build_counterexample(body, rng=seed, directions=16, sweep_count=16)
+        assert all(replay_counterexample(ce, sweep_count=16).values())
+        assert hull_calls == [8, 4]

@@ -512,13 +512,10 @@ def _degenerate_ls(rng):
     return [(lv, 1e-12) for lv in ls] + [(slab, 1e-8)]
 
 
-def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
+def test_subset_fits_share_facets_and_match_enumeration(hull_calls):
     # decide-style pairs and degenerate L: the subset fits from L's dual rays
     # equal one V-form LP per subset, so the witness equals the lexicographic
-    # search, and each search computes L's facets once
-    hulls = []
-    monkeypatch.setattr(containment, "hull_facets",
-                        lambda p: hulls.append(p.shape) or bodies.hull_facets(p))
+    # search, and every search reads L's facets from its one hull
     rng = np.random.default_rng(131)
     cases = []
     for i in range(60):
@@ -531,6 +528,7 @@ def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
             k = canonicalize(Polytope(rng.standard_normal((7, n)) * (0.6 if n == 3 else 0.8)))
             cases.append((k, Polytope(lv), kcount, rel))
     for k, l, kcount, rel in cases:
+        hull_calls.clear()
         sigmas = [(list(c), containment._lp_scale_fit(k.vertices[list(c)], l.vertices).sigma)
                   for c in combinations(range(k.nverts), kcount)]
         want = next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
@@ -539,8 +537,33 @@ def test_subset_fits_share_facets_and_match_enumeration(monkeypatch):
         assert rows.tolist() == [c for c, _ in sigmas]
         assert got == pytest.approx([s for _, s in sigmas], rel=rel)
         assert min_subset_sigma(k, l, kcount) == pytest.approx(min(got), rel=1e-12)
-        assert hulls == [l.vertices.shape] * 3 * (l.dim == 3)
-        hulls.clear()
+        assert len(hull_calls) == (l.dim == 3)
+
+
+def test_a_decide_pair_builds_each_hull_once(hull_calls):
+    # translate_fits and the Helly search on one raw K and one L: one
+    # Quickhull each, K's for its canonical vertices and L's for its facets
+    rng = np.random.default_rng(139)
+    for i in range(20):
+        k = Polytope(rng.standard_normal((6 + i % 5, 3)))
+        l = Polytope(rng.standard_normal((8 + i % 7, 3)) * (1.5, 2.0, 2.5, 3.0)[i % 4])
+        hull_calls.clear()
+        fits, _ = translate_fits(k, l)
+        assert fits == (subset_witness(k, l, 4) is None)
+        assert min_subset_sigma(k, l, 4) == pytest.approx(scale_fit(k, l).sigma, rel=1e-9)
+        assert sorted(hull_calls) == sorted([k.nverts, l.nverts])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reflected_simplex_fits_in_closed_form(n):
+    # for the simplex D = conv(0, e_1, ..., e_n), -D fits in D at 1/n, while
+    # its least (d+1)-subset fit, and so by Theorem 2 its least d-shadow fit,
+    # is 1/d: the shadow gap is exactly n/d
+    delta = Polytope(np.vstack([np.zeros(n), np.eye(n)]))
+    minus = Polytope(-delta.vertices)
+    assert scale_fit(minus, delta).sigma == pytest.approx(1.0 / n, rel=1e-12)
+    for d in range(1, n):
+        assert min_subset_sigma(minus, delta, d + 1) == pytest.approx(1.0 / d, rel=1e-12)
 
 
 def _highs_sigma(kv, lv):
@@ -580,7 +603,7 @@ def test_dual_rays_match_an_enumeration_in_order(m, f):
     # kernel gives the rays of one itertools enumeration over the same table,
     # bit for bit and in order, and each block of first indices stays small
     g = np.random.default_rng(m).standard_normal((m, 3))
-    a = bodies.hull_facets(g / np.linalg.norm(g, axis=1, keepdims=True))[0]
+    a = Polytope(g / np.linalg.norm(g, axis=1, keepdims=True))._hull_record.a
     assert a.shape == (f, 3)
     u = np.linalg.svd(a, full_matrices=False)[0]
     table = np.einsum("pqd,rd->pqr", np.cross(u[:, None], u), u)

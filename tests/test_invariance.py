@@ -5,7 +5,9 @@ R and an offset t of up to 1e6 body sizes, together with a vertex
 permutation and duplicated vertices, must leave unchanged every answer that
 reads a body's frame: the affine dimension, the canonical vertex set, the
 scale fit and the least vertex-subset fit, the support set and the touching
-verdict; the exact mean width scales by f.
+verdict; the exact mean width scales by f.  A linear map x -> M x of
+condition number up to 1e3 leaves the scale fit and the least vertex-subset
+fits unchanged as well.
 """
 
 import numpy as np
@@ -40,6 +42,17 @@ def similarities(draw):
     shift = draw(st.floats(0.0, 1e6)) * direction / np.linalg.norm(direction)
     rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return n, rng, lambda x: factor * (x @ rot.T + shift), rot, factor
+
+
+@st.composite
+def linear_maps(draw):
+    """(n, rng, m): an ambient dimension, a generator for the bodies, and a
+    random matrix of R^n, of either orientation, whose singular values lie
+    in [1, 1e3]."""
+    n = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _, vt = np.linalg.svd(rng.standard_normal((n, n)))
+    return n, rng, u * 10.0 ** rng.uniform(0.0, 3.0, n) @ vt
 
 
 def _reorder(rng, m, repeats=3):
@@ -78,6 +91,19 @@ def test_scale_fit_sigma(case, mk, ml):
     assert moved.sigma == pytest.approx(scale_fit(Polytope(k), Polytope(l)).sigma, rel=1e-9)
     assert min_subset_sigma(moved_k, moved_l, n + 1) == pytest.approx(
         min_subset_sigma(Polytope(k), Polytope(l), n + 1), rel=1e-9)
+
+
+@PROPERTY
+@given(linear_maps(), st.integers(2, 8), st.integers(4, 10))
+def test_scale_fits_under_a_linear_map(case, mk, ml):
+    n, rng, m = case
+    k, l = rng.standard_normal((mk, n)), 2.0 * rng.standard_normal((ml, n))
+    assert np.linalg.cond(m) <= 1e3 * (1.0 + 1e-12)
+    here, there = (Polytope(k), Polytope(l)), (Polytope(k @ m.T), Polytope(l @ m.T))
+    assert scale_fit(*there).sigma == pytest.approx(scale_fit(*here).sigma, rel=1e-9)
+    for kcount in (2, 3):
+        assert min_subset_sigma(*there, kcount) == pytest.approx(
+            min_subset_sigma(*here, kcount), rel=1e-9)
 
 
 @PROPERTY

@@ -123,22 +123,25 @@ def test_mean_width_exact_matches_qhull_triangles():
             _qhull_mean_width(points), rel=1e-12)
 
 
-def test_mean_width_exact_reads_one_hull_skeleton(monkeypatch):
-    body = canonicalize(Polytope(np.random.default_rng(53).standard_normal((16, 3))))
-    calls = []
-    skeleton, hull = widths._hull_skeleton, bodies._hull
-    monkeypatch.setattr(widths, "_hull_skeleton", lambda v: calls.append("skeleton") or skeleton(v))
-    monkeypatch.setattr(bodies, "_hull", lambda p: calls.append("hull") or hull(p))
+def test_mean_width_exact_reads_one_hull_skeleton(monkeypatch, hull_calls):
+    # one Quickhull serves a Kubota check's flatness test, its canonical
+    # vertices and its exact width, with no affine rank taken
+    body = Polytope(np.random.default_rng(53).standard_normal((16, 3)))
 
     def refuse(*args):
-        raise AssertionError("mean_width_exact took the affine rank")
+        raise AssertionError("the Kubota check took the affine rank")
 
-    monkeypatch.setattr(widths, "affine_dim", refuse)
-    assert mean_width_exact(body) > 0.0
-    assert calls == ["skeleton", "hull"]
+    monkeypatch.setattr(bodies, "affine_frame", refuse)
+    report = kubota_check(body, 50, np.random.default_rng(0))
+    assert len(hull_calls) == 1
+    assert mean_width_exact(body) == mean_width_exact(canonicalize(body)) == report.width_exact
+    assert len(hull_calls) == 1
+    monkeypatch.undo()
     flat = Polytope([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
     with pytest.raises(ValueError, match="full-dimensional"):
         mean_width_exact(flat)
+    with pytest.raises(ValueError, match="full-dimensional"):
+        kubota_check(flat, 50, np.random.default_rng(0))
 
 
 def test_mean_width_mc_ball_surrogate():
