@@ -278,6 +278,13 @@ _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 _Hull = namedtuple("_Hull", "extreme edges angles a b c s")
 
 
+def _read_only(hull: _Hull) -> _Hull:
+    """The record with its arrays set read-only, as every reader shares them."""
+    for field in hull[:-1]:
+        field.flags.writeable = False
+    return hull
+
+
 def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
     """(a, b, c, s, incident): the facets {x : a.x <= b} of the hull of a
     3-D point set X in its unit frame (X - c) / s, unit outward normals a
@@ -526,7 +533,7 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
         (x, y, z), (p, q, r) = a[f].T, a[g].T
         cross = np.sqrt((y * r - z * q) ** 2 + (z * p - x * r) ** 2 + (x * q - y * p) ** 2)
         angle = np.arctan2(cross, x * p + y * q + z * r)
-        return _Hull(keep[on.any(axis=0)], ends[order], angle[order], *whole)
+        return _read_only(_Hull(keep[on.any(axis=0)], ends[order], angle[order], *whole))
 
 
 def canonicalize(p: Polytope) -> Polytope:
@@ -540,8 +547,8 @@ def canonicalize(p: Polytope) -> Polytope:
     idx = canonical_vertex_indices(p)
     out = Polytope(p.vertices[idx], canonical=True)
     if (hull := p._hull_record) is not None:   # idx is hull.extreme, increasing
-        object.__setattr__(out, "_hull_record", hull._replace(
-            extreme=np.arange(len(idx)), edges=np.searchsorted(idx, hull.edges)))
+        object.__setattr__(out, "_hull_record", _read_only(hull._replace(
+            extreme=np.arange(len(idx)), edges=np.searchsorted(idx, hull.edges))))
     return out
 
 

@@ -7,10 +7,10 @@ Two tolerances are used everywhere:
 
 Both can be overridden per call through keyword arguments.
 
-Points of G(n, d) are orthonormal n x d bases.  One kernel orthonormalizes a
-stack of matrices and one check tests a stack; ``Subspace``, ``orthonormalize``
-and the Haar sampler, whose draw is one (count, n, d) array, all use both.
-Haar rows are wrapped as ``Subspace`` objects with no second check.
+Points of G(n, d) are orthonormal n x d bases.  One Gram-Schmidt kernel with
+no LAPACK call orthonormalizes a stack and one check tests a stack; ``Subspace``,
+``orthonormalize`` and the Haar sampler, whose draw is one (count, n, d) array,
+use both.  Haar rows are wrapped as ``Subspace`` objects with no second check.
 """
 
 from __future__ import annotations
@@ -45,23 +45,29 @@ def unit(v) -> np.ndarray:
 
 
 def _orthonormal_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q of the QR of each (n, d) matrix of a stack (or of one matrix), signs
-    fixed so diag(R) >= 0 (unique, idempotent), and a mask, False where the
-    least singular value is at most TOL_FEAS * max(1, largest).  Stacked svd
-    and qr give each matrix the bits they give it alone."""
-    sv = np.linalg.svd(a, compute_uv=False)
-    ok = sv[..., -1] > TOL_FEAS * np.maximum(1.0, sv[..., 0])
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0.0] = 1.0
-    return q * signs[..., None, :], ok
+    """Q of the QR of each (n, d) matrix of a stack (or of one matrix), with
+    diag(R) > 0 (unique, idempotent), and a mask, False where a pivot r_jj is
+    at most TOL_FEAS * max(1, largest column norm).  Classical Gram-Schmidt,
+    each column projected twice; every dot product sums along n, so a matrix
+    gets the bits it gets alone, and a failed pivot divides by 1."""
+    q = np.array(a, dtype=np.float64)
+    r = np.sqrt((q * q).sum(axis=-2))
+    floor = TOL_FEAS * np.maximum(1.0, r.max(axis=-1))
+    for j in range(q.shape[-1]):
+        v, done = q[..., j], q[..., :j]
+        for _ in range(2 if j else 0):
+            v = v - (done * (done * v[..., None]).sum(axis=-2)[..., None, :]).sum(axis=-1)
+        r[..., j] = np.sqrt((v * v).sum(axis=-1))
+        q[..., j] = v / np.where(r[..., j] > floor, r[..., j], 1.0)[..., None]
+    return q, (r > floor[..., None]).all(axis=-1)
 
 
 def _check_orthonormal(b: np.ndarray) -> None:
     """Raise ValueError unless every (n, d) matrix of a stack (or one matrix)
-    has orthonormal columns: its Gram matrix within 1e2 * TOL_FEAS of I."""
-    gram = np.swapaxes(b, -1, -2) @ b
-    if np.abs(gram - np.eye(b.shape[-1])).max(initial=0.0) > 1e2 * TOL_FEAS:
+    has orthonormal columns: its Gram matrix, summed from one broadcast
+    product of the columns, within 1e2 * TOL_FEAS of I."""
+    gram = (b[..., :, :, None] * b[..., :, None, :]).sum(axis=-3)
+    if not np.abs(gram - np.eye(b.shape[-1])).max(initial=0.0) <= 1e2 * TOL_FEAS:
         raise ValueError("basis columns are not orthonormal")
 
 
@@ -107,8 +113,8 @@ def orthonormalize(m) -> Subspace:
     The returned basis spans the same column space.  Idempotent: feeding a
     returned basis back in reproduces it within ``TOL_FEAS``.
 
-    Raises ``ValueError`` ("degenerate basis") when the numerical rank of the
-    input is below d.
+    Raises ``ValueError`` ("degenerate basis") when a Gram-Schmidt pivot is
+    at most ``TOL_FEAS`` times max(1, largest column norm).
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim == 1:
@@ -131,10 +137,10 @@ def haar_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> np.n
     """count Haar samples of G(n, d): a read-only (count, n, d) array of
     orthonormal bases, empty for count 0.
 
-    Orthonormalizes one (count, n, d) standard-Gaussian sample; rotation
-    invariance of the Gaussian makes each basis Haar-distributed.  A
-    degenerate matrix (measure zero) is redrawn in place after the whole
-    sample.  Deterministic for a given generator state.
+    Orthonormalizes one (count, n, d) standard-Gaussian sample in one kernel
+    call, each basis with the bits it gets alone; the Gaussian's rotation
+    invariance makes each basis Haar-distributed.  A degenerate matrix
+    (measure zero) is redrawn in place.  Deterministic for a given generator.
     """
     if not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")

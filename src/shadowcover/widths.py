@@ -55,35 +55,37 @@ def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
     (S, m, 2) array, by gift wrapping (Jarvis) all of them at once.
 
     Each walk starts at the lowest of the leftmost points, heading down, and
-    steps to the point of least left turn, the farthest of exact ties;
-    points equal to the current one are skipped.  Turns lie in [0, pi] up
-    to rounding, so one below -pi/2 (-pi from a signed zero, say) is read
-    as itself plus 2 pi.  A walk closes when it is back at its start, within
-    m steps; one that is not raises ValueError, never a partial perimeter.
+    steps to the point of least left turn, the farthest of exact ties.  With
+    s and c the cross and dot products of heading and step, a turn ranks by
+    the pseudo-angle copysign(1 - s / (|s| + |c|), c), which falls from 2 to
+    -2 as the turn goes from -pi/2 to 3 pi/2, as fine as arctan2 near 0 and
+    pi; a point equal to the current one ranks -inf.  A walk closes when it
+    is back at its start, within m steps; one that is not raises ValueError.
     """
     pts = np.asarray(shadows, dtype=np.float64)
     count, m, _ = pts.shape
-    x, y = pts[:, :, 0], pts[:, :, 1]
-    start = np.argmin(np.where(x == x.min(axis=1, keepdims=True), y, np.inf), axis=1)
-    rows = np.arange(count)
+    x, y = np.ascontiguousarray(pts.transpose(2, 1, 0))   # (m, count): long inner loops
+    start = np.argmin(np.where(x == x.min(axis=0), y, np.inf), axis=0)
+    cols = np.arange(count)
     cur = start.copy()
     hx, hy = np.zeros(count), np.full(count, -1.0)
     total = np.zeros(count)
     walking = np.ones(count, dtype=bool)
     for _ in range(m):
-        dx = x - x[rows, cur][:, None]
-        dy = y - y[rows, cur][:, None]
-        ux, uy = hx[:, None], hy[:, None]
-        turn = np.arctan2(ux * dy - uy * dx, ux * dx + uy * dy)
-        turn[turn < -0.5 * math.pi] += 2.0 * math.pi
-        turn[(dx == 0.0) & (dy == 0.0)] = np.inf
-        dist = np.sqrt(dx * dx + dy * dy)
-        least = turn.min(axis=1, keepdims=True)
-        cur = np.argmax(np.where(turn == least, dist, -1.0), axis=1)
-        total += np.where(walking, dist[rows, cur], 0.0)
-        hx, hy = dx[rows, cur], dy[rows, cur]
+        dx = x - x[cur, cols]
+        dy = y - y[cur, cols]
+        s, c = hx * dy - hy * dx, hx * dx + hy * dy
+        norm = np.abs(s) + np.abs(c)
+        same = norm == 0.0
+        rank = np.copysign(1.0 - s / (norm + same), c)
+        rank[same] = -np.inf
+        best = rank.max(axis=0)
+        d2 = dx * dx + dy * dy
+        cur = np.argmax(np.where(rank == best, d2, -1.0), axis=0)
+        total += np.where(walking, np.sqrt(d2[cur, cols]), 0.0)
+        hx, hy = dx[cur, cols], dy[cur, cols]
         # a set of equal points has no turn at all: its hull is the point
-        walking &= (cur != start) & np.isfinite(least[:, 0])
+        walking &= (cur != start) & np.isfinite(best)
         if not walking.any():
             return total
     raise ValueError(f"{walking.sum()} of {count} planar hulls did not close in {m} steps")

@@ -430,6 +430,15 @@ def test_canonical_body_keeps_the_skeleton_that_chose_its_vertices():
     assert canonicalize(kc) is kc and edges(kc) == edges(canonicalize(Polytope(cloud)))
 
 
+def test_hull_record_is_read_only_on_raw_and_canonical_bodies():
+    # every reader of a body shares its record, so no reader may write it
+    p = Polytope(np.random.default_rng(7).standard_normal((12, 3)))
+    for hull in (p._hull_record, canonicalize(p)._hull_record):
+        for name in ("extreme", "edges", "angles", "a", "b", "c"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(hull, name)[0] += 1
+
+
 def test_edges_match_scipy_simplices(lp_calls):
     spatial = pytest.importorskip("scipy.spatial")
     rng = np.random.default_rng(113)

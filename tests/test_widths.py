@@ -215,12 +215,51 @@ def test_batched_perimeters_match_monotone_chain():
     assert widths._hull_perimeters(np.ones((1, 5, 2)))[0] == 0.0
 
 
+def test_batched_perimeters_match_the_oracle_on_hard_cases():
+    # points 1e-17 outside the bottom and right edges of a box, noisy
+    # near-collinear runs inside an edge, and duplicates of hull points and
+    # of the start, each set also walked in reverse order
+    rng = np.random.default_rng(41)
+    shadows = []
+    for _ in range(60):
+        corners = [[-1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
+        t = rng.uniform(0.0, 1.0, 2)
+        shadows.append(np.vstack([corners, rng.uniform(0, 1, (4, 2)) - [1, 0],
+                                  [[-t[0], -1e-17], [1e-17, t[1]], [-t[0], 0.0], [0.0, t[1]]]]))
+        hull = hull2d(rng.standard_normal((8, 2)))
+        p, q = hull[0], hull[1]
+        run = p + np.linspace(0.0, 1.0, 9)[1:-1, None] * (q - p)
+        shadows.append(np.vstack([hull, run + 1e-15 * rng.standard_normal(run.shape)]))
+        shadows.append(np.vstack([hull, hull[:3], [hull[0]] * 2]))
+    for s in shadows:
+        got = widths._hull_perimeters(np.array([s, s[::-1]]))
+        assert np.allclose(got, perimeter2d(s), rtol=1e-12, atol=0.0)
+
+
+def test_batched_perimeters_are_right_or_raise_on_near_duplicates():
+    # a step to a point 1e-15 away leaves a heading of rounding noise; a
+    # turn rank blind to the turn's sign (the cosine) then walks back along
+    # the hull and returns a short perimeter, and this one must not
+    rng = np.random.default_rng(5)
+    closed = 0
+    for _ in range(600):
+        pts = rng.standard_normal((8, 2))
+        s = np.vstack([pts, pts[rng.integers(8)] + 1e-15 * rng.standard_normal(2)])
+        try:
+            got = widths._hull_perimeters(s[None])[0]
+        except ValueError:
+            continue
+        closed += 1
+        assert got == pytest.approx(perimeter2d(s), rel=1e-12)
+    assert closed >= 590
+
+
 def test_batched_perimeters_raise_on_a_walk_that_does_not_close(monkeypatch):
-    # a turn function that always prefers point 0, then point 1, never lets
-    # a walk from point 2 back: the kernel raises, it returns no partial sum
-    monkeypatch.setattr(widths.np, "arctan2",
-                        lambda y, x: np.broadcast_to(np.arange(y.shape[1], dtype=float),
-                                                     y.shape).copy())
+    # a turn rank that always puts point 0 first never lets a walk from
+    # point 2 back: the kernel raises, it returns no partial sum
+    monkeypatch.setattr(widths.np, "copysign",
+                        lambda a, b: np.broadcast_to(-np.arange(b.shape[0], dtype=float)[:, None],
+                                                     b.shape).copy())
     square = np.array([[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="did not close"):
         widths._hull_perimeters(square)
