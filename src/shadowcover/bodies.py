@@ -96,9 +96,9 @@ def support(p: Polytope, u) -> float:
     return float(np.max(p.vertices @ u))
 
 
-def support_set(p: Polytope, u, tol_geom: float = TOL_GEOM) -> list[int]:
+def support_set(p: Polytope, u) -> list[int]:
     """Indices of vertices attaining the support value within
-    tol_geom * |u| times P's extent, so a similarity of P keeps the set.
+    TOL_GEOM * |u| times P's extent, so a similarity of P keeps the set.
 
     A singleton certifies an exposed point, and u as a regular normal of P.
     """
@@ -107,7 +107,7 @@ def support_set(p: Polytope, u, tol_geom: float = TOL_GEOM) -> list[int]:
     if norm <= TOL_FEAS:
         raise ValueError("support set needs a nonzero direction")
     vals = p.vertices @ u
-    cutoff = vals.max() - tol_geom * norm * _unit_frame(p.vertices)[2]
+    cutoff = vals.max() - TOL_GEOM * norm * _unit_frame(p.vertices)[2]
     return [int(i) for i in np.nonzero(vals >= cutoff)[0]]
 
 

@@ -1,13 +1,14 @@
 """Command-line surface: JSON reports for every query, seeded and replayable.
 
 Every report embeds the command, the seed, and the tolerances in force, so
-a third party can replay the verdict.  Each command declares only the flags
-it reads: --samples and --seed where it samples or draws, --tol-geom where
-a verdict has a tolerance band.  A command that draws nothing (fit,
-scale-fit, witness, edge-criterion) reports "seed": null.  Reports are
-byte-identical across runs with the same argv, except for the "timestamp"
-object, which carries wall-clock time and elapsed seconds and is excluded
-from the determinism contract.
+a third party can replay the verdict.  The tolerances are the library's
+constants TOL_FEAS and TOL_GEOM; no flag overrides them.  Each command
+declares only the flags it reads: --samples and --seed where it samples or
+draws.  A command that draws nothing (fit, scale-fit, witness,
+edge-criterion) reports "seed": null.  Reports are byte-identical across
+runs with the same argv, except for the "timestamp" object, which carries
+wall-clock time and elapsed seconds and is excluded from the determinism
+contract.
 
 Exit codes: 0 verdict computed (the verdict itself is in the JSON),
 2 precondition or input error, 3 internal numerical failure.
@@ -23,7 +24,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import core
 from .bodies import Polytope, body_to_dict, read_body, write_body
 from .construct import (
     ConstructionError,
@@ -35,7 +35,7 @@ from .construct import (
     verify_touching,
 )
 from .containment import _unit_translation, scale_fit, subset_witness, translate_fits
-from .core import TOL_FEAS, direction_grid
+from .core import TOL_FEAS, TOL_GEOM, direction_grid
 from .harness import verify_suite
 from .lp import LpError
 from .shadows import oblique_equivalence_check, shadow_sweep, simplex_edge_criterion
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Translative containment and shadow covering for convex polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bodies=0, d=False, k=False, samples=False, seed=False, tol=False):
+    def add_common(p, bodies=0, d=False, k=False, samples=False, seed=False):
         for i in range(bodies):
             p.add_argument(f"body{i + 1}", help="path to a body JSON file")
         if d:
@@ -69,26 +69,22 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=1000)
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if tol:
-            p.add_argument("--tol-geom", type=float, default=None,
-                           help="override the geometric verdict tolerance")
         p.add_argument("-o", "--output", default=None, help="also write the report here")
 
-    add_common(sub.add_parser("fit", help="does L contain a translate of K"), bodies=2,
-               tol=True)
+    add_common(sub.add_parser("fit", help="does L contain a translate of K"), bodies=2)
     add_common(sub.add_parser("scale-fit", help="maximal scale of K inside L"), bodies=2)
     add_common(sub.add_parser("witness", help="vertex-subset non-fitting witness"),
-               bodies=2, k=True, tol=True)
+               bodies=2, k=True)
     add_common(sub.add_parser("shadow-sweep", help="sampled shadow covering verdict"),
-               bodies=2, d=True, samples=True, seed=True, tol=True)
+               bodies=2, d=True, samples=True, seed=True)
     add_common(sub.add_parser("edge-criterion",
                               help="finite edge-direction test against a simplex"),
-               bodies=2, tol=True)
+               bodies=2)
     add_common(sub.add_parser("counterexample",
                               help="certified shadow-covering counterexample"),
-               bodies=1, d=True, samples=True, seed=True, tol=True)
+               bodies=1, d=True, samples=True, seed=True)
     tq = sub.add_parser("tetra-quad", help="the canonical tetrahedron-quadrilateral pair")
-    add_common(tq, samples=True, seed=True, tol=True)
+    add_common(tq, samples=True, seed=True)
     tq.add_argument("--save", default=None,
                     help="prefix; writes PREFIX_delta.json and PREFIX_quad.json")
     mw = sub.add_parser("meanwidth", help="mean width (Monte Carlo, optionally exact)")
@@ -97,15 +93,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("kubota", help="Grassmannian mean-width consistency"),
                bodies=1, samples=True, seed=True)
     ob = sub.add_parser("oblique", help="covering invariance under a random linear map")
-    add_common(ob, bodies=2, seed=True, tol=True)
+    add_common(ob, bodies=2, seed=True)
     vs = sub.add_parser("verify-suite", help="randomized equivalence harness")
-    add_common(vs, samples=True, seed=True, tol=True)
+    add_common(vs, samples=True, seed=True)
     vs.add_argument("--n", type=int, default=3, dest="ambient")
     vs.add_argument("--trials", type=int, default=50)
     return parser
 
 
-def _run_command(args, tol: float) -> dict:
+def _run_command(args) -> dict:
     # only the commands that take --seed draw random numbers
     rng = np.random.default_rng(args.seed) if hasattr(args, "seed") else None
     cmd = args.command
@@ -113,7 +109,7 @@ def _run_command(args, tol: float) -> dict:
     if cmd == "fit":
         k, l = read_body(args.body1), read_body(args.body2)
         fit = scale_fit(k, l)
-        fits = bool(fit.sigma >= 1.0 - tol)
+        fits = bool(fit.sigma >= 1.0 - TOL_GEOM)
         return {"fits": fits, "sigma": _num(fit.sigma), "status": fit.status,
                 "translation": _vec(_unit_translation(k, l, fit) if fits else None)}
 
@@ -125,7 +121,7 @@ def _run_command(args, tol: float) -> dict:
 
     if cmd == "witness":
         k, l = read_body(args.body1), read_body(args.body2)
-        w = subset_witness(k, l, args.k, tol_geom=tol)
+        w = subset_witness(k, l, args.k)
         detail = None
         if w is not None:
             detail = _num(scale_fit(Polytope(k.vertices[w]), l).sigma)
@@ -135,7 +131,7 @@ def _run_command(args, tol: float) -> dict:
     if cmd == "shadow-sweep":
         k, l = read_body(args.body1), read_body(args.body2)
         d = args.d if args.d is not None else k.dim - 1
-        rep = shadow_sweep(k, l, d, count=args.samples, rng=rng, tol_geom=tol)
+        rep = shadow_sweep(k, l, d, count=args.samples, rng=rng)
         return {"d": d, "samples": rep.samples, "verdict": rep.verdict,
                 "min_sigma": _num(rep.min_sigma),
                 "borderline_count": rep.borderline_count,
@@ -144,31 +140,28 @@ def _run_command(args, tol: float) -> dict:
 
     if cmd == "edge-criterion":
         q, t = read_body(args.body1), read_body(args.body2)
-        verdict = simplex_edge_criterion(q, t, tol_geom=tol)
-        direct, _ = translate_fits(q, t, tol_geom=tol)
+        verdict = simplex_edge_criterion(q, t)
+        direct, _ = translate_fits(q, t)
         return {"edge_criterion": bool(verdict), "translate_fits": bool(direct),
                 "agrees": bool(verdict == direct)}
 
     if cmd == "counterexample":
         k = read_body(args.body1)
         if args.d is None:
-            ce = build_counterexample(k, rng=args.seed, sweep_count=args.samples,
-                                      tol_geom=tol)
+            ce = build_counterexample(k, rng=args.seed, sweep_count=args.samples)
         else:
-            ce = build_counterexample_d(k, args.d, rng=args.seed,
-                                        sweep_count=args.samples, tol_geom=tol)
+            ce = build_counterexample_d(k, args.d, rng=args.seed, sweep_count=args.samples)
         report = ce.to_dict()
         report["contains_translate"] = False
         report["replay"] = {key: bool(val) for key, val in replay_counterexample(
-            ce, sweep_count=args.samples, tol_geom=tol).items()}
+            ce, sweep_count=args.samples).items()}
         return report
 
     if cmd == "tetra-quad":
         delta, quad = canonical_tetra_quad()
-        eps = epsilon_gap(quad, delta, direction_grid(3, args.samples),
-                          rng=rng, tol_geom=tol)
+        eps = epsilon_gap(quad, delta, direction_grid(3, args.samples), rng=rng)
         out = {"delta": body_to_dict(delta), "quad": body_to_dict(quad),
-               "touching": bool(verify_touching(quad, delta, tol_geom=tol)),
+               "touching": bool(verify_touching(quad, delta)),
                "inscription_sigma": _num(scale_fit(quad, delta).sigma),
                "epsilon": _num(eps)}
         if args.save:
@@ -201,7 +194,7 @@ def _run_command(args, tol: float) -> dict:
         while abs(np.linalg.det(m)) <= 1e-3:
             m = np.eye(n) + 0.5 * rng.standard_normal((n, n))
         u = rng.standard_normal(n)
-        rep = oblique_equivalence_check(k, l, m, u, tol_geom=tol)
+        rep = oblique_equivalence_check(k, l, m, u)
         return {"matrix": [[float(x) for x in row] for row in m],
                 "direction": _vec(u / np.linalg.norm(u)),
                 "mapped_direction": _vec(rep.mapped_direction),
@@ -211,8 +204,7 @@ def _run_command(args, tol: float) -> dict:
                 "agrees": rep.agrees, "borderline": rep.borderline}
 
     if cmd == "verify-suite":
-        return verify_suite(args.ambient, args.trials, args.seed,
-                            samples=args.samples, tol_geom=tol)
+        return verify_suite(args.ambient, args.trials, args.seed, samples=args.samples)
 
     raise ValueError(f"unknown command {cmd!r}")
 
@@ -233,13 +225,11 @@ def run(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 
     seed = getattr(args, "seed", None)
-    tol = getattr(args, "tol_geom", None)
-    tol = core.TOL_GEOM if tol is None else tol
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:
-        result = _run_command(args, tol)
+        result = _run_command(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
@@ -254,7 +244,7 @@ def run(argv=None) -> int:
     report = {
         "command": args.command,
         "seed": seed,
-        "tolerances": {"tol_feas": TOL_FEAS, "tol_geom": tol},
+        "tolerances": {"tol_feas": TOL_FEAS, "tol_geom": TOL_GEOM},
         "result": result,
         "timestamp": {"utc": started,
                       "elapsed_seconds": time.perf_counter() - t0},

@@ -82,7 +82,7 @@ class NormalSelection:
     def residual(self) -> float:
         return float(np.linalg.norm(self.coefficients @ self.normals))
 
-    def validate(self, k: Polytope, tol_geom: float = TOL_GEOM) -> bool:
+    def validate(self, k: Polytope) -> bool:
         if self.residual() > TOL_FEAS:
             return False
         if np.min(self.coefficients) <= TOL_FEAS:
@@ -91,13 +91,12 @@ class NormalSelection:
         if len(set(touches)) != len(touches):
             return False
         for u, t in zip(self.normals, touches):
-            if support_set(k, u, tol_geom=tol_geom) != [t]:
+            if support_set(k, u) != [t]:
                 return False
         return True
 
 
-def _selection_pass(k: Polytope, rng: np.random.Generator, tol_geom: float,
-                    stats: dict) -> NormalSelection | None:
+def _selection_pass(k: Polytope, rng: np.random.Generator, stats: dict) -> NormalSelection | None:
     n = k.dim
     chosen: list[np.ndarray] = []
     touched: list[int] = []
@@ -106,7 +105,7 @@ def _selection_pass(k: Polytope, rng: np.random.Generator, tol_geom: float,
         budget -= 1
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
-        ss = support_set(k, u, tol_geom=tol_geom)
+        ss = support_set(k, u)
         if len(ss) != 1:
             stats["irregular"] += 1
             continue
@@ -135,14 +134,14 @@ def _selection_pass(k: Polytope, rng: np.random.Generator, tol_geom: float,
         if np.max(base @ u) >= 0.0:
             stats["closing_rejected"] += 1
             continue
-        ss = support_set(k, u, tol_geom=tol_geom)
+        ss = support_set(k, u)
         if len(ss) != 1 or ss[0] in touched:
             stats["irregular"] += 1
             continue
         # a @ base + norm * u = 0 by construction: the positive dependence,
         # unique up to scale as the chosen normals are independent
         coeffs = np.append(a, norm) / (a.sum() + norm)
-        if coeffs.min() <= tol_geom:
+        if coeffs.min() <= TOL_GEOM:
             stats["margin_rejected"] += 1
             continue
         return NormalSelection(np.vstack([base, u]), np.array(touched + [ss[0]]), coeffs)
@@ -150,8 +149,7 @@ def _selection_pass(k: Polytope, rng: np.random.Generator, tol_geom: float,
 
 
 def select_regular_normals(k: Polytope, rng: np.random.Generator,
-                           restarts: int = 50,
-                           tol_geom: float = TOL_GEOM) -> NormalSelection:
+                           restarts: int = 50) -> NormalSelection:
     """Rejection-sample n+1 regular unit normals at distinct exposed points
     with the origin interior to their convex hull.
 
@@ -159,7 +157,7 @@ def select_regular_normals(k: Polytope, rng: np.random.Generator,
     terminates quickly.  The closing normal is u = -(a @ base) / |a @ base|
     for positive weights a, so (a, |a @ base|), normalised to sum 1, is the
     set's positive dependence in closed form; a set whose least coefficient
-    is at most tol_geom is rejected.  No LP is solved.  Exhausting
+    is at most TOL_GEOM is rejected.  No LP is solved.  Exhausting
     the restart budget raises with the rejection statistics, never a silent
     fallback.  Requires a canonical body with at least n+1 vertices; it need
     not be full-dimensional.
@@ -172,7 +170,7 @@ def select_regular_normals(k: Polytope, rng: np.random.Generator,
              "dependent": 0, "closing_rejected": 0, "margin_rejected": 0}
     for _ in range(max(1, restarts)):
         stats["restarts"] += 1
-        sel = _selection_pass(k, rng, tol_geom, stats)
+        sel = _selection_pass(k, rng, stats)
         if sel is not None:
             return sel
     raise ConstructionError(f"selection failed after {restarts} restarts: {stats}")
@@ -190,19 +188,19 @@ def circumscribe_simplex(k: Polytope, sel: NormalSelection) -> Polytope:
     return Polytope(s * unit.vertices + c, canonical=True)
 
 
-def verify_touching(k: Polytope, s: Polytope, tol_geom: float = TOL_GEOM) -> bool:
+def verify_touching(k: Polytope, s: Polytope) -> bool:
     """Does K touch every facet of the simplex S at a single vertex in the
     facet's relative interior, away from every ridge?
 
     This is the hypothesis that keeps the inflation gap bounded away from 1:
-    the touch margin demands each touching vertex stays at least tol_geom
+    the touch margin demands each touching vertex stays at least TOL_GEOM
     times K's extent inside all other facets.  Equal vertices count once,
     so neither duplicates nor a similarity of the pair change the verdict.
     """
     normals, heights = simplex_facet_normals(s)
     v = k.vertices[_distinct_indices(k.vertices)]
     extent = _unit_frame(v)[2]
-    margin = tol_geom * extent
+    margin = TOL_GEOM * extent
     vals = v @ normals.T  # (mk, n+1)
     if np.any(vals > heights[None, :] + 1e2 * TOL_FEAS * extent):
         return False  # K is not inside S at all
@@ -223,17 +221,16 @@ def direction_sigmas(k: Polytope, s: Polytope, directions: np.ndarray) -> np.nda
 
 
 def epsilon_gap(k: Polytope, s: Polytope, directions: np.ndarray,
-                rng: np.random.Generator | None = None,
-                tol_geom: float = TOL_GEOM) -> float:
+                rng: np.random.Generator | None = None) -> float:
     """Exact inflation gap of a touching pair: the least hyperplane-shadow
     scale fit, which Theorem 2 makes min_subset_sigma(k, s, n).
 
     The touching hypothesis guarantees it exceeds 1.  The minimum over the
     sampled directions, sharpened by local refinement from the five smallest
-    samples, is a cross-check: falling below eps* (1 - tol_geom) raises
+    samples, is a cross-check: falling below eps* (1 - TOL_GEOM) raises
     ConstructionError.
     """
-    if not verify_touching(k, s, tol_geom=tol_geom):
+    if not verify_touching(k, s):
         raise ValueError("epsilon gap requires the touching hypothesis; verify_touching failed")
     eps = min_subset_sigma(k, s, k.dim)
     directions = np.asarray(directions, dtype=np.float64)
@@ -245,7 +242,7 @@ def epsilon_gap(k: Polytope, s: Polytope, directions: np.ndarray,
         start = Subspace(hyperplane_basis(directions[idx]))
         _, refined = refine_min_margin(k, s, k.dim - 1, start, steps=_REFINE_STEPS, rng=rng)
         sampled = min(sampled, refined)
-    if sampled < eps * (1.0 - tol_geom):
+    if sampled < eps * (1.0 - TOL_GEOM):
         raise ConstructionError(f"sampled gap {sampled:.9g} is below the exact {eps:.9g}")
     return eps
 
@@ -306,8 +303,7 @@ def farkas_excludes_translate(body: Polytope, cover: Polytope,
                 and np.where(prob.nonneg, prod, np.abs(prod)).max(initial=0.0) <= 1e-6)
 
 
-def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: int,
-             tol_geom: float) -> dict:
+def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: int) -> dict:
     """The four invariants of a counterexample, computed from scratch.
 
     The cover circumscribes the body (scale fit 1), epsilon exceeds 1, no
@@ -315,29 +311,28 @@ def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: i
     sweep of epsilon * body covers.  Construction and replay both call it.
     """
     inflated = scale(body, eps)
-    fits, _ = translate_fits(inflated, cover, tol_geom=tol_geom)
-    sweep = shadow_sweep(inflated, cover, d, count=sweep_count, tol_geom=tol_geom)
+    fits, _ = translate_fits(inflated, cover)
+    sweep = shadow_sweep(inflated, cover, d, count=sweep_count)
     fit = scale_fit(body, cover)
     return {
-        "circumscribes": abs(fit.sigma - 1.0) <= 10.0 * tol_geom,
-        "epsilon_gt_one": eps > 1.0 + tol_geom,
+        "circumscribes": abs(fit.sigma - 1.0) <= 10.0 * TOL_GEOM,
+        "epsilon_gt_one": eps > 1.0 + TOL_GEOM,
         "translate_excluded": not fits,
         "sweep_covers": sweep.verdict == COVERS,
     }
 
 
-def replay_counterexample(ce: Counterexample, sweep_count: int = 1000,
-                          tol_geom: float = TOL_GEOM) -> dict:
+def replay_counterexample(ce: Counterexample, sweep_count: int = 1000) -> dict:
     """Re-run every invariant of an emitted counterexample from scratch: the
     four of construction, the Farkas certificate, epsilon against the exact
     eps* recomputed from the vertex subsets, the sample log (every sample is
     at least eps*, so it cross-checks the exact value) and the normal
     selection."""
-    checks = _certify(ce.body, ce.cover, ce.epsilon, ce.d, sweep_count, tol_geom)
+    checks = _certify(ce.body, ce.cover, ce.epsilon, ce.d, sweep_count)
     checks["farkas_backed"] = farkas_excludes_translate(ce.body, ce.cover, ce.epsilon)
     checks["epsilon_leq_exact"] = ce.epsilon <= min_subset_sigma(ce.body, ce.cover, ce.d + 1)
-    checks["log_min_geq_epsilon"] = float(np.min(ce.sample_log["sigmas"])) >= ce.epsilon - tol_geom
-    checks["certificate_valid"] = ce.certificate.validate(ce.body, tol_geom=tol_geom)
+    checks["log_min_geq_epsilon"] = float(np.min(ce.sample_log["sigmas"])) >= ce.epsilon - TOL_GEOM
+    checks["certificate_valid"] = ce.certificate.validate(ce.body)
     return checks
 
 
@@ -349,12 +344,8 @@ def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     return rng, None
 
 
-def _gap_too_thin(eps: float, tol_geom: float) -> bool:
-    return eps <= 1.0 + max(tol_geom, EPSILON_FLOOR)
-
-
 def _build_touching_counterexample(
-        kc: Polytope, rng: np.random.Generator, tol_geom: float,
+        kc: Polytope, rng: np.random.Generator,
         emit: Callable[[Polytope, NormalSelection], Counterexample]) -> Counterexample:
     """Hyperplane engine: normals -> simplex -> touching -> emit.
 
@@ -366,7 +357,7 @@ def _build_touching_counterexample(
     last_error = "no attempt succeeded"
     for _ in range(_RESTARTS):
         try:
-            sel = select_regular_normals(kc, rng, restarts=1, tol_geom=tol_geom)
+            sel = select_regular_normals(kc, rng, restarts=1)
         except ConstructionError as exc:
             last_error = str(exc)
             continue
@@ -375,7 +366,7 @@ def _build_touching_counterexample(
         except ValueError as exc:
             last_error = f"circumscription failed: {exc}"
             continue
-        if not verify_touching(kc, simplex, tol_geom=tol_geom):
+        if not verify_touching(kc, simplex):
             last_error = "touching hypothesis failed; reselecting"
             continue
         try:
@@ -386,7 +377,7 @@ def _build_touching_counterexample(
 
 
 def build_counterexample(k: Polytope, rng=None, directions: int = 1200,
-                         sweep_count: int = 1000, tol_geom: float = TOL_GEOM) -> Counterexample:
+                         sweep_count: int = 1000) -> Counterexample:
     """Counterexample for a full-dimensional body with >= n+1 vertices.
 
     Emits a simplex circumscribing K and an inflation factor epsilon > 1,
@@ -400,13 +391,11 @@ def build_counterexample(k: Polytope, rng=None, directions: int = 1200,
     if affine_dim(kc) != kc.dim:
         raise ValueError(
             "body is not full-dimensional; use build_counterexample_d for flat bodies")
-    return build_counterexample_d(kc, kc.dim - 1, rng, directions, sweep_count,
-                                  tol_geom=tol_geom)
+    return build_counterexample_d(kc, kc.dim - 1, rng, directions, sweep_count)
 
 
 def build_counterexample_d(k: Polytope, d: int, rng=None, directions: int = 1200,
-                           sweep_count: int = 1000, lift_checks: int = 100,
-                           tol_geom: float = TOL_GEOM) -> Counterexample:
+                           sweep_count: int = 1000, lift_checks: int = 100) -> Counterexample:
     """Counterexample whose d-dimensional shadows cover those of K.
 
     The cover lives in a flat of dimension n' = max(dim K, d+1).  When
@@ -432,9 +421,9 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, directions: int = 1200
     nprime = max(rank, d + 1)
     if nprime == n:
         return _build_touching_counterexample(
-            kc, generator, tol_geom,
+            kc, generator,
             lambda simplex, sel: _emit(kc, simplex, d, sel, seed, generator, directions,
-                                       sweep_count, tol_geom))
+                                       sweep_count))
 
     frame = frame[:, :nprime]  # hull directions first, arbitrary padding after
     k_flat = canonicalize(Polytope((kc.vertices - p0) @ frame))
@@ -445,36 +434,36 @@ def build_counterexample_d(k: Polytope, d: int, rng=None, directions: int = 1200
         certificate = NormalSelection(sel.normals @ frame.T, sel.touch_indices,
                                       sel.coefficients)
         return _emit(kc, cover, d, certificate, seed, generator, directions, sweep_count,
-                     tol_geom, lift_subs)
+                     lift_subs)
 
-    return _build_touching_counterexample(k_flat, generator, tol_geom, emit_lifted)
+    return _build_touching_counterexample(k_flat, generator, emit_lifted)
 
 
 def _emit(body: Polytope, cover: Polytope, d: int, certificate: NormalSelection,
           seed: int | None, rng: np.random.Generator, directions: int, sweep_count: int,
-          tol_geom: float, lift_subs: tuple[Subspace, ...] = ()) -> Counterexample:
+          lift_subs: tuple[Subspace, ...] = ()) -> Counterexample:
     """Emit a counterexample at shadow dimension d of the body's ambient space.
 
-    Epsilon is eps* (1 - 2 tol_geom) with eps* = min_subset_sigma(body,
+    Epsilon is eps* (1 - 2 TOL_GEOM) with eps* = min_subset_sigma(body,
     cover, d + 1), the least d-shadow sigma: at eps* itself a sample near
     the minimizing subspace would land in the borderline band, not in
     "covers".  Each lift subspace must pass flat_lift_check, and then
     _certify decides.  The log holds sigma on the sweep_subspaces sample of
     size directions and on the lift subspaces; each is at least eps*.
     """
-    eps = min_subset_sigma(body, cover, d + 1) * (1.0 - 2.0 * tol_geom)
-    if _gap_too_thin(eps, tol_geom):
+    eps = min_subset_sigma(body, cover, d + 1) * (1.0 - 2.0 * TOL_GEOM)
+    if eps <= 1.0 + EPSILON_FLOOR:
         raise ConstructionError(f"inflation gap too thin (eps={eps:.6g}); reselecting")
     if lift_subs:
         # inflate about K's centroid, which keeps K in the flat of the cover
         c = body.vertices.mean(axis=0)
         inflated = translate(scale(body, eps), (1.0 - eps) * c)
         for eta in lift_subs:
-            rep = flat_lift_check(inflated, cover, eta, tol_geom=tol_geom)
+            rep = flat_lift_check(inflated, cover, eta)
             if not (rep.applicable and rep.holds):
                 raise ConstructionError(
                     f"flat lift failed on a sampled subspace (sigma={rep.sigma_ambient:.6g})")
-    checks = _certify(body, cover, eps, d, sweep_count, tol_geom)
+    checks = _certify(body, cover, eps, d, sweep_count)
     if lift_subs:
         checks["flat_lift_certified"] = True
     if not all(checks.values()):

@@ -374,11 +374,11 @@ def scale_fit(k: Polytope, l: Polytope) -> FitResult:
 
 
 def _unit_translation(k: Polytope, l: Polytope, fit: FitResult) -> np.ndarray:
-    """A v with K + v inside L, from a fit with sigma >= 1 - tol_geom.
+    """A v with K + v inside L, from a fit with sigma >= 1 - TOL_GEOM.
 
     A point K moves onto a point of L.  For sigma >= 1, sigma*K + w inside L
     gives K + w/sigma + (1 - 1/sigma)*y inside L for the point y = l0, by
-    convexity.  Inside the band [1 - tol_geom, 1) the optimal-scale
+    convexity.  Inside the band [1 - TOL_GEOM, 1) the optimal-scale
     translation is the witness.
     """
     if fit.degenerate:
@@ -388,16 +388,15 @@ def _unit_translation(k: Polytope, l: Polytope, fit: FitResult) -> np.ndarray:
     return fit.translation / fit.sigma + (1.0 - 1.0 / fit.sigma) * l.vertices[0]
 
 
-def translate_fits(k: Polytope, l: Polytope,
-                   tol_geom: float = TOL_GEOM) -> tuple[bool, np.ndarray | None]:
-    """Does L contain a translate of K?  Verdict at the sigma >= 1 - tol band.
+def translate_fits(k: Polytope, l: Polytope) -> tuple[bool, np.ndarray | None]:
+    """Does L contain a translate of K?  Verdict at the sigma >= 1 - TOL_GEOM band.
 
     One scale fit decides; the witness v with K + v inside L follows from it
     by convexity (see _unit_translation), with no second LP.  A single-point
     K fits any nonempty L.
     """
     fit = scale_fit(k, l)
-    if fit.sigma < 1.0 - tol_geom:
+    if fit.sigma < 1.0 - TOL_GEOM:
         return False, None
     return True, _unit_translation(k, l, fit)
 
@@ -426,18 +425,17 @@ def _subset_sigmas(k: Polytope, l: Polytope, kcount: int) -> tuple[np.ndarray, n
     return rows, sigmas
 
 
-def subset_witness(k: Polytope, l: Polytope, kcount: int,
-                   tol_geom: float = TOL_GEOM) -> list[int] | None:
+def subset_witness(k: Polytope, l: Polytope, kcount: int) -> list[int] | None:
     """Some kcount-subset of K's canonical vertices whose hull does not
     translate into L, or None when every subset fits.
 
     Indices refer to ``k.vertices``.  All subset fits are computed and the
-    lexicographically first below 1 - tol_geom wins, so results repeat.
+    lexicographically first below 1 - TOL_GEOM wins, so results repeat.
     """
     if kcount < 1:
         raise ValueError("subset size must be at least 1")
     rows, sigmas = _subset_sigmas(k, l, kcount)
-    return next((r.tolist() for r, s in zip(rows, sigmas) if s < 1.0 - tol_geom), None)
+    return next((r.tolist() for r, s in zip(rows, sigmas) if s < 1.0 - TOL_GEOM), None)
 
 
 def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
@@ -462,27 +460,22 @@ class EquivalenceReport:
     agrees: bool
     borderline: bool
 
-    @property
-    def hard_failure(self) -> bool:
-        return not self.agrees and not self.borderline
 
-
-def inscribed_equivalence_check(k: Polytope, l: Polytope,
-                                tol_geom: float = TOL_GEOM) -> EquivalenceReport:
+def inscribed_equivalence_check(k: Polytope, l: Polytope) -> EquivalenceReport:
     """Compare (n+1)-subset witness emptiness against the translate verdict.
 
     By Helly's theorem the two verdicts must agree; a disagreement outside
-    the band |sigma - 1| <= 10 * tol_geom is a hard failure.  Borderline
+    the band |sigma - 1| <= 10 * TOL_GEOM is a hard failure.  Borderline
     instances are tagged and excluded from pass/fail statistics.
     """
     kc = canonicalize(k)
     sigma = scale_fit(kc, l).sigma
-    fits = sigma >= 1.0 - tol_geom
-    witness = subset_witness(kc, l, k.dim + 1, tol_geom=tol_geom)
+    fits = sigma >= 1.0 - TOL_GEOM
+    witness = subset_witness(kc, l, k.dim + 1)
     return EquivalenceReport(
         sigma=sigma,
         fits=fits,
         witness=witness,
         agrees=(witness is None) == fits,
-        borderline=abs(sigma - 1.0) <= 10.0 * tol_geom,
+        borderline=abs(sigma - 1.0) <= 10.0 * TOL_GEOM,
     )

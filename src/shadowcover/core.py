@@ -1,11 +1,11 @@
 """Scalar conventions, small dense linear algebra, and direction/subspace sampling.
 
-Two tolerances are used everywhere:
+Two tolerances are used everywhere, both fixed constants with no per-call
+override:
 
 * ``TOL_FEAS`` (1e-9) governs LP feasibility and incidence decisions.
 * ``TOL_GEOM`` (1e-6) governs geometric verdict margins (fits / fails bands).
-
-Both can be overridden per call through keyword arguments.
+  It only absorbs floating-point error: the paper's equivalences are exact.
 
 Points of G(n, d) are orthonormal n x d bases.  One Gram-Schmidt kernel with
 no LAPACK call orthonormalizes a stack and one check tests a stack; ``Subspace``,
@@ -113,10 +113,13 @@ def orthonormalize(m) -> Subspace:
     The returned basis spans the same column space.  Idempotent: feeding a
     returned basis back in reproduces it within ``TOL_FEAS``.
 
-    Raises ``ValueError`` ("degenerate basis") when a Gram-Schmidt pivot is
-    at most ``TOL_FEAS`` times max(1, largest column norm).
+    Raises ``ValueError`` on a non-finite entry, and ("degenerate basis")
+    when a Gram-Schmidt pivot is at most ``TOL_FEAS`` times max(1, largest
+    column norm).
     """
     a = np.asarray(m, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("basis has non-finite entries")
     if a.ndim == 1:
         a = a[:, None]
     if a.shape[0] < a.shape[1]:

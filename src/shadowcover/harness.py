@@ -59,8 +59,7 @@ def margin_pair_for_subsets(n: int, d: int, rng: np.random.Generator,
         return k, scale(l0, target / base)
 
 
-def containment_equivalence_suite(n: int, trials: int, rng: np.random.Generator,
-                   tol_geom: float = TOL_GEOM) -> dict:
+def containment_equivalence_suite(n: int, trials: int, rng: np.random.Generator) -> dict:
     """Randomized check of the inscribed-polytope containment equivalence."""
     disagreements = 0
     borderline = 0
@@ -68,7 +67,7 @@ def containment_equivalence_suite(n: int, trials: int, rng: np.random.Generator,
     for _ in range(trials):
         target = float(rng.choice([0.7, 0.8, 1.2, 1.3]))
         k, l = scaled_pair(n, rng, target)
-        rep = inscribed_equivalence_check(k, l, tol_geom=tol_geom)
+        rep = inscribed_equivalence_check(k, l)
         if rep.borderline:
             borderline += 1
             continue
@@ -87,8 +86,7 @@ def containment_equivalence_suite(n: int, trials: int, rng: np.random.Generator,
 
 
 def shadow_equivalence_suite(n: int, d: int, trials: int, rng: np.random.Generator,
-                   sweep_count: int = 1000, refine_steps: int = 60,
-                   tol_geom: float = TOL_GEOM) -> dict:
+                   sweep_count: int = 1000, refine_steps: int = 60) -> dict:
     """Randomized check of the shadow-covering equivalence at dimension d.
 
     Subset-witness emptiness at k = d+1 against a sampled sweep with local
@@ -103,8 +101,8 @@ def shadow_equivalence_suite(n: int, d: int, trials: int, rng: np.random.Generat
         # region large enough for sampling plus refinement to pin down
         k, l = margin_pair_for_subsets(n, d, rng, covers=covers,
                                        margin=0.1 if covers else 0.15)
-        witness = subset_witness(k, l, d + 1, tol_geom=tol_geom)
-        rep = shadow_sweep(k, l, d, count=sweep_count, rng=rng, tol_geom=tol_geom)
+        witness = subset_witness(k, l, d + 1)
+        rep = shadow_sweep(k, l, d, count=sweep_count, rng=rng)
         min_sigma = rep.min_sigma
         if rep.verdict != "fails" and witness is not None:
             # sampling may miss a thin violating region; refinement must find it
@@ -114,9 +112,9 @@ def shadow_equivalence_suite(n: int, d: int, trials: int, rng: np.random.Generat
                 _, refined = refine_min_margin(k, l, d, start, steps=refine_steps,
                                                rng=rng)
                 min_sigma = min(min_sigma, refined)
-                if min_sigma < 1.0 - tol_geom:
+                if min_sigma < 1.0 - TOL_GEOM:
                     break
-        sweep_covers = min_sigma >= 1.0 - tol_geom
+        sweep_covers = min_sigma >= 1.0 - TOL_GEOM
         subset_covers = witness is None
         checked += 1
         if sweep_covers != subset_covers:
@@ -131,18 +129,17 @@ def shadow_equivalence_suite(n: int, d: int, trials: int, rng: np.random.Generat
     }
 
 
-def verify_suite(n: int, trials: int, seed: int, samples: int = 200,
-                 tol_geom: float = TOL_GEOM) -> dict:
+def verify_suite(n: int, trials: int, seed: int, samples: int = 200) -> dict:
     """The randomized equivalence harness behind the verify-suite command.
 
     Runs the full-dimensional containment equivalence on every trial and the
     shadow equivalence at each 1 <= d < n on a subsample, all from one seed.
     """
     rng = np.random.default_rng(seed)
-    containment = containment_equivalence_suite(n, trials, rng, tol_geom=tol_geom)
+    containment = containment_equivalence_suite(n, trials, rng)
     shadow_trials = max(2, trials // 10)
-    shadow = [shadow_equivalence_suite(n, d, shadow_trials, rng, sweep_count=samples,
-                                       tol_geom=tol_geom) for d in range(1, n)]
+    shadow = [shadow_equivalence_suite(n, d, shadow_trials, rng, sweep_count=samples)
+              for d in range(1, n)]
     disagreements = containment["disagreements"] + sum(r["disagreements"] for r in shadow)
     return {
         "n": n,

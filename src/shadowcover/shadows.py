@@ -91,14 +91,13 @@ def sweep_subspaces(n: int, d: int, count: int,
 
 
 def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,
-                 rng: np.random.Generator | None = None,
-                 tol_geom: float = TOL_GEOM) -> ShadowReport:
+                 rng: np.random.Generator | None = None) -> ShadowReport:
     """Evaluate shadow_fit over the subspaces of sweep_subspaces: hyperplanes
     along a direction grid for d = n-1 in R^2/R^3, where rng is unused, and
     count Haar samples from rng (seed 0 when None) otherwise.
 
-    Verdict: "fails" iff some sample has sigma < 1 - tol_geom, otherwise
-    "covers".  Samples inside the band |sigma - 1| <= tol_geom are counted
+    Verdict: "fails" iff some sample has sigma < 1 - TOL_GEOM, otherwise
+    "covers".  Samples inside the band |sigma - 1| <= TOL_GEOM are counted
     as borderline.  Point shadows of K have sigma = inf and so cover.
     """
     n = k.dim
@@ -114,8 +113,8 @@ def shadow_sweep(k: Polytope, l: Polytope, d: int, count: int = 1000,
         samples=len(subs),
         min_sigma=min_sigma,
         argmin=subs[int(np.argmin(sigmas))] if subs else None,
-        verdict=FAILS if min_sigma < 1.0 - tol_geom else COVERS,
-        borderline_count=int(np.sum(np.abs(sigmas - 1.0) <= tol_geom)),
+        verdict=FAILS if min_sigma < 1.0 - TOL_GEOM else COVERS,
+        borderline_count=int(np.sum(np.abs(sigmas - 1.0) <= TOL_GEOM)),
         sigmas=sigmas,
         bases=[s.basis for s in subs],
     )
@@ -164,8 +163,7 @@ def simplex_edge_directions(t: Polytope) -> np.ndarray:
     return np.array(dirs)
 
 
-def simplex_edge_criterion(q: Polytope, t: Polytope,
-                           tol_geom: float = TOL_GEOM) -> bool:
+def simplex_edge_criterion(q: Polytope, t: Polytope) -> bool:
     """Complete finite test: Q translates into the simplex T iff every
     hyperplane shadow along an edge direction of T covers Q's shadow.
 
@@ -181,7 +179,7 @@ def simplex_edge_criterion(q: Polytope, t: Polytope,
     if qc.nverts > n:
         raise ValueError(f"Q may have at most {n} vertices, got {qc.nverts}")
     subs = [Subspace(hyperplane_basis(e)) for e in simplex_edge_directions(tc)]
-    return bool(sweep_sigmas(qc, tc, subs).min() >= 1.0 - tol_geom)
+    return bool(sweep_sigmas(qc, tc, subs).min() >= 1.0 - TOL_GEOM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +195,7 @@ class ObliqueReport:
     mapped_direction: np.ndarray
 
 
-def oblique_equivalence_check(k: Polytope, l: Polytope, m, u,
-                              tol_geom: float = TOL_GEOM) -> ObliqueReport:
+def oblique_equivalence_check(k: Polytope, l: Polytope, m, u) -> ObliqueReport:
     """Compare hyperplane-shadow covering along u with covering along the
     mapped direction for the transformed bodies.
 
@@ -217,9 +214,9 @@ def oblique_equivalence_check(k: Polytope, l: Polytope, m, u,
     s2 = Subspace(hyperplane_basis(u_tilde))
     sig1 = shadow_fit(k, l, s1).sigma
     sig2 = shadow_fit(linear_image(k, m), linear_image(l, m), s2).sigma
-    v1 = sig1 >= 1.0 - tol_geom
-    v2 = sig2 >= 1.0 - tol_geom
-    borderline = min(abs(sig1 - 1.0), abs(sig2 - 1.0)) <= 10.0 * tol_geom
+    v1 = sig1 >= 1.0 - TOL_GEOM
+    v2 = sig2 >= 1.0 - TOL_GEOM
+    borderline = min(abs(sig1 - 1.0), abs(sig2 - 1.0)) <= 10.0 * TOL_GEOM
     return ObliqueReport(sig1, sig2, v1, v2, v1 == v2, borderline, u_tilde)
 
 
@@ -235,14 +232,13 @@ class FlatLiftReport:
     translation: np.ndarray | None
 
 
-def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
-                    tol_geom: float = TOL_GEOM) -> FlatLiftReport:
+def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace) -> FlatLiftReport:
     """Verify that in-flat shadow covering lifts to an ambient subspace eta.
 
     Projects eta into the bodies' common flat, their joint ``affine_frame``,
     finds the in-flat translation aligning the shadows there, then checks
     both the ambient shadow fit and the pointwise support-function
-    domination the lift argument rests on, within 10 tol_geom times L's
+    domination the lift argument rests on, within 10 TOL_GEOM times L's
     extent.  Raises when K and L span the ambient space.
     """
     p0, frame, flat_dim = affine_frame(np.vstack([k.vertices, l.vertices]))
@@ -264,7 +260,7 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
 
     if eta_hat_dim == 0:
         # eta orthogonal to the flat: both shadows are single points
-        return FlatLiftReport(True, sigma_ambient >= 1.0 - tol_geom, math.inf,
+        return FlatLiftReport(True, sigma_ambient >= 1.0 - TOL_GEOM, math.inf,
                               sigma_ambient, True, np.zeros(n))
 
     eta_hat_basis = u_p[:, :eta_hat_dim]  # ambient orthonormal basis inside the flat
@@ -274,7 +270,7 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
     l_shadow = project(l_flat, eta_hat_flat)
     inflat_fit = scale_fit(k_shadow, l_shadow)
     sigma_inflat = inflat_fit.sigma
-    applicable = sigma_inflat >= 1.0 - tol_geom
+    applicable = sigma_inflat >= 1.0 - TOL_GEOM
     if not applicable:
         return FlatLiftReport(False, None, sigma_inflat, sigma_ambient, None, None)
 
@@ -284,10 +280,10 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace,
 
     # support domination along eta for the normalized bodies
     dirs = _subspace_directions(eta).T
-    slack = 10.0 * tol_geom * _unit_frame(l.vertices)[2]
+    slack = 10.0 * TOL_GEOM * _unit_frame(l.vertices)[2]
     support_ok = bool(np.all(((k.vertices + w) @ dirs).max(axis=0)
                              <= (l.vertices @ dirs).max(axis=0) + slack))
-    holds = sigma_ambient >= 1.0 - tol_geom
+    holds = sigma_ambient >= 1.0 - TOL_GEOM
     return FlatLiftReport(True, holds, sigma_inflat, sigma_ambient, support_ok, w)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bodies import Polytope, _unit_frame, affine_dim, canonicalize, diameter
 from .containment import scale_fit, subset_witness, translate_fits
-from .core import TOL_GEOM, direction_grid, haar_subspaces
+from .core import TOL_FEAS, TOL_GEOM, direction_grid, haar_subspaces
 
 # unit-ball volumes omega_n, exact pi expressions in 64-bit
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
@@ -60,7 +60,11 @@ def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
     the pseudo-angle copysign(1 - s / (|s| + |c|), c), which falls from 2 to
     -2 as the turn goes from -pi/2 to 3 pi/2, as fine as arctan2 near 0 and
     pi; a point equal to the current one ranks -inf.  A walk closes when it
-    is back at its start, within m steps; one that is not raises ValueError.
+    steps back onto its start.  A start extreme by less than rounding can
+    lose that step to the point beyond it, its first step's target, by at
+    most TOL_FEAS in rank; the walk then closes there, and its first step
+    leaves the perimeter.  A walk not closed within m steps raises
+    ValueError.
     """
     pts = np.asarray(shadows, dtype=np.float64)
     count, m, _ = pts.shape
@@ -71,7 +75,7 @@ def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
     hx, hy = np.zeros(count), np.full(count, -1.0)
     total = np.zeros(count)
     walking = np.ones(count, dtype=bool)
-    for _ in range(m):
+    for i in range(m):
         dx = x - x[cur, cols]
         dy = y - y[cur, cols]
         s, c = hx * dy - hy * dx, hx * dx + hy * dy
@@ -82,8 +86,16 @@ def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
         best = rank.max(axis=0)
         d2 = dx * dx + dy * dy
         cur = np.argmax(np.where(rank == best, d2, -1.0), axis=0)
-        total += np.where(walking, np.sqrt(d2[cur, cols]), 0.0)
+        step = np.sqrt(d2[cur, cols])
+        total += np.where(walking, step, 0.0)
         hx, hy = dx[cur, cols], dy[cur, cols]
+        if i == 0:
+            first, lead = cur, step
+        elif (hit := walking & (cur == first)).any():
+            # the start lost the step onto the first target by rounding alone
+            skipped = hit & (rank[start, cols] >= best - TOL_FEAS)
+            total -= np.where(skipped, lead, 0.0)
+            walking &= ~skipped
         # a set of equal points has no turn at all: its hull is the point
         walking &= (cur != start) & np.isfinite(best)
         if not walking.any():
@@ -157,13 +169,12 @@ class CorollaryReport:
     width_holds: bool | None
 
 
-def corollary_checks(k: Polytope, l: Polytope, d: int, samples: int = 256,
-                     tol_geom: float = TOL_GEOM) -> CorollaryReport:
+def corollary_checks(k: Polytope, l: Polytope, d: int, samples: int = 256) -> CorollaryReport:
     """Evaluate the diameter and mean-width containment criteria.
 
     Hypotheses: every triangle in K translates into L (checked by the
     3-vertex subset witness over canonical vertices), plus equality of
-    diameters or mean widths within tol_geom times L's extent.  Conclusions:
+    diameters or mean widths within TOL_GEOM times L's extent.  Conclusions:
     L contains a translate of K, respectively K and L are translates (fits
     both ways and matched support functions on a direction grid).  Instances
     violating a hypothesis are reported not applicable, never failed.
@@ -173,21 +184,21 @@ def corollary_checks(k: Polytope, l: Polytope, d: int, samples: int = 256,
     kc = canonicalize(k)
     lc = canonicalize(l)
     scale_ref = _unit_frame(lc.vertices)[2]
-    triangle_ok = subset_witness(kc, lc, 3, tol_geom=tol_geom) is None
+    triangle_ok = subset_witness(kc, lc, 3) is None
     dk, dl = diameter(kc), diameter(lc)
     wk, wl = mean_width_exact(kc), mean_width_exact(lc)
-    diam_eq = abs(dk - dl) <= tol_geom * scale_ref
-    width_eq = abs(wk - wl) <= tol_geom * scale_ref
+    diam_eq = abs(dk - dl) <= TOL_GEOM * scale_ref
+    width_eq = abs(wk - wl) <= TOL_GEOM * scale_ref
 
     diameter_applicable = triangle_ok and diam_eq
     diameter_holds = None
     if diameter_applicable:
-        diameter_holds, _ = translate_fits(kc, lc, tol_geom=tol_geom)
+        diameter_holds, _ = translate_fits(kc, lc)
 
     width_applicable = triangle_ok and width_eq
     width_holds = None
     if width_applicable:
-        width_holds = _are_translates(kc, lc, samples, tol_geom, scale_ref)
+        width_holds = _are_translates(kc, lc, samples, scale_ref)
 
     return CorollaryReport(
         triangle_condition=triangle_ok,
@@ -198,19 +209,18 @@ def corollary_checks(k: Polytope, l: Polytope, d: int, samples: int = 256,
     )
 
 
-def _are_translates(k: Polytope, l: Polytope, samples: int, tol_geom: float,
-                    scale_ref: float) -> bool:
+def _are_translates(k: Polytope, l: Polytope, samples: int, scale_ref: float) -> bool:
     """Numeric translate-equality: unit fits both ways plus matched support
     functions on a direction grid after aligning (tolerance-banded, not exact)."""
     fit_kl = scale_fit(k, l)
     fit_lk = scale_fit(l, k)
     if fit_kl.degenerate or fit_lk.degenerate:
         return k.nverts == 1 and l.nverts == 1
-    if abs(fit_kl.sigma - 1.0) > 10.0 * tol_geom or abs(fit_lk.sigma - 1.0) > 10.0 * tol_geom:
+    if abs(fit_kl.sigma - 1.0) > 10.0 * TOL_GEOM or abs(fit_lk.sigma - 1.0) > 10.0 * TOL_GEOM:
         return False
-    ok, v = translate_fits(k, l, tol_geom=tol_geom)
+    ok, v = translate_fits(k, l)
     if not ok:
         return False
     dirs = direction_grid(k.dim, max(8, samples)).T
     gap = np.abs(((k.vertices + v) @ dirs).max(axis=0) - (l.vertices @ dirs).max(axis=0))
-    return bool(gap.max() <= 100.0 * tol_geom * scale_ref)
+    return bool(gap.max() <= 100.0 * TOL_GEOM * scale_ref)

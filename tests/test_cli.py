@@ -130,8 +130,8 @@ def test_counterexample_replays_at_its_samples(tmp_path, capsys, monkeypatch):
                                  [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}))
     counts, original = [], cli.replay_counterexample
     monkeypatch.setattr(cli, "replay_counterexample",
-                        lambda ce, sweep_count, tol_geom: counts.append(sweep_count)
-                        or original(ce, sweep_count=sweep_count, tol_geom=tol_geom))
+                        lambda ce, sweep_count: counts.append(sweep_count)
+                        or original(ce, sweep_count=sweep_count))
     code, rep = _invoke(capsys, "counterexample", str(tetra), "--samples", "600")
     assert code == 0
     assert counts == [600]
@@ -228,8 +228,7 @@ def test_workers_flag_removed(bodies):
 UNREAD_FLAGS = ([(cmd, "--samples", "64") for cmd in
                  ["fit", "scale-fit", "witness", "edge-criterion", "oblique"]]
                 + [(cmd, "--seed", "3") for cmd in
-                   ["fit", "scale-fit", "witness", "edge-criterion"]]
-                + [(cmd, "--tol-geom", "1e-3") for cmd in ["scale-fit", "meanwidth", "kubota"]])
+                   ["fit", "scale-fit", "witness", "edge-criterion"]])
 
 
 @pytest.mark.parametrize("cmd,flag,value", UNREAD_FLAGS)
@@ -241,6 +240,21 @@ def test_unread_flags_removed(bodies, capsys, cmd, flag, value):
         argv += ["--k", "3"]
     assert run(argv + [flag, value]) == 2
     assert capsys.readouterr().out == ""
+
+
+SUBCOMMANDS = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMANDS))
+def test_tol_geom_flag_removed(bodies, capsys, cmd):
+    # the verdict tolerance is the constant TOL_GEOM on every command
+    positionals = [a for a in SUBCOMMANDS[cmd]._actions if not a.option_strings]
+    argv = [cmd] + [bodies["square"]] * len(positionals)
+    if cmd == "witness":
+        argv += ["--k", "3"]
+    assert run(argv + ["--tol-geom", "1e-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --tol-geom 1e-3" in err
 
 
 def test_unseeded_commands_report_null_seed(bodies, capsys):

@@ -168,6 +168,13 @@ def test_orthonormalize_rejects_dependent_and_zero_columns(m):
     assert ok.tolist() == [False, True] and np.isfinite(q).all()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_orthonormalize_rejects_non_finite_entries(bad):
+    # rejected before Gram-Schmidt runs, so no invalid-value warning comes first
+    with pytest.raises(ValueError, match="non-finite"):
+        orthonormalize([[bad, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
 def test_orthonormality_check_rejects_a_stretched_column():
     stack = np.array(haar_subspaces(3, 2, 10, np.random.default_rng(2)))
     core._check_orthonormal(stack)

@@ -1,8 +1,9 @@
 """No library code that only tests call.
 
-Every public top-level function of ``src/shadowcover`` must be referenced
-outside ``tests/``: from another library module, from a non-definition
-position in its own module, from an ``__all__`` list, or from ``bench/``.
+Every public top-level function of ``src/shadowcover``, and every public
+method and property of its public classes, must be referenced outside
+``tests/``: from another library module, from a non-definition position in
+its own module, from an ``__all__`` list, or from ``bench/``.
 """
 
 import ast
@@ -38,9 +39,21 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def unreferenced_public_functions(src: Path, bench: Path) -> list[str]:
-    """``module.name`` of each public top-level function of src/*.py that
-    nothing outside the tests refers to."""
+def _public_defs(tree: ast.Module):
+    """(qualified name, name) of each public top-level function and of each
+    public method or property of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def unreferenced_public_members(src: Path, bench: Path) -> list[str]:
+    """``module.name`` of each public function, method or property of
+    src/*.py that nothing outside the tests refers to."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(src.glob("*.py"))}
     used = {stem: _used_names(tree) for stem, tree in trees.items()}
@@ -49,16 +62,13 @@ def unreferenced_public_functions(src: Path, bench: Path) -> list[str]:
     everywhere = set().union(bench_used, *used.values())
     found = []
     for stem, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                # a def is not a Name node, so any hit is a real reference
-                if node.name not in everywhere:
-                    found.append(f"{stem}.{node.name}")
+        # a def is not a Name node, so any hit is a real reference
+        found += [f"{stem}.{qual}" for qual, name in _public_defs(tree) if name not in everywhere]
     return found
 
 
 def test_every_public_function_has_a_non_test_caller():
-    assert sorted(set(unreferenced_public_functions(SRC, BENCH)) - ALLOWED) == []
+    assert sorted(set(unreferenced_public_members(SRC, BENCH)) - ALLOWED) == []
 
 
 def test_scanner_flags_a_test_only_function(tmp_path):
@@ -67,6 +77,9 @@ def test_scanner_flags_a_test_only_function(tmp_path):
     bench.mkdir()
     (src / "a.py").write_text("def used():\n    pass\n\ndef orphan():\n    used()\n"
                               "\ndef exported():\n    pass\n\n__all__ = ['exported']\n")
-    (src / "b.py").write_text("from .a import orphan as _o\n\ndef benched():\n    pass\n")
-    (bench / "run.py").write_text("import b\nb.benched()\n")
-    assert unreferenced_public_functions(src, bench) == ["a.orphan"]
+    (src / "b.py").write_text("from .a import orphan as _o\n\ndef benched():\n    pass\n"
+                              "\nclass Report:\n    def read(self):\n        pass\n"
+                              "\n    @property\n    def lonely(self):\n        pass\n"
+                              "\n    def _private(self):\n        pass\n")
+    (bench / "run.py").write_text("import b\nb.benched()\nb.Report().read()\n")
+    assert unreferenced_public_members(src, bench) == ["a.orphan", "b.Report.lonely"]

@@ -236,6 +236,19 @@ def test_batched_perimeters_match_the_oracle_on_hard_cases():
         assert np.allclose(got, perimeter2d(s), rtol=1e-12, atol=0.0)
 
 
+def test_batched_perimeters_close_past_a_start_extreme_by_rounding():
+    # the start lies 1e-17 left of the box's left edge: the way back from
+    # the top-left corner ties it with the bottom-left corner beyond it
+    box = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-17, 0.5]])
+    assert mean_width_exact(Polytope(box)) * math.pi == pytest.approx(4.0, rel=0, abs=1e-15)
+    rng = np.random.default_rng(43)
+    shadows = [rng.standard_normal((5, 2)) for _ in range(6)]
+    shadows.insert(3, box)
+    got = widths._hull_perimeters(np.array(shadows))
+    assert got[3] == pytest.approx(4.0, rel=0, abs=1e-15)
+    assert np.allclose(got, [perimeter2d(s) for s in shadows], rtol=1e-12, atol=0.0)
+
+
 def test_batched_perimeters_are_right_or_raise_on_near_duplicates():
     # a step to a point 1e-15 away leaves a heading of rounding noise; a
     # turn rank blind to the turn's sign (the cosine) then walks back along
