@@ -626,7 +626,7 @@ def body_from_dict(data) -> Polytope:
         raise ValueError("body JSON must be an object with 'dim' and 'vertices'")
     n = data["dim"]
     rows = data["vertices"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"'dim' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("'vertices' must be a nonempty list of coordinate rows")

@@ -11,7 +11,9 @@ wall-clock time and elapsed seconds and is excluded from the determinism
 contract.
 
 Exit codes: 0 verdict computed (the verdict itself is in the JSON),
-2 precondition or input error, 3 internal numerical failure.
+2 precondition or input error (a body file that cannot be read or parsed,
+an -o file that cannot be written, which is written before the report
+prints), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def run(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (LpError, ConstructionError, np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -250,10 +252,14 @@ def run(argv=None) -> int:
                       "elapsed_seconds": time.perf_counter() - t0},
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    print(text)
     return EXIT_OK
 
 

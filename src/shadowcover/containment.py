@@ -9,12 +9,15 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   unit edge normals a_j, by LP duality the least bound over the extreme
   rays of L's dual cone (``_dual_rays``), as is every vertex-subset fit in
   the plane and in R^3, with no LP;
-* a whole K in R^3: the same LP over the facets of L's hull, solved by
-  ``lp.solve_from`` from the slack basis; its dual maps onto the LP below,
-  as does every subset fit when L has more than _MAX_FACETS facets;
-* everything else (a flat L, one of more than 48 edges, R^4 and up, a
-  planar or facet witness that fails its check): one LP over convex-
-  combination variables in L's unit frame (``_lp_scale_fit``).
+* a whole K in R^3, or in the plane when L has more than 48 edges or the
+  planar witness fails its check: the same LP over the facets (edges) of
+  L, solved by ``lp.solve_from`` from the slack basis; its dual maps onto
+  the LP below, as does every subset fit past _MAX_FACETS facets or 48
+  edges;
+* a flat L: both bodies in L's ``affine_frame``, by the routes above, or
+  sigma = 0 when K's directions leave L's;
+* a full-dimensional L in R^4 and up: one LP over convex-combination
+  variables in L's unit frame (``_lp_scale_fit``).
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
 callers compare sigma directly.  The unit-scale witness of a fitting pair
@@ -58,7 +61,7 @@ class FitResult:
     dual          multipliers y of _scale_fit_lp(K, L), one (u_i, w_i) block
                   of n+1 per vertex of K, with y.b >= sigma; set by the
                   facet and LP paths, None for the interval and planar
-                  methods
+                  methods and for a flat L
     """
 
     sigma: float
@@ -249,9 +252,9 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
 
 def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
                b: np.ndarray) -> FitResult | None:
-    """Scale fit in R^3 over L's facets a_f.x <= b_f, which are those of
-    (L - lc) / s; None when ``lp.solve_from`` turns the start down or the
-    witness fails its check, and the caller should solve the V-form LP.
+    """Scale fit over L's facets (or edges, in the plane) a_f.x <= b_f, which
+    are those of (L - lc) / s; None when ``lp.solve_from`` turns the start
+    down or the witness fails its check.
 
     With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
     it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet.  The
@@ -287,20 +290,19 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
 
 
 def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
-    """Scale fit by the LP, from a starting basis when L spans R^n.
+    """Scale fit of K in a full-dimensional L in R^4 and up, by the LP over
+    convex-combination variables.
 
     The LP pivots under the absolute TOL_FEAS, so it runs on both bodies
     centred on their vertex means and divided by L's extent s; sigma is
     invariant under that similarity.  L is also shifted to put the centroid
     of n+1 affinely independent vertices at the origin, so t = 0, v = 0 and
     uniform weights on them in every block are a feasible basis for
-    ``lp.solve_from``.  A flat L, or a basis it turns down, goes to the
-    two-phase ``lp.solve``, unless L's ``affine_frame`` rank is below K's:
-    then no t > 0 fits, and sigma = 0 at a vertex of L.  v and the dual map
-    back to the input's frame.
+    ``lp.solve_from``.  A basis it turns down, or an L too thin for
+    ``_affine_basis_rows`` to find one, goes to the two-phase ``lp.solve``.
+    v and the dual map back to the input's frame.
     """
     lw, lc, s = _unit_frame(lv)
-    s = s or 1.0
     kc = kv.sum(axis=0) / kv.shape[0]
     kw = (kv - kc) / s
     mk, n = kw.shape
@@ -312,8 +314,6 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
         basis = 1 + n + np.arange(mk)[:, None] * lw.shape[0] + np.asarray(idx)
         out = lp.solve_from(problem, basis.ravel())
     if out is None:
-        if affine_frame(kv)[2] > affine_frame(lv)[2]:
-            return FitResult(0.0, lv[0].copy())
         out = lp.solve(problem)
     if out.status == lp.UNBOUNDED:
         return FitResult(math.inf, None)
@@ -331,8 +331,8 @@ def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
 def _supports(k: Polytope, l: Polytope):
     """(lc, s, a, b), shared by every fit of K or its vertex subsets in L: the unit outward
     normals a and offsets b of the edges (lc L's vertex mean, s = 1) or of the facets in L's hull
-    record (lc and s its frame) of (L - lc) / s; None in other dimensions, for a flat L or one of
-    more than _MAX_PLANAR_EDGES edges.  Raises on a dimension mismatch."""
+    record (lc and s its frame) of (L - lc) / s; None in other dimensions and for an L that is
+    flat by the rank of ``affine_frame``.  Raises on a dimension mismatch."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
     if l.dim == 3:
@@ -342,24 +342,66 @@ def _supports(k: Polytope, l: Polytope):
         # a turn this far above rounding is a true one, so every edge line of
         # the hull supports L; a dropped point moves L by a 1e-12 relative step
         hull = planar_hull(lv, tol=1e-12)
-        if not 3 <= len(hull) <= _MAX_PLANAR_EDGES:
+        if len(hull) < 3:
             return None
         lc = np.add.reduce(lv, axis=0) / lv.shape[0]
         q = lv[hull + hull[:1]]
         edge = q[1:] - q[:-1]
-        a = (edge / np.sqrt(np.add.reduce(edge * edge, axis=1, keepdims=True)))[:, ::-1] * _OUTWARD
-        return lc, 1.0, a, np.add.reduce(a * (q[:-1] - lc), axis=1)
+        length = np.sqrt(np.add.reduce(edge * edge, axis=1, keepdims=True))
+        a = (edge / length)[:, ::-1] * _OUTWARD
+        b = np.add.reduce(a * (q[:-1] - lc), axis=1)
+        # an L of m points that affine_frame calls flat is at most ~3e-9 sqrt(m) of its extent
+        # wide, its least width is measured from an edge line, and its longest edge is at least
+        # 2/h of its extent (h edges): only a polygon this thin pays for the SVD
+        if (np.minimum.reduce(b) <= 1e-5 * np.maximum.reduce(length, axis=None)
+                and affine_frame(lv)[2] < 2):
+            return None
+        return lc, 1.0, a, b
     return None
+
+
+def _flat_fit(kv: np.ndarray, lv: np.ndarray, c: np.ndarray, f: np.ndarray) -> FitResult:
+    """Scale fit of K in a flat L, whose points lie on c + span f for the
+    orthonormal columns f.  If K's centred vertices leave span f by more
+    than TOL_FEAS of K's extent, no t > 0 fits, and sigma = 0 at a vertex of
+    L.  Otherwise both bodies are fit in the coordinates (x - c) f, and the
+    witness w maps back to v = (1 - sigma) c + f w - sigma o, where o is K's
+    mean offset from L's flat."""
+    kc = kv.sum(axis=0) / kv.shape[0]
+    kd = kv - kc
+    if np.abs(kd - kd @ f @ f.T).max() > TOL_FEAS * np.abs(kd).max():
+        return FitResult(0.0, lv[0].copy())
+    fit = scale_fit(Polytope((kv - c) @ f), Polytope((lv - c) @ f))
+    if fit.degenerate:
+        return fit
+    o = kc - c
+    o -= o @ f @ f.T
+    return FitResult(fit.sigma, (1.0 - fit.sigma) * c + f @ fit.translation - fit.sigma * o)
 
 
 def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
     """scale_fit on vertex arrays, given _supports of L."""
-    if kv.shape[1] == 1:
+    n = kv.shape[1]
+    if n == 1:
         return _interval_fit(kv, lv)
     if (kv == kv[0]).all():
         return FitResult(math.inf, None)
-    fit = supports and (_planar_fit if kv.shape[1] == 2 else _facet_fit)(kv, *supports)
-    return fit or _lp_scale_fit(kv, lv)
+    if supports is None:   # a flat L, or R^4 and up: r caps at n - 1 in R^2 and R^3
+        c, frame, r = affine_frame(lv)
+        if r == n > 3:
+            return _lp_scale_fit(kv, lv)
+        return _flat_fit(kv, lv, c, frame[:, :min(r, n - 1)])
+    if n == 2:
+        lc, _, a, b = supports
+        if len(a) <= _MAX_PLANAR_EDGES and (fit := _planar_fit(kv, *supports)):
+            return fit
+        # the plane's supports are in L's own units, and the LP pivots on unit-sized data
+        s = b.max()
+        supports = lc, s, a, b / s
+    fit = _facet_fit(kv, *supports)
+    if fit is None:
+        raise lp.LpError("facet-form scale fit failed its check")
+    return fit
 
 
 def scale_fit(k: Polytope, l: Polytope) -> FitResult:
@@ -404,12 +446,12 @@ def translate_fits(k: Polytope, l: Polytope) -> tuple[bool, np.ndarray | None]:
 def _subset_sigmas(k: Polytope, l: Polytope, kcount: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sigmas): K's canonical kcount-subsets (kcount clamped to their number), as
     lexicographic rows of indices into k.vertices, and their fits in L: the least c.b / c.h_Q
-    over L's dual rays, in blocks of subsets Q, else (past _MAX_FACETS facets, or if no ray
-    bounds Q) by _fit."""
+    over L's dual rays, in blocks of subsets Q, else (for a flat L, past _MAX_PLANAR_EDGES edges
+    or _MAX_FACETS facets, or if no ray bounds Q) by _fit."""
     idx = np.arange(k.nverts) if k.canonical else np.array(canonical_vertex_indices(k))
     rows = idx[_combinations(len(idx), min(kcount, len(idx)))]
     v, supports = k.vertices, _supports(k, l)
-    if supports is None or l.dim == 3 and len(supports[3]) > _MAX_FACETS:
+    if supports is None or len(supports[3]) > (_MAX_FACETS if l.dim == 3 else _MAX_PLANAR_EDGES):
         return rows, np.array([_fit(v[r], l.vertices, supports).sigma for r in rows])
     _, s, a, b = supports
     sets, c = _dual_rays(a)

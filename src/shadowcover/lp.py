@@ -12,7 +12,10 @@ tableau the same way.
 Every verdict carries a certificate: optimal outcomes return a dual vector
 (weak duality and complementary slackness hold within tolerance), infeasible
 outcomes return a Farkas vector y with y.A <= 0 on nonnegative columns,
-y.A = 0 on free columns, and y.b > 0.
+y.A = 0 on free columns, and y.b > 0.  An optimal outcome whose primal
+residual or dual slack fails _CERT_TOL, relative to the size of its terms,
+or an unbounded one whose ray fails the same check, is not returned: the run
+counts as a stall.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .core import TOL_FEAS
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_CERT_TOL = 1e-7   # of a certificate's residuals, relative to the size of their terms
 
 
 class LpError(RuntimeError):
@@ -130,8 +134,9 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_eligible: int,
 def solve(problem: LpProblem) -> LpOutcome:
     """Solve an equality-form LP; deterministic for identical input.
 
-    A repeated numerical stall triggers one re-solve with the right-hand side
-    perturbed by 1e-12; if that stalls too, ``LpError("ill-conditioned")``.
+    A numerical stall, or an outcome that fails its check (see the module
+    docstring), triggers one re-solve with the right-hand side perturbed by
+    1e-12; if that fails too, ``LpError("ill-conditioned")``.
     """
     out = _solve_once(problem)
     if out is not None:
@@ -171,12 +176,45 @@ def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.nd
     if status == "stall":
         return None
     if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
+        # the ray of the entering column j, which _run_simplex found bounded by no row
+        j = int((T[-1, :n_ext] > TOL_FEAS).argmax())
+        d_ext = np.zeros(T.shape[1])
+        d_ext[j] = 1.0
+        d_ext[basis] = -T[:m, j]
+        ray = np.bincount(col_var, weights=col_sgn * d_ext[:n_ext], minlength=c.shape[0])
+        return LpOutcome(UNBOUNDED) if _ray_checks(problem, ray) else None
     z_ext = np.zeros(n_ext)
     z_ext[basis] = np.maximum(T[:m, -1], 0.0)
     z = np.bincount(col_var, weights=col_sgn * z_ext, minlength=c.shape[0])
     dual = (c_ext[basis] @ T[:m, start]) @ start_inv
-    return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual)
+    return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual) \
+        if _certified(problem, z, dual) else None
+
+
+def _small(residual: np.ndarray, terms: np.ndarray) -> bool:
+    """|residual| <= _CERT_TOL times the largest term it sums, or 1."""
+    return bool(np.abs(residual).max(initial=0.0)
+                <= _CERT_TOL * max(1.0, terms.max(initial=0.0)))
+
+
+def _certified(problem: LpProblem, z: np.ndarray, dual: np.ndarray) -> bool:
+    """Does A z = b hold, and y = dual satisfy y.A >= c on nonnegative
+    columns and y.A = c on free ones, each within _small?"""
+    a, b, c, nonneg = problem.A, problem.b, problem.c, problem.nonneg
+    abs_a = np.abs(a)
+    slack = dual @ a - c
+    scale = np.abs(dual) @ abs_a + np.abs(c)
+    return (_small(a @ z - b, abs_a @ np.abs(z) + np.abs(b))
+            and _small(np.minimum(slack[nonneg], 0.0), scale[nonneg])
+            and _small(slack[~nonneg], scale[~nonneg]))
+
+
+def _ray_checks(problem: LpProblem, ray: np.ndarray) -> bool:
+    """Is ray a direction of unbounded ascent: c.ray > 0, and A ray = 0 and
+    ray >= 0 on nonnegative columns, each within _small?"""
+    return (problem.c @ ray > 0.0
+            and _small(problem.A @ ray, np.abs(problem.A) @ np.abs(ray))
+            and _small(np.minimum(ray[problem.nonneg], 0.0), np.abs(ray)))
 
 
 def _solve_once(problem: LpProblem) -> LpOutcome | None:
@@ -244,8 +282,9 @@ def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
     ``basis`` lists m nonnegative columns of ``problem.A``, the one basic in
     each row; the tableau starts as B^-1 [A | b].  Returns None when B is
     singular or its (1-norm) condition number exceeds 1e10, when B^-1 b has
-    a negative entry, or when the run stalls; the caller then falls back to
-    ``solve``.
+    a negative entry, or when the run stalls or its outcome fails its
+    check; the caller decides what follows (the V-form scale fit solves
+    the problem again with ``solve``, the facet fit raises ``LpError``).
     """
     a, b = problem.A, problem.b
     m = b.shape[0]

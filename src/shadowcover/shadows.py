@@ -41,7 +41,6 @@ from .core import (
 
 COVERS = "covers"
 FAILS = "fails"
-BORDERLINE = "borderline"
 _LIFT_DIRECTIONS = 64   # of flat_lift_check's support domination, for d >= 2
 
 
@@ -236,20 +235,19 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace) -> FlatLiftReport:
     """Verify that in-flat shadow covering lifts to an ambient subspace eta.
 
     Projects eta into the bodies' common flat, their joint ``affine_frame``,
-    finds the in-flat translation aligning the shadows there, then checks
-    both the ambient shadow fit and the pointwise support-function
-    domination the lift argument rests on, within 10 TOL_GEOM times L's
-    extent.  Raises when K and L span the ambient space.
+    as eta_hat, finds the translation aligning K's and L's shadows on
+    eta_hat, then checks both the ambient shadow fit and the pointwise
+    support-function domination the lift argument rests on, within
+    10 TOL_GEOM times L's extent.  Raises when K and L span the ambient
+    space.
     """
-    p0, frame, flat_dim = affine_frame(np.vstack([k.vertices, l.vertices]))
+    _, frame, flat_dim = affine_frame(np.vstack([k.vertices, l.vertices]))
     n = k.dim
     if flat_dim >= n:
         raise ValueError("bodies span the ambient space; nothing to lift")
     if eta.n != n:
         raise ValueError("eta must live in the ambient space")
     vbasis = frame[:, :flat_dim]
-    k_flat = Polytope((k.vertices - p0) @ vbasis)
-    l_flat = Polytope((l.vertices - p0) @ vbasis)
 
     # project eta into the flat (as a set of directions, singular values <= 1)
     proj = vbasis @ (vbasis.T @ eta.basis)
@@ -263,11 +261,9 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace) -> FlatLiftReport:
         return FlatLiftReport(True, sigma_ambient >= 1.0 - TOL_GEOM, math.inf,
                               sigma_ambient, True, np.zeros(n))
 
-    eta_hat_basis = u_p[:, :eta_hat_dim]  # ambient orthonormal basis inside the flat
-    eta_hat_flat = Subspace(vbasis.T @ eta_hat_basis)
-
-    k_shadow = project(k_flat, eta_hat_flat)
-    l_shadow = project(l_flat, eta_hat_flat)
+    eta_hat = Subspace(u_p[:, :eta_hat_dim])  # ambient orthonormal basis inside the flat
+    k_shadow = project(k, eta_hat)
+    l_shadow = project(l, eta_hat)
     inflat_fit = scale_fit(k_shadow, l_shadow)
     sigma_inflat = inflat_fit.sigma
     applicable = sigma_inflat >= 1.0 - TOL_GEOM
@@ -276,7 +272,7 @@ def flat_lift_check(k: Polytope, l: Polytope, eta: Subspace) -> FlatLiftReport:
 
     # in-flat normalization translate: K_eta_hat + v inside L_eta_hat
     v = _unit_translation(k_shadow, l_shadow, inflat_fit)
-    w = eta_hat_basis @ v  # lift back to an ambient vector inside the flat
+    w = eta_hat.basis @ v  # lift back to an ambient vector inside the flat
 
     # support domination along eta for the normalized bodies
     dirs = _subspace_directions(eta).T

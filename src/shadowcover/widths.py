@@ -22,10 +22,6 @@ from .bodies import Polytope, _unit_frame, affine_dim, canonicalize, diameter
 from .containment import scale_fit, subset_witness, translate_fits
 from .core import TOL_FEAS, TOL_GEOM, direction_grid, haar_subspaces
 
-# unit-ball volumes omega_n, exact pi expressions in 64-bit
-BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
-
-
 @dataclass(frozen=True, eq=False)
 class MeanWidthEstimate:
     value: float

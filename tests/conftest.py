@@ -1,6 +1,6 @@
 import pytest
 
-from shadowcover import bodies, lp
+from shadowcover import bodies, containment, lp
 
 
 @pytest.fixture
@@ -20,4 +20,15 @@ def hull_calls(monkeypatch):
     calls = []
     original = bodies._hull
     monkeypatch.setattr(bodies, "_hull", lambda p: calls.append(len(p)) or original(p))
+    return calls
+
+
+@pytest.fixture
+def vform_calls(monkeypatch):
+    """Shapes of the L of the V-form LP fits (``containment._lp_scale_fit``)
+    made from here on."""
+    calls = []
+    original = containment._lp_scale_fit
+    monkeypatch.setattr(containment, "_lp_scale_fit",
+                        lambda kv, lv: calls.append(lv.shape) or original(kv, lv))
     return calls

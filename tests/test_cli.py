@@ -214,6 +214,32 @@ def test_ragged_body_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["directory", "under a file"])
+def test_unreadable_body_exit_code(bodies, tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "square.json" / "body.json"
+    (tmp_path / "square.json").write_text(json.dumps({"dim": 2, "vertices": [[0, 0]]}))
+    code = run(["fit", str(path), bodies["big"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_output_into_a_missing_directory_exit_code(bodies, tmp_path, capsys):
+    code = run(["fit", bodies["square"], bodies["big"], "-o", str(tmp_path / "no" / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_boolean_dim_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"dim": True, "vertices": [[0], [1]]}))
+    code = run(["fit", str(bad), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: 'dim' must be a positive integer, got True\n"
+
+
 def test_unknown_flag_exit_code():
     proc = subprocess.run([sys.executable, "-m", "shadowcover.cli", "fit", "a", "b",
                            "--nope"], capture_output=True)

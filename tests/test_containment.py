@@ -253,7 +253,7 @@ def test_interval_fit_of_a_point_is_unbounded():
 
 
 def test_low_dim_fit_point_is_degenerate():
-    # n = 3 starts the LP from a simplex of L; the flat L in R^3 takes phase 1
+    # a point K is degenerate before any route is taken, a flat L in R^3 included
     flat = np.column_stack([np.random.default_rng(4).standard_normal((5, 2)), np.zeros(5)])
     cases = [(n, Polytope(np.random.default_rng(n).standard_normal((5, n)))) for n in (1, 2, 3)]
     for n, l in cases + [(3, Polytope(flat))]:
@@ -300,26 +300,35 @@ def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
         assert any(w is None for w in found) and any(w is not None for w in found)
 
 
-def test_planar_fit_flat_or_large_l_takes_lp_fallback(monkeypatch):
-    calls = []
-    original = containment._lp_scale_fit
-
-    def spy(kv, lv):
-        calls.append(lv.shape)
-        return original(kv, lv)
-
-    monkeypatch.setattr(containment, "_lp_scale_fit", spy)
+def test_planar_fit_flat_or_large_l_takes_lp_fallback(vform_calls, monkeypatch):
+    # a flat L in the plane is fit in its own frame, with no LP; an L of more
+    # than 48 edges takes the LP fallback over its edges, never the V-form LP
+    edge_lps = []
+    original = containment._facet_fit
+    monkeypatch.setattr(containment, "_facet_fit",
+                        lambda *args: edge_lps.append(len(args[3])) or original(*args))
+    rng = np.random.default_rng(127)
     segment = Polytope([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5]])
     fit = _dual_route(Polytope([[0.0, 0.0], [1.0, 0.5]]), segment)
     assert fit.sigma == pytest.approx(2.0, abs=1e-9)
-    _dual_route(TRIANGLE, segment)
-    assert len(calls) == 2
+    assert _dual_route(TRIANGLE, segment).sigma == 0.0
     _dual_route(TRIANGLE, UNIT_SQUARE)
-    assert len(calls) == 2
+    assert edge_lps == []
     theta = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
-    sixty_gon = Polytope(np.column_stack([np.cos(theta), np.sin(theta)]))
-    _dual_route(TRIANGLE, sixty_gon)
-    assert len(calls) == 3
+    sixty_gon = Polytope(np.column_stack([np.cos(theta), np.sin(theta)]) * 3.0 + 1e3)
+    for k in (TRIANGLE, Polytope(rng.standard_normal((7, 2)) + 1e3)):
+        edge_lps.clear()
+        fit = _dual_route(k, sixty_gon)
+        assert edge_lps == [60]
+        assert min_subset_sigma(k, sixty_gon, 3) == pytest.approx(fit.sigma, rel=1e-9)
+        prob = _scale_fit_lp(k.vertices, sixty_gon.vertices)
+        slack = fit.dual @ prob.A - prob.c
+        assert slack[prob.nonneg].min() >= -1e-9 and np.abs(slack[~prob.nonneg]).max() <= 1e-9
+        assert float(fit.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
+        for factor in (1e-9, 1e9):
+            small = scale_fit(scale(k, factor), scale(sixty_gon, factor))
+            assert small.sigma == pytest.approx(fit.sigma, rel=1e-9)
+    assert vform_calls == []
 
 
 def test_planar_fit_parallelogram_target():
@@ -428,44 +437,29 @@ def test_affine_basis_rows_is_scale_free():
         assert containment._affine_basis_rows(planar[:, :2] * factor) == [0, 2, 4]
 
 
-def _spy_vform(monkeypatch):
-    """Record the L of every V-form LP fit."""
-    calls = []
-    original = containment._lp_scale_fit
-
-    def spy(kv, lv):
-        calls.append(lv.shape)
-        return original(kv, lv)
-
-    monkeypatch.setattr(containment, "_lp_scale_fit", spy)
-    return calls
-
-
 def _random_pair(rng, mk=(2, 11), ml=(4, 17)):
     k = rng.standard_normal((int(rng.integers(*mk)), 3)) + rng.uniform(-3.0, 3.0, 3)
     l = rng.standard_normal((int(rng.integers(*ml)), 3)) * rng.uniform(0.3, 3.0)
     return k, l
 
 
-def test_facet_fit_matches_vform_lp(monkeypatch):
+def test_facet_fit_matches_vform_lp(vform_calls):
     # the fit over L's facets and the LP over convex combinations agree on
     # random pairs and on their scaled and offset copies
     rng = np.random.default_rng(109)
-    calls = _spy_vform(monkeypatch)
     for _ in range(40):
         kv, lv = _random_pair(rng)
         for kk, ll in ((kv, lv), (kv * 1e9, lv * 1e9), (kv * 1e-9, lv * 1e-9),
                        (kv + 1e9, lv + 1e9)):
             fit = scale_fit(Polytope(kk), Polytope(ll))
-            assert calls == []
+            assert vform_calls == []
             ref = containment._lp_scale_fit(kk, ll)
-            calls.clear()
+            vform_calls.clear()
             assert fit.sigma == pytest.approx(ref.sigma, rel=1e-12)
 
 
-def test_facet_fit_witness_replays(monkeypatch):
+def test_facet_fit_witness_replays(vform_calls):
     rng = np.random.default_rng(113)
-    calls = _spy_vform(monkeypatch)
     for _ in range(20):
         kv, lv = _random_pair(rng)
         k, l = Polytope(kv), Polytope(lv)
@@ -473,25 +467,88 @@ def test_facet_fit_witness_replays(monkeypatch):
         assert fit_replays(k, l, fit)
         ok, v = translate_fits(k, scale(l, 1.1 / fit.sigma))
         assert ok and all(point_in_hull(x + v, scale(l, 1.1 / fit.sigma)) for x in k.vertices)
-    assert calls == []
+    assert vform_calls == []
 
 
-def test_facet_fit_falls_back_to_vform(monkeypatch):
-    # a flat L has no facets and R^4 no facet fit; an L of any size in R^3
-    # has its hull
+def _rotation(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def test_facet_fit_falls_back_to_vform(vform_calls):
+    # only a full L in R^4 and up falls back to the V-form LP: a flat L in
+    # R^3 or R^4 is fit in its own frame, a whole one in R^3 over its facets
     rng = np.random.default_rng(127)
-    calls = _spy_vform(monkeypatch)
     k = Polytope(rng.standard_normal((4, 3)) * 0.1)
     k_flat = Polytope(k.vertices * [1.0, 1.0, 0.0])
     flat = Polytope(np.column_stack([rng.standard_normal((6, 2)), np.zeros(6)]))
     assert scale_fit(k_flat, flat).sigma == pytest.approx(_lp_sigma(k_flat, flat), rel=1e-9)
-    assert calls == [(6, 3)]
+    assert scale_fit(k, flat).sigma == 0.0
     big = Polytope(rng.standard_normal((25, 3)))
     assert scale_fit(k, big).sigma == pytest.approx(_lp_sigma(k, big), rel=1e-9)
     scale_fit(k, Polytope(rng.standard_normal((200, 3))))
-    assert calls == [(6, 3)]
+    line = np.array([[1.0, 2.0, -1.0]])
+    for ends, sigma in (([[0.0], [0.5]], 6.0), ([[0.0], [0.5], [0.2]], 6.0)):
+        k_seg = Polytope(np.array(ends) @ line + [0.3, -0.2, 0.1])
+        l_seg = Polytope(np.array([[-1.0], [2.0], [0.5]]) @ line)
+        fit = scale_fit(k_seg, l_seg)
+        assert fit.sigma == pytest.approx(sigma, rel=1e-12)
+        assert fit.sigma == pytest.approx(_lp_sigma(k_seg, l_seg), rel=1e-9)
+        assert fit_replays(k_seg, l_seg, fit)
+    assert scale_fit(k_flat, l_seg).sigma == 0.0
+    kv, lv = rng.standard_normal((5, 3)), 2.0 * rng.standard_normal((9, 3))
+    embed = _rotation(rng, 4)[:, :3]
+    k4, l4 = Polytope(kv @ embed.T + 5.0), Polytope(lv @ embed.T + 5.0)
+    fit = scale_fit(k4, l4)
+    assert fit.sigma == pytest.approx(scale_fit(Polytope(kv), Polytope(lv)).sigma, rel=1e-12)
+    assert fit_replays(k4, l4, fit)
+    assert vform_calls == []
     scale_fit(Polytope(rng.standard_normal((3, 4))), Polytope(rng.standard_normal((6, 4))))
-    assert calls[-1] == (6, 4)
+    assert vform_calls == [(6, 4)]
+
+
+def test_flat_pairs_of_equal_rank():
+    # non-parallel flats: no t > 0 fits, and sigma = 0 at a vertex of L.
+    # Parallel flats: the fit in L's frame, whose witness carries K onto L's
+    # flat and replays there
+    rng = np.random.default_rng(149)
+    for n in (2, 3):
+        rot = _rotation(rng, n)
+        base = np.zeros((6, n))
+        base[:, :n - 1] = rng.standard_normal((6, n - 1))
+        l = Polytope(base @ rot.T + 2.0)
+        tilted = base.copy()
+        tilted[:, -1] = tilted[:, 0]
+        k = Polytope(0.1 * tilted[:4] @ rot.T)
+        fit = scale_fit(k, l)
+        assert fit.sigma == 0.0 and fit_replays(k, l, fit)
+        k = Polytope((0.3 * base[:4] + np.eye(n)[-1]) @ rot.T + 2.0)
+        fit = scale_fit(k, l)
+        want = scale_fit(Polytope(0.3 * base[:4, :n - 1]), Polytope(base[:, :n - 1])).sigma
+        assert fit.sigma == pytest.approx(want, rel=1e-12) and fit.dual is None
+        assert fit_replays(k, l, fit)
+        assert min_subset_sigma(k, l, n) == pytest.approx(want, rel=1e-12)
+
+
+def test_flat_pair_fits_match_the_planar_fit():
+    # K in a plane parallel to a flat L, offset up to 1e3, both rotated
+    # into R^3: the fit is the planar fit of their 2-D coordinates
+    rng = np.random.default_rng(151)
+    worst = 0.0
+    for i in range(150):
+        kv2 = rng.standard_normal((int(rng.integers(2, 8)), 2)) * 0.5
+        lv2 = rng.standard_normal((int(rng.integers(3, 10)), 2)) * rng.uniform(0.5, 2.0)
+        want = scale_fit(Polytope(kv2), Polytope(lv2)).sigma
+        rot = _rotation(rng, 3)
+        offset = 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0])
+        place = rng.uniform(-1e3, 1e3, 3) * (i % 2)
+        k = Polytope(np.column_stack([kv2, np.full(len(kv2), offset)]) @ rot.T + place)
+        l = Polytope(np.column_stack([lv2, np.zeros(len(lv2))]) @ rot.T + place)
+        fit = scale_fit(k, l)
+        worst = max(worst, abs(fit.sigma - want) / want)
+        # the witness carries sigma*K onto L's plane, inside L
+        moved = ((fit.sigma * k.vertices + fit.translation) - place) @ rot
+        assert np.abs(moved[:, 2]).max() <= 1e-9 * (1.0 + np.abs(place).max())
+    assert worst <= 1e-12
 
 
 def _degenerate_ls(rng):

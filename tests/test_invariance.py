@@ -83,14 +83,19 @@ def test_canonical_vertex_set(case, m):
 @PROPERTY
 @given(similarities(), st.integers(2, 8), st.integers(4, 10))
 def test_scale_fit_sigma(case, mk, ml):
+    # also for a flat L on the plane x_n = 0, with K on the parallel plane
+    # x_n = 1, which is fit in L's own frame
     n, rng, move, *_ = case
     k, l = rng.standard_normal((mk, n)), 2.0 * rng.standard_normal((ml, n))
-    moved_k = Polytope(move(k)[_reorder(rng, mk)])
-    moved_l = Polytope(move(l)[_reorder(rng, ml)])
-    moved = scale_fit(moved_k, moved_l)
-    assert moved.sigma == pytest.approx(scale_fit(Polytope(k), Polytope(l)).sigma, rel=1e-9)
-    assert min_subset_sigma(moved_k, moved_l, n + 1) == pytest.approx(
-        min_subset_sigma(Polytope(k), Polytope(l), n + 1), rel=1e-9)
+    flat_k, flat_l = k.copy(), l.copy()
+    flat_k[:, -1], flat_l[:, -1] = 1.0, 0.0
+    for k, l in ((k, l), (flat_k, flat_l)):
+        moved_k = Polytope(move(k)[_reorder(rng, mk)])
+        moved_l = Polytope(move(l)[_reorder(rng, ml)])
+        moved = scale_fit(moved_k, moved_l)
+        assert moved.sigma == pytest.approx(scale_fit(Polytope(k), Polytope(l)).sigma, rel=1e-9)
+        assert min_subset_sigma(moved_k, moved_l, n + 1) == pytest.approx(
+            min_subset_sigma(Polytope(k), Polytope(l), n + 1), rel=1e-9)
 
 
 @PROPERTY

@@ -236,6 +236,33 @@ def _private_lp_reads(tree: ast.Module) -> list[str]:
     return found
 
 
+def test_off_centre_scale_fit_lps_return_no_wrong_verdict():
+    # the V-form scale-fit LP of a 49-gon centred at (3, 3), unframed, for
+    # 200 random 5-point K: unchecked, 28 of them returned OPTIMAL with
+    # |Az - b| up to 5e-2, and one UNBOUNDED.  Here are the first five of
+    # those 28, the unbounded one and six that went right.  Every outcome
+    # now passes its check or the solve raises; an optimum equals the fit,
+    # which does not depend on the frame
+    from shadowcover.bodies import Polytope
+    from shadowcover.containment import _scale_fit_lp, scale_fit
+
+    rng = np.random.default_rng(3)
+    th = np.sort(rng.uniform(0, 2 * np.pi, 49))
+    lv = 2 * np.column_stack([np.cos(th), np.sin(th)]) + 3
+    ks = rng.standard_normal((200, 5, 2))
+    solved = 0
+    for kv in ks[[0, 1, 2, 3, 4, 5, 6, 9, 15, 34, 36, 111]]:
+        try:
+            out = solve(_scale_fit_lp(kv, lv))
+        except lp.LpError:
+            continue
+        solved += 1
+        assert out.status == OPTIMAL
+        assert out.objective == pytest.approx(scale_fit(Polytope(kv), Polytope(lv)).sigma,
+                                              rel=1e-7)
+    assert solved >= 6
+
+
 def test_no_module_reads_private_lp_names():
     src = Path(shadowcover.__file__).parent
     offenders = {}

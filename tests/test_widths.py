@@ -16,7 +16,6 @@ from shadowcover.bodies import (
 )
 from shadowcover.core import Subspace, haar_subspaces
 from shadowcover.widths import (
-    BALL_VOLUME,
     corollary_checks,
     kubota_check,
     mean_width_exact,
@@ -32,13 +31,6 @@ def random_3poly(rng, nv=8):
         p = canonicalize(Polytope(rng.standard_normal((nv, 3))))
         if p.nverts >= 5:
             return p
-
-
-def test_ball_volume_constants():
-    assert BALL_VOLUME[1] == 2.0
-    assert BALL_VOLUME[2] == pytest.approx(math.pi, abs=0)
-    assert BALL_VOLUME[3] == pytest.approx(4 * math.pi / 3, abs=0)
-    assert BALL_VOLUME[4] == pytest.approx(math.pi ** 2 / 2, abs=0)
 
 
 def test_mean_width_exact_square():
