@@ -8,7 +8,9 @@ translation v.  K fits in L by translation iff that maximum is at least 1
 * planar bodies: the LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's
   unit edge normals a_j, by LP duality the least bound over the extreme
   rays of L's dual cone (``_dual_rays``), as is every vertex-subset fit in
-  the plane and in R^3, with no LP;
+  the plane and in R^3, with no LP; L's edges and the witness are worked in
+  Python floats, in the order of the array formulas, as a shadow has only a
+  few edges;
 * a whole K in R^3, or in the plane when L has more than 48 edges or the
   planar witness fails its check: the same LP over the facets (edges) of
   L, solved by ``lp.solve_from`` from the slack basis; its dual maps onto
@@ -216,8 +218,10 @@ def _planar_minors(f: int) -> tuple[np.ndarray, np.ndarray]:
 def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
                 b: np.ndarray) -> FitResult | None:
     """Scale fit in the plane over the edge lines a_j.x <= b_j of L - lc, from
-    L's dual rays; None when the witness fails its check.  Ufunc reductions
-    skip ndarray methods' wrappers: planar fits are most of a build."""
+    L's dual rays; None when the witness fails its check.  Planar fits are most
+    of a build, and a shadow has a few edges: the witness is worked in Python
+    floats, whose per-element operations in numpy's order keep it bit-identical
+    to the array formulas, and a NaN anywhere fails the check."""
     kc = np.add.reduce(kv, axis=0) / kv.shape[0]
     h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
     t, c = _dual_rays(a)
@@ -232,22 +236,24 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     # its line, mid-way along the interval that the other rows leave there
     # (one point, unless two rows of the triple are antipodal)
     r = int(t[best, c[best].argmax()])
-    e = b - sigma * h
-    el = e.tolist()
-    nx, ny = a[r].tolist()
+    al, bl = a.tolist(), b.tolist()
+    el = [bj - sigma * hj for bj, hj in zip(bl, h.tolist())]
+    nx, ny = al[r]
     x0, y0 = el[r] * nx, el[r] * ny
     lo, hi = -math.inf, math.inf
-    for (ax, ay), ej in zip(a.tolist(), el):
+    for (ax, ay), ej in zip(al, el):
         rate = ny * ax - nx * ay      # along the line direction (ny, -nx)
         if rate > TOL_FEAS:
             hi = min(hi, (ej - ax * x0 - ay * y0) / rate)
         elif rate < -TOL_FEAS:
             lo = max(lo, (ej - ax * x0 - ay * y0) / rate)
     tau = 0.5 * (lo + hi)
-    v = np.array([x0 + tau * ny, y0 - tau * nx])
-    if not (a @ v - e).max() <= TOL_FEAS * b.max():
+    vx, vy = x0 + tau * ny, y0 - tau * nx
+    tol = TOL_FEAS * max(bl)
+    if not all(ax * vx + ay * vy - ej <= tol for (ax, ay), ej in zip(al, el)):   # fails on a NaN
         return None
-    return FitResult(sigma, v + lc - sigma * kc)
+    (lx, ly), (kx, ky) = lc.tolist(), kc.tolist()
+    return FitResult(sigma, np.array([vx + lx - sigma * kx, vy + ly - sigma * ky]))
 
 
 def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
@@ -332,7 +338,9 @@ def _supports(k: Polytope, l: Polytope):
     """(lc, s, a, b), shared by every fit of K or its vertex subsets in L: the unit outward
     normals a and offsets b of the edges (lc L's vertex mean, s = 1) or of the facets in L's hull
     record (lc and s its frame) of (L - lc) / s; None in other dimensions and for an L that is
-    flat by the rank of ``affine_frame``.  Raises on a dimension mismatch."""
+    flat by the rank of ``affine_frame``.  Raises on a dimension mismatch.  The plane's edges are
+    worked in Python floats, cheaper than numpy calls on a shadow's few edges and bit-identical
+    to the array formulas."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
     if l.dim == 3:
@@ -344,19 +352,29 @@ def _supports(k: Polytope, l: Polytope):
         hull = planar_hull(lv, tol=1e-12)
         if len(hull) < 3:
             return None
-        lc = np.add.reduce(lv, axis=0) / lv.shape[0]
-        q = lv[hull + hull[:1]]
-        edge = q[1:] - q[:-1]
-        length = np.sqrt(np.add.reduce(edge * edge, axis=1, keepdims=True))
-        a = (edge / length)[:, ::-1] * _OUTWARD
-        b = np.add.reduce(a * (q[:-1] - lc), axis=1)
+        # numpy's order of operations: the vertex mean sums rows in turn,
+        # |e| = sqrt(dx*dx + dy*dy), a = (dy/|e|, -(dx/|e|)), b = a.(x0 - lc)
+        xy = lv.tolist()
+        cx, cy = xy[0]
+        for x, y in xy[1:]:
+            cx += x
+            cy += y
+        cx, cy = cx / len(xy), cy / len(xy)
+        a, b, longest = [], [], 0.0
+        for i, j in zip(hull, hull[1:] + hull[:1]):
+            (x0, y0), (x1, y1) = xy[i], xy[j]
+            dx, dy = x1 - x0, y1 - y0
+            length = math.sqrt(dx * dx + dy * dy)
+            ax, ay = dy / length, -(dx / length)
+            a.append((ax, ay))
+            b.append(ax * (x0 - cx) + ay * (y0 - cy))
+            longest = max(longest, length)
         # an L of m points that affine_frame calls flat is at most ~3e-9 sqrt(m) of its extent
         # wide, its least width is measured from an edge line, and its longest edge is at least
         # 2/h of its extent (h edges): only a polygon this thin pays for the SVD
-        if (np.minimum.reduce(b) <= 1e-5 * np.maximum.reduce(length, axis=None)
-                and affine_frame(lv)[2] < 2):
+        if min(b) <= 1e-5 * longest and affine_frame(lv)[2] < 2:
             return None
-        return lc, 1.0, a, b
+        return np.array([cx, cy]), 1.0, np.array(a), np.array(b)
     return None
 
 

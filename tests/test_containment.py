@@ -7,7 +7,7 @@ import pytest
 from oracles import grid_scale_fit_2d
 
 from shadowcover import bodies, containment, lp
-from shadowcover.bodies import Polytope, canonicalize, point_in_hull, scale, translate
+from shadowcover.bodies import Polytope, canonicalize, point_in_hull, project, scale, translate
 from shadowcover.containment import (
     _scale_fit_lp,
     inscribed_equivalence_check,
@@ -16,8 +16,9 @@ from shadowcover.containment import (
     subset_witness,
     translate_fits,
 )
+from shadowcover.construct import build_counterexample
 from shadowcover.core import TOL_GEOM, Subspace
-from shadowcover.shadows import shadow_fit
+from shadowcover.shadows import shadow_fit, sweep_subspaces
 
 UNIT_SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], canonical=True)
 TRIANGLE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], canonical=True)
@@ -724,3 +725,118 @@ def test_subset_fits_in_thin_slabs_match_the_vform_lp():
         want = [containment._lp_scale_fit(k.vertices[r] @ stretch.T, l.vertices @ stretch.T).sigma
                 for r in rows]
         assert sigmas == pytest.approx(want, rel=1e-6)
+
+
+def _array_supports(lv):
+    """The planar (lc, a, b) by the ndarray formulas that _supports' float loop
+    reproduces, and whether the hull is thin enough to be tested for flatness."""
+    hull = bodies.planar_hull(lv, tol=1e-12)
+    lc = np.add.reduce(lv, axis=0) / lv.shape[0]
+    q = lv[hull + hull[:1]]
+    edge = q[1:] - q[:-1]
+    length = np.sqrt(np.add.reduce(edge * edge, axis=1, keepdims=True))
+    a = (edge / length)[:, ::-1] * np.array([1.0, -1.0])
+    b = np.add.reduce(a * (q[:-1] - lc), axis=1)
+    return lc, a, b, bool(np.minimum.reduce(b) <= 1e-5 * np.maximum.reduce(length, axis=None))
+
+
+def _array_planar_fit(kv, lc, a, b):
+    """_planar_fit with its witness by the ndarray formulas; None on a failed check."""
+    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
+    h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
+    t, c = containment._dual_rays(a)
+    num, den = np.add.reduce(c * b.take(t), axis=1), np.add.reduce(c * h.take(t), axis=1)
+    ok = den > 0.0
+    ratios = np.where(ok, num, np.inf) / np.where(ok, den, 1.0)
+    best = int(ratios.argmin())
+    sigma = float(ratios[best])
+    if not ok[best]:
+        return None
+    r = int(t[best, c[best].argmax()])
+    e = b - sigma * h
+    nx, ny = a[r]
+    x0, y0 = e[r] * nx, e[r] * ny
+    lo, hi = -math.inf, math.inf
+    for (ax, ay), ej in zip(a, e):
+        rate = ny * ax - nx * ay
+        if rate > containment.TOL_FEAS:
+            hi = min(hi, (ej - ax * x0 - ay * y0) / rate)
+        elif rate < -containment.TOL_FEAS:
+            lo = max(lo, (ej - ax * x0 - ay * y0) / rate)
+    tau = 0.5 * (lo + hi)
+    v = np.array([x0 + tau * ny, y0 - tau * nx])
+    if not (a @ v - e).max() <= containment.TOL_FEAS * b.max():
+        return None
+    return containment.FitResult(sigma, v + lc - sigma * kc)
+
+
+def _planar_bodies(rng, i):
+    """(K, L, kind) at a scale of 1e-9 to 1e6 and offset up to 1e6 times that scale: a cloud of
+    3-60 points; one with duplicate points and points on its hull's edges; or a rotated slab
+    whose least edge offset is near 1e-5 of its longest edge, or 1e-12 of its extent thick."""
+    size = 10.0 ** rng.uniform(-9.0, 6.0)
+    offset = 10.0 ** rng.uniform(0.0, 6.0) * size * rng.standard_normal(2)
+    kind = ("cloud", "repeats", "slab", "flat")[i % 4]
+    lv = rng.standard_normal((int(rng.integers(3, 61)), 2))
+    if kind == "repeats":
+        hull = bodies.planar_hull(lv)
+        w = rng.uniform(0.1, 0.9, (len(hull), 1))
+        on_edges = (1.0 - w) * lv[hull] + w * lv[hull[1:] + hull[:1]]
+        lv = np.vstack([lv, lv[:3], on_edges])
+    elif kind != "cloud":
+        lv[:, 1] *= 10.0 ** rng.uniform(-5.3, -4.3) if kind == "slab" else 1e-12
+        lv = lv @ _rotation(rng, 2).T
+    kv = rng.standard_normal((int(rng.integers(2, 9)), 2)) * rng.uniform(0.2, 1.0)
+    return Polytope(kv * size + offset), Polytope(lv * size + offset), kind
+
+
+def test_planar_supports_and_fits_match_the_array_formulas(monkeypatch):
+    # the float loops of _supports and of the planar witness do numpy's
+    # operations in numpy's order, so supports, sigma and translation are
+    # bit-identical to the ndarray formulas; a slab just above or just below
+    # the 1e-5 thin ratio keeps its edges, and only a flat one reaches _flat_fit
+    flat_fits = []
+    original = containment._flat_fit
+    monkeypatch.setattr(containment, "_flat_fit",
+                        lambda *args: flat_fits.append(1) or original(*args))
+    rng = np.random.default_rng(163)
+    seen = {"thin": 0, "wide": 0, "flat": 0, "witness": 0}
+    for i in range(400):
+        k, l, kind = _planar_bodies(rng, i)
+        lc, a, b, thin = _array_supports(l.vertices)
+        flat_fits.clear()
+        got, fit = containment._supports(k, l), scale_fit(k, l)
+        if got is None:
+            assert kind == "flat" and thin and flat_fits == [1]
+            seen["flat"] += 1
+            continue
+        assert kind != "flat" and flat_fits == []
+        if kind == "slab":
+            seen["thin" if thin else "wide"] += 1
+        assert got[1] == 1.0
+        for x, y in zip((lc, a, b), (got[0], got[2], got[3])):
+            assert np.array_equal(x, y)
+        assert len(a) <= containment._MAX_PLANAR_EDGES
+        want = _array_planar_fit(k.vertices, lc, a, b)
+        if want is None:
+            want = containment._facet_fit(k.vertices, lc, b.max(), a, b / b.max())
+        else:
+            seen["witness"] += 1
+        assert fit.sigma == want.sigma and np.array_equal(fit.translation, want.translation)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_planar_shadow_fits_of_built_covers_match_highs():
+    # the triangle and quadrilateral shadows that a build's sweeps fit, on
+    # 200 grid planes for each of 3 seeded covers, against HiGHS's V-form LP
+    shapes = set()
+    for seed in range(3):
+        body = Polytope(np.random.default_rng(170 + seed).standard_normal((6 + 2 * seed, 3)))
+        ce = build_counterexample(body, rng=seed, directions=60, sweep_count=60)
+        inflated = scale(ce.body, ce.epsilon)
+        for s in sweep_subspaces(3, 2, 200):
+            kp, lp_ = project(inflated, s), project(ce.cover, s)
+            shapes.add(len(bodies.planar_hull(lp_.vertices)))
+            want = _highs_sigma(kp.vertices, lp_.vertices)
+            assert scale_fit(kp, lp_).sigma == pytest.approx(want, rel=1e-9)
+    assert shapes == {3, 4}
