@@ -121,7 +121,7 @@ def project(p: Polytope, s: Subspace) -> Polytope:
     if s.n != p.dim:
         raise ValueError(f"subspace lives in R^{s.n}, polytope in R^{p.dim}")
     v = p.vertices @ s.basis
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise ValueError("vertex coordinates must be finite")
     v.flags.writeable = False
     out = object.__new__(Polytope)

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("fit", help="does L contain a translate of K"), bodies=2)
     add_common(sub.add_parser("scale-fit", help="maximal scale of K inside L"), bodies=2)
-    add_common(sub.add_parser("witness", help="vertex-subset non-fitting witness"),
+    add_common(sub.add_parser("witness", help="worst-fitting set of at most k points"),
                bodies=2, k=True)
     add_common(sub.add_parser("shadow-sweep", help="sampled shadow covering verdict"),
                bodies=2, d=True, samples=True, seed=True)

@@ -9,8 +9,8 @@ normals support, verify that the body touches every facet away from all
 ridges, then take the exact inflation factor from the paper's Theorem 2.
 Applied to eps * K, it says every d-shadow of eps * K translates into the
 cover's shadow iff every (d+1)-point polytope in eps * K translates into the
-cover; 1/sigma of a (d+1)-point set is convex in its points, so vertex
-subsets suffice and eps* = min_subset_sigma(K, cover, d + 1).  The inflated
+cover, so eps* = min_subset_sigma(K, cover, d + 1), which reads it from the
+cover's dual rays with no vertex subset (see ``containment``).  The inflated
 body fits through every d-shadow of the simplex but cannot fit inside it,
 since the simplex is already maximally tight.
 

@@ -7,15 +7,13 @@ translation v.  K fits in L by translation iff that maximum is at least 1
 * intervals: the closed form t = width(L) / width(K);
 * planar bodies: the LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's
   unit edge normals a_j, by LP duality the least bound over the extreme
-  rays of L's dual cone (``_dual_rays``), as is every vertex-subset fit in
-  the plane and in R^3, with no LP; L's edges and the witness are worked in
-  Python floats, in the order of the array formulas, as a shadow has only a
-  few edges;
+  rays of L's dual cone (``_dual_rays``), with no LP, as is the least subset
+  fit below; L's edges and the witness are worked in Python floats, in the
+  order of the array formulas, as a shadow has only a few edges;
 * a whole K in R^3, or in the plane when L has more than 48 edges or the
   planar witness fails its check: the same LP over the facets (edges) of
   L, solved by ``lp.solve_from`` from the slack basis; its dual maps onto
-  the LP below, as does every subset fit past _MAX_FACETS facets or 48
-  edges;
+  the LP below;
 * a flat L: both bodies in L's ``affine_frame``, by the routes above, or
   sigma = 0 when K's directions leave L's;
 * a full-dimensional L in R^4 and up: one LP over convex-combination
@@ -26,10 +24,20 @@ callers compare sigma directly.  The unit-scale witness of a fitting pair
 costs nothing more: if sigma*K + w lies in L and sigma >= 1, then so does
 K + w/sigma + (1 - 1/sigma)*y for any point y of L, by convexity.
 
-Subset witnesses make the containment equivalences decidable for polytopes:
-the intersection of L - x over all x in K equals the intersection over the
-canonical vertices of K alone (convexity), so Helly's theorem applies to a
-finite family and checking all (k)-subsets of vertices is a complete test.
+Subset witnesses make the containment equivalences decidable for polytopes,
+with no vertex subset.  For an extreme ray c of L's dual cone, scaled to
+c.b = 1, and a partition of its n+1 rows into D = min(kcount, n+1) blocks B,
+put u_B = sum_{i in B} c_i a_i.  The least scale fit in L of a set of at
+most kcount of K's points is 1 / max sum_B h_K(u_B) over rays and partitions
+(``_partition_fit``): a set Q splits the rows by the point of Q attaining
+a_i.x, h_K is sublinear, and K's argmax point per block is a Q that attains
+the bound.  h_K is a max over all of K's points, so no canonical vertex is
+needed.  With kcount = n+1 the partition is into single rows and the value
+is the whole-K fit, Helly's case; with kcount = d+1 it is eps*_d of the
+paper's Theorem 2, and span{u_B} is a d-plane whose shadow fit attains it.
+A flat L, one past _MAX_FACETS facets or 48 edges, R^1, R^4 and up, and
+the case where no ray gives a positive sum take one ``_fit`` per canonical
+kcount-subset instead.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -175,17 +183,24 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table, blocks = 0.5 * (g.T - g), [_planar_minors(f)]
     else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
         u = np.linalg.svd(a, full_matrices=False)[0]
-        table = np.einsum("pqd,rd->pqr", np.cross(u[:, None], u), u)   # (u_p x u_q).u_r
+        x, y, z = u.T   # u_p x u_q by np.cross's products and differences, without its overhead
+        cross = np.empty((f, f, 3))
+        np.subtract(y[:, None] * z, z[:, None] * y, out=cross[..., 0])
+        np.subtract(z[:, None] * x, x[:, None] * z, out=cross[..., 1])
+        np.subtract(x[:, None] * y, y[:, None] * x, out=cross[..., 2])
+        table = np.einsum("pqd,rd->pqr", cross, u)   # (u_p x u_q).u_r
         blocks = _minor_blocks(f, n)
     parts = []
     for subsets, minors in blocks:
         c = table.take(minors)
-        if n == 3:   # facets come in no order, nor does the sign of c
-            c *= np.sign(c.sum(axis=1, keepdims=True))
-            top = c.max(axis=1, keepdims=True)
-            c = np.where(c < -_RAY_TOL * top, c, np.maximum(c, 0.0))
-            c[top[:, 0] <= _RAY_TOL] = -1.0
-        keep = np.minimum.reduce(c, axis=1) >= 0.0
+        if n == 3:   # facets come in no order, nor does the sign of c; entries within
+            # _RAY_TOL of the row's top count as 0, and a row whose top is that small is no ray
+            c *= np.sign(np.add.reduce(c, axis=1, keepdims=True))
+            top = np.maximum.reduce(c, axis=1)
+            keep = (np.minimum.reduce(c, axis=1) >= -_RAY_TOL * top) & (top > _RAY_TOL)
+            c = np.maximum(c, 0.0)
+        else:
+            keep = np.minimum.reduce(c, axis=1) >= 0.0
         parts.append((subsets.compress(keep, axis=0), c.compress(keep, axis=0)))
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
@@ -193,11 +208,16 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _minor_blocks(f: int, n: int):
     """The (n+1)-subsets (i, j, k[, l]) of range(f), lexicographic, in blocks of consecutive first
     indices i within _BLOCK_BYTES unless of one i alone, and the flat (f,)*n table indices of their
-    minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l), (j,i,k); no block is cached."""
+    minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l), (j,i,k).  A single block is the cached
+    enumeration of ``_combinations``."""
     ff = f * f
     place = np.array([[0, 1, f], [f, 0, 1], [1, f, 0]] if n == 2 else
                      [[0, f, ff, f], [ff, 0, f, ff], [f, ff, 0, 1], [1, 1, 1, 0]])
     cap = _BLOCK_BYTES // (8 * (n + 1))   # rows of one block
+    if math.comb(f, n + 1) <= cap:   # one block: the cached enumeration
+        subsets = _combinations(f, n + 1)
+        yield subsets, subsets @ place
+        return
     sizes, start = [math.comb(f - i - 1, n) for i in range(f - n)], 0
     while start < f - n:
         stop = next((j for j in range(start + 1, f - n) if sum(sizes[start:j + 1]) > cap), f - n)
@@ -402,7 +422,7 @@ def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
     n = kv.shape[1]
     if n == 1:
         return _interval_fit(kv, lv)
-    if (kv == kv[0]).all():
+    if np.logical_and.reduce(kv == kv[0], axis=None):
         return FitResult(math.inf, None)
     if supports is None:   # a flat L, or R^4 and up: r caps at n - 1 in R^2 and R^3
         c, frame, r = affine_frame(lv)
@@ -461,53 +481,121 @@ def translate_fits(k: Polytope, l: Polytope) -> tuple[bool, np.ndarray | None]:
     return True, _unit_translation(k, l, fit)
 
 
-def _subset_sigmas(k: Polytope, l: Polytope, kcount: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, sigmas): K's canonical kcount-subsets (kcount clamped to their number), as
-    lexicographic rows of indices into k.vertices, and their fits in L: the least c.b / c.h_Q
-    over L's dual rays, in blocks of subsets Q, else (for a flat L, past _MAX_PLANAR_EDGES edges
-    or _MAX_FACETS facets, or if no ray bounds Q) by _fit."""
-    idx = np.arange(k.nverts) if k.canonical else np.array(canonical_vertex_indices(k))
-    rows = idx[_combinations(len(idx), min(kcount, len(idx)))]
-    v, supports = k.vertices, _supports(k, l)
-    if supports is None or len(supports[3]) > (_MAX_FACETS if l.dim == 3 else _MAX_PLANAR_EDGES):
-        return rows, np.array([_fit(v[r], l.vertices, supports).sigma for r in rows])
+@lru_cache(maxsize=16)
+def _partitions(rows: int, blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parts, multi, cols) for the partitions of range(rows) into exactly `blocks` nonempty
+    blocks, in the order of their restricted growth strings.  parts[p, B] is block B's 0/1 row
+    indicator, and multi holds the indicator of every distinct block of two or more rows.
+    cols[p, B] indexes h_K(u_B) in a ray's row of values: h_K(c_i a_i) = c_i h_K(a_i) for the
+    one-row block of row i, then h_K(u_S) for the blocks S of multi."""
+    masks = []   # per partition, its blocks as bit masks of rows
+    for g in product(range(blocks), repeat=rows):   # restricted growth strings
+        if max(g) == blocks - 1 and all(x <= max(g[:i], default=-1) + 1 for i, x in enumerate(g)):
+            masks.append([sum(1 << i for i, x in enumerate(g) if x == j) for j in range(blocks)])
+    multi = sorted({m for ms in masks for m in ms if m.bit_count() > 1})
+
+    def bits(ms: list[int]) -> np.ndarray:
+        return np.array([[m >> i & 1 for i in range(rows)] for m in ms], float).reshape(-1, rows)
+
+    cols = [[m.bit_length() - 1 if m.bit_count() == 1 else rows + multi.index(m) for m in ms]
+            for ms in masks]
+    return np.array([bits(ms) for ms in masks]), bits(multi), np.array(cols)
+
+
+def _partition_fit(kv: np.ndarray, supports, kcount: int):
+    """(eps, q, u): the least scale fit in L of a set Q of at most kcount of K's points, from L's
+    dual rays (``_dual_rays``) and the partitions of a ray's rows into D = min(kcount, rows)
+    blocks B.  For a ray c scaled to c.b = 1 and u_B = sum_{i in B} c_i a_i, 1/eps is the largest
+    sum_B h_K(u_B): a Q splits the rows by the point of Q that attains a_i.x, and h_K is
+    sublinear, so D blocks suffice; the argmax points of K give a Q that attains it.  q holds
+    that argmax point's index in kv per block of the best ray and partition, ties to the lowest,
+    and u their u_B, which span a plane of dimension at most D - 1 whose shadow fit is eps.
+    At D = rows every block is one row, and the search is the one product of a with K.
+    None when no ray gives a positive sum, as for a single-point K."""
     _, s, a, b = supports
     sets, c = _dual_rays(a)
-    weights = np.zeros((len(c), len(a)))   # rays scaled to c.b = 1: 1/sigma_Q = max c.h_Q
-    np.put_along_axis(weights, sets, c / (c * b[sets]).sum(axis=1, keepdims=True), axis=1)
-    hk, inv = a @ ((v - v.sum(axis=0) / len(v)) / s).T, np.empty(len(rows))
-    step = max(1, _BLOCK_BYTES // (8 * max(len(c), len(a) * rows.shape[1])))
-    for i in range(0, len(rows), step):
-        inv[i:i + step] = (weights @ hk[:, rows[i:i + step]].max(axis=2)).max(axis=0, initial=0.0)
-    sigmas = np.divide(1.0, inv, out=np.empty(len(inv)), where=inv > 0.0)
-    for j in np.flatnonzero(inv <= 0.0):   # no ray bounds Q: equal points, or facets bound nothing
-        sigmas[j] = _fit(v[rows[j]], l.vertices, supports).sigma
-    return rows, sigmas
+    rows = a.shape[1] + 1
+    parts, multi, cols = _partitions(rows, min(kcount, rows))
+    x = (kv - kv.sum(axis=0) / len(kv)) / s   # h_K(u_B) sums do not see a shift of K
+    top = np.maximum.reduce(a @ x.T, axis=1)   # h_K(a_i)
+    c = c / np.add.reduce(c * b.take(sets), axis=1, keepdims=True)
+    step = max(1, _BLOCK_BYTES // (8 * max(len(multi) * len(x), cols.size)))
+    best, at = 0.0, None
+    for i in range(0, len(c), step):
+        ci, ti = c[i:i + step], sets[i:i + step]
+        table = ci * top.take(ti)
+        if len(multi):   # (rays, blocks, points): u_B.x over K
+            hu = (multi @ (ci[:, :, None] * a.take(ti, axis=0))) @ x.T
+            table = np.concatenate([table, np.maximum.reduce(hu, axis=2)], axis=1)
+        sums = np.add.reduce(table[:, cols], axis=2)
+        j = int(sums.argmax())
+        if sums.flat[j] > best:
+            best, at = float(sums.flat[j]), (i + j // len(cols), j % len(cols))
+    if at is None:
+        return None
+    r, p = at
+    u = parts[p] @ (c[r][:, None] * a[sets[r]])
+    # a one-row block's point attains h_K(a_i), and so h_K(c_i a_i) = c_i h_K(a_i) at c_i = 0 too
+    w = np.where(parts[p].sum(axis=1) @ parts[p] == 1.0, 1.0, c[r])
+    return 1.0 / best, ((parts[p] @ (w[:, None] * a[sets[r]])) @ x.T).argmax(axis=1), u
 
 
-def subset_witness(k: Polytope, l: Polytope, kcount: int) -> list[int] | None:
-    """Some kcount-subset of K's canonical vertices whose hull does not
-    translate into L, or None when every subset fits.
+def _subset_sigmas(k: Polytope, l: Polytope, kcount: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sigmas): K's canonical kcount-subsets (kcount clamped to their number), as
+    lexicographic rows of indices into k.vertices, and the _fit of each in L."""
+    idx = np.arange(k.nverts) if k.canonical else np.array(canonical_vertex_indices(k))
+    rows = idx[_combinations(len(idx), min(kcount, len(idx)))]
+    supports = _supports(k, l)
+    return rows, np.array([_fit(k.vertices[r], l.vertices, supports).sigma for r in rows])
 
-    Indices refer to ``k.vertices``.  All subset fits are computed and the
-    lexicographically first below 1 - TOL_GEOM wins, so results repeat.
+
+def _least_subset(k: Polytope, l: Polytope, kcount: int) -> tuple[float, list[int]]:
+    """(eps, q): the least scale fit in L of a set of at most kcount of K's points, and the
+    sorted distinct indices into k.vertices of one such set; (inf, []) at kcount 1 and for a
+    single-point K.
+
+    In the plane and in R^3 it is ``_partition_fit``'s, over all of K's points, and its set is
+    the argmax point of each block.  A flat L, one past _MAX_PLANAR_EDGES edges or _MAX_FACETS
+    facets, R^1 or R^4 and up, or no ray giving a positive sum, take the least of
+    ``_subset_sigmas``, the first in lexicographic order of its canonical subsets.
     """
     if kcount < 1:
         raise ValueError("subset size must be at least 1")
+    kv = k.vertices
+    if kcount == 1 or np.logical_and.reduce(kv == kv[0], axis=None):
+        return math.inf, []
+    supports = _supports(k, l)
+    cap = _MAX_FACETS if k.dim == 3 else _MAX_PLANAR_EDGES
+    if supports is not None and len(supports[3]) <= cap:
+        if (out := _partition_fit(kv, supports, kcount)) is not None:
+            return out[0], sorted(set(out[1].tolist()))
     rows, sigmas = _subset_sigmas(k, l, kcount)
-    return next((r.tolist() for r, s in zip(rows, sigmas) if s < 1.0 - TOL_GEOM), None)
+    j = int(sigmas.argmin())
+    return float(sigmas[j]), rows[j].tolist()
+
+
+def subset_witness(k: Polytope, l: Polytope, kcount: int) -> list[int] | None:
+    """The argmin subset: the sorted distinct indices into ``k.vertices`` of a set
+    of at most kcount of K's points whose scale fit in L is least, when that fit
+    is below 1 - TOL_GEOM, so that the set's hull does not translate into L;
+    None when every such set fits.  Of equal points the lowest index is taken,
+    so results repeat (see ``_least_subset``).
+    """
+    eps, q = _least_subset(k, l, kcount)
+    return q if eps < 1.0 - TOL_GEOM else None
 
 
 def min_subset_sigma(k: Polytope, l: Polytope, kcount: int) -> float:
-    """Minimum of scale_fit over all kcount-subsets of canonical vertices.
+    """Least scale fit in L over the sets of at most kcount of K's points.
 
-    With kcount = d + 1 this is the least scale fit of K's d-shadows in L's
-    (the paper's Theorem 2, reduced to vertex subsets by convexity), which
-    counterexample construction and replay take as the exact inflation
-    factor.  The margin |min - 1| quantifies how decisively the subset
-    condition holds or fails; the randomized harnesses use it.
+    With kcount = d + 1 this is eps*_d, the least scale fit of K's d-shadows
+    in L's (the paper's Theorem 2), which counterexample construction and
+    replay take as the exact inflation factor; it comes from L's dual rays
+    with no vertex subset (``_partition_fit``).  The margin |min - 1|
+    quantifies how decisively the subset condition holds or fails; the
+    randomized harnesses use it.
     """
-    return float(_subset_sigmas(k, l, kcount)[1].min(initial=math.inf))
+    return _least_subset(k, l, kcount)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the library's LP path: 2D hulls come
 from a monotone chain, containment scales from halfplane arithmetic over a
-refined translation grid, and widths from closed forms.  These are the
+refined translation grid, and widths from closed forms.  V-form scale fits
+come from HiGHS (scipy), outside the library's LP code.  These are the
 second route of every dual-route check.
 """
 
+from itertools import combinations
+
 import numpy as np
+import pytest
 
 
 def hull2d(points: np.ndarray) -> np.ndarray:
@@ -120,3 +124,61 @@ def perimeter2d(points: np.ndarray) -> float:
     hull = hull2d(points)
     return float(sum(np.linalg.norm(hull[(i + 1) % len(hull)] - hull[i])
                      for i in range(len(hull))))
+
+
+def _vform_rows(kv: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """A_eq of the V-form scale fit over (t, v, lam): t*k_i + v - sum_j lam_ij l_j = 0 and
+    sum_j lam_ij = 1 for each point k_i of K."""
+    (mk, n), ml = kv.shape, len(lv)
+    a = np.zeros((mk * (n + 1), 1 + n + mk * ml))
+    for i in range(mk):
+        rows, lam = slice(i * (n + 1), i * (n + 1) + n), slice(1 + n + i * ml, 1 + n + (i + 1) * ml)
+        a[rows, 0], a[rows, 1:1 + n], a[rows, lam] = kv[i], np.eye(n), -lv.T
+        a[i * (n + 1) + n, lam] = 1.0
+    return a
+
+
+def _highs_vform(kq: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """The V-form scale fit of each point set kq[q] in conv(lv), a full-dimensional L, by HiGHS:
+    max t s.t. t*k_i + v = sum_j lam_ij l_j, sum_j lam_ij = 1, lam >= 0.  The sets' LPs are
+    independent blocks of one LP whose objective is the sum of their t, so its one solve
+    maximises every t.
+
+    HiGHS's tolerances are absolute, so the data is first put at unit size: a common affine map
+    that sends L's principal axes to unit spread keeps every fit, and each set is scaled by a
+    power of two f near the inverse of its extent, as its fit is f times that of the scaled set."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    centre = lv.mean(axis=0)
+    _, sv, vt = np.linalg.svd(lv - centre, full_matrices=False)
+    lv, kq = (lv - centre) @ (vt.T / sv), (kq - centre) @ (vt.T / sv)
+    extent = np.abs(kq - kq.mean(axis=1, keepdims=True)).max(axis=(1, 2))
+    f = np.exp2(-np.round(np.log2(np.where(extent > 0.0, extent, 1.0))))
+    blocks = [_vform_rows(kv * fq, lv) for kv, fq in zip(kq, f)]
+    a = sparse.block_diag(blocks, format="csr")
+    count, (rows, width), n = len(blocks), blocks[0].shape, lv.shape[1]
+    b = np.tile(np.append(np.zeros(n), 1.0), count * rows // (n + 1))
+    lower = np.tile(np.r_[0.0, np.full(n, -np.inf), np.zeros(width - 1 - n)], count)
+    cost = np.zeros(count * width)
+    cost[::width] = -1.0
+    out = optimize.linprog(cost, A_eq=a, b_eq=b, method="highs",
+                           bounds=np.column_stack([lower, np.full(count * width, np.inf)]))
+    assert out.status == 0, out.message
+    return out.x[::width] * f
+
+
+def highs_sigma(kv: np.ndarray, lv: np.ndarray) -> float:
+    """The V-form scale fit of conv(kv) in conv(lv), by HiGHS."""
+    return float(_highs_vform(np.asarray(kv, float)[None], np.asarray(lv, float))[0])
+
+
+def highs_subset_sigmas(kv: np.ndarray, lv: np.ndarray, kcount: int) -> tuple[list, np.ndarray]:
+    """(subsets, sigmas): every min(kcount, m)-subset of K's m distinct points
+    (the first of equal points), as lexicographic lists of indices into kv,
+    and the V-form fit of each in conv(lv) by HiGHS; inf for one point."""
+    kv = np.asarray(kv, float)
+    distinct = [i for i in range(len(kv)) if not (kv[:i] == kv[i]).all(axis=1).any()]
+    subsets = [list(s) for s in combinations(distinct, min(kcount, len(distinct)))]
+    if len(subsets[0]) == 1:
+        return subsets, np.full(len(subsets), np.inf)
+    return subsets, _highs_vform(kv[np.array(subsets)], np.asarray(lv, float))

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import grid_scale_fit_2d
+from oracles import grid_scale_fit_2d, highs_sigma, highs_subset_sigmas
 
 from shadowcover import bodies, containment, lp
 from shadowcover.bodies import Polytope, canonicalize, point_in_hull, project, scale, translate
@@ -274,8 +274,9 @@ def test_low_dim_fit_segment_in_polygon():
 
 
 def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
-    # K carries an interior point and a duplicate: its extreme points come
-    # from the planar or 3-D hull, and every subset fit from L's dual rays
+    # K carries an interior point and a duplicate: the least subset fit and its
+    # argmin subset come from L's dual rays over all of K's points, with no
+    # LP, and match a HiGHS enumeration of the subsets of K's distinct points
     rng = np.random.default_rng(137)
     pairs = []
     for i in range(40):
@@ -286,16 +287,15 @@ def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
     witnesses = [subset_witness(k, l, k.dim + 1) for k, l in pairs]
     margins = [min_subset_sigma(k, l, k.dim + 1) for k, l in pairs]
     assert lp_calls == []
+    scale_fit(*pairs[1])
+    assert lp_calls == ["solve_from"]  # the spy sees the library's LPs
     for (k, l), w, margin in zip(pairs, witnesses, margins):
-        v = k.vertices
-        first = [i for i in range(len(v)) if not (v[:i] == v[i]).all(axis=1).any()]
-        idx = [i for i in first
-               if not point_in_hull(v[i], Polytope(v[[j for j in first if j != i]]))]
-        sigmas = [(list(c), containment._lp_scale_fit(v[list(c)], l.vertices).sigma)
-                  for c in combinations(idx, k.dim + 1)]
-        assert w == next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
-        assert margin == pytest.approx(min(s for _, s in sigmas), rel=1e-12)
-    assert "feasible" in lp_calls  # the spy sees the reference's LPs
+        least = highs_subset_sigmas(k.vertices, l.vertices, k.dim + 1)[1].min()
+        assert margin == pytest.approx(least, rel=1e-12)
+        assert (w is None) == (least >= 1.0 - TOL_GEOM)
+        if w is not None:
+            assert len(w) <= k.dim + 1 and w == sorted(set(w))
+            assert highs_sigma(k.vertices[w], l.vertices) == pytest.approx(least, rel=1e-12)
     for n in (2, 3):
         found = [w for (k, _), w in zip(pairs, witnesses) if k.dim == n]
         assert any(w is None for w in found) and any(w is not None for w in found)
@@ -571,9 +571,9 @@ def _degenerate_ls(rng):
 
 
 def test_subset_fits_share_facets_and_match_enumeration(hull_calls):
-    # decide-style pairs and degenerate L: the subset fits from L's dual rays
-    # equal one V-form LP per subset, so the witness equals the lexicographic
-    # search, and every search reads L's facets from its one hull
+    # decide-style pairs and degenerate L: the least subset fit from L's dual
+    # rays equals a HiGHS enumeration of the subsets, the witness is its
+    # argmin subset, and every search reads L's facets from its one hull
     rng = np.random.default_rng(131)
     cases = []
     for i in range(60):
@@ -587,20 +587,19 @@ def test_subset_fits_share_facets_and_match_enumeration(hull_calls):
             cases.append((k, Polytope(lv), kcount, rel))
     for k, l, kcount, rel in cases:
         hull_calls.clear()
-        sigmas = [(list(c), containment._lp_scale_fit(k.vertices[list(c)], l.vertices).sigma)
-                  for c in combinations(range(k.nverts), kcount)]
-        want = next((c for c, s in sigmas if s < 1.0 - TOL_GEOM), None)
-        assert subset_witness(k, l, kcount) == want
-        rows, got = containment._subset_sigmas(k, l, kcount)
-        assert rows.tolist() == [c for c, _ in sigmas]
-        assert got == pytest.approx([s for _, s in sigmas], rel=rel)
-        assert min_subset_sigma(k, l, kcount) == pytest.approx(min(got), rel=1e-12)
+        witness, eps = subset_witness(k, l, kcount), min_subset_sigma(k, l, kcount)
         assert len(hull_calls) == (l.dim == 3)
+        least = highs_subset_sigmas(k.vertices, l.vertices, kcount)[1].min()
+        assert eps == pytest.approx(least, rel=rel)
+        assert (witness is None) == (least >= 1.0 - TOL_GEOM)
+        if witness is not None:
+            assert len(witness) <= kcount
+            assert highs_sigma(k.vertices[witness], l.vertices) == pytest.approx(least, rel=rel)
 
 
 def test_a_decide_pair_builds_each_hull_once(hull_calls):
     # translate_fits and the Helly search on one raw K and one L: one
-    # Quickhull each, K's for its canonical vertices and L's for its facets
+    # Quickhull in all, L's for its facets; K is read through its points
     rng = np.random.default_rng(139)
     for i in range(20):
         k = Polytope(rng.standard_normal((6 + i % 5, 3)))
@@ -609,7 +608,56 @@ def test_a_decide_pair_builds_each_hull_once(hull_calls):
         fits, _ = translate_fits(k, l)
         assert fits == (subset_witness(k, l, 4) is None)
         assert min_subset_sigma(k, l, 4) == pytest.approx(scale_fit(k, l).sigma, rel=1e-9)
-        assert sorted(hull_calls) == sorted([k.nverts, l.nverts])
+        assert hull_calls == [l.nverts]
+
+
+def _kernel_cases(rng):
+    """(K, L, (k, l) at unit scale, rel) for the partition kernel: R^2 and R^3 clouds with repeated
+    and interior points moved by a scale and an offset of up to 1e6, whose oracle reads them back
+    at unit scale; and K in each _degenerate_ls body, the 1e-6 slab among them."""
+    cases = []
+    for i in range(24):
+        n = 2 + i % 2
+        pts = rng.standard_normal((int(rng.integers(2, 7)), n))
+        kv = np.vstack([pts, pts[:2], pts.mean(axis=0)])
+        lv = rng.standard_normal((int(rng.integers(n + 2, 11)), n)) * rng.uniform(1.0, 3.0)
+        size = 10.0 ** rng.uniform(-6.0, 6.0)
+        offset = 10.0 ** rng.uniform(0.0, 6.0) * size * rng.standard_normal(n)
+        k, l = Polytope(kv * size + offset), Polytope(lv * size + offset)
+        cases.append((k, l, ((k.vertices - offset) / size, (l.vertices - offset) / size), 1e-12))
+    for lv, rel in _degenerate_ls(rng):
+        n = lv.shape[1]
+        pts = rng.standard_normal((5, n)) * (0.6 if n == 3 else 0.8)
+        kv = np.vstack([pts, pts[-1], 0.5 * (pts[0] + pts[1])])
+        cases.append((Polytope(kv), Polytope(lv), (kv, lv), rel))
+    return cases
+
+
+def test_partition_kernel_matches_the_highs_enumeration():
+    # the least fit over K's sets of at most kcount points, for every kcount
+    # from 1 (a point fits at inf) to n + 2 (clamped to n + 1, the whole-K
+    # fit), equals a HiGHS enumeration of the subsets of K's distinct points;
+    # its argmin set fits at that value, and the span of its u_B, completed
+    # to dimension d = kcount - 1, is a plane whose shadow fit attains it
+    rng = np.random.default_rng(181)
+    for k, l, (kv, lv), rel in _kernel_cases(rng):
+        n = k.dim
+        supports = containment._supports(k, l)
+        assert min_subset_sigma(k, l, 1) == math.inf and subset_witness(k, l, 1) is None
+        assert min_subset_sigma(Polytope(np.full((3, n), 0.5)), l, n + 1) == math.inf
+        for kcount in range(2, n + 3):
+            least = highs_subset_sigmas(kv, lv, kcount)[1].min()
+            eps, q, u = containment._partition_fit(k.vertices, supports, kcount)
+            assert eps == pytest.approx(least, rel=rel)
+            assert min_subset_sigma(k, l, kcount) == eps
+            witness = sorted(set(q.tolist()))
+            assert highs_sigma(kv[witness], lv) == pytest.approx(least, rel=rel)
+            assert subset_witness(k, l, kcount) == (witness if eps < 1.0 - TOL_GEOM else None)
+            d = min(kcount, n + 1) - 1
+            assert u.shape == (d + 1, n) and np.abs(u.sum(axis=0)).max() <= 1e-12 * np.abs(u).max()
+            plane = Subspace(np.linalg.svd(u.T)[0][:, :d])
+            assert shadow_fit(k, l, plane).sigma == pytest.approx(eps, rel=1e-9)
+        assert eps == pytest.approx(scale_fit(k, l).sigma, rel=rel)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -624,24 +672,6 @@ def test_reflected_simplex_fits_in_closed_form(n):
         assert min_subset_sigma(minus, delta, d + 1) == pytest.approx(1.0 / d, rel=1e-12)
 
 
-def _highs_sigma(kv, lv):
-    """max t s.t. t*k_i + v = sum_j lam_ij l_j, sum_j lam_ij = 1, lam >= 0:
-    the V-form scale fit, solved by HiGHS."""
-    optimize = pytest.importorskip("scipy.optimize")
-    (mk, n), ml = kv.shape, len(lv)
-    a = np.zeros((mk * (n + 1), 1 + n + mk * ml))
-    for i in range(mk):
-        rows, lam = slice(i * (n + 1), i * (n + 1) + n), slice(1 + n + i * ml, 1 + n + (i + 1) * ml)
-        a[rows, 0], a[rows, 1:1 + n], a[rows, lam] = kv[i], np.eye(n), -lv.T
-        a[i * (n + 1) + n, lam] = 1.0
-    b = np.tile(np.append(np.zeros(n), 1.0), mk)
-    bounds = [(0.0, None)] + [(None, None)] * n + [(0.0, None)] * (mk * ml)
-    out = optimize.linprog(-np.eye(1, a.shape[1])[0], A_eq=a, b_eq=b, bounds=bounds,
-                           method="highs")
-    assert out.status == 0
-    return -out.fun
-
-
 def test_scale_fit_and_subset_fits_match_highs():
     # an LP solver outside the library: the facet-form fit of the whole K and
     # the least 4-subset fit from L's dual rays (equal to it by Helly) agree
@@ -650,7 +680,7 @@ def test_scale_fit_and_subset_fits_match_highs():
     for i in range(40):
         k = Polytope(rng.standard_normal((6 + i % 5, 3)))
         l = Polytope(rng.standard_normal((8 + i % 7, 3)) * (1.5, 2.0, 2.5, 3.0)[i % 4])
-        want = _highs_sigma(k.vertices, l.vertices)
+        want = highs_sigma(k.vertices, l.vertices)
         assert scale_fit(k, l).sigma == pytest.approx(want, rel=1e-9)
         assert min_subset_sigma(k, l, 4) == pytest.approx(want, rel=1e-9)
 
@@ -706,8 +736,9 @@ def test_flat_l_fits_no_body_of_higher_rank():
 
 def test_subset_fits_in_thin_slabs_match_the_vform_lp():
     # 5-point slabs 10^-9.5 to 10^-7.5 thick that affine_dim calls full now
-    # have facets, and the dual-ray kernel reads every subset fit from them.
-    # A fit does not change under an affine map, so the reference is the
+    # have facets, and the dual-ray kernel reads each subset's fit from them,
+    # and the least of these from all of K.  A fit does not change under an
+    # affine map, so the reference is the
     # V-form LP on both bodies stretched to unit thickness: on the slabs
     # themselves its TOL_FEAS pivots miss sigma by up to 80 %
     rng = np.random.default_rng(7)
@@ -720,11 +751,14 @@ def test_subset_fits_in_thin_slabs_match_the_vform_lp():
             continue
         done += 1
         k = canonicalize(Polytope(0.5 * rng.standard_normal((6, 3)) * thick @ rot.T))
-        rows, sigmas = containment._subset_sigmas(k, l, 4)
+        supports = containment._supports(k, l)
+        rows = [list(r) for r in combinations(range(k.nverts), min(4, k.nverts))]
+        sigmas = [containment._partition_fit(k.vertices[r], supports, 4)[0] for r in rows]
         stretch = rot @ np.diag(1.0 / thick) @ rot.T
         want = [containment._lp_scale_fit(k.vertices[r] @ stretch.T, l.vertices @ stretch.T).sigma
                 for r in rows]
         assert sigmas == pytest.approx(want, rel=1e-6)
+        assert min_subset_sigma(k, l, 4) == pytest.approx(min(want), rel=1e-6)
 
 
 def _array_supports(lv):
@@ -837,6 +871,6 @@ def test_planar_shadow_fits_of_built_covers_match_highs():
         for s in sweep_subspaces(3, 2, 200):
             kp, lp_ = project(inflated, s), project(ce.cover, s)
             shapes.add(len(bodies.planar_hull(lp_.vertices)))
-            want = _highs_sigma(kp.vertices, lp_.vertices)
+            want = highs_sigma(kp.vertices, lp_.vertices)
             assert scale_fit(kp, lp_).sigma == pytest.approx(want, rel=1e-9)
     assert shapes == {3, 4}
