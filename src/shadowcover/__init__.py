@@ -5,11 +5,11 @@ maximal scale), sweeps shadow-covering questions over directions and
 subspaces of the Grassmannian, and constructs certified bodies whose shadows
 cover a given body's shadows while the body itself cannot be covered.
 All verdicts reduce to scale fits: a closed form for intervals, the extreme
-rays of L's dual cone for planar fits and for every vertex-subset fit in the
-plane and in R^3, a facet LP for a whole K in R^3 (and in the plane past 48
-edges), a flat L in its own frame, and a dense LP with certificates for a
-full-dimensional L in R^4 and up.  A constructed inflation factor is the
-exact least fit over vertex subsets.
+rays of L's dual cone for planar fits and for every vertex-subset fit, a
+facet LP over L's hull (a Quickhull in R^3, an enumeration from R^4 on) for
+a whole K from R^3 up (and in the plane past 48 edges), and a flat L in its
+own frame.  A constructed inflation factor is the exact least fit over
+vertex subsets.
 """
 
 from .bodies import Polytope, canonicalize, hyperplane_shadow, project, support, support_set

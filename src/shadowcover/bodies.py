@@ -8,17 +8,15 @@ flatness test is that rank, so verdicts do not change under x -> f x + v.
 Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 ``canonical_vertex_indices`` picks the extreme points for that pass, after
-merging points that agree to 12 decimals in the unit frame.  A body in R^3
-owns its hull: one Quickhull (``_hull``) of its distinct vertices, built on
-first use and kept on the body as a ``_Hull`` record of extreme points,
-``edges``, exterior angles and facets, which the canonical vertices, the
-3-D scale fits and the exact mean width all read; ``canonicalize`` hands
-the record on to the canonical body.  A set of lower affine rank r, or one
-in another dimension, is read in its ``affine_frame``: the two ends for
-r = 1, a monotone-chain hull (``planar_hull``, which also gives the edges
-that the planar scale fit uses) for r = 2 and the Quickhull for r = 3.  From
-rank 4 on the pass is one point-in-hull LP per vertex, in a unit frame.
-Other containment questions reduce to LPs over convex-combination variables.
+merging points that agree to 12 decimals in the unit frame.  A full body
+from R^3 up owns its hull: a ``_Hull`` record of extreme points and facets,
+built on first use and kept on the body, which the canonical vertices and
+the scale fits read and ``canonicalize`` hands on: in R^3 one Quickhull
+(``_hull_skeleton``), whose edges and exterior angles the exact mean width
+reads, and from R^4 on the enumeration of ``_facet_record``.  A set of lower
+affine rank r is read in its ``affine_frame``: the two ends for r = 1, a
+monotone-chain hull (``planar_hull``, which also gives the edges that the
+planar scale fit uses) for r = 2 and the hull record from r = 3 on.
 """
 
 from __future__ import annotations
@@ -28,12 +26,13 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import lp
-from .core import TOL_FEAS, TOL_GEOM, Subspace, hyperplane_basis, unit
+from .core import TOL_FEAS, TOL_GEOM, Subspace, _orthonormal_stack, hyperplane_basis, unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +71,10 @@ class Polytope:
 
     @cached_property
     def _hull_record(self) -> _Hull | None:
-        """The ``_hull_skeleton`` of a body in R^3, built on first use; None
-        when the body is flat or in another dimension."""
-        return _hull_skeleton(self.vertices) if self.dim == 3 else None
+        """The hull record of a body from R^3 up, built on first use; None
+        when the body is flat or in R^1 or R^2."""
+        return ((_hull_skeleton if self.dim == 3 else _facet_record)(self.vertices)
+                if self.dim >= 3 else None)
 
 
 def translate(p: Polytope, w) -> Polytope:
@@ -156,12 +156,12 @@ def diameter(p: Polytope) -> float:
 
 
 def point_in_hull(x, p: Polytope) -> bool:
-    """LP feasibility: does x lie in conv(vertices)?  Solved in the unit
-    frame of the vertices, so TOL_FEAS is relative to their extent."""
+    """LP feasibility (zero objective): does x lie in conv(vertices)?  Solved
+    in the unit frame of the vertices, so TOL_FEAS is relative to their extent."""
     w, c, s = _unit_frame(p.vertices)
     x = (np.asarray(x, dtype=np.float64) - c) / (s or 1.0)
-    a = np.vstack([w.T, np.ones((1, p.nverts))])
-    out = lp.feasible(a, np.append(x, 1.0), np.ones(p.nverts, dtype=bool))
+    a, m = np.vstack([w.T, np.ones((1, p.nverts))]), p.nverts
+    out = lp.solve(lp.LpProblem(a, np.append(x, 1.0), np.zeros(m), np.ones(m, dtype=bool)))
     return out.status == lp.OPTIMAL
 
 
@@ -202,11 +202,10 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     """Indices (into p.vertices) of the extreme points, in input order; of
     equal points the first is kept.
 
-    A body in R^3 reads them from its hull record.  A set that is flat, or
-    one in another dimension, is read in the ``affine_frame`` of its distinct
+    A full body from R^3 up reads them from its hull record.  A flat set,
+    or one in R^1 or R^2, is read in the ``affine_frame`` of its distinct
     points: rank 1 gives the two ends, rank 2 goes through ``planar_hull``
-    and rank 3 through ``_hull_skeleton``.  From rank 4 on, each point is
-    tested against the hull of the others by ``point_in_hull``.
+    and a higher rank through the hull record of its frame coordinates.
     """
     if (hull := p._hull_record) is not None:
         return hull.extreme.tolist()
@@ -220,12 +219,7 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
         return sorted({keep[int(x.argmin())], keep[int(x.argmax())]})
     if r == 2:
         return sorted(keep[i] for i in planar_hull(x))
-    if r == 3:
-        return [keep[i] for i in _hull_skeleton(x).extreme]
-    for i in list(keep):
-        if point_in_hull(v[i], Polytope(v[[j for j in keep if j != i]])):
-            keep.remove(i)
-    return keep
+    return [keep[i] for i in (_hull_skeleton if r == 3 else _facet_record)(x).extreme]
 
 
 def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
@@ -272,17 +266,83 @@ _SURE = 3e-12
 _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
-# a 3-D hull as _hull_skeleton reads it: extreme points, edges as sorted rows
-# (i, j) with i < j, their exterior angles, and the facets {x : a.x <= b} of
-# the unit frame (X - c) / s of the points X, in which the scale fits run
+# a hull record: extreme points, edges as sorted rows (i, j) with i < j and their exterior angles
+# (None from R^4 on), and the facets {x : a.x <= b} of the unit frame (X - c) / s of the points
 _Hull = namedtuple("_Hull", "extreme edges angles a b c s")
 
 
 def _read_only(hull: _Hull) -> _Hull:
     """The record with its arrays set read-only, as every reader shares them."""
     for field in hull[:-1]:
-        field.flags.writeable = False
+        if field is not None:
+            field.flags.writeable = False
     return hull
+
+
+@lru_cache(maxsize=64)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
+
+
+def _subset_blocks(m: int, k: int, cap: int):
+    """``_combinations(m, k)`` as views of at most cap rows."""
+    subsets = _combinations(m, k)
+    return (subsets[i:i + cap] for i in range(0, len(subsets), cap))
+
+
+def _minors(e: np.ndarray) -> np.ndarray:
+    """(B, C(n, k)): the k x k minors of B k x n matrices over the lexicographic column k-subsets,
+    by Laplace expansion along each next row, whose cofactor sign (-1)^r comes at the end."""
+    _, k, n = e.shape
+    minors = {(j,): e[:, 0, j] for j in range(n)}
+    for r in range(1, k):
+        minors = {cols: sum(e[:, r, j] * minors[cols[:t] + cols[t + 1:]] * (-1) ** t
+                            for t, j in enumerate(cols)) for cols in combinations(range(n), r + 1)}
+    return np.column_stack(list(minors.values())) * (-1) ** (k * (k - 1) // 2)
+
+
+def _facet_record(v: np.ndarray) -> _Hull | None:
+    """The ``_Hull`` record of a point set in R^n, n >= 4, with indices into v; None when flat.
+
+    In the unit frame of the distinct points, each n-subset whose edges from its first point have
+    a sine (volume over the product of lengths) above TOL_FEAS spans a hyperplane: its normal is
+    the edges' cofactors, projected off the edges below a sine of 1e-3, where cofactors lose
+    digits.  A facet has every point on one side within _ON; hyperplanes with the same incident
+    points (within _ON) are one facet, and one whose incident points lie in another's (through a
+    lower face, or missing a point that rounding put just past _ON) is none.  A point is extreme
+    when no other lies on every facet through it.  Blocks keep temporaries to a few MB."""
+    keep = np.array(_distinct_indices(v))
+    m, n = len(keep), v.shape[1]
+    if m <= n or affine_frame(v[keep])[2] < n:
+        return None
+    w, c, s = _unit_frame(v[keep])
+    parts = []
+    for subsets in _subset_blocks(m, n, max(1, (1 << 21) // (8 * n * (n + m)))):
+        e = w[subsets[:, 1:]] - w[subsets[:, :1]]
+        # cofactor i drops column i: column n - 1 - i of the lexicographic minors
+        normal = _minors(e)[:, ::-1] * (-1.0) ** np.arange(n)
+        area = np.add.reduce(normal * normal, axis=1)
+        sine = area / np.multiply.reduce(np.add.reduce(e * e, axis=2), axis=1)   # squared
+        ok = sine > TOL_FEAS ** 2
+        a, e, x0 = normal[ok] / np.sqrt(area[ok])[:, None], e[ok], w[subsets[ok, 0]]
+        if (thin := sine[ok] < 1e-6).any():
+            a[thin] = _orthonormal_stack(np.concatenate([e[thin], a[thin, None]], 1).mT)[0][..., -1]
+        d = a @ w.T - np.add.reduce(a * x0, axis=1)[:, None]
+        side = np.where(d.max(axis=1) <= _ON, 1.0, np.where(d.min(axis=1) >= -_ON, -1.0, 0.0))
+        a, d, kept = a * side[:, None], d * side[:, None], side != 0.0
+        parts.append((a[kept], np.add.reduce(a * x0, axis=1)[kept], d[kept] >= -_ON))
+    a, b, inc = map(np.concatenate, zip(*parts))
+    first = np.unique(np.packbits(inc, axis=1), axis=0, return_index=True)[1]
+    first = first[_maximal(inc[first])]
+    return _read_only(_Hull(keep[_maximal(inc[first].T)], None, None, a[first], b[first], c, s))
+
+
+def _maximal(sets: np.ndarray) -> np.ndarray:
+    """Which rows of a boolean matrix lie within no other row; of equal rows, the first."""
+    count = sets.astype(np.intp)
+    inside = count @ count.T == np.add.reduce(count, axis=1)[:, None]   # row i within row j
+    return ~np.logical_or.reduce(inside & (~inside.T | np.tri(len(sets), k=-1, dtype=bool)), axis=1)
 
 
 def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
@@ -540,7 +600,7 @@ def canonicalize(p: Polytope) -> Polytope:
     """Remove redundant generators so every vertex is an extreme point.
 
     The kept vertices stay in input order; ``canonical_vertex_indices``
-    picks them, and a body in R^3 hands on the hull record that chose them.
+    picks them, and a full body from R^3 up hands on the record that chose them.
     """
     if p.canonical:
         return p
@@ -548,7 +608,8 @@ def canonicalize(p: Polytope) -> Polytope:
     out = Polytope(p.vertices[idx], canonical=True)
     if (hull := p._hull_record) is not None:   # idx is hull.extreme, increasing
         object.__setattr__(out, "_hull_record", _read_only(hull._replace(
-            extreme=np.arange(len(idx)), edges=np.searchsorted(idx, hull.edges))))
+            extreme=np.arange(len(idx)),
+            edges=np.searchsorted(idx, hull.edges) if p.dim == 3 else None)))
     return out
 
 
@@ -560,7 +621,7 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
     if p.dim > 3 and (frame := affine_frame(p.vertices))[2] == 3:
         p = Polytope((p.vertices - frame[0]) @ frame[1][:, :3])
-    if (hull := p._hull_record) is None:
+    if p.dim != 3 or (hull := p._hull_record) is None:
         raise ValueError("edges requires a body of affine dimension 3")
     return list(map(tuple, hull.edges.tolist()))
 

@@ -10,14 +10,12 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   rays of L's dual cone (``_dual_rays``), with no LP, as is the least subset
   fit below; L's edges and the witness are worked in Python floats, in the
   order of the array formulas, as a shadow has only a few edges;
-* a whole K in R^3, or in the plane when L has more than 48 edges or the
-  planar witness fails its check: the same LP over the facets (edges) of
-  L, solved by ``lp.solve_from`` from the slack basis; its dual maps onto
-  the LP below;
+* a whole K from R^3 up, or in the plane when L has more than 48 edges or
+  the planar witness fails its check: the same LP over the facets (edges)
+  of L's hull record, solved by ``lp.solve_from`` from the slack basis; its
+  dual maps onto the V-form LP over convex-combination variables;
 * a flat L: both bodies in L's ``affine_frame``, by the routes above, or
-  sigma = 0 when K's directions leave L's;
-* a full-dimensional L in R^4 and up: one LP over convex-combination
-  variables in L's unit frame (``_lp_scale_fit``).
+  sigma = 0 when K's directions leave L's.
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
 callers compare sigma directly.  The unit-scale witness of a fitting pair
@@ -35,9 +33,9 @@ the bound.  h_K is a max over all of K's points, so no canonical vertex is
 needed.  With kcount = n+1 the partition is into single rows and the value
 is the whole-K fit, Helly's case; with kcount = d+1 it is eps*_d of the
 paper's Theorem 2, and span{u_B} is a d-plane whose shadow fit attains it.
-A flat L, one past _MAX_FACETS facets or 48 edges, R^1, R^4 and up, and
-the case where no ray gives a positive sum take one ``_fit`` per canonical
-kcount-subset instead.
+A flat L, one past 48 edges or with more than _MAX_RAY_SUBSETS (n+1)-subsets
+of facets, R^1, and the case where no ray gives a positive sum take one
+``_fit`` per canonical kcount-subset instead.
 """
 
 from __future__ import annotations
@@ -45,14 +43,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import product
 
 import numpy as np
 
 from . import lp
 from .bodies import (
     Polytope,
-    _unit_frame,
+    _combinations,
+    _minors,
+    _subset_blocks,
     affine_frame,
     canonical_vertex_indices,
     canonicalize,
@@ -70,8 +70,8 @@ class FitResult:
     translation   witness v at the optimum (None when degenerate)
     dual          multipliers y of _scale_fit_lp(K, L), one (u_i, w_i) block
                   of n+1 per vertex of K, with y.b >= sigma; set by the
-                  facet and LP paths, None for the interval and planar
-                  methods and for a flat L
+                  facet path, None for the interval and planar methods and
+                  for a flat L
     """
 
     sigma: float
@@ -118,29 +118,6 @@ def _scale_fit_lp(kv: np.ndarray, lv: np.ndarray, fixed_t: float | None = None):
     return lp.LpProblem(a.reshape(mk * (n + 1), -1), b.reshape(-1), c, nonneg)
 
 
-def _affine_basis_rows(points: np.ndarray) -> list[int] | None:
-    """Indices of n+1 affinely independent rows, greedily; None if flat.
-
-    Row i joins when its difference from row 0 keeps more than 1e-9 of its
-    length after projection off the directions already chosen, so the test
-    does not depend on the scale of the points.
-    """
-    m, n = points.shape
-    diff = points - points[0]
-    chosen = [0]
-    q = np.zeros((n, n))   # orthonormal directions chosen so far
-    for i in range(1, m):
-        d = diff[i]
-        r = d - (q @ d) @ q
-        norm = math.sqrt(r @ r)
-        if norm > 1e-9 * math.sqrt(d @ d):
-            q[len(chosen) - 1] = r / norm
-            chosen.append(i)
-            if len(chosen) == n + 1:
-                return chosen
-    return None
-
-
 def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
     """Scale fit of two intervals: the ratio of their widths, inf for a point K."""
     ks, ls = kv.ravel().tolist(), lv.ravel().tolist()
@@ -155,45 +132,47 @@ _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand
 # the rays come from all C(m, 3) triples of L's m edges; past this many edges
 # the LP, whose size grows only linearly in m, is the lighter route
 _MAX_PLANAR_EDGES = 48
-_RAY_TOL = 1e-12   # R^3: ray entries above -_RAY_TOL * max count as 0; all minors below: no ray
-# the rays come from all C(F, 4) quadruples of L's F facets; 44 is the most
-# that 24 points can have, and past it one facet LP per subset is lighter
-_MAX_FACETS = 44
+_RAY_TOL = 1e-12   # R^3 on: ray entries above -_RAY_TOL * max count as 0; all minors below: no ray
+# the rays come from all C(F, n + 1) subsets of L's F facets: past C(44, 4), from the most facets
+# that 24 points can have in R^3, one facet LP per vertex subset is lighter
+_MAX_RAY_SUBSETS = 135_751
 # bytes of one block's (ray, subset) temporaries: under glibc's 128 KiB mmap
 # threshold, so that a block's temporaries reuse heap memory instead of
 # faulting in fresh pages on every call
 _BLOCK_BYTES = 120_000
 
 
-@lru_cache(maxsize=64)
-def _combinations(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
-    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
-
-
 def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sets, c): the extreme rays c >= 0 of {y >= 0 : sum_f y_f a_f = 0} over the unit normals
     a of L's edges (counter-clockwise) or facets: per (n+1)-subset of rows whose null vector keeps
-    one sign, c_i = (-1)^i times its minor without row i, read from one table antisymmetric to the
-    last bit, so short rays of antipodal or coplanar normals come through the subsets padding
-    them.  By LP duality K's scale fit in L is the least c.h_L(a) / c.h_K(a) with c.h_K(a) > 0."""
+    one sign, c_i = (-1)^i times its minor without row i: up to R^3 from one table antisymmetric
+    to the last bit, so short rays of antipodal or coplanar normals come through the subsets
+    padding them, from R^4 on from the determinants of n rows (``_minor_index``).  By LP duality
+    K's scale fit in L is the least c.h_L(a) / c.h_K(a) with c.h_K(a) > 0."""
     f, n = a.shape
     if n == 2:
         g = (a[:, ::-1] * _OUTWARD) @ a.T        # -[a_p, a_q] up to rounding
         table, blocks = 0.5 * (g.T - g), [_planar_minors(f)]
     else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
         u = np.linalg.svd(a, full_matrices=False)[0]
-        x, y, z = u.T   # u_p x u_q by np.cross's products and differences, without its overhead
-        cross = np.empty((f, f, 3))
-        np.subtract(y[:, None] * z, z[:, None] * y, out=cross[..., 0])
-        np.subtract(z[:, None] * x, x[:, None] * z, out=cross[..., 1])
-        np.subtract(x[:, None] * y, y[:, None] * x, out=cross[..., 2])
-        table = np.einsum("pqd,rd->pqr", cross, u)   # (u_p x u_q).u_r
-        blocks = _minor_blocks(f, n)
+        if n == 3:
+            x, y, z = u.T   # u_p x u_q by np.cross's products and differences, without its overhead
+            cross = np.empty((f, f, 3))
+            np.subtract(y[:, None] * z, z[:, None] * y, out=cross[..., 0])
+            np.subtract(z[:, None] * x, x[:, None] * z, out=cross[..., 1])
+            np.subtract(x[:, None] * y, y[:, None] * x, out=cross[..., 2])
+            table = np.einsum("pqd,rd->pqr", cross, u)   # (u_p x u_q).u_r
+            blocks = _minor_blocks(f, n)
+        else:   # larger blocks, as C(F, n + 1) grows fast and each block costs numpy calls
+            table = np.concatenate([_minors(u[subsets])[:, 0] for subsets in
+                                    _subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n))])
+            table = np.concatenate([table, -table])
+            blocks = ((subsets, _minor_index(subsets, f)) for subsets in
+                      _subset_blocks(f, n + 1, 2 * _BLOCK_BYTES // (8 * (n + 1))))
     parts = []
     for subsets, minors in blocks:
         c = table.take(minors)
-        if n == 3:   # facets come in no order, nor does the sign of c; entries within
+        if n > 2:   # facets come in no order, nor does the sign of c; entries within
             # _RAY_TOL of the row's top count as 0, and a row whose top is that small is no ray
             c *= np.sign(np.add.reduce(c, axis=1, keepdims=True))
             top = np.maximum.reduce(c, axis=1)
@@ -206,33 +185,30 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _minor_blocks(f: int, n: int):
-    """The (n+1)-subsets (i, j, k[, l]) of range(f), lexicographic, in blocks of consecutive first
-    indices i within _BLOCK_BYTES unless of one i alone, and the flat (f,)*n table indices of their
-    minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l), (j,i,k).  A single block is the cached
-    enumeration of ``_combinations``."""
+    """The (n+1)-subsets (i, j, k[, l]) of range(f) in blocks within _BLOCK_BYTES, and the (f,)*n
+    table indices of their minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l), (j,i,k)."""
     ff = f * f
     place = np.array([[0, 1, f], [f, 0, 1], [1, f, 0]] if n == 2 else
                      [[0, f, ff, f], [ff, 0, f, ff], [f, ff, 0, 1], [1, 1, 1, 0]])
-    cap = _BLOCK_BYTES // (8 * (n + 1))   # rows of one block
-    if math.comb(f, n + 1) <= cap:   # one block: the cached enumeration
-        subsets = _combinations(f, n + 1)
-        yield subsets, subsets @ place
-        return
-    sizes, start = [math.comb(f - i - 1, n) for i in range(f - n)], 0
-    while start < f - n:
-        stop = next((j for j in range(start + 1, f - n) if sum(sizes[start:j + 1]) > cap), f - n)
-        subsets = np.empty((sum(sizes[start:stop]), n + 1), np.intp)
-        subsets[:, 0] = np.repeat(range(start, stop), sizes[start:stop])
-        np.concatenate([_combinations(f - i - 1, n) + (i + 1) for i in range(start, stop)],
-                       out=subsets[:, 1:])
-        yield subsets, subsets @ place
-        start = stop
+    return ((subsets, subsets @ place)
+            for subsets in _subset_blocks(f, n + 1, _BLOCK_BYTES // (8 * (n + 1))))
 
 
 @lru_cache(maxsize=16)
 def _planar_minors(f: int) -> tuple[np.ndarray, np.ndarray]:
     """_minor_blocks(f, 2) as one block, cached: planar fits are most of a build."""
     return tuple(map(np.concatenate, zip(*_minor_blocks(f, 2))))
+
+
+def _minor_index(subsets: np.ndarray, f: int) -> np.ndarray:
+    """Column i: the rank of each increasing (n+1)-subset row without its entry i among the
+    lexicographic n-subsets of range(f), plus C(f, n), into their determinants' negations, for odd
+    i.  Its key, its entries as the digits of a base-f number, keeps that order."""
+    n = subsets.shape[1] - 1
+    digit = f ** np.arange(n, -1, -1)   # an entry before i has the next place, one after it its own
+    place = np.array([[digit[j + (j < i)] * (j != i) for i in range(n + 1)] for j in range(n + 1)])
+    keys = _combinations(f, n) @ digit[1:]
+    return np.searchsorted(keys, subsets @ place) + math.comb(f, n) * (np.arange(n + 1) % 2)
 
 
 def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
@@ -280,12 +256,14 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
                b: np.ndarray) -> FitResult | None:
     """Scale fit over L's facets (or edges, in the plane) a_f.x <= b_f, which
     are those of (L - lc) / s; None when ``lp.solve_from`` turns the start
-    down or the witness fails its check.
+    down or the witness leaves a facet by more than TOL_FEAS of the largest
+    offset b_f plus the rounding of a_f.v.
 
     With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
-    it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet.  The
-    centre lc lies inside L, so b > 0 and the slacks are a feasible starting
-    basis.  The facet multipliers y map onto the blocks of _scale_fit_lp:
+    it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet; from
+    R^4 on, in the frame where a slab is round (below).  The centre lc lies
+    inside L, so b > 0 and the slacks are a feasible starting basis.  The
+    facet multipliers y map onto the blocks of _scale_fit_lp:
     facet f adds y_f*a_f/s to u_i and y_f*h_L(a_f)/s to w_i for a vertex x_i
     of K attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
     sum_i w_i = sigma, and w_i >= h_L(u_i) as h_L is sublinear.
@@ -293,65 +271,33 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     mk = kv.shape[0]
     f, n = a.shape
     kc = kv.sum(axis=0) / mk
-    hk = a @ ((kv - kc) / s).T
+    x, fa, fb, cond = (kv - kc) / s, a, b, 1.0
+    if n > 3:   # x -> x R, R^2 the second moment of L's polar points a_f / b_f, rows rescaled
+        _, sv, vt = np.linalg.svd(a / b[:, None], full_matrices=False)
+        r, back, cond = (vt.T * sv) @ vt, (vt.T / sv) @ vt, sv[0] / sv[-1]
+        norm = np.sqrt(np.add.reduce((a @ back) ** 2, axis=1))
+        x, fa, fb = x @ r, a @ back / norm[:, None], b / norm
+    hk = fa @ x.T
     top = hk.argmax(axis=1)
     h = hk[np.arange(f), top]
     c = np.zeros(1 + n + f)
     c[0] = 1.0
     nonneg = np.ones(1 + n + f, dtype=bool)
     nonneg[1:1 + n] = False
-    problem = lp.LpProblem(np.column_stack([h, a, np.eye(f)]), b, c, nonneg)
+    problem = lp.LpProblem(np.column_stack([h, fa, np.eye(f)]), fb, c, nonneg)
     out = lp.solve_from(problem, np.arange(1 + n, 1 + n + f))
     if out is None or out.status != lp.OPTIMAL:
         return None
     sigma = float(out.objective)
     v = out.z[1:1 + n]
-    if not (a @ v + sigma * h - b).max() <= TOL_FEAS * b.max():
+    # a @ v rounds to 1e-16 |v|_1 (the frame's rounding grows by cond), beyond a slab's tiny b
+    if not (fa @ v + sigma * h - fb).max() <= TOL_FEAS * fb.max() + 1e-15 * cond * np.abs(v).sum():
         return None
-    y = out.dual
+    v, y = (v @ back, out.dual / norm) if n > 3 else (v, out.dual)
     u, w = np.zeros((mk, n)), np.zeros(mk)
     np.add.at(u, top, y[:, None] * a / s)
     np.add.at(w, top, y * (b + a @ lc / s))
     return FitResult(sigma, s * v + lc - sigma * kc, np.column_stack([u, w]).ravel())
-
-
-def _lp_scale_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
-    """Scale fit of K in a full-dimensional L in R^4 and up, by the LP over
-    convex-combination variables.
-
-    The LP pivots under the absolute TOL_FEAS, so it runs on both bodies
-    centred on their vertex means and divided by L's extent s; sigma is
-    invariant under that similarity.  L is also shifted to put the centroid
-    of n+1 affinely independent vertices at the origin, so t = 0, v = 0 and
-    uniform weights on them in every block are a feasible basis for
-    ``lp.solve_from``.  A basis it turns down, or an L too thin for
-    ``_affine_basis_rows`` to find one, goes to the two-phase ``lp.solve``.
-    v and the dual map back to the input's frame.
-    """
-    lw, lc, s = _unit_frame(lv)
-    kc = kv.sum(axis=0) / kv.shape[0]
-    kw = (kv - kc) / s
-    mk, n = kw.shape
-    idx = _affine_basis_rows(lw)
-    shift = lw[idx].sum(axis=0) / (n + 1) if idx is not None else np.zeros(n)
-    problem = _scale_fit_lp(kw, lw - shift)
-    out = None
-    if idx is not None:
-        basis = 1 + n + np.arange(mk)[:, None] * lw.shape[0] + np.asarray(idx)
-        out = lp.solve_from(problem, basis.ravel())
-    if out is None:
-        out = lp.solve(problem)
-    if out.status == lp.UNBOUNDED:
-        return FitResult(math.inf, None)
-    if out.status != lp.OPTIMAL:
-        raise lp.LpError("scale-fit LP unexpectedly infeasible")
-    sigma = float(out.objective)
-    # per block (u_i, w_i) -> (u_i/s, w_i + u_i.(lc/s + shift)); y.b keeps
-    # its value, as sum_i u_i = 0
-    y = out.dual.reshape(mk, n + 1)
-    dual = np.column_stack([y[:, :n] / s, y[:, n] + y[:, :n] @ (lc / s + shift)]).ravel()
-    v = s * (out.z[1:1 + n] + shift) + lc - sigma * kc
-    return FitResult(sigma, v, dual)
 
 
 def _supports(k: Polytope, l: Polytope):
@@ -363,7 +309,7 @@ def _supports(k: Polytope, l: Polytope):
     to the array formulas."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
-    if l.dim == 3:
+    if l.dim >= 3:
         return (hull := l._hull_record) and (hull.c, hull.s, hull.a, hull.b)
     lv = l.vertices
     if l.dim == 2:
@@ -424,10 +370,8 @@ def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
         return _interval_fit(kv, lv)
     if np.logical_and.reduce(kv == kv[0], axis=None):
         return FitResult(math.inf, None)
-    if supports is None:   # a flat L, or R^4 and up: r caps at n - 1 in R^2 and R^3
+    if supports is None:   # a flat L: r caps at n - 1 in the plane
         c, frame, r = affine_frame(lv)
-        if r == n > 3:
-            return _lp_scale_fit(kv, lv)
         return _flat_fit(kv, lv, c, frame[:, :min(r, n - 1)])
     if n == 2:
         lc, _, a, b = supports
@@ -554,9 +498,9 @@ def _least_subset(k: Polytope, l: Polytope, kcount: int) -> tuple[float, list[in
     sorted distinct indices into k.vertices of one such set; (inf, []) at kcount 1 and for a
     single-point K.
 
-    In the plane and in R^3 it is ``_partition_fit``'s, over all of K's points, and its set is
-    the argmax point of each block.  A flat L, one past _MAX_PLANAR_EDGES edges or _MAX_FACETS
-    facets, R^1 or R^4 and up, or no ray giving a positive sum, take the least of
+    From R^2 up it is ``_partition_fit``'s, over all of K's points, and its set is the argmax
+    point of each block.  A flat L, one past _MAX_PLANAR_EDGES edges or _MAX_RAY_SUBSETS
+    (n+1)-subsets of facets, R^1, or no ray giving a positive sum, take the least of
     ``_subset_sigmas``, the first in lexicographic order of its canonical subsets.
     """
     if kcount < 1:
@@ -565,8 +509,8 @@ def _least_subset(k: Polytope, l: Polytope, kcount: int) -> tuple[float, list[in
     if kcount == 1 or np.logical_and.reduce(kv == kv[0], axis=None):
         return math.inf, []
     supports = _supports(k, l)
-    cap = _MAX_FACETS if k.dim == 3 else _MAX_PLANAR_EDGES
-    if supports is not None and len(supports[3]) <= cap:
+    if supports is not None and (len(supports[3]) <= _MAX_PLANAR_EDGES if k.dim == 2 else
+                                 math.comb(len(supports[3]), k.dim + 1) <= _MAX_RAY_SUBSETS):
         if (out := _partition_fit(kv, supports, kcount)) is not None:
             return out[0], sorted(set(out[1].tolist()))
     rows, sigmas = _subset_sigmas(k, l, kcount)

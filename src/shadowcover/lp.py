@@ -283,8 +283,8 @@ def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
     each row; the tableau starts as B^-1 [A | b].  Returns None when B is
     singular or its (1-norm) condition number exceeds 1e10, when B^-1 b has
     a negative entry, or when the run stalls or its outcome fails its
-    check; the caller decides what follows (the V-form scale fit solves
-    the problem again with ``solve``, the facet fit raises ``LpError``).
+    check; the caller decides what follows (the facet fit raises
+    ``LpError``).
     """
     a, b = problem.A, problem.b
     m = b.shape[0]
@@ -310,9 +310,3 @@ def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
     ext_basis = np.flatnonzero(col_sgn > 0.0)[basis]
     return _phase2(T, ext_basis.copy(), problem, col_var, col_sgn, ext_basis, binv,
                    2000 + 40 * (m + n_ext))
-
-
-def feasible(problem_a: np.ndarray, problem_b: np.ndarray, nonneg: np.ndarray) -> LpOutcome:
-    """Feasibility query (zero objective) for A z = b with a sign mask."""
-    nvar = problem_a.shape[1]
-    return solve(LpProblem(problem_a, problem_b, np.zeros(nvar), nonneg))

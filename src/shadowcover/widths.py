@@ -138,7 +138,7 @@ def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> Kub
     record serves the flatness test, the canonical body and its width."""
     if n_subspaces < 2:
         raise ValueError(f"Kubota check needs at least 2 subspaces, got {n_subspaces}")
-    if k._hull_record is None:
+    if k.dim != 3 or k._hull_record is None:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     kc = canonicalize(k)
     w3 = mean_width_exact(kc)

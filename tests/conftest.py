@@ -1,13 +1,13 @@
 import pytest
 
-from shadowcover import bodies, containment, lp
+from shadowcover import bodies, lp
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
     """Names of the ``lp`` entry points called from here on, in order."""
     calls = []
-    for name in ("solve", "solve_from", "feasible"):
+    for name in ("solve", "solve_from"):
         original = getattr(lp, name)
         monkeypatch.setattr(lp, name,
                             lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
@@ -22,13 +22,3 @@ def hull_calls(monkeypatch):
     monkeypatch.setattr(bodies, "_hull", lambda p: calls.append(len(p)) or original(p))
     return calls
 
-
-@pytest.fixture
-def vform_calls(monkeypatch):
-    """Shapes of the L of the V-form LP fits (``containment._lp_scale_fit``)
-    made from here on."""
-    calls = []
-    original = containment._lp_scale_fit
-    monkeypatch.setattr(containment, "_lp_scale_fit",
-                        lambda kv, lv: calls.append(lv.shape) or original(kv, lv))
-    return calls

@@ -451,8 +451,8 @@ def test_edges_match_scipy_simplices(lp_calls):
 
 
 def test_lp_extreme_points_are_unit_free():
-    # the hull in R^3 and the point-in-hull LPs in R^4 run in the unit frame,
-    # so scaling the cloud keeps every extreme point
+    # the hull records in R^3 and R^4 run in the unit frame, so scaling the
+    # cloud keeps every extreme point
     rng = np.random.default_rng(3)
     for shape in [(30, 3), (14, 4)]:
         cloud = rng.standard_normal(shape)
@@ -544,3 +544,78 @@ def test_point_in_hull_is_unit_free():
         cube = Polytope(factor * CUBE.vertices)
         assert not point_in_hull(factor * np.array([1.0 + 1e-7, 0.5, 0.5]), cube)
         assert point_in_hull(factor * np.array([1.0 - 1e-7, 0.5, 0.5]), cube)
+
+
+def _record_cloud(rng, i):
+    """(points, n) for the R^4 and R^5 hull-record oracle: a Gaussian cloud;
+    one with its mean, a repeated point, a point on a hull edge and a facet
+    centroid added; or a rotated slab 1e-8 thick at an offset of 1e3."""
+    spatial = pytest.importorskip("scipy.spatial")
+    n, kind = 4 + i % 2, ("cloud", "extras", "slab")[i % 3]
+    pts = rng.standard_normal((int(rng.integers(n + 2, 15)), n)) * rng.uniform(0.5, 3.0)
+    if kind == "extras":
+        tri = spatial.ConvexHull(pts).simplices[0]
+        w = rng.uniform(0.2, 0.8)
+        extra = [pts.mean(axis=0), pts[tri[1]], (1.0 - w) * pts[tri[0]] + w * pts[tri[1]],
+                 pts[tri].mean(axis=0)]
+        pts = np.vstack([pts, extra])[rng.permutation(len(pts) + 4)]
+    elif kind == "slab":
+        pts[:, -1] *= 1e-8
+        pts = pts @ np.linalg.qr(rng.standard_normal((n, n)))[0].T + 1e3
+    else:
+        pts += rng.uniform(-4.0, 4.0, n)
+    return pts
+
+
+def _check_record_against_scipy(pts):
+    """The body's hull record against scipy's Quickhull: the same extreme
+    points (first copies), every scipy simplex on one of the record's
+    facets, and each facet carrying a simplex whose outward unit normal
+    matches its own to 1e-9."""
+    spatial = pytest.importorskip("scipy.spatial")
+    hull = spatial.ConvexHull(pts)
+    a, b = _facets(pts)
+    assert canonical_vertex_indices(Polytope(pts)) == _first_copies(pts, hull.vertices)
+    extent = np.abs(pts - pts.mean(axis=0)).max()
+    gap = np.abs(pts @ a.T - b)   # (points, facets)
+    assert (pts @ a.T - b).max() <= 1e-12 * extent
+    on = (gap[hull.simplices] <= 1e-10 * extent).all(axis=1)   # (simplices, facets)
+    assert on.any(axis=1).all()
+    match = np.abs(hull.equations[:, None, :-1] - a[None]).max(axis=2) <= 1e-9
+    assert (on & match).any(axis=0).all()
+    return len(a)
+
+
+def test_hull_records_in_r4_and_r5_match_scipy():
+    rng = np.random.default_rng(211)
+    for i in range(204):
+        _check_record_against_scipy(_record_cloud(rng, i))
+    for n in (4, 5):
+        cube = np.array(list(product([0.0, 1.0], repeat=n)))
+        assert _check_record_against_scipy(cube) == 2 * n
+        record = Polytope(cube)._hull_record
+        assert record.extreme.tolist() == list(range(2 ** n))
+        incident = np.abs(cube @ record.a.T - (record.s * record.b + record.a @ record.c)) <= 1e-12
+        assert incident.sum(axis=1).tolist() == [n] * 2 ** n
+        jitter = cube + 1e-13 * rng.standard_normal(cube.shape)
+        assert _check_record_against_scipy(jitter) == 2 * n
+        cross = np.vstack([np.eye(n), -np.eye(n)]) * 2.0 + 0.5
+        assert _check_record_against_scipy(np.vstack([cross, cross.mean(axis=0)])) == 2 ** n
+
+
+def test_r4_records_serve_canonicalize_and_refuse_edges(lp_calls):
+    # a full body in R^4 hands its record on to its canonical body, with no
+    # edges to renumber, and edges asks for affine dimension 3 as before
+    rng = np.random.default_rng(223)
+    cloud = np.vstack([rng.standard_normal((10, 4)), np.zeros((2, 4))])
+    p = Polytope(cloud)
+    kc = canonicalize(p)
+    record = kc._hull_record
+    assert lp_calls == [] and kc.vertices.tolist() == cloud[p._hull_record.extreme].tolist()
+    assert record.extreme.tolist() == list(range(kc.nverts)) and record.edges is None
+    assert record.a is p._hull_record.a
+    with pytest.raises(ValueError, match="affine dimension 3"):
+        edges(kc)
+    frame = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+    embedded = canonicalize(Polytope(rng.standard_normal((8, 3)) @ frame.T))
+    assert len(edges(embedded)) >= 6

@@ -69,9 +69,10 @@ def _random_canonical_body(rng):
 
 
 def test_select_regular_normals_solves_no_lp(lp_calls):
+    # canonicalize reads the hull record in R^4 as in R^3
     rng = np.random.default_rng(23)
     ks = [_random_canonical_body(rng) for _ in range(20)]
-    lp_calls.clear()  # canonicalize solves LPs in R^4
+    assert lp_calls == [] and 4 in {k.dim for k in ks}
     for k in ks:
         assert select_regular_normals(k, rng).validate(k)
     assert lp_calls == []

@@ -301,9 +301,9 @@ def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
         assert any(w is None for w in found) and any(w is not None for w in found)
 
 
-def test_planar_fit_flat_or_large_l_takes_lp_fallback(vform_calls, monkeypatch):
+def test_planar_fit_flat_or_large_l_takes_lp_fallback(lp_calls, monkeypatch):
     # a flat L in the plane is fit in its own frame, with no LP; an L of more
-    # than 48 edges takes the LP fallback over its edges, never the V-form LP
+    # than 48 edges takes the LP fallback over its edges, from its slack basis
     edge_lps = []
     original = containment._facet_fit
     monkeypatch.setattr(containment, "_facet_fit",
@@ -319,8 +319,10 @@ def test_planar_fit_flat_or_large_l_takes_lp_fallback(vform_calls, monkeypatch):
     sixty_gon = Polytope(np.column_stack([np.cos(theta), np.sin(theta)]) * 3.0 + 1e3)
     for k in (TRIANGLE, Polytope(rng.standard_normal((7, 2)) + 1e3)):
         edge_lps.clear()
+        lp_calls.clear()
+        scale_fit(k, sixty_gon)
+        assert edge_lps == [60] and lp_calls == ["solve_from"]
         fit = _dual_route(k, sixty_gon)
-        assert edge_lps == [60]
         assert min_subset_sigma(k, sixty_gon, 3) == pytest.approx(fit.sigma, rel=1e-9)
         prob = _scale_fit_lp(k.vertices, sixty_gon.vertices)
         slack = fit.dual @ prob.A - prob.c
@@ -329,7 +331,6 @@ def test_planar_fit_flat_or_large_l_takes_lp_fallback(vform_calls, monkeypatch):
         for factor in (1e-9, 1e9):
             small = scale_fit(scale(k, factor), scale(sixty_gon, factor))
             assert small.sigma == pytest.approx(fit.sigma, rel=1e-9)
-    assert vform_calls == []
 
 
 def test_planar_fit_parallelogram_target():
@@ -425,59 +426,46 @@ def test_scale_fit_lp_matches_loop_reference(fixed_t):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_affine_basis_rows_is_scale_free():
-    rng = np.random.default_rng(89)
-    pts = rng.standard_normal((7, 3))
-    # a repeat of row 0 and a point on the line of rows 0 and 2 are skipped
-    pts[1], pts[3] = pts[0], 0.3 * pts[0] + 0.7 * pts[2]
-    for factor in (1.0, 1e-9, 1e9):
-        assert containment._affine_basis_rows(pts * factor + 5.0 * factor) == [0, 2, 4, 5]
-    planar = np.column_stack([pts[:, :2], 2.0 * pts[:, 0] - pts[:, 1]])
-    for factor in (1.0, 1e-9, 1e9):
-        assert containment._affine_basis_rows(planar * factor) is None
-        assert containment._affine_basis_rows(planar[:, :2] * factor) == [0, 2, 4]
-
-
 def _random_pair(rng, mk=(2, 11), ml=(4, 17)):
     k = rng.standard_normal((int(rng.integers(*mk)), 3)) + rng.uniform(-3.0, 3.0, 3)
     l = rng.standard_normal((int(rng.integers(*ml)), 3)) * rng.uniform(0.3, 3.0)
     return k, l
 
 
-def test_facet_fit_matches_vform_lp(vform_calls):
-    # the fit over L's facets and the LP over convex combinations agree on
-    # random pairs and on their scaled and offset copies
+def test_facet_fit_matches_vform_lp():
+    # the fit over L's facets and HiGHS's LP over convex combinations agree
+    # on random pairs and on their scaled and offset copies
     rng = np.random.default_rng(109)
     for _ in range(40):
         kv, lv = _random_pair(rng)
         for kk, ll in ((kv, lv), (kv * 1e9, lv * 1e9), (kv * 1e-9, lv * 1e-9),
                        (kv + 1e9, lv + 1e9)):
             fit = scale_fit(Polytope(kk), Polytope(ll))
-            assert vform_calls == []
-            ref = containment._lp_scale_fit(kk, ll)
-            vform_calls.clear()
-            assert fit.sigma == pytest.approx(ref.sigma, rel=1e-12)
+            assert fit.sigma == pytest.approx(highs_sigma(kk, ll), rel=1e-12)
 
 
-def test_facet_fit_witness_replays(vform_calls):
+def test_facet_fit_witness_replays(lp_calls):
     rng = np.random.default_rng(113)
     for _ in range(20):
         kv, lv = _random_pair(rng)
         k, l = Polytope(kv), Polytope(lv)
         fit = scale_fit(k, l)
-        assert fit_replays(k, l, fit)
         ok, v = translate_fits(k, scale(l, 1.1 / fit.sigma))
+        assert set(lp_calls) == {"solve_from"}
+        lp_calls.clear()
+        assert fit_replays(k, l, fit)
         assert ok and all(point_in_hull(x + v, scale(l, 1.1 / fit.sigma)) for x in k.vertices)
-    assert vform_calls == []
+        lp_calls.clear()
 
 
 def _rotation(rng, n):
     return np.linalg.qr(rng.standard_normal((n, n)))[0]
 
 
-def test_facet_fit_falls_back_to_vform(vform_calls):
-    # only a full L in R^4 and up falls back to the V-form LP: a flat L in
-    # R^3 or R^4 is fit in its own frame, a whole one in R^3 over its facets
+def test_full_l_reaches_only_the_facet_lp(lp_calls):
+    # a flat L in R^3 or R^4 is fit in its own frame, and a full one in any
+    # dimension over its facets: the library's only LP there is the facet
+    # LP from its slack basis
     rng = np.random.default_rng(127)
     k = Polytope(rng.standard_normal((4, 3)) * 0.1)
     k_flat = Polytope(k.vertices * [1.0, 1.0, 0.0])
@@ -502,9 +490,21 @@ def test_facet_fit_falls_back_to_vform(vform_calls):
     fit = scale_fit(k4, l4)
     assert fit.sigma == pytest.approx(scale_fit(Polytope(kv), Polytope(lv)).sigma, rel=1e-12)
     assert fit_replays(k4, l4, fit)
-    assert vform_calls == []
-    scale_fit(Polytope(rng.standard_normal((3, 4))), Polytope(rng.standard_normal((6, 4))))
-    assert vform_calls == [(6, 4)]
+    lp_calls.clear()
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            k, l = Polytope(rng.standard_normal((n + 3, n))), Polytope(rng.standard_normal((9, n)))
+            fit = scale_fit(k, l)
+            eps = [min_subset_sigma(k, l, d + 1) for d in range(1, n + 1)]
+            subset_witness(k, l, n + 1)
+            canonicalize(Polytope(np.vstack([l.vertices, l.vertices.mean(axis=0)])))
+            assert set(lp_calls) <= {"solve_from"}
+            lp_calls.clear()
+            want = highs_sigma(k.vertices, l.vertices)
+            assert fit.sigma == pytest.approx(want, rel=1e-9)
+            assert eps[-1] == pytest.approx(want, rel=1e-9)
+            assert fit_replays(k, l, fit)
+            lp_calls.clear()
 
 
 def test_flat_pairs_of_equal_rank():
@@ -737,10 +737,9 @@ def test_flat_l_fits_no_body_of_higher_rank():
 def test_subset_fits_in_thin_slabs_match_the_vform_lp():
     # 5-point slabs 10^-9.5 to 10^-7.5 thick that affine_dim calls full now
     # have facets, and the dual-ray kernel reads each subset's fit from them,
-    # and the least of these from all of K.  A fit does not change under an
-    # affine map, so the reference is the
-    # V-form LP on both bodies stretched to unit thickness: on the slabs
-    # themselves its TOL_FEAS pivots miss sigma by up to 80 %
+    # and the least of these from all of K.  The reference is HiGHS's LP
+    # over convex combinations, which puts L's principal axes at unit spread
+    # first: a fit does not change under an affine map
     rng = np.random.default_rng(7)
     done = 0
     while done < 50:
@@ -754,9 +753,7 @@ def test_subset_fits_in_thin_slabs_match_the_vform_lp():
         supports = containment._supports(k, l)
         rows = [list(r) for r in combinations(range(k.nverts), min(4, k.nverts))]
         sigmas = [containment._partition_fit(k.vertices[r], supports, 4)[0] for r in rows]
-        stretch = rot @ np.diag(1.0 / thick) @ rot.T
-        want = [containment._lp_scale_fit(k.vertices[r] @ stretch.T, l.vertices @ stretch.T).sigma
-                for r in rows]
+        want = [highs_sigma(k.vertices[r], l.vertices) for r in rows]
         assert sigmas == pytest.approx(want, rel=1e-6)
         assert min_subset_sigma(k, l, 4) == pytest.approx(min(want), rel=1e-6)
 
@@ -874,3 +871,40 @@ def test_planar_shadow_fits_of_built_covers_match_highs():
             want = highs_sigma(kp.vertices, lp_.vertices)
             assert scale_fit(kp, lp_).sigma == pytest.approx(want, rel=1e-9)
     assert shapes == {3, 4}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fits_in_r4_and_r5_match_highs(n):
+    # sigma and eps*_d read L's enumerated facets and their dual rays; HiGHS
+    # solves the LP over convex combinations, on clouds, on clouds with
+    # interior and repeated points, and on slabs 1e-8 thick at an offset of
+    # 1e3 with K in the same slab.  A coordinate's rounding, 1e-16 of the
+    # extent, is 1e-8 of such a slab's thickness, and moves sigma by up to
+    # 1e-6: that is the slabs' tolerance, 1e-9 the others'
+    rng = np.random.default_rng(229 + n)
+    for i in range(12):
+        rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        thick = np.ones(n)
+        if i % 3 == 2:
+            thick[-1] = 1e-8
+        kv = 0.5 * rng.standard_normal((int(rng.integers(n + 1, 9)), n)) * thick @ rot.T
+        lv = rng.standard_normal((int(rng.integers(n + 2, 13)), n)) * thick @ rot.T
+        if i % 3 == 1:
+            kv = np.vstack([kv, kv.mean(axis=0), kv[0]])
+            lv = np.vstack([lv, lv.mean(axis=0), lv[1]])
+        offset, rel = (1e3, 1e-6) if i % 3 == 2 else (rng.uniform(-2.0, 2.0), 1e-9)
+        k, l = Polytope(kv + offset), Polytope(lv + offset)
+        fit = scale_fit(k, l)
+        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=rel)
+        if i % 3 != 2:   # a slab's multipliers grow as 1 / thickness, and its replay LP fails
+            # the witness replays, and the multipliers, mapped back from the LP's frame,
+            # certify sigma from above
+            assert fit_replays(k, l, fit)
+            prob = _scale_fit_lp(k.vertices, l.vertices)
+            slack = fit.dual @ prob.A - prob.c
+            assert slack[prob.nonneg].min() >= -1e-9
+            assert np.abs(slack[~prob.nonneg]).max() <= 1e-9
+            assert float(fit.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
+        for d in range(1, n):
+            want = highs_subset_sigmas(k.vertices, l.vertices, d + 1)[1].min()
+            assert min_subset_sigma(k, l, d + 1) == pytest.approx(want, rel=rel)

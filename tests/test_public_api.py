@@ -27,6 +27,9 @@ ALLOWED = {
     # the hull's 1-skeleton; the bench's layer table reads its span by name
     # (bench/spans.py), so it stays public until that metric goes
     "bodies.edges",
+    # the point-in-hull LP: the tests' containment reference, and the bench's
+    # layer table reads its span by name (bench/spans.py)
+    "bodies.point_in_hull",
 }
 
 

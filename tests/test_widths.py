@@ -334,7 +334,7 @@ def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(lp_calls):
     rep = kubota_check(body, 300, np.random.default_rng(5))
     assert lp_calls == []
     point_in_hull(body.vertices[0], body)
-    assert "feasible" in lp_calls
+    assert "solve" in lp_calls
     vals = np.array([perimeter2d(body.vertices @ basis) / math.pi
                      for basis in haar_subspaces(3, 2, 300, np.random.default_rng(5))])
     assert rep.width_exact == mean_width_exact(body)
@@ -387,3 +387,17 @@ def test_corollary_diameter_forced_pair():
 def test_corollary_requires_d_at_least_two():
     with pytest.raises(ValueError, match="d >= 2"):
         corollary_checks(CUBE, CUBE, d=1)
+
+
+def test_full_r4_bodies_raise_in_the_3d_readers():
+    # a full body in R^4 has a hull record too, with facets and no edges or
+    # angles: the readers of a 3-D record check the dimension first
+    rng = np.random.default_rng(29)
+    body = Polytope(rng.standard_normal((9, 4)))
+    assert body._hull_record is not None and body._hull_record.edges is None
+    with pytest.raises(ValueError, match="n in \\{2, 3\\} only"):
+        mean_width_exact(body)
+    with pytest.raises(ValueError, match="full-dimensional body in R\\^3"):
+        kubota_check(body, 50, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="full-dimensional body in R\\^3"):
+        kubota_check(canonicalize(body), 50, np.random.default_rng(0))
