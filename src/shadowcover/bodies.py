@@ -32,7 +32,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import lp
-from .core import TOL_FEAS, TOL_GEOM, Subspace, _orthonormal_stack, hyperplane_basis, unit
+from .core import TOL_FEAS, TOL_GEOM, Subspace, hyperplane_basis, unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,53 +285,86 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
 
 
+@lru_cache(maxsize=64)
+def _binomials(m: int, k: int) -> np.ndarray:
+    """(k + 1, m): row j holds C(x, j) for x in range(m); small, so cached."""
+    return np.array([[math.comb(x, j) for x in range(m)] for j in range(k + 1)], np.int64)
+
+
 def _subset_blocks(m: int, k: int, cap: int):
-    """``_combinations(m, k)`` as views of at most cap rows."""
-    subsets = _combinations(m, k)
-    return (subsets[i:i + cap] for i in range(0, len(subsets), cap))
+    """``_combinations(m, k)`` in blocks of at most cap rows, cached when one block holds them
+    all, else unranked a block at a time: row r reflected by x -> m - 1 - x is the subset of colex
+    rank C(m, k) - 1 - r, read greedily off ``_binomials`` (Knuth, TAOCP 7.2.1.3)."""
+    if (total := math.comb(m, k)) <= cap:
+        yield _combinations(m, k)
+        return
+    table = _binomials(m, k)
+    for start in range(total - 1, -1, -cap):
+        rank = np.arange(start, max(start - cap, -1), -1)
+        rows = np.empty((len(rank), k), np.intp)
+        for j in range(k, 0, -1):
+            x = table[j].searchsorted(rank, side="right") - 1
+            rank -= table[j].take(x)
+            rows[:, k - j] = m - 1 - x
+        yield rows
 
 
 def _minors(e: np.ndarray) -> np.ndarray:
     """(B, C(n, k)): the k x k minors of B k x n matrices over the lexicographic column k-subsets,
-    by Laplace expansion along each next row, whose cofactor sign (-1)^r comes at the end."""
+    by Laplace expansion along each next row, summed in place on contiguous rows of B entries,
+    whose cofactor sign (-1)^r comes at the end."""
     _, k, n = e.shape
-    minors = {(j,): e[:, 0, j] for j in range(n)}
+    e = np.ascontiguousarray(np.moveaxis(e, 0, -1))
+    minors = {(j,): e[0, j] for j in range(n)}
     for r in range(1, k):
-        minors = {cols: sum(e[:, r, j] * minors[cols[:t] + cols[t + 1:]] * (-1) ** t
-                            for t, j in enumerate(cols)) for cols in combinations(range(n), r + 1)}
-    return np.column_stack(list(minors.values())) * (-1) ** (k * (k - 1) // 2)
+        row, expanded = e[r], {}
+        for cols in combinations(range(n), r + 1):
+            acc = expanded[cols] = row[cols[0]] * minors[cols[1:]]
+            for t in range(1, r + 1):
+                term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
+                (np.subtract if t % 2 else np.add)(acc, term, out=acc)
+        minors = expanded
+    return np.stack(list(minors.values()), axis=1) * (-1.0) ** (k * (k - 1) // 2)
 
 
 def _facet_record(v: np.ndarray) -> _Hull | None:
     """The ``_Hull`` record of a point set in R^n, n >= 4, with indices into v; None when flat.
 
-    In the unit frame of the distinct points, each n-subset whose edges from its first point have
-    a sine (volume over the product of lengths) above TOL_FEAS spans a hyperplane: its normal is
-    the edges' cofactors, projected off the edges below a sine of 1e-3, where cofactors lose
-    digits.  A facet has every point on one side within _ON; hyperplanes with the same incident
-    points (within _ON) are one facet, and one whose incident points lie in another's (through a
-    lower face, or missing a point that rounding put just past _ON) is none.  A point is extreme
-    when no other lies on every facet through it.  Blocks keep temporaries to a few MB."""
+    In the unit frame of the distinct points, each n-subset's hyperplane has its edges' cofactors
+    as normal or, below a sine (volume over the product of edge lengths) of 1e-3, where they lose
+    digits, the last column of their Householder QR, good however thin the subset.  A facet has
+    every point on one side within _ON, tried first on the points of extreme coordinates; equal
+    incident sets are one facet, and one inside another's (a lower face, or a point rounding put
+    just past _ON) is none.  A point is extreme when no other lies on every facet through it.
+    Blocks of subsets keep temporaries to a few MB."""
     keep = np.array(_distinct_indices(v))
     m, n = len(keep), v.shape[1]
     if m <= n or affine_frame(v[keep])[2] < n:
         return None
     w, c, s = _unit_frame(v[keep])
+    probe = w[np.unique(np.concatenate([w.argmin(axis=0), w.argmax(axis=0)]))].T
     parts = []
     for subsets in _subset_blocks(m, n, max(1, (1 << 21) // (8 * n * (n + m)))):
         e = w[subsets[:, 1:]] - w[subsets[:, :1]]
         # cofactor i drops column i: column n - 1 - i of the lexicographic minors
         normal = _minors(e)[:, ::-1] * (-1.0) ** np.arange(n)
         area = np.add.reduce(normal * normal, axis=1)
-        sine = area / np.multiply.reduce(np.add.reduce(e * e, axis=2), axis=1)   # squared
-        ok = sine > TOL_FEAS ** 2
-        a, e, x0 = normal[ok] / np.sqrt(area[ok])[:, None], e[ok], w[subsets[ok, 0]]
-        if (thin := sine[ok] < 1e-6).any():
-            a[thin] = _orthonormal_stack(np.concatenate([e[thin], a[thin, None]], 1).mT)[0][..., -1]
-        d = a @ w.T - np.add.reduce(a * x0, axis=1)[:, None]
+        sine = np.sqrt(area / np.multiply.reduce(np.add.reduce(e * e, axis=2), axis=1))
+        a = normal / np.sqrt(np.where(area > 0.0, area, 1.0))[:, None]
+        b = np.add.reduce(a * w[subsets[:, 0]], axis=1)
+        # the cofactors' unit normal is good to n! 1e-16 / sine radians, and a probe lies within
+        # 2 sqrt(n) of the subset: a plane is turned down only past that error
+        slack = _ON + 2e-16 * math.sqrt(n) * math.factorial(n) / np.maximum(sine, 1e-300)
+        d = a @ probe - b[:, None]
+        live = (np.maximum.reduce(d, axis=1) <= slack) | (np.minimum.reduce(d, axis=1) >= -slack)
+        if (thin := live & (sine < 1e-3)).any():
+            a[thin] = np.linalg.qr(e[thin].swapaxes(1, 2), mode="complete")[0][..., -1]
+            b[thin] = np.add.reduce(a[thin] * w[subsets[thin, 0]], axis=1)
+        a, b = a[live], b[live]
+        d = a @ w.T - b[:, None]
         side = np.where(d.max(axis=1) <= _ON, 1.0, np.where(d.min(axis=1) >= -_ON, -1.0, 0.0))
-        a, d, kept = a * side[:, None], d * side[:, None], side != 0.0
-        parts.append((a[kept], np.add.reduce(a * x0, axis=1)[kept], d[kept] >= -_ON))
+        side, a, b, d = (x.compress(side != 0.0, axis=0) for x in (side, a, b, d))
+        parts.append((a * side[:, None], b * side, d * side[:, None] >= -_ON))
     a, b, inc = map(np.concatenate, zip(*parts))
     first = np.unique(np.packbits(inc, axis=1), axis=0, return_index=True)[1]
     first = first[_maximal(inc[first])]

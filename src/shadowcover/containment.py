@@ -50,6 +50,7 @@ import numpy as np
 from . import lp
 from .bodies import (
     Polytope,
+    _binomials,
     _combinations,
     _minors,
     _subset_blocks,
@@ -145,70 +146,64 @@ _BLOCK_BYTES = 120_000
 def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sets, c): the extreme rays c >= 0 of {y >= 0 : sum_f y_f a_f = 0} over the unit normals
     a of L's edges (counter-clockwise) or facets: per (n+1)-subset of rows whose null vector keeps
-    one sign, c_i = (-1)^i times its minor without row i: up to R^3 from one table antisymmetric
-    to the last bit, so short rays of antipodal or coplanar normals come through the subsets
-    padding them, from R^4 on from the determinants of n rows (``_minor_index``).  By LP duality
-    K's scale fit in L is the least c.h_L(a) / c.h_K(a) with c.h_K(a) > 0."""
+    one sign, c_i = (-1)^i times its minor without row i: in the plane from one table
+    antisymmetric to the last bit, from R^3 on from one vector of the n-row determinants and their
+    negations (``_minor_index``), so short rays of antipodal or coplanar normals come through the
+    subsets padding them.  By LP duality K's scale fit in L is the least c.h_L(a) / c.h_K(a)
+    with c.h_K(a) > 0."""
     f, n = a.shape
+    cap = _BLOCK_BYTES // (8 * (n + 1))
+    blocks = ([_one_block(f, n)] if n == 2 or math.comb(f, n + 1) <= cap else
+              ((subsets, _minor_index(subsets, f)) for subsets in _subset_blocks(f, n + 1, cap)))
     if n == 2:
         g = (a[:, ::-1] * _OUTWARD) @ a.T        # -[a_p, a_q] up to rounding
-        table, blocks = 0.5 * (g.T - g), [_planar_minors(f)]
+        table = 0.5 * (g.T - g)
     else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
         u = np.linalg.svd(a, full_matrices=False)[0]
-        if n == 3:
-            x, y, z = u.T   # u_p x u_q by np.cross's products and differences, without its overhead
-            cross = np.empty((f, f, 3))
-            np.subtract(y[:, None] * z, z[:, None] * y, out=cross[..., 0])
-            np.subtract(z[:, None] * x, x[:, None] * z, out=cross[..., 1])
-            np.subtract(x[:, None] * y, y[:, None] * x, out=cross[..., 2])
-            table = np.einsum("pqd,rd->pqr", cross, u)   # (u_p x u_q).u_r
-            blocks = _minor_blocks(f, n)
-        else:   # larger blocks, as C(F, n + 1) grows fast and each block costs numpy calls
-            table = np.concatenate([_minors(u[subsets])[:, 0] for subsets in
-                                    _subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n))])
-            table = np.concatenate([table, -table])
-            blocks = ((subsets, _minor_index(subsets, f)) for subsets in
-                      _subset_blocks(f, n + 1, 2 * _BLOCK_BYTES // (8 * (n + 1))))
+        table = np.concatenate([_minors(u[subsets])[:, 0] for subsets in
+                                _subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n))])
+        table = np.concatenate([table, -table])
     parts = []
     for subsets, minors in blocks:
         c = table.take(minors)
-        if n > 2:   # facets come in no order, nor does the sign of c; entries within
-            # _RAY_TOL of the row's top count as 0, and a row whose top is that small is no ray
-            c *= np.sign(np.add.reduce(c, axis=1, keepdims=True))
-            top = np.maximum.reduce(c, axis=1)
-            keep = (np.minimum.reduce(c, axis=1) >= -_RAY_TOL * top) & (top > _RAY_TOL)
-            c = np.maximum(c, 0.0)
+        if n > 2:   # c by columns: facets come in no order, nor does the sign of c; entries
+            # within _RAY_TOL of the ray's top count as 0, and a top that small is no ray
+            c *= np.sign(np.add.reduce(c, axis=0))
+            top = np.maximum.reduce(c, axis=0)
+            keep = (np.minimum.reduce(c, axis=0) >= -_RAY_TOL * top) & (top > _RAY_TOL)
+            c = np.ascontiguousarray(np.maximum(c.compress(keep, axis=1), 0.0).T)
         else:
             keep = np.minimum.reduce(c, axis=1) >= 0.0
-        parts.append((subsets.compress(keep, axis=0), c.compress(keep, axis=0)))
+            c = c.compress(keep, axis=0)
+        parts.append((subsets.compress(keep, axis=0), c))
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _minor_blocks(f: int, n: int):
-    """The (n+1)-subsets (i, j, k[, l]) of range(f) in blocks within _BLOCK_BYTES, and the (f,)*n
-    table indices of their minors (j,k), (k,i), (i,j) or (j,k,l), (k,i,l), (i,j,l), (j,i,k)."""
-    ff = f * f
-    place = np.array([[0, 1, f], [f, 0, 1], [1, f, 0]] if n == 2 else
-                     [[0, f, ff, f], [ff, 0, f, ff], [f, ff, 0, 1], [1, 1, 1, 0]])
-    return ((subsets, subsets @ place)
-            for subsets in _subset_blocks(f, n + 1, _BLOCK_BYTES // (8 * (n + 1))))
-
-
 @lru_cache(maxsize=16)
-def _planar_minors(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """_minor_blocks(f, 2) as one block, cached: planar fits are most of a build."""
-    return tuple(map(np.concatenate, zip(*_minor_blocks(f, 2))))
+def _one_block(f: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n+1)-subsets of range(f), lexicographic, and their ``_dual_rays`` table indices, cached
+    for planar fits and L's with few facets: in the plane the flat (f, f) indices of (j, k), (k, i),
+    (i, j) for each (i, j, k), else ``_minor_index``'s rows."""
+    subsets = np.concatenate(list(_subset_blocks(f, n + 1, _BLOCK_BYTES // (8 * (n + 1)))))
+    return subsets, (subsets @ np.array([[0, 1, f], [f, 0, 1], [1, f, 0]]) if n == 2 else
+                     _minor_index(subsets, f))
 
 
 def _minor_index(subsets: np.ndarray, f: int) -> np.ndarray:
-    """Column i: the rank of each increasing (n+1)-subset row without its entry i among the
-    lexicographic n-subsets of range(f), plus C(f, n), into their determinants' negations, for odd
-    i.  Its key, its entries as the digits of a base-f number, keeps that order."""
-    n = subsets.shape[1] - 1
-    digit = f ** np.arange(n, -1, -1)   # an entry before i has the next place, one after it its own
-    place = np.array([[digit[j + (j < i)] * (j != i) for i in range(n + 1)] for j in range(n + 1)])
-    keys = _combinations(f, n) @ digit[1:]
-    return np.searchsorted(keys, subsets @ place) + math.comb(f, n) * (np.arange(n + 1) % 2)
+    """Row i: the lexicographic rank of each increasing (n+1)-subset of range(f) without its entry
+    i, plus C(f, n), into the determinants' negations, for odd i.  That n-subset reflected by
+    x -> f - 1 - x has colex rank sum_j C(f - 1 - x_j, n - j) over its positions j, which are c
+    for the subset's entry c before i and c - 1 after it; its rank is C(f, n) - 1 less that."""
+    n, total = subsets.shape[1] - 1, math.comb(f, subsets.shape[1] - 1)
+    far, binomials = np.ascontiguousarray((f - 1 - subsets).T), _binomials(f, n + 1)
+    before = [binomials[n - c].take(far[c]) for c in range(n + 1)]
+    after = [binomials[n + 1 - c].take(far[c]) for c in range(n + 1)]
+    out, gone = np.empty(far.shape, np.intp), sum(after[1:])
+    for i in range(n + 1):
+        out[i] = total - 1 + total * (i % 2) - gone
+        if i < n:
+            gone = gone + before[i] - after[i + 1]
+    return out
 
 
 def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
@@ -257,7 +252,7 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     """Scale fit over L's facets (or edges, in the plane) a_f.x <= b_f, which
     are those of (L - lc) / s; None when ``lp.solve_from`` turns the start
     down or the witness leaves a facet by more than TOL_FEAS of the largest
-    offset b_f plus the rounding of a_f.v.
+    offset b_f, plus from R^4 on the rounding of a_f.v in the frame below.
 
     With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
     it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet; from
@@ -271,10 +266,11 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     mk = kv.shape[0]
     f, n = a.shape
     kc = kv.sum(axis=0) / mk
-    x, fa, fb, cond = (kv - kc) / s, a, b, 1.0
+    x, fa, fb, slack = (kv - kc) / s, a, b, 0.0
     if n > 3:   # x -> x R, R^2 the second moment of L's polar points a_f / b_f, rows rescaled
         _, sv, vt = np.linalg.svd(a / b[:, None], full_matrices=False)
-        r, back, cond = (vt.T * sv) @ vt, (vt.T / sv) @ vt, sv[0] / sv[-1]
+        # a @ v rounds to 1e-16 |v|_1, times the frame's condition, beyond a slab's tiny b
+        r, back, slack = (vt.T * sv) @ vt, (vt.T / sv) @ vt, 1e-15 * sv[0] / sv[-1]
         norm = np.sqrt(np.add.reduce((a @ back) ** 2, axis=1))
         x, fa, fb = x @ r, a @ back / norm[:, None], b / norm
     hk = fa @ x.T
@@ -290,8 +286,7 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
         return None
     sigma = float(out.objective)
     v = out.z[1:1 + n]
-    # a @ v rounds to 1e-16 |v|_1 (the frame's rounding grows by cond), beyond a slab's tiny b
-    if not (fa @ v + sigma * h - fb).max() <= TOL_FEAS * fb.max() + 1e-15 * cond * np.abs(v).sum():
+    if not (fa @ v + sigma * h - fb).max() <= TOL_FEAS * fb.max() + slack * np.abs(v).sum():
         return None
     v, y = (v @ back, out.dual / norm) if n > 3 else (v, out.dual)
     u, w = np.zeros((mk, n)), np.zeros(mk)

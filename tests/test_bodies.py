@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -24,6 +26,7 @@ from shadowcover.bodies import (
     support_set,
     translate,
 )
+from shadowcover.containment import scale_fit
 from shadowcover.core import Subspace, orthonormalize
 
 UNIT_SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], canonical=True)
@@ -619,3 +622,52 @@ def test_r4_records_serve_canonicalize_and_refuse_edges(lp_calls):
     frame = np.linalg.qr(rng.standard_normal((4, 3)))[0]
     embedded = canonicalize(Polytope(rng.standard_normal((8, 3)) @ frame.T))
     assert len(edges(embedded)) >= 6
+
+
+def test_r4_and_r5_records_flat_exactly_when_affine_dim_says_so():
+    # rotated slabs 10^-9.5 to 10^-7.5 thick straddle the rank rule, as in R^3:
+    # Gaussian ones, and prisms with a simplex on top and its facet centroids
+    # below, ten times longer on one axis, so that each wall's points span it
+    # only through the thickness, with sines down to 0.02 of the rank's ratio.
+    # A record exists exactly when the rank says full, and then it has the
+    # facets and extreme points of the unsquashed body, an affine image, and
+    # bounds the body: half of it fits twice
+    rng = np.random.default_rng(17)
+    for n in (4, 5):
+        top = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
+        below = (top.sum(axis=0) - top) / (n - 1)
+        prism = np.vstack([np.column_stack([top, np.ones(n)]),
+                           np.column_stack([below, np.zeros(n)])])
+        prism *= np.r_[10.0, np.ones(n - 2), 10.0]
+        ranks = []
+        for i in range(300):
+            thick = np.r_[np.ones(n - 1), 10 ** rng.uniform(-9.5, -7.5)]
+            base = (prism if i % 3 == 0 else
+                    rng.standard_normal((int(rng.integers(n + 1, 2 * n + 3)), n)))
+            rot, shift = np.linalg.qr(rng.standard_normal((n, n)))[0].T, rng.uniform(-3.0, 3.0, n)
+            l = Polytope(base * thick @ rot + shift)
+            ranks.append(affine_dim(l))
+            assert (l._hull_record is None) == (ranks[-1] < n)
+            if ranks[-1] == n:
+                record = Polytope(base @ rot + shift)._hull_record
+                assert len(l._hull_record.a) == len(record.a)
+                assert l._hull_record.extreme.tolist() == record.extreme.tolist()
+                half = Polytope(0.5 * l.vertices)
+                assert scale_fit(half, l).sigma == pytest.approx(2.0, rel=1e-5)
+        assert 50 < ranks[::3].count(n) < 95 and 120 < ranks.count(n) < 240
+
+
+def test_large_r4_record_builds_no_whole_enumeration():
+    # the record of a 48-point body in R^4 runs through its C(48, 4) vertex
+    # 4-subsets, 5.9 MB as one index array; blocks that are unranked one at a
+    # time keep the traced peak of the whole build below half of that
+    spatial = pytest.importorskip("scipy.spatial")
+    pts = np.random.default_rng(19).standard_normal((48, 4))
+    tracemalloc.start()
+    try:
+        record = bodies._facet_record(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * math.comb(48, 4) * 4 * 8
+    assert record.extreme.tolist() == sorted(spatial.ConvexHull(pts).vertices.tolist())

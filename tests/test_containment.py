@@ -688,30 +688,39 @@ def test_scale_fit_and_subset_fits_match_highs():
 @pytest.mark.parametrize("m,f", [(4, 4), (8, 12), (14, 24), (24, 44)])
 def test_dual_rays_match_an_enumeration_in_order(m, f):
     # m points on a sphere have a simplicial hull of 2m - 4 facets; the blocked
-    # kernel gives the rays of one itertools enumeration over the same table,
-    # bit for bit and in order, and each block of first indices stays small
+    # kernel gives the rays of one itertools enumeration over the same
+    # determinants, bit for bit and in order, the rays of the triple-product
+    # table to rounding, and each block stays within _BLOCK_BYTES
     g = np.random.default_rng(m).standard_normal((m, 3))
     a = Polytope(g / np.linalg.norm(g, axis=1, keepdims=True))._hull_record.a
     assert a.shape == (f, 3)
     u = np.linalg.svd(a, full_matrices=False)[0]
-    table = np.einsum("pqd,rd->pqr", np.cross(u[:, None], u), u)
+    triples = list(combinations(range(f), 3))
+    det = dict(zip(triples, bodies._minors(u[np.array(triples)])[:, 0]))
     sets = np.array(list(combinations(range(f), 4)))
+    minors = np.array([[(-1) ** t * det[s[:t] + s[t + 1:]] for t in range(4)]
+                       for s in map(tuple, sets)])
+    cross = np.einsum("pqd,rd->pqr", np.cross(u[:, None], u), u)
     i, j, k, l = sets.T
-    c = np.column_stack([table[j, k, l], table[k, i, l], table[i, j, l], table[j, i, k]])
-    c *= np.sign(c.sum(axis=1, keepdims=True))
-    top = c.max(axis=1, keepdims=True)
-    c = np.where(c < -containment._RAY_TOL * top, c, np.maximum(c, 0.0))
-    c[top[:, 0] <= containment._RAY_TOL] = -1.0
-    keep = c.min(axis=1) >= 0.0
+    triple = np.column_stack([cross[j, k, l], cross[k, i, l], cross[i, j, l], cross[j, i, k]])
+    want = []
+    for c in (minors, triple):
+        c *= np.sign(c.sum(axis=1, keepdims=True))
+        top = c.max(axis=1, keepdims=True)
+        c = np.where(c < -containment._RAY_TOL * top, c, np.maximum(c, 0.0))
+        c[top[:, 0] <= containment._RAY_TOL] = -1.0
+        keep = c.min(axis=1) >= 0.0
+        want.append((sets[keep], c[keep]))
     got_sets, got_c = containment._dual_rays(a)
-    assert got_sets.tolist() == sets[keep].tolist()
-    assert got_c.tobytes() == c[keep].tobytes()
+    assert got_sets.tolist() == want[0][0].tolist() == want[1][0].tolist()
+    assert got_c.tobytes() == want[0][1].tobytes()
+    assert np.abs(got_c - want[1][1]).max(initial=0.0) <= 1e-14
     for n, count in ((3, f), (2, 48)):
-        blocks = [subsets for subsets, _ in containment._minor_blocks(count, n)]
+        cap = containment._BLOCK_BYTES // (8 * (n + 1))
+        blocks = list(bodies._subset_blocks(count, n + 1, cap))
         want = [list(r) for r in combinations(range(count), n + 1)]
         assert np.concatenate(blocks).tolist() == want
-        assert all(b.nbytes <= containment._BLOCK_BYTES or len(set(b[:, 0].tolist())) == 1
-                   for b in blocks)
+        assert all(b.nbytes <= containment._BLOCK_BYTES for b in blocks)
 
 
 def test_flat_l_fits_no_body_of_higher_rank():
