@@ -310,11 +310,10 @@ def _subset_blocks(m: int, k: int, cap: int):
 
 
 def _minors(e: np.ndarray) -> np.ndarray:
-    """(B, C(n, k)): the k x k minors of B k x n matrices over the lexicographic column k-subsets,
-    by Laplace expansion along each next row, summed in place on contiguous rows of B entries,
-    whose cofactor sign (-1)^r comes at the end."""
-    _, k, n = e.shape
-    e = np.ascontiguousarray(np.moveaxis(e, 0, -1))
+    """(C(n, k), B): the k x k minors of B k x n matrices, given as (k, n, B), over the
+    lexicographic column k-subsets, by Laplace expansion along each next row, summed in place on
+    the rows of B entries, whose cofactor sign (-1)^r comes at the end."""
+    k, n, _ = e.shape
     minors = {(j,): e[0, j] for j in range(n)}
     for r in range(1, k):
         row, expanded = e[r], {}
@@ -324,7 +323,7 @@ def _minors(e: np.ndarray) -> np.ndarray:
                 term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
                 (np.subtract if t % 2 else np.add)(acc, term, out=acc)
         minors = expanded
-    return np.stack(list(minors.values()), axis=1) * (-1.0) ** (k * (k - 1) // 2)
+    return np.stack(list(minors.values())) * (-1.0) ** (k * (k - 1) // 2)
 
 
 def _facet_record(v: np.ndarray) -> _Hull | None:
@@ -342,26 +341,28 @@ def _facet_record(v: np.ndarray) -> _Hull | None:
     if m <= n or affine_frame(v[keep])[2] < n:
         return None
     w, c, s = _unit_frame(v[keep])
-    probe = w[np.unique(np.concatenate([w.argmin(axis=0), w.argmax(axis=0)]))].T
+    wt = np.ascontiguousarray(w.T)   # subsets are worked by coordinate rows of B entries
+    probe = w[np.unique(np.concatenate([w.argmin(axis=0), w.argmax(axis=0)]))]
     parts = []
     for subsets in _subset_blocks(m, n, max(1, (1 << 21) // (8 * n * (n + m)))):
-        e = w[subsets[:, 1:]] - w[subsets[:, :1]]
-        # cofactor i drops column i: column n - 1 - i of the lexicographic minors
-        normal = _minors(e)[:, ::-1] * (-1.0) ** np.arange(n)
-        area = np.add.reduce(normal * normal, axis=1)
-        sine = np.sqrt(area / np.multiply.reduce(np.add.reduce(e * e, axis=2), axis=1))
-        a = normal / np.sqrt(np.where(area > 0.0, area, 1.0))[:, None]
-        b = np.add.reduce(a * w[subsets[:, 0]], axis=1)
+        x0 = wt[:, subsets[:, 0]]
+        e = np.stack([wt[:, subsets[:, j]] - x0 for j in range(1, n)])
+        # cofactor i drops column i: row n - 1 - i of the lexicographic minors
+        normal = _minors(e)[::-1] * (-1.0) ** np.arange(n)[:, None]
+        area = np.add.reduce(normal * normal)
+        sine = np.sqrt(area / np.multiply.reduce(np.add.reduce(e * e, axis=1)))
+        a = normal / np.sqrt(np.where(area > 0.0, area, 1.0))
+        b = np.add.reduce(a * x0)
         # the cofactors' unit normal is good to n! 1e-16 / sine radians, and a probe lies within
         # 2 sqrt(n) of the subset: a plane is turned down only past that error
         slack = _ON + 2e-16 * math.sqrt(n) * math.factorial(n) / np.maximum(sine, 1e-300)
-        d = a @ probe - b[:, None]
-        live = (np.maximum.reduce(d, axis=1) <= slack) | (np.minimum.reduce(d, axis=1) >= -slack)
+        d = probe @ a - b
+        live = (np.maximum.reduce(d) <= slack) | (np.minimum.reduce(d) >= -slack)
         if (thin := live & (sine < 1e-3)).any():
-            a[thin] = np.linalg.qr(e[thin].swapaxes(1, 2), mode="complete")[0][..., -1]
-            b[thin] = np.add.reduce(a[thin] * w[subsets[thin, 0]], axis=1)
-        a, b = a[live], b[live]
-        d = a @ w.T - b[:, None]
+            a[:, thin] = np.linalg.qr(e[:, :, thin].T, mode="complete")[0][..., -1].T
+            b[thin] = np.add.reduce(a[:, thin] * x0[:, thin])
+        a, b = a[:, live].T, b[live]
+        d = a @ wt - b[:, None]
         side = np.where(d.max(axis=1) <= _ON, 1.0, np.where(d.min(axis=1) >= -_ON, -1.0, 0.0))
         side, a, b, d = (x.compress(side != 0.0, axis=0) for x in (side, a, b, d))
         parts.append((a * side[:, None], b * side, d * side[:, None] >= -_ON))

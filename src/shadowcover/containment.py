@@ -160,7 +160,7 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table = 0.5 * (g.T - g)
     else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
         u = np.linalg.svd(a, full_matrices=False)[0]
-        table = np.concatenate([_minors(u[subsets])[:, 0] for subsets in
+        table = np.concatenate([_minors(u.T[:, subsets.T].swapaxes(0, 1))[0] for subsets in
                                 _subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n))])
         table = np.concatenate([table, -table])
     parts = []
