@@ -7,9 +7,11 @@ cover a given body's shadows while the body itself cannot be covered.
 All verdicts reduce to scale fits: a closed form for intervals, the extreme
 rays of L's dual cone for planar fits and for every vertex-subset fit, a
 facet LP over L's hull (a Quickhull in R^3, an enumeration from R^4 on) for
-a whole K from R^3 up (and in the plane past 48 edges), and a flat L in its
-own frame.  A constructed inflation factor is the exact least fit over
-vertex subsets.
+a whole K from R^3 up (and in the plane past 48 edges), in the one frame
+where L's polar points have unit second moment, and a flat L in its own
+frame.  A constructed inflation factor is the exact least fit over vertex
+subsets, and its counterexample's exclusion is proved in rational
+arithmetic, with no LP.
 """
 
 from .bodies import Polytope, canonicalize, hyperplane_shadow, project, support, support_set

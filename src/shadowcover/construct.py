@@ -12,7 +12,8 @@ cover's shadow iff every (d+1)-point polytope in eps * K translates into the
 cover, so eps* = min_subset_sigma(K, cover, d + 1), which reads it from the
 cover's dual rays with no vertex subset (see ``containment``).  The inflated
 body fits through every d-shadow of the simplex but cannot fit inside it,
-since the simplex is already maximally tight.
+since the simplex is already maximally tight; the replay proves that in
+rational arithmetic (``farkas_excludes_translate``).
 
 One certification path: _emit sets epsilon a hair below eps* and runs
 _certify, which alone computes the four invariants; replay_counterexample
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from . import lp
 from .bodies import (
     Polytope,
     _distinct_indices,
@@ -43,7 +45,7 @@ from .bodies import (
     support_set,
     translate,
 )
-from .containment import _scale_fit_lp, min_subset_sigma, scale_fit, translate_fits
+from .containment import min_subset_sigma, scale_fit, translate_fits
 from .core import TOL_FEAS, TOL_GEOM, Subspace, _subspace_rows, haar_subspaces, hyperplane_basis
 from .shadows import (
     COVERS,
@@ -287,20 +289,39 @@ class Counterexample:
 
 def farkas_excludes_translate(body: Polytope, cover: Polytope,
                               factor: float) -> bool:
-    """Is there a verified Farkas certificate that factor * body cannot be
-    translated into cover?  The LP runs in the cover's unit frame, with the
-    body centred on its vertex mean (translations are free), so its
-    tolerances are relative to the cover's extent."""
-    lv, _, s = _unit_frame(cover.vertices)
-    kv = body.vertices - body.vertices.mean(axis=0)
-    prob = _scale_fit_lp(factor / (s or 1.0) * kv, lv, fixed_t=1.0)
-    out = lp.solve(prob)
-    if out.status != lp.INFEASIBLE or out.dual is None:
+    """Is there an exact certificate that no translate of factor * body lies
+    in the cover?  False for a cover that is not a simplex.
+
+    The barycentric coordinates of a simplex p_0, ..., p_k (k <= n, so a
+    cover lifted into a flat counts) sum to 1 everywhere: lambda_j = mu_j
+    and lambda_0 = 1 - sum_j mu_j, where mu(x) = G^-1 E^T (x - p_0) is the
+    dual basis of the edges E = [p_j - p_0], through their Gram matrix G.
+    If factor * body + v lies in the simplex, the all-ones dual ray sums
+    lambda_f(factor x_f + v) >= 0 over any body points x_f to
+    1 - factor * D >= 0, D = sum_j (mu_j(x_0) - mu_j(x_j)); so factor * D > 1
+    certifies exclusion.  The x_f are the body points of least lambda_f in
+    floats, where D = 1 / sigma, and D is worked in fractions.Fraction.
+    """
+    p = cover.vertices
+    k = len(p) - 1
+    if not 1 <= k <= cover.dim:
         return False
-    y = out.dual
-    prod = y @ prob.A   # at most 0 on the nonnegative columns, 0 on the free ones
-    return bool(y @ prob.b > TOL_FEAS
-                and np.where(prob.nonneg, prod, np.abs(prod)).max(initial=0.0) <= 1e-6)
+    mu = np.linalg.lstsq((p[1:] - p[0]).T, (body.vertices - p[0]).T, rcond=None)[0]
+    x = [[Fraction(c) for c in body.vertices[i].tolist()]
+         for i in [int(mu.sum(axis=0).argmax())] + mu.argmin(axis=1).tolist()]
+    q = [[Fraction(c) for c in row] for row in p.tolist()]
+    e = [[a - b for a, b in zip(row, q[0])] for row in q[1:]]
+    # [G | R] with column j of R = E^T (x_0 - x_j): D is the trace of G^-1 R
+    rows = [[sum(map(mul, ei, ej)) for ej in e] +
+            [sum(c * (a - b) for c, a, b in zip(ei, x[0], xj)) for xj in x[1:]] for ei in e]
+    for j in range(k):   # Gauss-Jordan: G is singular exactly when p is no simplex
+        i = next((i for i in range(j, k) if rows[i][j]), None)
+        if i is None:
+            return False
+        rows[i], rows[j] = rows[j], [a / rows[i][j] for a in rows[i]]
+        rows = [r if t == j else [a - r[j] * b for a, b in zip(r, rows[j])]
+                for t, r in enumerate(rows)]
+    return Fraction(factor) * sum(rows[j][k + j] for j in range(k)) > 1
 
 
 def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: int) -> dict:
@@ -324,10 +345,10 @@ def _certify(body: Polytope, cover: Polytope, eps: float, d: int, sweep_count: i
 
 def replay_counterexample(ce: Counterexample, sweep_count: int = 1000) -> dict:
     """Re-run every invariant of an emitted counterexample from scratch: the
-    four of construction, the Farkas certificate, epsilon against the exact
-    eps* recomputed from the vertex subsets, the sample log (every sample is
-    at least eps*, so it cross-checks the exact value) and the normal
-    selection."""
+    four of construction, the exact exclusion certificate, epsilon against
+    the exact eps* recomputed from the cover's dual rays, the sample log
+    (every sample is at least eps*, so it cross-checks the exact value) and
+    the normal selection."""
     checks = _certify(ce.body, ce.cover, ce.epsilon, ce.d, sweep_count)
     checks["farkas_backed"] = farkas_excludes_translate(ce.body, ce.cover, ce.epsilon)
     checks["epsilon_leq_exact"] = ce.epsilon <= min_subset_sigma(ce.body, ce.cover, ce.d + 1)
@@ -383,9 +404,9 @@ def build_counterexample(k: Polytope, rng=None, directions: int = 1200,
     Emits a simplex circumscribing K and an inflation factor epsilon > 1,
     a hair below the exact eps* of Theorem 2, such that every hyperplane
     shadow of epsilon * K fits inside the simplex's shadow while
-    epsilon * K itself cannot fit (LP-certified, Farkas-backed through the
-    replay helpers).  directions sizes the logged sample sweep, which the
-    replay reads as a cross-check of eps*.
+    epsilon * K itself cannot fit (the facet LP's verdict, and an exact
+    certificate in the replay).  directions sizes the logged sample sweep,
+    which the replay reads as a cross-check of eps*.
     """
     kc = canonicalize(k)
     if affine_dim(kc) != kc.dim:

@@ -12,8 +12,9 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   order of the array formulas, as a shadow has only a few edges;
 * a whole K from R^3 up, or in the plane when L has more than 48 edges or
   the planar witness fails its check: the same LP over the facets (edges)
-  of L's hull record, solved by ``lp.solve_from`` from the slack basis; its
-  dual maps onto the V-form LP over convex-combination variables;
+  of L's hull record, in the one frame where L's polar points have unit
+  second moment, solved by ``lp.solve_from`` from the slack basis; its dual
+  maps onto the V-form LP over convex-combination variables;
 * a flat L: both bodies in L's ``affine_frame``, by the routes above, or
   sigma = 0 when K's directions leave L's.
 
@@ -69,10 +70,10 @@ class FitResult:
                   math.inf, the one degenerate marker, when t is unbounded,
                   which happens exactly when K is a single point
     translation   witness v at the optimum (None when degenerate)
-    dual          multipliers y of _scale_fit_lp(K, L), one (u_i, w_i) block
-                  of n+1 per vertex of K, with y.b >= sigma; set by the
-                  facet path, None for the interval and planar methods and
-                  for a flat L
+    dual          multipliers y of the V-form LP, max t s.t. t*x_i + v =
+                  sum_j lambda_ij l_j, sum_j lambda_ij = 1, lambda >= 0 over
+                  K's vertices x_i and L's points l_j: one block (u_i, w_i)
+                  of n+1 per x_i, with y.b >= sigma; set by the facet path only
     """
 
     sigma: float
@@ -86,37 +87,6 @@ class FitResult:
     @property
     def status(self) -> str:
         return "degenerate" if self.degenerate else "ok"
-
-
-def _scale_fit_lp(kv: np.ndarray, lv: np.ndarray, fixed_t: float | None = None):
-    """Build the scale-fit LP over variables (t, v, lambda).
-
-    Constraints: t*x_i + v = sum_j lambda_ij y_j and sum_j lambda_ij = 1 for
-    each vertex x_i of K, lambda >= 0, v free, t >= 0.  Rows come in one
-    block of n+1 per vertex of K, and lambda_ij is column off + n + i*ml + j.
-    With ``fixed_t`` the t column is dropped and the products move to the
-    right-hand side.
-    """
-    mk, n = kv.shape
-    ml = lv.shape[0]
-    off = 1 if fixed_t is None else 0
-    a = np.zeros((mk, n + 1, off + n + mk * ml))
-    b = np.zeros((mk, n + 1))
-    b[:, n] = 1.0
-    if fixed_t is None:
-        a[:, :n, 0] = kv
-    else:
-        b[:, :n] = -fixed_t * kv
-    a[:, :n, off:off + n] = np.eye(n)
-    lam = a[:, :, off + n:].reshape(mk, n + 1, mk, ml)   # a view: block i, vertex j
-    blocks = np.arange(mk)
-    lam[blocks, :n, blocks] = -lv.T
-    lam[blocks, n, blocks] = 1.0
-    c = np.zeros(a.shape[2])
-    c[0] = 1.0 if fixed_t is None else 0.0
-    nonneg = np.ones(a.shape[2], dtype=bool)
-    nonneg[off:off + n] = False
-    return lp.LpProblem(a.reshape(mk * (n + 1), -1), b.reshape(-1), c, nonneg)
 
 
 def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
@@ -251,44 +221,39 @@ def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
                b: np.ndarray) -> FitResult | None:
     """Scale fit over L's facets (or edges, in the plane) a_f.x <= b_f, which
     are those of (L - lc) / s; None when ``lp.solve_from`` turns the start
-    down or the witness leaves a facet by more than TOL_FEAS of the largest
-    offset b_f, plus from R^4 on the rounding of a_f.v in the frame below.
+    down or the witness leaves a facet by more than TOL_FEAS of its offset.
 
     With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
-    it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet; from
-    R^4 on, in the frame where a slab is round (below).  The centre lc lies
-    inside L, so b > 0 and the slacks are a feasible starting basis.  The
-    facet multipliers y map onto the blocks of _scale_fit_lp:
-    facet f adds y_f*a_f/s to u_i and y_f*h_L(a_f)/s to w_i for a vertex x_i
-    of K attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
+    it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet, in the
+    frame where L's polar points a_f / b_f = U_f S V^T have unit second
+    moment: with v = y S^-1 V^T, row f divided by b_f reads
+    t*h_f/b_f + U_f.y <= 1, so a slab is as round as a ball.  The centre lc
+    lies inside L, so b > 0 and the slacks are a feasible starting basis.
+    The facet multipliers y map onto the V-form LP's (see FitResult): facet
+    f adds y_f*a_f/s to u_i and y_f*h_L(a_f)/s to w_i for a vertex x_i of K
+    attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
     sum_i w_i = sigma, and w_i >= h_L(u_i) as h_L is sublinear.
     """
     mk = kv.shape[0]
     f, n = a.shape
     kc = kv.sum(axis=0) / mk
-    x, fa, fb, slack = (kv - kc) / s, a, b, 0.0
-    if n > 3:   # x -> x R, R^2 the second moment of L's polar points a_f / b_f, rows rescaled
-        _, sv, vt = np.linalg.svd(a / b[:, None], full_matrices=False)
-        # a @ v rounds to 1e-16 |v|_1, times the frame's condition, beyond a slab's tiny b
-        r, back, slack = (vt.T * sv) @ vt, (vt.T / sv) @ vt, 1e-15 * sv[0] / sv[-1]
-        norm = np.sqrt(np.add.reduce((a @ back) ** 2, axis=1))
-        x, fa, fb = x @ r, a @ back / norm[:, None], b / norm
-    hk = fa @ x.T
+    hk = a @ ((kv - kc) / s).T
     top = hk.argmax(axis=1)
-    h = hk[np.arange(f), top]
+    q, sv, vt = np.linalg.svd(a / b[:, None], full_matrices=False)
+    h = hk[np.arange(f), top] / b
     c = np.zeros(1 + n + f)
     c[0] = 1.0
     nonneg = np.ones(1 + n + f, dtype=bool)
     nonneg[1:1 + n] = False
-    problem = lp.LpProblem(np.column_stack([h, fa, np.eye(f)]), fb, c, nonneg)
+    problem = lp.LpProblem(np.column_stack([h, q, np.eye(f)]), np.ones(f), c, nonneg)
     out = lp.solve_from(problem, np.arange(1 + n, 1 + n + f))
     if out is None or out.status != lp.OPTIMAL:
         return None
     sigma = float(out.objective)
     v = out.z[1:1 + n]
-    if not (fa @ v + sigma * h - fb).max() <= TOL_FEAS * fb.max() + slack * np.abs(v).sum():
+    if not (q @ v + sigma * h).max() <= 1.0 + TOL_FEAS:
         return None
-    v, y = (v @ back, out.dual / norm) if n > 3 else (v, out.dual)
+    v, y = (v / sv) @ vt, out.dual / b
     u, w = np.zeros((mk, n)), np.zeros(mk)
     np.add.at(u, top, y[:, None] * a / s)
     np.add.at(w, top, y * (b + a @ lc / s))
@@ -368,13 +333,8 @@ def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
     if supports is None:   # a flat L: r caps at n - 1 in the plane
         c, frame, r = affine_frame(lv)
         return _flat_fit(kv, lv, c, frame[:, :min(r, n - 1)])
-    if n == 2:
-        lc, _, a, b = supports
-        if len(a) <= _MAX_PLANAR_EDGES and (fit := _planar_fit(kv, *supports)):
-            return fit
-        # the plane's supports are in L's own units, and the LP pivots on unit-sized data
-        s = b.max()
-        supports = lc, s, a, b / s
+    if n == 2 and len(supports[2]) <= _MAX_PLANAR_EDGES and (fit := _planar_fit(kv, *supports)):
+        return fit
     fit = _facet_fit(kv, *supports)
     if fit is None:
         raise lp.LpError("facet-form scale fit failed its check")

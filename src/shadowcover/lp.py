@@ -6,8 +6,8 @@ tableau simplex with Bland's anti-cycling rule; free variables are split into
 differences of nonnegative parts.  A solve starts one of two ways: ``solve``
 finds a feasible basis itself (phase 1 over artificial variables), and
 ``solve_from`` takes one from the caller and runs phase 2 alone.  Both end in
-the same phase-2 run and read z, the objective and the dual off the final
-tableau the same way.
+the same phase-2 run, read the dual off the final tableau and solve the final
+basis afresh for z, the same way.
 
 Every verdict carries a certificate: optimal outcomes return a dual vector
 (weak duality and complementary slackness hold within tolerance), infeasible
@@ -59,7 +59,7 @@ class LpProblem:
             raise ValueError(f"b has length {b.shape[0]}, expected {m}")
         if c.shape[0] != nvar or nn.shape[0] != nvar:
             raise ValueError("c and nonneg must match the number of columns of A")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("problem data has non-finite entries")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
@@ -166,6 +166,9 @@ def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.nd
 
     The columns ``start`` were the identity at the starting basis S, with
     S^-1 = ``start_inv``; they end as B^-1 S, which gives the dual c_B B^-1.
+    The basic values are solved afresh from B, unless ``solve`` dropped a
+    redundant row: the tableau's carry the rounding of every pivot, which a
+    small pivot grows.
     """
     c = problem.c
     c_ext = c[col_var] * col_sgn
@@ -183,8 +186,13 @@ def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.nd
         d_ext[basis] = -T[:m, j]
         ray = np.bincount(col_var, weights=col_sgn * d_ext[:n_ext], minlength=c.shape[0])
         return LpOutcome(UNBOUNDED) if _ray_checks(problem, ray) else None
+    try:
+        values = (np.linalg.solve(problem.A[:, col_var[basis]] * col_sgn[basis], problem.b)
+                  if m == problem.b.shape[0] else T[:m, -1])
+    except np.linalg.LinAlgError:
+        return None
     z_ext = np.zeros(n_ext)
-    z_ext[basis] = np.maximum(T[:m, -1], 0.0)
+    z_ext[basis] = np.maximum(values, 0.0)
     z = np.bincount(col_var, weights=col_sgn * z_ext, minlength=c.shape[0])
     dual = (c_ext[basis] @ T[:m, start]) @ start_inv
     return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual) \
@@ -282,22 +290,23 @@ def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
     ``basis`` lists m nonnegative columns of ``problem.A``, the one basic in
     each row; the tableau starts as B^-1 [A | b].  Returns None when B is
     singular or its (1-norm) condition number exceeds 1e10, when B^-1 b has
-    a negative entry, or when the run stalls or its outcome fails its
-    check; the caller decides what follows (the facet fit raises
-    ``LpError``).
+    a negative entry, or when the run stalls, its final basis is singular or
+    its outcome fails its check; the caller decides what follows (the facet
+    fit raises ``LpError``).
     """
     a, b = problem.A, problem.b
     m = b.shape[0]
     basis = np.asarray(basis, dtype=np.intp)
     if basis.shape != (m,) or not problem.nonneg[basis].all():
         raise ValueError("the basis must list one nonnegative column per row")
-    bmat = a[:, basis]
-    try:
-        binv = np.linalg.inv(bmat)
-    except np.linalg.LinAlgError:
-        return None
-    if np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > 1e10:
-        return None   # 1-norm condition number: leave the LP to phase 1
+    bmat, binv = a[:, basis], np.eye(m)
+    if not np.array_equal(bmat, binv):   # a slack basis is its own inverse
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:
+            return None
+        if np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > 1e10:
+            return None   # 1-norm condition number: leave the LP to phase 1
     col_var, col_sgn = _split_free(problem.nonneg)
     n_ext = col_var.shape[0]
     T = np.empty((m + 1, n_ext + 1))

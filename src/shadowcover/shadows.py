@@ -200,12 +200,13 @@ def oblique_equivalence_check(k: Polytope, l: Polytope, m, u) -> ObliqueReport:
 
     A nonsingular map psi sends the line family parallel to u onto the
     family parallel to psi(u), so verdict (and scale) are preserved; the
-    check evaluates both sides directly.
+    check evaluates both sides directly.  A map counts as singular when its
+    least singular value is at most TOL_FEAS times its largest.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (k.dim, k.dim):
         raise ValueError("transformation must be square in the ambient dimension")
-    if abs(np.linalg.det(m)) <= TOL_FEAS:
+    if not (sv := np.linalg.svd(m, compute_uv=False))[-1] > TOL_FEAS * sv[0]:
         raise ValueError("singular transformation")
     u = unit(u)
     u_tilde = unit(m @ u)

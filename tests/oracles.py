@@ -1,16 +1,19 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the library's LP path: 2D hulls come
-from a monotone chain, containment scales from halfplane arithmetic over a
-refined translation grid, and widths from closed forms.  V-form scale fits
-come from HiGHS (scipy), outside the library's LP code.  These are the
-second route of every dual-route check.
+2D hulls come from a monotone chain, containment scales from halfplane
+arithmetic over a refined translation grid, and widths from closed forms.
+V-form scale fits, over convex-combination variables, come from HiGHS
+(scipy), outside the library's LP code, or from ``_scale_fit_lp`` solved by
+the library's two-phase ``lp.solve``, which no library fit uses.  These are
+the second route of every dual-route check.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+
+from shadowcover import lp
 
 
 def hull2d(points: np.ndarray) -> np.ndarray:
@@ -182,3 +185,34 @@ def highs_subset_sigmas(kv: np.ndarray, lv: np.ndarray, kcount: int) -> tuple[li
     if len(subsets[0]) == 1:
         return subsets, np.full(len(subsets), np.inf)
     return subsets, _highs_vform(kv[np.array(subsets)], np.asarray(lv, float))
+
+
+def _scale_fit_lp(kv: np.ndarray, lv: np.ndarray, fixed_t: float | None = None) -> lp.LpProblem:
+    """The V-form scale-fit LP over variables (t, v, lambda), for ``lp.solve``.
+
+    Constraints: t*x_i + v = sum_j lambda_ij y_j and sum_j lambda_ij = 1 for
+    each vertex x_i of K, lambda >= 0, v free, t >= 0.  Rows come in one
+    block of n+1 per vertex of K, and lambda_ij is column off + n + i*ml + j.
+    With ``fixed_t`` the t column is dropped and the products move to the
+    right-hand side.
+    """
+    mk, n = kv.shape
+    ml = lv.shape[0]
+    off = 1 if fixed_t is None else 0
+    a = np.zeros((mk, n + 1, off + n + mk * ml))
+    b = np.zeros((mk, n + 1))
+    b[:, n] = 1.0
+    if fixed_t is None:
+        a[:, :n, 0] = kv
+    else:
+        b[:, :n] = -fixed_t * kv
+    a[:, :n, off:off + n] = np.eye(n)
+    lam = a[:, :, off + n:].reshape(mk, n + 1, mk, ml)   # a view: block i, vertex j
+    blocks = np.arange(mk)
+    lam[blocks, :n, blocks] = -lv.T
+    lam[blocks, n, blocks] = 1.0
+    c = np.zeros(a.shape[2])
+    c[0] = 1.0 if fixed_t is None else 0.0
+    nonneg = np.ones(a.shape[2], dtype=bool)
+    nonneg[off:off + n] = False
+    return lp.LpProblem(a.reshape(mk * (n + 1), -1), b.reshape(-1), c, nonneg)

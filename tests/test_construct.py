@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shadowcover.bodies import Polytope, affine_dim, canonicalize, scale, support, support_set
-from shadowcover.containment import min_subset_sigma, scale_fit, translate_fits
+from shadowcover.containment import min_subset_sigma, scale_fit, subset_witness, translate_fits
 from shadowcover.construct import (
     ConstructionError,
     NormalSelection,
@@ -19,7 +19,7 @@ from shadowcover.construct import (
     verify_touching,
 )
 from shadowcover.core import TOL_GEOM, Subspace, direction_grid
-from shadowcover.shadows import shadow_fit
+from shadowcover.shadows import shadow_fit, shadow_sweep
 
 SHARED_CHECKS = ("circumscribes", "epsilon_gt_one", "translate_excluded", "sweep_covers")
 
@@ -316,6 +316,46 @@ def test_farkas_certificate_is_unit_free():
         d = Polytope(factor * delta.vertices + offset)
         assert farkas_excludes_translate(q, d, 1.2)
         assert not farkas_excludes_translate(q, d, 0.9)
+    # the certificate is exact: it holds a hair past 1 / sigma and fails a
+    # hair below, under vertex permutations of both bodies, for the lifted
+    # flat cover of criterion 7 and for an R^4 cover
+    rng = np.random.default_rng(31)
+    lifted = build_counterexample_d(quad, 1, rng=7, directions=16, sweep_count=16)
+    r4 = build_counterexample(Polytope(rng.standard_normal((7, 4))), rng=3, directions=16,
+                              sweep_count=16)
+    assert lifted.cover.nverts == 3 and r4.cover.dim == 4
+    pairs = [(quad, delta), (lifted.body, lifted.cover), (r4.body, r4.cover)]
+    pairs += [(Polytope(k.vertices[rng.permutation(k.nverts)]),
+               Polytope(c.vertices[rng.permutation(c.nverts)])) for k, c in pairs]
+    for k, cover in pairs:
+        sigma = scale_fit(k, cover).sigma
+        assert farkas_excludes_translate(k, cover, (1.0 + 1e-6) / sigma)
+        assert not farkas_excludes_translate(k, cover, (1.0 - 1e-6) / sigma)
+    # a cover that is not a simplex has none, however large the factor: too
+    # many vertices, or n + 1 of them on a hyperplane
+    square = Polytope([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [4.0, 4.0, 0.0]])
+    centred = Polytope(np.vstack([delta.vertices, delta.vertices.mean(axis=0)]))
+    for cover in (square, centred, Polytope(np.vstack([delta.vertices, -delta.vertices]))):
+        assert not farkas_excludes_translate(quad, cover, 1e6)
+
+
+def test_builds_replays_and_a_decide_pair_solve_only_the_facet_lp(lp_calls):
+    # the library builds one kind of LP, the facet LP from its slack basis:
+    # a build and replay in R^3, of criterion 7's lifted quad and in R^4,
+    # and a decide-style pair call no other LP entry point
+    _, quad = canonical_tetra_quad()
+    rng = np.random.default_rng(41)
+    builds = [build_counterexample(Polytope(rng.standard_normal((8, 3))), rng=1, directions=16,
+                                   sweep_count=16),
+              build_counterexample_d(quad, 1, rng=7, directions=16, sweep_count=16),
+              build_counterexample(Polytope(rng.standard_normal((7, 4))), rng=3, directions=16,
+                                   sweep_count=16)]
+    assert all(all(replay_counterexample(ce, sweep_count=16).values()) for ce in builds)
+    k, l = Polytope(rng.standard_normal((8, 3))), Polytope(2.0 * rng.standard_normal((11, 3)))
+    translate_fits(k, l)
+    subset_witness(k, l, 4)
+    shadow_sweep(k, l, 1, count=64, rng=np.random.default_rng(5))
+    assert lp_calls and set(lp_calls) == {"solve_from"}
 
 
 def test_build_and_replay_build_two_hulls(hull_calls):

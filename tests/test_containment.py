@@ -4,12 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import grid_scale_fit_2d, highs_sigma, highs_subset_sigmas
+from oracles import _scale_fit_lp, grid_scale_fit_2d, highs_sigma, highs_subset_sigmas
 
 from shadowcover import bodies, containment, lp
 from shadowcover.bodies import Polytope, canonicalize, point_in_hull, project, scale, translate
 from shadowcover.containment import (
-    _scale_fit_lp,
     inscribed_equivalence_check,
     min_subset_sigma,
     scale_fit,
@@ -458,6 +457,28 @@ def test_facet_fit_witness_replays(lp_calls):
         lp_calls.clear()
 
 
+def test_facet_fit_witnesses_meet_the_unit_frame_rule():
+    # the facet LP's witness is checked in the frame where L's polar points
+    # have unit second moment; mapped back to the facets a.x <= b of L's
+    # hull record, it meets TOL_FEAS of the largest b there too, on clouds
+    # from R^3 to R^5 and on K in a 60-gon, past the planar ray kernel
+    rng = np.random.default_rng(157)
+    theta = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+    gon = 3.0 * np.column_stack([np.cos(theta), np.sin(theta)]) + 1e3
+    cases = [(rng.standard_normal((7, 2)) + 1e3, gon) for _ in range(10)]
+    for i in range(60):
+        n = 3 + i % 3
+        kv, lv = rng.standard_normal((n + 1 + i % 5, n)), rng.standard_normal((n + 4 + i % 7, n))
+        cases.append((kv + rng.uniform(-3.0, 3.0, n), lv * rng.uniform(0.5, 3.0)))
+    for kv, lv in cases:
+        lc, s, a, b = containment._supports(Polytope(kv), Polytope(lv))
+        fit = containment._facet_fit(kv, lc, s, a, b)
+        kc = kv.sum(axis=0) / len(kv)
+        h = (a @ ((kv - kc) / s).T).max(axis=1)
+        v = (fit.translation - lc + fit.sigma * kc) / s
+        assert (a @ v + fit.sigma * h - b).max() <= containment.TOL_FEAS * b.max()
+
+
 def _rotation(rng, n):
     return np.linalg.qr(rng.standard_normal((n, n)))[0]
 
@@ -746,9 +767,11 @@ def test_flat_l_fits_no_body_of_higher_rank():
 def test_subset_fits_in_thin_slabs_match_the_vform_lp():
     # 5-point slabs 10^-9.5 to 10^-7.5 thick that affine_dim calls full now
     # have facets, and the dual-ray kernel reads each subset's fit from them,
-    # and the least of these from all of K.  The reference is HiGHS's LP
-    # over convex combinations, which puts L's principal axes at unit spread
-    # first: a fit does not change under an affine map
+    # and the least of these from all of K; the facet LP of scale_fit, in
+    # the frame where the slab is round, fits each subset and the whole K
+    # without raising.  The reference is HiGHS's LP over convex
+    # combinations, which puts L's principal axes at unit spread first: a
+    # fit does not change under an affine map
     rng = np.random.default_rng(7)
     done = 0
     while done < 50:
@@ -765,6 +788,10 @@ def test_subset_fits_in_thin_slabs_match_the_vform_lp():
         want = [highs_sigma(k.vertices[r], l.vertices) for r in rows]
         assert sigmas == pytest.approx(want, rel=1e-6)
         assert min_subset_sigma(k, l, 4) == pytest.approx(min(want), rel=1e-6)
+        fits = [scale_fit(Polytope(k.vertices[r]), l).sigma for r in rows]
+        assert fits == pytest.approx(want, rel=1e-6)
+        whole = highs_sigma(k.vertices, l.vertices)
+        assert scale_fit(k, l).sigma == pytest.approx(whole, rel=1e-6)
 
 
 def _array_supports(lv):
@@ -859,7 +886,7 @@ def test_planar_supports_and_fits_match_the_array_formulas(monkeypatch):
         assert len(a) <= containment._MAX_PLANAR_EDGES
         want = _array_planar_fit(k.vertices, lc, a, b)
         if want is None:
-            want = containment._facet_fit(k.vertices, lc, b.max(), a, b / b.max())
+            want = containment._facet_fit(k.vertices, lc, 1.0, a, b)
         else:
             seen["witness"] += 1
         assert fit.sigma == want.sigma and np.array_equal(fit.translation, want.translation)

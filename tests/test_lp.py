@@ -243,8 +243,10 @@ def test_off_centre_scale_fit_lps_return_no_wrong_verdict():
     # those 28, the unbounded one and six that went right.  Every outcome
     # now passes its check or the solve raises; an optimum equals the fit,
     # which does not depend on the frame
+    from oracles import _scale_fit_lp
+
     from shadowcover.bodies import Polytope
-    from shadowcover.containment import _scale_fit_lp, scale_fit
+    from shadowcover.containment import scale_fit
 
     rng = np.random.default_rng(3)
     th = np.sort(rng.uniform(0, 2 * np.pi, 49))

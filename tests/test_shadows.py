@@ -235,6 +235,20 @@ def test_oblique_singular_rejected():
         oblique_equivalence_check(CUBE, CUBE, m, np.array([0, 0, 1.0]))
 
 
+def test_oblique_singularity_is_relative_to_the_map():
+    # a small multiple of the identity is as regular as the identity, and a
+    # map of condition number 1e10 is singular at TOL_FEAS, whatever their
+    # determinants (1e-12 and 1)
+    rng = np.random.default_rng(9)
+    k = Polytope(rng.standard_normal((5, 3)))
+    l = Polytope(rng.standard_normal((6, 3)) * 1.5)
+    u = rng.standard_normal(3)
+    rep = oblique_equivalence_check(k, l, 1e-4 * np.eye(3), u)
+    assert rep.agrees and rep.sigma_mapped == pytest.approx(rep.sigma_orig, rel=1e-9)
+    with pytest.raises(ValueError, match="singular"):
+        oblique_equivalence_check(k, l, np.diag([1e5, 1.0, 1e-5]), u)
+
+
 def _plane_embed(points2d, z=0.0):
     pts = np.asarray(points2d, float)
     return Polytope(np.column_stack([pts, np.full(len(pts), z)]))
