@@ -6,7 +6,7 @@ subspaces of the Grassmannian, and constructs certified bodies whose shadows
 cover a given body's shadows while the body itself cannot be covered.
 All verdicts reduce to scale fits: a closed form for intervals, the extreme
 rays of L's dual cone for planar fits and for every vertex-subset fit, a
-facet LP over L's hull (a Quickhull in R^3, an enumeration from R^4 on) for
+facet LP over L's hull (one Quickhull in every dimension) for
 a whole K from R^3 up (and in the plane past 48 edges), in the one frame
 where L's polar points have unit second moment, and a flat L in its own
 frame.  A constructed inflation factor is the exact least fit over vertex

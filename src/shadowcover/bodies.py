@@ -10,24 +10,25 @@ may contain redundant generators until a ``canonicalize`` pass removes them.
 ``canonical_vertex_indices`` picks the extreme points for that pass, after
 merging points that agree to 12 decimals in the unit frame.  A full body
 from R^3 up owns its hull: a ``_Hull`` record of extreme points and facets,
-built on first use and kept on the body, which the canonical vertices and
-the scale fits read and ``canonicalize`` hands on: in R^3 one Quickhull
-(``_hull_skeleton``), whose edges and exterior angles the exact mean width
-reads, and from R^4 on the enumeration of ``_facet_record``.  A set of lower
-affine rank r is read in its ``affine_frame``: the two ends for r = 1, a
-monotone-chain hull (``planar_hull``, which also gives the edges that the
-planar scale fit uses) for r = 2 and the hull record from r = 3 on.
+built on first use and kept on the body by one Quickhull in every dimension
+(``_hull_skeleton``), which the canonical vertices and the scale fits read
+and ``canonicalize`` hands on; in R^3 it adds the edges and exterior angles
+that the exact mean width reads.  A set of lower affine rank r is read in
+its ``affine_frame``: the two ends for r = 1, a monotone-chain hull
+(``planar_hull``, which also gives the edges that the planar scale fit uses)
+for r = 2 and the hull record from r = 3 on.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
+from operator import mul, sub
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class Polytope:
     def _hull_record(self) -> _Hull | None:
         """The hull record of a body from R^3 up, built on first use; None
         when the body is flat or in R^1 or R^2."""
-        return ((_hull_skeleton if self.dim == 3 else _facet_record)(self.vertices)
-                if self.dim >= 3 else None)
+        return _hull_skeleton(self.vertices) if self.dim >= 3 else None
 
 
 def translate(p: Polytope, w) -> Polytope:
@@ -219,7 +219,7 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
         return sorted({keep[int(x.argmin())], keep[int(x.argmax())]})
     if r == 2:
         return sorted(keep[i] for i in planar_hull(x))
-    return [keep[i] for i in (_hull_skeleton if r == 3 else _facet_record)(x).extreme]
+    return [keep[i] for i in _hull_skeleton(x).extreme]
 
 
 def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
@@ -256,13 +256,9 @@ def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
     return chain(seq) + chain(seq[::-1])
 
 
-# unit-frame distances: a point more than _ON above a facet plane lies outside
-# the hull, and adjacent triangles whose far corners lie within _ON of each
-# other's plane are one facet.  A float distance past _SURE keeps its sign and
-# a nearer one is decided exactly: _plane's normals are good to 8e-13 radians,
-# and no two points are more than 2 sqrt(3) apart.
+# unit-frame distance: a point more than _ON above a facet plane lies outside
+# the hull, and one within _ON of it lies on the facet
 _ON = 1e-12
-_SURE = 3e-12
 _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
@@ -279,338 +275,301 @@ def _read_only(hull: _Hull) -> _Hull:
     return hull
 
 
-@lru_cache(maxsize=64)
-def _combinations(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
-    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
-
-
-@lru_cache(maxsize=64)
-def _binomials(m: int, k: int) -> np.ndarray:
-    """(k + 1, m): row j holds C(x, j) for x in range(m); small, so cached."""
-    return np.array([[math.comb(x, j) for x in range(m)] for j in range(k + 1)], np.int64)
-
-
-def _subset_blocks(m: int, k: int, cap: int):
-    """``_combinations(m, k)`` in blocks of at most cap rows, cached when one block holds them
-    all, else unranked a block at a time: row r reflected by x -> m - 1 - x is the subset of colex
-    rank C(m, k) - 1 - r, read greedily off ``_binomials`` (Knuth, TAOCP 7.2.1.3)."""
-    if (total := math.comb(m, k)) <= cap:
-        yield _combinations(m, k)
-        return
-    table = _binomials(m, k)
-    for start in range(total - 1, -1, -cap):
-        rank = np.arange(start, max(start - cap, -1), -1)
-        rows = np.empty((len(rank), k), np.intp)
-        for j in range(k, 0, -1):
-            x = table[j].searchsorted(rank, side="right") - 1
-            rank -= table[j].take(x)
-            rows[:, k - j] = m - 1 - x
-        yield rows
-
-
-def _minors(e: np.ndarray) -> np.ndarray:
-    """(C(n, k), B): the k x k minors of B k x n matrices, given as (k, n, B), over the
-    lexicographic column k-subsets, by Laplace expansion along each next row, summed in place on
-    the rows of B entries, whose cofactor sign (-1)^r comes at the end."""
-    k, n, _ = e.shape
-    minors = {(j,): e[0, j] for j in range(n)}
-    for r in range(1, k):
-        row, expanded = e[r], {}
-        for cols in combinations(range(n), r + 1):
-            acc = expanded[cols] = row[cols[0]] * minors[cols[1:]]
-            for t in range(1, r + 1):
-                term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
-                (np.subtract if t % 2 else np.add)(acc, term, out=acc)
-        minors = expanded
-    return np.stack(list(minors.values())) * (-1.0) ** (k * (k - 1) // 2)
-
-
-def _facet_record(v: np.ndarray) -> _Hull | None:
-    """The ``_Hull`` record of a point set in R^n, n >= 4, with indices into v; None when flat.
-
-    In the unit frame of the distinct points, each n-subset's hyperplane has its edges' cofactors
-    as normal or, below a sine (volume over the product of edge lengths) of 1e-3, where they lose
-    digits, the last column of their Householder QR, good however thin the subset.  A facet has
-    every point on one side within _ON, tried first on the points of extreme coordinates; equal
-    incident sets are one facet, and one inside another's (a lower face, or a point rounding put
-    just past _ON) is none.  A point is extreme when no other lies on every facet through it.
-    Blocks of subsets keep temporaries to a few MB."""
-    keep = np.array(_distinct_indices(v))
-    m, n = len(keep), v.shape[1]
-    if m <= n or affine_frame(v[keep])[2] < n:
-        return None
-    w, c, s = _unit_frame(v[keep])
-    wt = np.ascontiguousarray(w.T)   # subsets are worked by coordinate rows of B entries
-    probe = w[np.unique(np.concatenate([w.argmin(axis=0), w.argmax(axis=0)]))]
-    parts = []
-    for subsets in _subset_blocks(m, n, max(1, (1 << 21) // (8 * n * (n + m)))):
-        x0 = wt[:, subsets[:, 0]]
-        e = np.stack([wt[:, subsets[:, j]] - x0 for j in range(1, n)])
-        # cofactor i drops column i: row n - 1 - i of the lexicographic minors
-        normal = _minors(e)[::-1] * (-1.0) ** np.arange(n)[:, None]
-        area = np.add.reduce(normal * normal)
-        sine = np.sqrt(area / np.multiply.reduce(np.add.reduce(e * e, axis=1)))
-        a = normal / np.sqrt(np.where(area > 0.0, area, 1.0))
-        b = np.add.reduce(a * x0)
-        # the cofactors' unit normal is good to n! 1e-16 / sine radians, and a probe lies within
-        # 2 sqrt(n) of the subset: a plane is turned down only past that error
-        slack = _ON + 2e-16 * math.sqrt(n) * math.factorial(n) / np.maximum(sine, 1e-300)
-        d = probe @ a - b
-        live = (np.maximum.reduce(d) <= slack) | (np.minimum.reduce(d) >= -slack)
-        if (thin := live & (sine < 1e-3)).any():
-            a[:, thin] = np.linalg.qr(e[:, :, thin].T, mode="complete")[0][..., -1].T
-            b[thin] = np.add.reduce(a[:, thin] * x0[:, thin])
-        a, b = a[:, live].T, b[live]
-        d = a @ wt - b[:, None]
-        side = np.where(d.max(axis=1) <= _ON, 1.0, np.where(d.min(axis=1) >= -_ON, -1.0, 0.0))
-        side, a, b, d = (x.compress(side != 0.0, axis=0) for x in (side, a, b, d))
-        parts.append((a * side[:, None], b * side, d * side[:, None] >= -_ON))
-    a, b, inc = map(np.concatenate, zip(*parts))
-    first = np.unique(np.packbits(inc, axis=1), axis=0, return_index=True)[1]
-    first = first[_maximal(inc[first])]
-    return _read_only(_Hull(keep[_maximal(inc[first].T)], None, None, a[first], b[first], c, s))
-
-
-def _maximal(sets: np.ndarray) -> np.ndarray:
-    """Which rows of a boolean matrix lie within no other row; of equal rows, the first."""
-    count = sets.astype(np.intp)
-    inside = count @ count.T == np.add.reduce(count, axis=1)[:, None]   # row i within row j
-    return ~np.logical_or.reduce(inside & (~inside.T | np.tri(len(sets), k=-1, dtype=bool)), axis=1)
-
-
 def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
     """(a, b, c, s, incident): the facets {x : a.x <= b} of the hull of a
-    3-D point set X in its unit frame (X - c) / s, unit outward normals a
-    and offsets b, and incident[f, i], which says point i is a vertex of
-    facet f, one of its corners or a point that ``_quickhull`` lifted onto
-    it.  None when the set is flat by the rank of ``affine_frame``.  Every
-    point lies at most 1e-12 above every facet plane.
+    point set X in R^n, n >= 3, in its unit frame (X - c) / s, unit outward
+    normals a and offsets b, and incident[f, i], which says point i is a
+    corner of facet f.  None when the set is flat by the rank of
+    ``affine_frame``.  Every point lies at most 1e-12 above every facet plane.
 
-    The work starts from a tetrahedron of the lexicographically least and
-    greatest points, the one farthest from their line and the one farthest
-    from the plane of those three.  Each facet's plane is the ``_plane`` of
-    its vertex triple of largest area (the first in lexicographic order on
-    ties), and the facets come in the lexicographic order of those triples.
+    The work starts from a simplex: the n points that ``_spread`` picks and
+    the one farthest from their hyperplane.  The facets come in the
+    lexicographic order of their corners.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"3-D hull needs an (m, 3) array, got shape {pts.shape}")
-    if len(pts) < 4:
+    if pts.ndim != 2 or pts.shape[1] < 3:
+        raise ValueError(f"a hull needs an (m, n) array with n >= 3, got shape {pts.shape}")
+    m, n = pts.shape
+    if m <= n:
         return None
     w, c, s = _unit_frame(pts)
-    p = w.tolist()
-    x0, x1 = min(range(len(p)), key=p.__getitem__), max(range(len(p)), key=p.__getitem__)
-    d = w - w[x0]
-    x2 = int(((d * d).sum(axis=1) * (d[x1] @ d[x1]) - (d @ d[x1]) ** 2).argmax())
-    h = d @ np.array(_cross(d[x1], d[x2]))
-    x3 = int(np.abs(h).argmax())
-    # the tetrahedron's volume V = |h| / 6 bounds the unit frame's singular
-    # values by s3 / s1 >= V / (7 sqrt(m)), so past V = 1e-8 sqrt(m) the
-    # rank is surely 3 and the SVD of affine_frame is not needed
-    if abs(h[x3]) <= 6e-8 * math.sqrt(len(p)) and affine_frame(pts)[2] < 3:
+    base = _spread(w, n)
+    d = w - w[base[0]]
+    h = d @ np.array(_cofactors(d[base[1:]].tolist()))
+    apex = int(np.abs(h).argmax())
+    # |h[apex]| is n! times the simplex's volume.  Its edges are at most 2 s_n long along the unit
+    # frame's last singular axis and 2 sqrt(n) across it, so |h| <= n 2^n n^((n-1)/2) s_n; and
+    # s_1 <= sqrt(m n).  Past TOL_FEAS times those bounds the rank is surely n: no SVD is needed
+    if abs(h[apex]) <= TOL_FEAS * 2 ** n * n ** (n / 2 + 1) * math.sqrt(m) \
+            and affine_frame(pts)[2] < n:
         return None
-    facets = sorted(_quickhull(p, (x0, x2, x1, x3) if h[x3] > 0.0 else (x0, x1, x2, x3)))
+    # the base is out of turn when the apex lies above it or its order is odd
+    flip = bool(h[apex] > 0.0) != sum(i > j for i, j in combinations(base, 2)) % 2
+    p = w.tolist()
+    facets = sorted(_merge(w, p, _quickhull(p, tuple(sorted(base)), flip, apex)))
     planes = np.array([f[1] for f in facets])
-    incident = np.zeros(len(facets) * len(p), dtype=bool)
-    incident[[r * len(p) + i for r, f in enumerate(facets) for i in f[2]]] = True
-    return planes[:, :3].copy(), planes[:, 3].copy(), c, s, incident.reshape(len(facets), len(p))
+    incident = np.zeros(len(facets) * m, dtype=bool)
+    incident[[r * m + i for r, f in enumerate(facets) for i in f[0]]] = True
+    return planes[:, :n].copy(), planes[:, n].copy(), c, s, incident.reshape(len(facets), m)
 
 
-def _quickhull(p: list, tetra: tuple) -> list[tuple[tuple, tuple, list[int]]]:
-    """Facets (triple, plane, sorted vertices) of the hull of the points p,
-    coordinate triples of a full-dimensional set in its unit frame, started
-    from the tetrahedron tetra, whose last point lies below the others.
+def _spread(w: np.ndarray, count: int) -> list[int]:
+    """Indices of count rows of w: the least and the greatest in
+    lexicographic order, then each next the one farthest from the affine
+    hull of those before (the first on ties)."""
+    rows = w.tolist()
+    pick = [min(range(len(rows)), key=rows.__getitem__), max(range(len(rows)), key=rows.__getitem__)]
+    r = w - w[pick[0]]   # the parts of the points off the flat so far
+    while len(pick) < count:
+        u = r[pick[-1]] / (math.sqrt(r[pick[-1]] @ r[pick[-1]]) or 1.0)
+        r = r - np.outer(r @ u, u)
+        pick.append(int(np.einsum("ij,ij->i", r, r).argmax()))
+    return pick
 
-    Quickhull (Barber, Dobkin and Huhdanpaa, TOMS 1996): each step takes the
-    point farthest above a triangle, if more than _ON, removes the triangles
-    it sees (found by a walk from that one, by the exact side of their
-    planes) and joins it to their horizon; the points above the removed
-    triangles pass to the new ones.  Adjacent triangles whose far corners
-    lie within _ON of each other's plane form one facet, and a triangle
-    whose corners lie within _ON of one line (a sliver on points that
-    rounding moved off a hull edge) joins the first neighbour whose plane
-    they lie on.  Python floats do the work: per-step numpy calls would cost
-    more than the arithmetic on the few points of a typical body.
+
+def _quickhull(p: list, base: tuple, flip: bool, apex: int) -> list[tuple[list[int], list]]:
+    """Facets (sorted corners, plane) of the hull of the points p, coordinate
+    lists of a full-dimensional set in R^n in its unit frame, started from
+    the simplex of the sorted n-tuple base and the point apex below it (above
+    it when flip, as the base's corners are then out of turn).
+
+    Quickhull (Barber, Dobkin and Huhdanpaa, TOMS 1996): a facet is a sorted
+    n-tuple of points, a flag that says its order is out of turn, and its
+    neighbours across the ridges without each corner.  Each step takes the
+    point farthest above a facet, if more than _ON, removes the facets it
+    sees (found by a walk from that one, by the exact side of their planes)
+    and joins it to their horizon ridges; the points above the removed
+    facets pass to the new ones.  Python floats do the work: per-step numpy
+    calls would cost more than the arithmetic on a typical body's points.
     """
-    x0, x1, x2, x3 = tetra
-    tri = [(x0, x1, x2), (x0, x3, x1), (x1, x3, x2), (x2, x3, x0)]
-    plane = [_plane(p, *t) for t in tri]
-    out: list = [[], [], [], []]
-    _assign(p, [i for i in range(len(p)) if i not in tetra], range(4), plane, out)
-    edge = {}
-    for f, (a, b, c) in enumerate(tri):
-        edge[a, b] = edge[b, c] = edge[c, a] = f
-    pending, near = [f for f in range(4) if out[f]], []   # near: pairs that may be coplanar
+    n = len(base)
+    # _plane's normals are good to (n - 1)! (n - 1) sqrt(n) 1.1e-13 radians (8e-13 in R^3), and
+    # no two points are more than 2 sqrt(n) apart: a float distance past sure keeps its sign,
+    # and a nearer one is decided exactly
+    sure = 2.5e-13 * n * (n - 1) * math.factorial(n - 1)
+    tri, flips, plane, adj, out = [base], [flip], [_plane(p, base, flip)], [[0] * n], [[]]
+
+    def cone(horizon, eye):
+        """The facets that join eye to the ridges (face, odd, k, g, slot): face, flagged
+        odd, without its k-th corner, across which lies g's slot; linked to g and to each
+        other."""
+        ends = {}
+        for face, odd, k, g, slot in horizon:
+            ridge = face[:k] + face[k + 1:]
+            j = bisect(ridge, eye)
+            f, new = len(tri), ridge[:j] + (eye,) + ridge[j:]
+            tri.append(new)
+            flips.append(odd ^ (k - j) & 1)   # eye moves from slot k to slot j
+            plane.append(_plane(p, new, flips[f]))
+            out.append([])
+            adj.append(links := [g] * n)
+            adj[g][slot] = f
+            for i in range(n):
+                if i != j:
+                    if (end := ends.pop(key := new[:i] + new[i + 1:], None)) is None:
+                        ends[key] = f, i
+                    else:
+                        links[i], adj[end[0]][end[1]] = end[0], f
+        return range(len(tri) - len(horizon), len(tri))
+
+    new = cone([(base, not flip, k, 0, k) for k in range(n)], apex)   # the base turned over
+    _assign(p, [i for i in range(len(p)) if i != apex and i not in base], [0, *new], plane, out)
+    pending = [f for f in [0, *new] if out[f]]
     while pending:
         f = pending.pop()
         if not out[f]:
             continue
-        nx, ny, nz, _ = plane[f]
-        top = -math.inf
-        for i in out[f]:
-            x, y, z = p[i]
-            if nx * x + ny * y + nz * z > top:
-                top, eye = nx * x + ny * y + nz * z, i
-        q = qx, qy, qz = p[eye]
-        seen, close, walk, horizon = {f: True}, set(), [f], []
+        pl = plane[f]
+        height = [sum(map(mul, pl, p[i])) for i in out[f]]
+        eye = out[f][height.index(max(height))]
+        q = p[eye]
+        seen, walk, horizon = {f: True}, [f], []
         for t in walk:
-            a, b, c = tri[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                g = edge[v, u]
+            for k, g in enumerate(adj[t]):
                 sees = seen.get(g)
                 if sees is None:
-                    nx, ny, nz, off = plane[g]
-                    h = nx * qx + ny * qy + nz * qz - off
-                    sees = seen[g] = h > 0.0 if abs(h) > _SURE else _exact_sees(p, tri[g], q)
+                    pl = plane[g]
+                    h = sum(map(mul, pl, q)) - pl[-1]
+                    sees = seen[g] = h > 0.0 if abs(h) > sure else _exact_sees(p, tri[g], flips[g], eye)
                     if sees:
                         walk.append(g)
-                    elif abs(h) <= _ON:
-                        close.add(g)
                 if not sees:
-                    horizon.append((u, v, g))
+                    horizon.append((tri[t], flips[t], k, g, adj[g].index(t)))
         orphans = []
         for g in walk:
-            a, b, c = tri[g]
-            del edge[a, b], edge[b, c], edge[c, a]
             orphans += out[g]
             out[g] = None
-        new = range(len(tri), len(tri) + len(horizon))
-        for u, v, g in horizon:
-            if g in close:
-                near.append((len(tri), g))
-            edge[u, v] = edge[v, eye] = edge[eye, u] = len(tri)
-            tri.append((u, v, eye))
-            plane.append(_plane(p, u, v, eye))
-            out.append([])
-        for f in new:   # the next cone triangle (v, w, eye) may lie in f's plane
-            g = edge[eye, tri[f][1]]
-            nx, ny, nz, off = plane[f]
-            x, y, z = p[tri[g][1]]
-            if abs(nx * x + ny * y + nz * z - off) <= _ON:
-                near.append((f, g))
+        new = cone(horizon, eye)
         orphans.remove(eye)
         _assign(p, orphans, new, plane, out)
         pending += [g for g in new if out[g]]
-    live = [f for f in range(len(tri)) if out[f] is not None]
+    return [(list(tri[f]), plane[f]) for f in range(len(tri)) if out[f] is not None]
 
-    def lies_on(f, g):   # f's corners lie within _ON of g's plane
-        nx, ny, nz, off = plane[g]
-        return all(abs(nx * p[i][0] + ny * p[i][1] + nz * p[i][2] - off) <= _ON for i in tri[f])
 
-    def flat(f):   # f's corners lie within _ON of one line, so its plane is arbitrary
-        a, b, c = ([x - y for x, y in zip(p[i], p[tri[f][0]])] for i in tri[f])
-        return sum(x * x for x in _cross(b, c)) <= _ON ** 2 * max(
-            sum(x * x for x in e) for e in (b, c, [x - y for x, y in zip(c, b)]))
-
-    group = {}   # of the merged triangles: their set, shared by all of them
-    for f, g in near:
-        if out[f] is None or out[g] is None:
-            continue
-        on_g, on_f = lies_on(f, g), lies_on(g, f)
-        # a flat triangle joins the first neighbour it lies on, and no other
-        if on_g and (on_f or f not in group and flat(f)) or on_f and g not in group and flat(g):
+def _merge(w: np.ndarray, p: list, facets: list) -> list[tuple[list[int], list]]:
+    """The facets (corners, plane) of ``_quickhull`` on the points w (p as
+    lists), with each set that is one facet merged: two facets whose common
+    points within _ON of both planes have affine rank n - 1, and a flat one,
+    whose corners have a lower rank (a sliver on points that rounding moved
+    off a ridge), with the first facet on whose plane they all lie, and no
+    other.  A merged facet lies on the ``_plane`` of n of its corners that
+    ``_spread`` picks, outward as the facets it merges, moved out to the
+    highest of the others; and the rules run again on the merged facets."""
+    n, first = w.shape[1], True
+    while True:
+        planes = np.array([f[1] for f in facets])
+        on = np.abs(w @ planes[:, :n].T - planes[:, n]) <= _ON   # (points, facets)
+        if first and np.count_nonzero(on) == n * len(facets):   # each on its corners alone
+            return facets
+        # two facets share n points only if one is merged or on more than its n corners
+        beyond = np.flatnonzero((np.add.reduce(on, axis=0) > n) | [len(f[0]) > n for f in facets])
+        x, y = np.nonzero(on[:, beyond].T.astype(np.float64) @ on >= n)
+        pairs = np.unique(np.minimum(beyond[x], y) * len(facets) + np.maximum(beyond[x], y))
+        pairs = np.column_stack(np.divmod(pairs, len(facets)))
+        flat = lru_cache(None)(lambda f: len(facets[f][0]) == n
+                               and affine_frame(w[facets[f][0]])[2] < n - 1)
+        group, ranks = {}, {}   # of the merged facets: their set, shared by all of them
+        for f, g in pairs[pairs[:, 0] != pairs[:, 1]].tolist():
+            if g in group.get(f, ()):
+                continue
+            common = on[:, f] & on[:, g]
+            if (key := common.tobytes()) not in ranks:   # many pairs share one set
+                ranks[key] = affine_frame(w[common])[2]
+            if ranks[key] < n - 1:   # a flat facet joins the first it lies on that is not flat
+                e, other = (f, g) if flat(f) else (g, f)
+                if e in group or not flat(e) or flat(other) or not on[facets[e][0], other].all():
+                    continue
             merged = group.get(f, {f}) | group.get(g, {g})
             group.update(dict.fromkeys(merged, merged))
-    facets = [(tuple(sorted(tri[f])), plane[f], sorted(tri[f])) for f in live if f not in group]
-    for f in live:
-        if f in group and f == min(group[f]):
-            verts = sorted({i for e in group[f] for i in tri[e]})
-            t = _largest_triple(np.array([p[i] for i in verts]), verts)
-            pl = _plane(p, *t)   # outward as the triangles
-            up = pl[0] * plane[f][0] + pl[1] * plane[f][1] + pl[2] * plane[f][2] > 0.0
-            facets.append((t, pl if up else tuple(-x for x in pl), verts))
-    return facets
-
-
-def _largest_triple(q: np.ndarray, verts: list[int]) -> tuple[int, int, int]:
-    """The triple of verts (sorted; q holds their points) of largest area,
-    the first in lexicographic order on ties: one array pass per first
-    point, so a facet of k vertices costs k numpy passes."""
-    best, top = None, -1.0
-    for a in range(len(verts) - 2):
-        e = q[a + 1:] - q[a]
-        area = np.sqrt((np.cross(e[:, None], e) ** 2).sum(axis=2))
-        area[np.tri(len(e), dtype=bool)] = -1.0   # pairs (j, k) with j < k only
-        j, k = divmod(int(area.argmax()), len(e))
-        if area[j, k] > top:
-            best, top = (verts[a], verts[a + 1 + j], verts[a + 1 + k]), area[j, k]
-    return best
+        if not group:
+            return facets
+        merged = [facets[f] for f in range(len(facets)) if f not in group]
+        for f in sorted(group):
+            if f == min(group[f]):
+                corners = sorted({i for e in group[f] for i in facets[e][0]})
+                t = tuple(sorted(corners[i] for i in _spread(w[corners], n)))
+                pl = _plane(p, t, False)
+                if sum(map(mul, pl[:n], facets[f][1])) < 0.0:   # outward as the facets it merges
+                    pl = [-x for x in pl]
+                pl[-1] = max(sum(map(mul, pl, p[i])) for i in corners)   # no corner above it
+                merged.append((corners, pl))
+        facets, first = merged, False
 
 
 def _assign(p, points, facets, plane, out) -> None:
     """Put each point on the outside list of the first facet it lies more
     than _ON above."""
     for i in points:
-        x, y, z = p[i]
+        q = p[i]
         for f in facets:
-            nx, ny, nz, off = plane[f]
-            if nx * x + ny * y + nz * z - off > _ON:
+            pl = plane[f]
+            if sum(map(mul, pl, q)) - pl[-1] > _ON:
                 out[f].append(i)
                 break
 
 
-def _plane(p, i: int, j: int, k: int) -> tuple[float, float, float, float]:
-    """(nx, ny, nz, b): the plane n.x = b through p[i], p[j], p[k], with the
-    unit normal n that makes them counter-clockwise, from the edges that
-    leave the point of least index; where their sine is below 1e-3 the cross
-    product is exact, so the normal is good to 8e-13 radians."""
-    if j < i and j < k:
-        i, j, k = j, k, i
-    elif k < i:
-        i, j, k = k, i, j
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p[i], p[j], p[k]
-    ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
-    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-    nn = nx * nx + ny * ny + nz * nz
-    if nn < 1e-6 * (ux * ux + uy * uy + uz * uz) * (vx * vx + vy * vy + vz * vz):
-        nx, ny, nz = map(float, _exact_normal(p[i], p[j], p[k]))
+def _plane(p, t: tuple, flip: bool) -> list[float]:
+    """[a_1, ..., a_n, b]: the hyperplane a.x = b through the points p[t], t
+    sorted, with the unit normal a of the ``_cofactors`` of the edges that
+    leave p[t[0]], turned over when flip; where their sine (the volume over
+    the product of the edge lengths) is below 1e-3 the cofactors are exact."""
+    if len(t) == 3:   # the cross product, unrolled, as most bodies are in R^3
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p[t[0]], p[t[1]], p[t[2]]
+        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
         nn = nx * nx + ny * ny + nz * nz
-    s = math.sqrt(nn)
-    nx, ny, nz = nx / s, ny / s, nz / s
-    return nx, ny, nz, nx * ax + ny * ay + nz * az
+        if nn >= 1e-6 * (ux * ux + uy * uy + uz * uz) * (vx * vx + vy * vy + vz * vz):
+            s = -math.sqrt(nn) if flip else math.sqrt(nn)
+            nx, ny, nz = nx / s, ny / s, nz / s
+            return [nx, ny, nz, nx * ax + ny * ay + nz * az]
+    x0 = p[t[0]]
+    e = [list(map(sub, p[i], x0)) for i in t[1:]]
+    normal, bound = _cofactors(e), 1e-6
+    for r in e:
+        bound *= sum(map(mul, r, r))
+    if sum(map(mul, normal, normal)) < bound:
+        normal = _cofactors(_exact_edges(p, t))
+        shift = max(abs(x).bit_length() for x in normal) - 60   # to floats near 2^60
+        normal = [x / 2 ** shift for x in normal]
+    s = math.sqrt(sum(map(mul, normal, normal)))
+    a = [x / (-s if flip else s) for x in normal]
+    a.append(sum(map(mul, a, x0)))
+    return a
 
 
-def _cross(u, v) -> tuple:
-    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+@lru_cache(maxsize=None)
+def _laplace(n: int) -> tuple:
+    """The plan of ``_cofactors`` in R^n: the column pairs, then per size
+    r = 3 .. n - 1 the column r-subsets as terms (j, k, sign), k the place of
+    the subset without column j in the size before.  The last size, in
+    reverse lexicographic order, holds the subsets without column i = 0, 1, ..
+    and carries the cofactor signs (-1)^(n - 1 + i): pairs by their order."""
+    sizes = [list(combinations(range(n), r))[::-1] for r in range(2, n)]
+    sign = dict(zip(sizes[-1], ((-1) ** (n - 1 + i) for i in range(n))))
+    return [c[::sign.get(c, 1)] for c in sizes[0]], [
+        [[(c[t], before.index(c[:t] + c[t + 1:]), (-1) ** t * sign.get(c, 1)) for t in range(r)]
+         for c in size] for r, before, size in zip(range(3, n), sizes, sizes[1:])]
 
 
-def _exact_normal(a, b, c) -> tuple:
-    """(b - a) x (c - a) in exact rationals."""
-    a = [Fraction(x) for x in a]
-    return _cross([Fraction(x) - y for x, y in zip(b, a)], [Fraction(x) - y for x, y in zip(c, a)])
+def _cofactors(e: list) -> list:
+    """The normal N of n - 1 rows e of n numbers (floats or integers), with
+    N.x = det([e; x]) (the cross product in R^3): the 2 x 2 minors of e's
+    last two rows, expanded a row up at a time along that row (Laplace)."""
+    pairs, sizes = _laplace(len(e[0]))
+    a, b = e[-2], e[-1]
+    minors = [a[i] * b[j] - a[j] * b[i] for i, j in pairs]
+    for row, size in zip(e[-3::-1], sizes):
+        minors = [sum(s * row[j] * minors[k] for j, k, s in terms) for terms in size]
+    return minors
 
 
-def _exact_sees(p, t, q) -> bool:
-    """Does q lie strictly above the plane of the triangle t, by the exact
-    orientation determinant?"""
-    a = p[t[0]]
-    return sum(x * (Fraction(y) - Fraction(z)) for x, y, z in
-               zip(_exact_normal(a, p[t[1]], p[t[2]]), q, a)) > 0
+def _exact_edges(p, t: tuple) -> list[list[int]]:
+    """The edges p[i] - p[t[0]], i in t[1:], exactly: as integers, scaled by
+    the one power of two that makes every coordinate of the points whole."""
+    ratios = [[x.as_integer_ratio() for x in p[i]] for i in t]
+    scale = max(d for row in ratios for _, d in row)
+    whole = [[x * (scale // d) for x, d in row] for row in ratios]
+    return [list(map(sub, row, whole[0])) for row in whole[1:]]
+
+
+def _exact_sees(p, t: tuple, flip: bool, eye: int) -> bool:
+    """Does p[eye] lie strictly above the plane of the facet t, by the exact
+    sign of det([edges; p[eye] - p[t[0]]])?"""
+    *e, up = _exact_edges(p, (*t, eye))
+    side = sum(map(mul, _cofactors(e), up))
+    return side < 0 if flip else side > 0
 
 
 def _hull_skeleton(v: np.ndarray) -> _Hull | None:
-    """The ``_Hull`` record of a 3-D point set, from the facets of ``_hull``
-    on its distinct points (``_distinct_indices``), with indices into v;
-    None when the set is flat.
+    """The ``_Hull`` record of a point set in R^n, n >= 3, from the facets of
+    ``_hull`` on its distinct points (``_distinct_indices``), with indices
+    into v; None when the set is flat.
 
-    The extreme points are those on at least three facets.  An edge is a
-    pair of facets with three or more extreme points that share exactly
-    two; its pairs come as sorted rows (i, j) with i < j, and its exterior
-    angle, the angle between the two facets' unit outward normals a_f and
-    a_g, is atan2(|a_f x a_g|, a_f . a_g), which keeps its digits near 0
-    and pi.  Those facets are the ones of the hull of the extreme points, so
-    V - E + F = 2.  Of the ends of an edge shorter than TOL_FEAS of the
-    set's extent the first stands for both, as of equal points: the other
-    is dropped and the hull of the rest read again.  The facets and frame
-    stay those of the whole set, so that every point lies below them.
+    A point is extreme when it lies on at least n facets and no other point
+    lies on every facet through it.  In R^3 the record adds the edges: an
+    edge is a pair of facets with three or more extreme points that share
+    exactly two; its pairs come as sorted rows (i, j) with i < j, and its
+    exterior angle, the angle between the two facets' unit outward normals
+    a_f and a_g, is atan2(|a_f x a_g|, a_f . a_g), which keeps its digits
+    near 0 and pi.  Those facets are the ones of the hull of the extreme
+    points, so V - E + F = 2.  Of the ends of an edge shorter than TOL_FEAS
+    of the set's extent the first stands for both, as of equal points: the
+    other is dropped and the hull of the rest read again.  The facets and
+    frame stay those of the whole set, so that every point lies below them.
     """
     keep = np.array(_distinct_indices(v))
     if (hull := _hull(v[keep])) is None:
         return None
-    whole, tol = hull[:4], (TOL_FEAS * hull[3]) ** 2
+    n, whole, tol = v.shape[1], hull[:4], (TOL_FEAS * hull[3]) ** 2
     while True:
-        on = hull[4] & (hull[4].sum(axis=0) >= 3)
+        extreme = hull[4].sum(axis=0) >= n
+        if n > 3:   # a point inside an edge may lie on n facets, all through the edge's ends
+            count = hull[4][:, corners := np.flatnonzero(extreme)].astype(np.float64)
+            share = count.T @ count   # share[i, j]: the facets through both corners
+            np.fill_diagonal(within := share == share.diagonal()[:, None], False)
+            extreme[corners[within.any(axis=1)]] = False
+            return _read_only(_Hull(keep[extreme], None, None, *whole))
+        on = hull[4] & extreme
         rows = on.sum(axis=1) >= 3
         on, a = on[rows], hull[0][rows]
         f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))

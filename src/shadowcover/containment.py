@@ -12,9 +12,10 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   order of the array formulas, as a shadow has only a few edges;
 * a whole K from R^3 up, or in the plane when L has more than 48 edges or
   the planar witness fails its check: the same LP over the facets (edges)
-  of L's hull record, in the one frame where L's polar points have unit
-  second moment, solved by ``lp.solve_from`` from the slack basis; its dual
-  maps onto the V-form LP over convex-combination variables;
+  of L's hull record, which one Quickhull builds in every dimension, in the
+  one frame where L's polar points have unit second moment, solved by
+  ``lp.solve_from`` from the slack basis; its dual, solved afresh from the
+  final basis, maps onto the V-form LP over convex-combination variables;
 * a flat L: both bodies in L's ``affine_frame``, by the routes above, or
   sigma = 0 when K's directions leave L's.
 
@@ -44,17 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 
 import numpy as np
 
 from . import lp
 from .bodies import (
     Polytope,
-    _binomials,
-    _combinations,
-    _minors,
-    _subset_blocks,
     affine_frame,
     canonical_vertex_indices,
     canonicalize,
@@ -111,6 +108,53 @@ _MAX_RAY_SUBSETS = 135_751
 # threshold, so that a block's temporaries reuse heap memory instead of
 # faulting in fresh pages on every call
 _BLOCK_BYTES = 120_000
+
+
+@lru_cache(maxsize=64)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
+
+
+@lru_cache(maxsize=64)
+def _binomials(m: int, k: int) -> np.ndarray:
+    """(k + 1, m): row j holds C(x, j) for x in range(m); small, so cached."""
+    return np.array([[math.comb(x, j) for x in range(m)] for j in range(k + 1)], np.int64)
+
+
+def _subset_blocks(m: int, k: int, cap: int):
+    """``_combinations(m, k)`` in blocks of at most cap rows, cached when one block holds them
+    all, else unranked a block at a time: row r reflected by x -> m - 1 - x is the subset of colex
+    rank C(m, k) - 1 - r, read greedily off ``_binomials`` (Knuth, TAOCP 7.2.1.3)."""
+    if (total := math.comb(m, k)) <= cap:
+        yield _combinations(m, k)
+        return
+    table = _binomials(m, k)
+    for start in range(total - 1, -1, -cap):
+        rank = np.arange(start, max(start - cap, -1), -1)
+        rows = np.empty((len(rank), k), np.intp)
+        for j in range(k, 0, -1):
+            x = table[j].searchsorted(rank, side="right") - 1
+            rank -= table[j].take(x)
+            rows[:, k - j] = m - 1 - x
+        yield rows
+
+
+def _minors(e: np.ndarray) -> np.ndarray:
+    """(C(n, k), B): the k x k minors of B k x n matrices, given as (k, n, B), over the
+    lexicographic column k-subsets, by Laplace expansion along each next row, summed in place on
+    the rows of B entries, whose cofactor sign (-1)^r comes at the end."""
+    k, n, _ = e.shape
+    minors = {(j,): e[0, j] for j in range(n)}
+    for r in range(1, k):
+        row, expanded = e[r], {}
+        for cols in combinations(range(n), r + 1):
+            acc = expanded[cols] = row[cols[0]] * minors[cols[1:]]
+            for t in range(1, r + 1):
+                term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
+                (np.subtract if t % 2 else np.add)(acc, term, out=acc)
+        minors = expanded
+    return np.stack(list(minors.values())) * (-1.0) ** (k * (k - 1) // 2)
 
 
 def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ tableau simplex with Bland's anti-cycling rule; free variables are split into
 differences of nonnegative parts.  A solve starts one of two ways: ``solve``
 finds a feasible basis itself (phase 1 over artificial variables), and
 ``solve_from`` takes one from the caller and runs phase 2 alone.  Both end in
-the same phase-2 run, read the dual off the final tableau and solve the final
-basis afresh for z, the same way.
+the same phase-2 run, which solves the final basis afresh for z and for the
+dual.
 
 Every verdict carries a certificate: optimal outcomes return a dual vector
 (weak duality and complementary slackness hold within tolerance), infeasible
@@ -159,16 +159,13 @@ def _split_free(nonneg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.ndarray,
-            col_sgn: np.ndarray, start: np.ndarray, start_inv: np.ndarray,
-            max_iter: int) -> LpOutcome | None:
-    """Phase 2 from a feasible tableau T = B^-1 [A_ext | b], where ``solve``
-    keeps its artificial columns before b; None on a stall.
+            col_sgn: np.ndarray, rows: np.ndarray, max_iter: int) -> LpOutcome | None:
+    """Phase 2 from a feasible tableau T = B^-1 [A_ext | b] on the problem's
+    ``rows`` (``solve`` drops a redundant one); None on a stall.
 
-    The columns ``start`` were the identity at the starting basis S, with
-    S^-1 = ``start_inv``; they end as B^-1 S, which gives the dual c_B B^-1.
-    The basic values are solved afresh from B, unless ``solve`` dropped a
-    redundant row: the tableau's carry the rounding of every pivot, which a
-    small pivot grows.
+    The basic values z_B and the dual y solve B z_B = b and y B = c_B afresh
+    from the final basis, with y = 0 on a dropped row: the tableau's carry
+    the rounding of every pivot, which a small pivot grows.
     """
     c = problem.c
     c_ext = c[col_var] * col_sgn
@@ -186,15 +183,16 @@ def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.nd
         d_ext[basis] = -T[:m, j]
         ray = np.bincount(col_var, weights=col_sgn * d_ext[:n_ext], minlength=c.shape[0])
         return LpOutcome(UNBOUNDED) if _ray_checks(problem, ray) else None
+    bmat = problem.A[rows][:, col_var[basis]] * col_sgn[basis]
+    dual = np.zeros(problem.b.shape[0])
     try:
-        values = (np.linalg.solve(problem.A[:, col_var[basis]] * col_sgn[basis], problem.b)
-                  if m == problem.b.shape[0] else T[:m, -1])
+        values = np.linalg.solve(bmat, problem.b[rows])
+        dual[rows] = np.linalg.solve(bmat.T, c_ext[basis])
     except np.linalg.LinAlgError:
         return None
     z_ext = np.zeros(n_ext)
     z_ext[basis] = np.maximum(values, 0.0)
     z = np.bincount(col_var, weights=col_sgn * z_ext, minlength=c.shape[0])
-    dual = (c_ext[basis] @ T[:m, start]) @ start_inv
     return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual) \
         if _certified(problem, z, dual) else None
 
@@ -266,9 +264,7 @@ def _solve_once(problem: LpProblem) -> LpOutcome | None:
         y = np.where(basis >= n_ext, -1.0, 0.0) @ T[:m, n_ext:n_ext + m]
         return LpOutcome(INFEASIBLE, dual=-(srow * y))
 
-    # drive leftover artificials out of the basis (or drop redundant rows);
-    # the artificial block keeps tracking the row operations, so the dual
-    # stays a valid multiplier set for all m original rows
+    # drive leftover artificials out of the basis, or drop redundant rows
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n_ext:
@@ -277,11 +273,9 @@ def _solve_once(problem: LpProblem) -> LpOutcome | None:
                 _pivot(T, basis, i, int(structural[0]))
             else:
                 keep[i] = False  # redundant constraint
-    if not keep.all():
-        T = T[np.r_[np.nonzero(keep)[0], m]]
-        basis = basis[keep]
-    return _phase2(T, basis, problem, col_var, col_sgn, np.arange(n_ext, n_ext + m),
-                   np.diag(srow), max_iter)
+    rows = np.flatnonzero(keep)
+    return _phase2(T[np.r_[rows, m]][:, np.r_[:n_ext, -1]], basis[keep], problem, col_var,
+                   col_sgn, rows, max_iter)
 
 
 def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
@@ -316,6 +310,5 @@ def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
         return None
     # a nonnegative column is not split, so its extended index is that of
     # its positive part
-    ext_basis = np.flatnonzero(col_sgn > 0.0)[basis]
-    return _phase2(T, ext_basis.copy(), problem, col_var, col_sgn, ext_basis, binv,
-                   2000 + 40 * (m + n_ext))
+    return _phase2(T, np.flatnonzero(col_sgn > 0.0)[basis], problem, col_var, col_sgn,
+                   np.arange(m), 2000 + 40 * (m + n_ext))

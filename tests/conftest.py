@@ -16,7 +16,8 @@ def lp_calls(monkeypatch):
 
 @pytest.fixture
 def hull_calls(monkeypatch):
-    """Point counts of the Quickhulls (``bodies._hull``) built from here on."""
+    """Point counts of the hulls built from here on, in every dimension by the
+    one Quickhull (``bodies._hull``)."""
     calls = []
     original = bodies._hull
     monkeypatch.setattr(bodies, "_hull", lambda p: calls.append(len(p)) or original(p))

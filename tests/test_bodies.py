@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -606,6 +607,24 @@ def test_hull_records_in_r4_and_r5_match_scipy():
         assert _check_record_against_scipy(np.vstack([cross, cross.mean(axis=0)])) == 2 ** n
 
 
+def test_jittered_cubes_keep_no_partial_facets():
+    # a facet of the record is all the points within 1e-12 of its plane in the record's unit
+    # frame, and no two facets share points of affine rank n - 1: jitter that leaves co-facial
+    # points just past 1e-12 of different planes must not leave one cube facet as several
+    # overlapping partial ones
+    for jitter, n in product((1e-13, 3e-13), (3, 4, 5)):
+        rng = np.random.default_rng(1)
+        cube = np.array(list(product([0.0, 1.0], repeat=n)))
+        for _ in range(20):
+            pts = cube + jitter * rng.standard_normal(cube.shape)
+            record = Polytope(pts)._hull_record
+            on = np.abs((pts - record.c) / record.s @ record.a.T - record.b) <= 1e-12
+            share = on.T.astype(int) @ on
+            for f, g in zip(*np.nonzero(np.triu(share >= n, 1))):
+                common = pts[on[:, f] & on[:, g]]
+                assert np.linalg.matrix_rank(common[1:] - common[0], tol=1e-9) < n - 1
+
+
 def test_r4_records_serve_canonicalize_and_refuse_edges(lp_calls):
     # a full body in R^4 hands its record on to its canonical body, with no
     # edges to renumber, and edges asks for affine dimension 3 as before
@@ -658,16 +677,28 @@ def test_r4_and_r5_records_flat_exactly_when_affine_dim_says_so():
 
 
 def test_large_r4_record_builds_no_whole_enumeration():
-    # the record of a 48-point body in R^4 runs through its C(48, 4) vertex
-    # 4-subsets, 5.9 MB as one index array; blocks that are unranked one at a
-    # time keep the traced peak of the whole build below half of that
+    # the C(48, 4) vertex 4-subsets of a 48-point body in R^4 are 5.9 MB as
+    # one index array; the traced peak of the whole record build stays below
+    # half of that
     spatial = pytest.importorskip("scipy.spatial")
     pts = np.random.default_rng(19).standard_normal((48, 4))
     tracemalloc.start()
     try:
-        record = bodies._facet_record(pts)
+        record = bodies._hull_skeleton(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * math.comb(48, 4) * 4 * 8
     assert record.extreme.tolist() == sorted(spatial.ConvexHull(pts).vertices.tolist())
+
+
+def test_large_r4_and_r5_records_match_scipy_in_seconds():
+    # a 100-point R^4 and a 60-point R^5 cloud have 3.9 M and 5.5 M vertex n-subsets; a record's
+    # work follows its facets (about 200 and 500)
+    rng = np.random.default_rng(23)
+    for n, m in ((4, 100), (5, 60)):
+        pts = rng.standard_normal((m, n))
+        start = time.perf_counter()
+        Polytope(pts)._hull_record
+        assert time.perf_counter() - start < 2.0
+        _check_record_against_scipy(pts)

@@ -717,7 +717,7 @@ def test_dual_rays_match_an_enumeration_in_order(m, f):
     assert a.shape == (f, 3)
     u = np.linalg.svd(a, full_matrices=False)[0]
     triples = list(combinations(range(f), 3))
-    det = dict(zip(triples, bodies._minors(u.T[:, np.array(triples).T].swapaxes(0, 1))[0]))
+    det = dict(zip(triples, containment._minors(u.T[:, np.array(triples).T].swapaxes(0, 1))[0]))
     sets = np.array(list(combinations(range(f), 4)))
     minors = np.array([[(-1) ** t * det[s[:t] + s[t + 1:]] for t in range(4)]
                        for s in map(tuple, sets)])
@@ -738,7 +738,7 @@ def test_dual_rays_match_an_enumeration_in_order(m, f):
     assert np.abs(got_c - want[1][1]).max(initial=0.0) <= 1e-14
     for n, count in ((3, f), (2, 48)):
         cap = containment._BLOCK_BYTES // (8 * (n + 1))
-        blocks = list(bodies._subset_blocks(count, n + 1, cap))
+        blocks = list(containment._subset_blocks(count, n + 1, cap))
         want = [list(r) for r in combinations(range(count), n + 1)]
         assert np.concatenate(blocks).tolist() == want
         assert all(b.nbytes <= containment._BLOCK_BYTES for b in blocks)
@@ -909,14 +909,12 @@ def test_planar_shadow_fits_of_built_covers_match_highs():
     assert shapes == {3, 4}
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_fits_in_r4_and_r5_match_highs(n):
-    # sigma and eps*_d read L's enumerated facets and their dual rays; HiGHS
-    # solves the LP over convex combinations, on clouds, on clouds with
-    # interior and repeated points, and on slabs 1e-8 thick at an offset of
-    # 1e3 with K in the same slab.  A coordinate's rounding, 1e-16 of the
-    # extent, is 1e-8 of such a slab's thickness, and moves sigma by up to
-    # 1e-6: that is the slabs' tolerance, 1e-9 the others'
+def _r4_r5_pairs(n):
+    """(K, L, slab, rel) in R^n: clouds, clouds with interior and repeated
+    points, and slabs 1e-8 thick at an offset of 1e3 with K in the same
+    slab.  A coordinate's rounding, 1e-16 of the extent, is 1e-8 of such a
+    slab's thickness, and moves sigma by up to 1e-6: that is the slabs'
+    tolerance, 1e-9 the others'."""
     rng = np.random.default_rng(229 + n)
     for i in range(12):
         rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -929,10 +927,17 @@ def test_fits_in_r4_and_r5_match_highs(n):
             kv = np.vstack([kv, kv.mean(axis=0), kv[0]])
             lv = np.vstack([lv, lv.mean(axis=0), lv[1]])
         offset, rel = (1e3, 1e-6) if i % 3 == 2 else (rng.uniform(-2.0, 2.0), 1e-9)
-        k, l = Polytope(kv + offset), Polytope(lv + offset)
+        yield Polytope(kv + offset), Polytope(lv + offset), i % 3 == 2, rel
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fits_in_r4_and_r5_match_highs(n):
+    # sigma and eps*_d read L's facets and their dual rays; HiGHS solves the
+    # LP over convex combinations (see _r4_r5_pairs for the cases)
+    for k, l, slab, rel in _r4_r5_pairs(n):
         fit = scale_fit(k, l)
         assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=rel)
-        if i % 3 != 2:   # a slab's multipliers grow as 1 / thickness, and its replay LP fails
+        if not slab:   # a slab's multipliers grow as 1 / thickness, and its replay LP fails
             # the witness replays, and the multipliers, mapped back from the LP's frame,
             # certify sigma from above
             assert fit_replays(k, l, fit)
@@ -944,3 +949,31 @@ def test_fits_in_r4_and_r5_match_highs(n):
         for d in range(1, n):
             want = highs_subset_sigmas(k.vertices, l.vertices, d + 1)[1].min()
             assert min_subset_sigma(k, l, d + 1) == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_slab_fits_solve_their_dual_afresh(monkeypatch, n):
+    # on the slabs of _r4_r5_pairs the facet LP's ratio test admits pivots of
+    # 1e-9 to 1e-7, whose rounding the tableau keeps; the dual of every fit of
+    # the whole K and its subsets, solved afresh from the final basis, meets
+    # y.A >= c to 1e-12 of its largest term
+    fits, solve_from = [], lp.solve_from
+
+    def spy(problem, basis):
+        fits.append((problem, out := solve_from(problem, basis)))
+        return out
+
+    monkeypatch.setattr(lp, "solve_from", spy)
+    for k, l, slab, _ in _r4_r5_pairs(n):
+        if slab:
+            scale_fit(k, l)
+            for d in range(1, n):
+                for rows in combinations(range(k.nverts), d + 1):
+                    scale_fit(Polytope(k.vertices[list(rows)]), l)
+    assert len(fits) > 100
+    for problem, out in fits:
+        if out is not None and out.status == lp.OPTIMAL:
+            slack = out.dual @ problem.A - problem.c
+            terms = np.abs(out.dual) @ np.abs(problem.A) + np.abs(problem.c)
+            assert slack[problem.nonneg].min() >= -1e-12 * terms.max()
+            assert np.abs(slack[~problem.nonneg]).max() <= 1e-12 * terms.max()

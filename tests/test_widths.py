@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import hull2d, perimeter2d
+from oracles import highs_sigma, hull2d, perimeter2d
 
-from shadowcover import bodies, widths
+from shadowcover import bodies, containment, widths
 from shadowcover.bodies import (
     Polytope,
     canonical_vertex_indices,
@@ -14,6 +14,7 @@ from shadowcover.bodies import (
     scale,
     translate,
 )
+from shadowcover.containment import min_subset_sigma, scale_fit
 from shadowcover.core import Subspace, haar_subspaces
 from shadowcover.widths import (
     corollary_checks,
@@ -134,6 +135,27 @@ def test_mean_width_exact_reads_one_hull_skeleton(monkeypatch, hull_calls):
         mean_width_exact(flat)
     with pytest.raises(ValueError, match="full-dimensional"):
         kubota_check(flat, 50, np.random.default_rng(0))
+
+
+def test_r4_fits_read_one_hull_per_body(monkeypatch, hull_calls):
+    # the R^4 twin of the test above: canonicalize, scale_fit and the subset
+    # fits on a Gaussian pair build one Quickhull per body, and no affine rank
+    rng = np.random.default_rng(59)
+    k, l = Polytope(0.5 * rng.standard_normal((9, 4))), Polytope(rng.standard_normal((12, 4)))
+
+    def refuse(*args):
+        raise AssertionError("an R^4 fit took the affine rank")
+
+    for module in (bodies, containment):
+        monkeypatch.setattr(module, "affine_frame", refuse)
+    kc = canonicalize(k)
+    sigma = scale_fit(kc, l).sigma
+    eps = [min_subset_sigma(k, l, d + 1) for d in range(1, 5)]
+    assert sorted(hull_calls) == [9, 12]
+    monkeypatch.undo()
+    # eps*_d falls with d, to the whole K's sigma for n + 1 points (Helly)
+    assert sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=1e-9)
+    assert eps == sorted(eps, reverse=True) and eps[-1] == pytest.approx(sigma, rel=1e-9)
 
 
 def test_mean_width_mc_ball_surrogate():
