@@ -169,9 +169,9 @@ def _unit_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """v centred on its mean c and divided by its extent s = max |v - c|, and
     c and s (s = 0 for one repeated point, then only centred).  Hulls keep
     their combinatorics, and absolute tolerances become relative to size."""
-    c = v.mean(axis=0)
+    c = np.add.reduce(v, axis=0) / len(v)   # v.mean(axis=0), without its Python layer
     d = v - c
-    s = float(np.abs(d).max())
+    s = float(np.maximum.reduce(np.abs(d), axis=None))
     return (d / s if s > 0.0 else d), c, s
 
 
@@ -293,41 +293,48 @@ def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray
     if m <= n:
         return None
     w, c, s = _unit_frame(pts)
-    base = _spread(w, n)
-    d = w - w[base[0]]
-    h = d @ np.array(_cofactors(d[base[1:]].tolist()))
+    p = w.tolist()
+    base, volume = _spread(w, p, n)
+    base = tuple(sorted(base))
+    pl = _plane(p, base, False)   # of zero normal when the base is flat
+    h = w @ pl[:n] - pl[n]
     apex = int(np.abs(h).argmax())
-    # |h[apex]| is n! times the simplex's volume.  Its edges are at most 2 s_n long along the unit
-    # frame's last singular axis and 2 sqrt(n) across it, so |h| <= n 2^n n^((n-1)/2) s_n; and
+    # volume is n! times the simplex's.  Its edges are at most 2 s_n long along the unit frame's
+    # last singular axis and 2 sqrt(n) across it, so volume <= n 2^n n^((n-1)/2) s_n; and
     # s_1 <= sqrt(m n).  Past TOL_FEAS times those bounds the rank is surely n: no SVD is needed
-    if abs(h[apex]) <= TOL_FEAS * 2 ** n * n ** (n / 2 + 1) * math.sqrt(m) \
+    if (volume := volume * abs(h[apex])) <= TOL_FEAS * 2 ** n * n ** (n / 2 + 1) * math.sqrt(m) \
             and affine_frame(pts)[2] < n:
         return None
-    # the base is out of turn when the apex lies above it or its order is odd
-    flip = bool(h[apex] > 0.0) != sum(i > j for i, j in combinations(base, 2)) % 2
-    p = w.tolist()
-    facets = sorted(_merge(w, p, _quickhull(p, tuple(sorted(base)), flip, apex)))
+    flip = bool(h[apex] > 0.0) if abs(h[apex]) > _sure(n) else _exact_sees(p, base, False, apex)
+    facets = sorted(_quickhull(p, base, flip, apex))
     planes = np.array([f[1] for f in facets])
+    on = np.abs(w @ planes[:, :n].T - planes[:, n]) <= _ON   # (points, facets)
+    if np.count_nonzero(on) == n * len(facets):   # each facet on its n corners alone
+        return planes[:, :n].copy(), planes[:, n].copy(), c, s, on.T
+    facets, planes = _merge(w, p, facets)
     incident = np.zeros(len(facets) * m, dtype=bool)
     incident[[r * m + i for r, f in enumerate(facets) for i in f[0]]] = True
     return planes[:, :n].copy(), planes[:, n].copy(), c, s, incident.reshape(len(facets), m)
 
 
-def _spread(w: np.ndarray, count: int) -> list[int]:
-    """Indices of count rows of w: the least and the greatest in
-    lexicographic order, then each next the one farthest from the affine
-    hull of those before (the first on ties)."""
-    rows = w.tolist()
+def _spread(w: np.ndarray, rows: list, count: int) -> tuple[list[int], float]:
+    """(pick, volume): the indices of count rows of w (rows as lists), the
+    least and the greatest in lexicographic order, then each next the one
+    farthest from the affine hull of those before (the first on ties); and
+    the product of those distances, (count - 1)! times their simplex's volume."""
     pick = [min(range(len(rows)), key=rows.__getitem__), max(range(len(rows)), key=rows.__getitem__)]
-    r = w - w[pick[0]]   # the parts of the points off the flat so far
-    while len(pick) < count:
-        u = r[pick[-1]] / (math.sqrt(r[pick[-1]] @ r[pick[-1]]) or 1.0)
-        r = r - np.outer(r @ u, u)
-        pick.append(int(np.einsum("ij,ij->i", r, r).argmax()))
-    return pick
+    r, volume = w - w[pick[0]], 1.0   # r: the parts of the points off the flat so far
+    while True:
+        u = r[pick[-1]]
+        volume *= (norm := math.sqrt(u @ u))
+        if len(pick) == count:
+            return pick, volume
+        u = u / (norm or 1.0)
+        r = r - (r @ u)[:, None] * u
+        pick.append(int(np.add.reduce(r * r, axis=1).argmax()))
 
 
-def _quickhull(p: list, base: tuple, flip: bool, apex: int) -> list[tuple[list[int], list]]:
+def _quickhull(p: list, base: tuple, flip: bool, apex: int) -> list[tuple[tuple, tuple]]:
     """Facets (sorted corners, plane) of the hull of the points p, coordinate
     lists of a full-dimensional set in R^n in its unit frame, started from
     the simplex of the sorted n-tuple base and the point apex below it (above
@@ -342,37 +349,35 @@ def _quickhull(p: list, base: tuple, flip: bool, apex: int) -> list[tuple[list[i
     facets pass to the new ones.  Python floats do the work: per-step numpy
     calls would cost more than the arithmetic on a typical body's points.
     """
-    n = len(base)
-    # _plane's normals are good to (n - 1)! (n - 1) sqrt(n) 1.1e-13 radians (8e-13 in R^3), and
-    # no two points are more than 2 sqrt(n) apart: a float distance past sure keeps its sign,
-    # and a nearer one is decided exactly
-    sure = 2.5e-13 * n * (n - 1) * math.factorial(n - 1)
-    tri, flips, plane, adj, out = [base], [flip], [_plane(p, base, flip)], [[0] * n], [[]]
+    n, sure = len(base), _sure(len(base))
+    face, plane, adj, out = [(base, flip)], [_plane(p, base, flip)], [[0] * n], [[]]
 
     def cone(horizon, eye):
-        """The facets that join eye to the ridges (face, odd, k, g, slot): face, flagged
-        odd, without its k-th corner, across which lies g's slot; linked to g and to each
-        other."""
-        ends = {}
-        for face, odd, k, g, slot in horizon:
-            ridge = face[:k] + face[k + 1:]
+        """The facets that join eye to the ridges ((corners, odd), k, g, slot): the corners,
+        flagged odd, without the k-th, across which lies g's slot; linked to g and to each
+        other across their ridges through eye, found by the rest of each ridge."""
+        ends, start = {}, len(face)
+        for f, ((corners, odd), k, g, slot) in enumerate(horizon, start):
+            ridge = corners[:k] + corners[k + 1:]
             j = bisect(ridge, eye)
-            f, new = len(tri), ridge[:j] + (eye,) + ridge[j:]
-            tri.append(new)
-            flips.append(odd ^ (k - j) & 1)   # eye moves from slot k to slot j
-            plane.append(_plane(p, new, flips[f]))
+            new = ridge[:j] + (eye,) + ridge[j:]
+            odd ^= (k - j) & 1   # eye moves from slot k to slot j
+            face.append((new, odd))
+            plane.append(_plane(p, new, odd))
             out.append([])
             adj.append(links := [g] * n)
             adj[g][slot] = f
-            for i in range(n):
-                if i != j:
-                    if (end := ends.pop(key := new[:i] + new[i + 1:], None)) is None:
-                        ends[key] = f, i
-                    else:
-                        links[i], adj[end[0]][end[1]] = end[0], f
-        return range(len(tri) - len(horizon), len(tri))
+            # the rest of the ridge without ridge[i], which sits in slot i + (i >= j) of new
+            for i, key in enumerate(combinations(ridge, n - 2)):
+                i = n - 2 - i   # combinations leave out the last corner first
+                if (end := ends.pop(key, None)) is None:
+                    ends[key] = f, i + (i >= j)
+                else:
+                    links[i + (i >= j)] = end[0]
+                    adj[end[0]][end[1]] = f
+        return range(start, len(face))
 
-    new = cone([(base, not flip, k, 0, k) for k in range(n)], apex)   # the base turned over
+    new = cone([((base, not flip), k, 0, k) for k in range(n)], apex)   # the base turned over
     _assign(p, [i for i in range(len(p)) if i != apex and i not in base], [0, *new], plane, out)
     pending = [f for f in [0, *new] if out[f]]
     while pending:
@@ -380,21 +385,28 @@ def _quickhull(p: list, base: tuple, flip: bool, apex: int) -> list[tuple[list[i
         if not out[f]:
             continue
         pl = plane[f]
-        height = [sum(map(mul, pl, p[i])) for i in out[f]]
+        if n == 3:   # the dot products unrolled, as most bodies are in R^3
+            a, b, c, _ = pl
+            height = [a * x + b * y + c * z for x, y, z in map(p.__getitem__, out[f])]
+        else:
+            height = [sum(map(mul, pl, p[i])) for i in out[f]]
         eye = out[f][height.index(max(height))]
         q = p[eye]
+        qx, qy, qz = q[:3]   # for R^3's unrolled dot products
         seen, walk, horizon = {f: True}, [f], []
         for t in walk:
             for k, g in enumerate(adj[t]):
-                sees = seen.get(g)
-                if sees is None:
-                    pl = plane[g]
-                    h = sum(map(mul, pl, q)) - pl[-1]
-                    sees = seen[g] = h > 0.0 if abs(h) > sure else _exact_sees(p, tri[g], flips[g], eye)
+                if (sees := seen.get(g)) is None:
+                    if n == 3:
+                        a, b, c, d = plane[g]
+                        h = a * qx + b * qy + c * qz - d
+                    else:
+                        h = sum(map(mul, plane[g], q)) - plane[g][-1]
+                    sees = seen[g] = h > 0.0 if abs(h) > sure else _exact_sees(p, *face[g], eye)
                     if sees:
                         walk.append(g)
                 if not sees:
-                    horizon.append((tri[t], flips[t], k, g, adj[g].index(t)))
+                    horizon.append((face[t], k, g, adj[g].index(t)))
         orphans = []
         for g in walk:
             orphans += out[g]
@@ -403,24 +415,36 @@ def _quickhull(p: list, base: tuple, flip: bool, apex: int) -> list[tuple[list[i
         orphans.remove(eye)
         _assign(p, orphans, new, plane, out)
         pending += [g for g in new if out[g]]
-    return [(list(tri[f]), plane[f]) for f in range(len(tri)) if out[f] is not None]
+    return [(face[f][0], plane[f]) for f in range(len(face)) if out[f] is not None]
 
 
-def _merge(w: np.ndarray, p: list, facets: list) -> list[tuple[list[int], list]]:
-    """The facets (corners, plane) of ``_quickhull`` on the points w (p as
-    lists), with each set that is one facet merged: two facets whose common
-    points within _ON of both planes have affine rank n - 1, and a flat one,
-    whose corners have a lower rank (a sliver on points that rounding moved
-    off a ridge), with the first facet on whose plane they all lie, and no
-    other.  A merged facet lies on the ``_plane`` of n of its corners that
-    ``_spread`` picks, outward as the facets it merges, moved out to the
-    highest of the others; and the rules run again on the merged facets."""
-    n, first = w.shape[1], True
+def _sure(n: int) -> float:
+    """The error bound of a float distance from a ``_plane`` in R^n, whose
+    normals are good to (n - 1)! (n - 1) sqrt(n) 1.1e-13 radians (8e-13 in
+    R^3), when no two points are more than 2 sqrt(n) apart: a distance past
+    it keeps its sign (3e-12 in R^3)."""
+    return 2.5e-13 * n * (n - 1) * math.factorial(n - 1)
+
+
+def _merge(w: np.ndarray, p: list, facets: list) -> tuple[list, np.ndarray]:
+    """(facets, planes): the sorted facets (corners, plane) of ``_quickhull``
+    on the points w (p as lists), with each set that is one facet merged,
+    and their planes as rows.  Two facets are one when their common points
+    within _ON of both planes have affine rank n - 1 and the corners of each
+    lie within ``_sure`` of the other's plane, so that facets which meet at
+    a small angle stay apart however near their ridge those points lie.  A
+    flat facet, whose corners have a lower rank (a sliver on points that
+    rounding moved off a ridge), joins the first facet on whose plane they
+    all lie within _ON, and no other.  A merged facet lies on the ``_plane``
+    of n of its corners that ``_spread`` picks, outward as the facets it
+    merges, moved out to the highest point; and the rules run again on the
+    merged facets."""
+    n, tol = w.shape[1], _sure(w.shape[1])
+    facets = [(list(corners), pl) for corners, pl in facets]
     while True:
         planes = np.array([f[1] for f in facets])
-        on = np.abs(w @ planes[:, :n].T - planes[:, n]) <= _ON   # (points, facets)
-        if first and np.count_nonzero(on) == n * len(facets):   # each on its corners alone
-            return facets
+        gap = np.abs(w @ planes[:, :n].T - planes[:, n])   # (points, facets)
+        on = gap <= _ON
         # two facets share n points only if one is merged or on more than its n corners
         beyond = np.flatnonzero((np.add.reduce(on, axis=0) > n) | [len(f[0]) > n for f in facets])
         x, y = np.nonzero(on[:, beyond].T.astype(np.float64) @ on >= n)
@@ -439,26 +463,38 @@ def _merge(w: np.ndarray, p: list, facets: list) -> list[tuple[list[int], list]]
                 e, other = (f, g) if flat(f) else (g, f)
                 if e in group or not flat(e) or flat(other) or not on[facets[e][0], other].all():
                     continue
+            elif gap[facets[f][0], g].max() > tol or gap[facets[g][0], f].max() > tol:
+                continue
             merged = group.get(f, {f}) | group.get(g, {g})
             group.update(dict.fromkeys(merged, merged))
         if not group:
-            return facets
+            return facets, planes
         merged = [facets[f] for f in range(len(facets)) if f not in group]
         for f in sorted(group):
             if f == min(group[f]):
                 corners = sorted({i for e in group[f] for i in facets[e][0]})
-                t = tuple(sorted(corners[i] for i in _spread(w[corners], n)))
-                pl = _plane(p, t, False)
+                pick = _spread(w[corners], [p[i] for i in corners], n)[0]
+                t = tuple(sorted(corners[i] for i in pick))
+                pl = list(_plane(p, t, False))
                 if sum(map(mul, pl[:n], facets[f][1])) < 0.0:   # outward as the facets it merges
                     pl = [-x for x in pl]
-                pl[-1] = max(sum(map(mul, pl, p[i])) for i in corners)   # no corner above it
+                pl[-1] = float(np.max(w @ pl[:n]))   # no point above it
                 merged.append((corners, pl))
-        facets, first = merged, False
+        facets = sorted(merged)
 
 
 def _assign(p, points, facets, plane, out) -> None:
     """Put each point on the outside list of the first facet it lies more
     than _ON above."""
+    if len(p[0]) == 3:   # the dot products unrolled, as most bodies are in R^3
+        for i in points:
+            x, y, z = p[i]
+            for f in facets:
+                a, b, c, d = plane[f]
+                if a * x + b * y + c * z - d > _ON:
+                    out[f].append(i)
+                    break
+        return
     for i in points:
         q = p[i]
         for f in facets:
@@ -468,20 +504,27 @@ def _assign(p, points, facets, plane, out) -> None:
                 break
 
 
-def _plane(p, t: tuple, flip: bool) -> list[float]:
-    """[a_1, ..., a_n, b]: the hyperplane a.x = b through the points p[t], t
+def _plane(p, t: tuple, flip: bool) -> tuple:
+    """(a_1, ..., a_n, b): the hyperplane a.x = b through the points p[t], t
     sorted, with the unit normal a of the ``_cofactors`` of the edges that
     leave p[t[0]], turned over when flip; where their sine (the volume over
-    the product of the edge lengths) is below 1e-3 the cofactors are exact."""
+    the product of the edge lengths) is below 1e-3 the cofactors are exact,
+    and a flat simplex has the zero normal."""
     if len(t) == 3:   # the cross product, unrolled, as most bodies are in R^3
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p[t[0]], p[t[1]], p[t[2]]
-        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
-        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        i, j, k = t
+        ax, ay, az = p[i]
+        bx, by, bz = p[j]
+        cx, cy, cz = p[k]
+        ux = bx - ax; uy = by - ay; uz = bz - az
+        vx = cx - ax; vy = cy - ay; vz = cz - az
+        nx = uy * vz - uz * vy; ny = uz * vx - ux * vz; nz = ux * vy - uy * vx
         nn = nx * nx + ny * ny + nz * nz
         if nn >= 1e-6 * (ux * ux + uy * uy + uz * uz) * (vx * vx + vy * vy + vz * vz):
-            s = -math.sqrt(nn) if flip else math.sqrt(nn)
-            nx, ny, nz = nx / s, ny / s, nz / s
-            return [nx, ny, nz, nx * ax + ny * ay + nz * az]
+            s = math.sqrt(nn) or 1.0
+            if flip:
+                s = -s
+            nx /= s; ny /= s; nz /= s
+            return nx, ny, nz, nx * ax + ny * ay + nz * az
     x0 = p[t[0]]
     e = [list(map(sub, p[i], x0)) for i in t[1:]]
     normal, bound = _cofactors(e), 1e-6
@@ -491,35 +534,37 @@ def _plane(p, t: tuple, flip: bool) -> list[float]:
         normal = _cofactors(_exact_edges(p, t))
         shift = max(abs(x).bit_length() for x in normal) - 60   # to floats near 2^60
         normal = [x / 2 ** shift for x in normal]
-    s = math.sqrt(sum(map(mul, normal, normal)))
+    s = math.sqrt(sum(map(mul, normal, normal))) or 1.0
     a = [x / (-s if flip else s) for x in normal]
-    a.append(sum(map(mul, a, x0)))
-    return a
+    return (*a, sum(map(mul, a, x0)))
 
 
 @lru_cache(maxsize=None)
 def _laplace(n: int) -> tuple:
     """The plan of ``_cofactors`` in R^n: the column pairs, then per size
-    r = 3 .. n - 1 the column r-subsets as terms (j, k, sign), k the place of
-    the subset without column j in the size before.  The last size, in
-    reverse lexicographic order, holds the subsets without column i = 0, 1, ..
-    and carries the cofactor signs (-1)^(n - 1 + i): pairs by their order."""
+    r = 3 .. n - 1 the column r-subsets as terms (j, k, s), k the place of
+    the subset without column j in the size before, s true for a term that
+    is subtracted.  The last size, in reverse lexicographic order, holds the
+    subsets without column i = 0, 1, .. and carries the cofactor signs
+    (-1)^(n - 1 + i): pairs by their order."""
     sizes = [list(combinations(range(n), r))[::-1] for r in range(2, n)]
     sign = dict(zip(sizes[-1], ((-1) ** (n - 1 + i) for i in range(n))))
     return [c[::sign.get(c, 1)] for c in sizes[0]], [
-        [[(c[t], before.index(c[:t] + c[t + 1:]), (-1) ** t * sign.get(c, 1)) for t in range(r)]
+        [[(c[t], before.index(c[:t] + c[t + 1:]), (-1) ** t * sign.get(c, 1) < 0) for t in range(r)]
          for c in size] for r, before, size in zip(range(3, n), sizes, sizes[1:])]
 
 
-def _cofactors(e: list) -> list:
-    """The normal N of n - 1 rows e of n numbers (floats or integers), with
-    N.x = det([e; x]) (the cross product in R^3): the 2 x 2 minors of e's
-    last two rows, expanded a row up at a time along that row (Laplace)."""
+def _cofactors(e) -> list:
+    """The normal N of n - 1 rows e of n entries, with N.x = det([e; x]) (the
+    cross product in R^3): the 2 x 2 minors of e's last two rows, expanded a
+    row up at a time along that row (Laplace).  The entries may be floats,
+    integers, or arrays of the entries of many such rows."""
     pairs, sizes = _laplace(len(e[0]))
     a, b = e[-2], e[-1]
     minors = [a[i] * b[j] - a[j] * b[i] for i, j in pairs]
     for row, size in zip(e[-3::-1], sizes):
-        minors = [sum(s * row[j] * minors[k] for j, k, s in terms) for terms in size]
+        signed = row, [-x for x in row]
+        minors = [sum(signed[s][j] * minors[k] for j, k, s in terms) for terms in size]
     return minors
 
 
@@ -562,7 +607,7 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
         return None
     n, whole, tol = v.shape[1], hull[:4], (TOL_FEAS * hull[3]) ** 2
     while True:
-        extreme = hull[4].sum(axis=0) >= n
+        extreme = np.add.reduce(hull[4], axis=0) >= n
         if n > 3:   # a point inside an edge may lie on n facets, all through the edge's ends
             count = hull[4][:, corners := np.flatnonzero(extreme)].astype(np.float64)
             share = count.T @ count   # share[i, j]: the facets through both corners
@@ -570,12 +615,14 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
             extreme[corners[within.any(axis=1)]] = False
             return _read_only(_Hull(keep[extreme], None, None, *whole))
         on = hull[4] & extreme
-        rows = on.sum(axis=1) >= 3
+        rows = np.add.reduce(on, axis=1) >= 3
         on, a = on[rows], hull[0][rows]
-        f, g = np.nonzero(np.triu(on.astype(np.intp) @ on.T == 2, 1))
+        count = on.astype(np.float64)   # exact, and a float product is BLAS's
+        f, g = np.nonzero(count @ count.T == 2.0)
+        f, g = f[f < g], g[f < g]
         ends = keep[np.nonzero(on[f] & on[g])[1].reshape(-1, 2)]
         d = v[ends[:, 0]] - v[ends[:, 1]]
-        short = (d * d).sum(axis=1) <= tol
+        short = np.add.reduce(d * d, axis=1) <= tol
         if short.any():
             rest = np.setdiff1d(keep, ends[short, 1])
             if (hull := _hull(v[rest])) is not None:
@@ -586,7 +633,8 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
         (x, y, z), (p, q, r) = a[f].T, a[g].T
         cross = np.sqrt((y * r - z * q) ** 2 + (z * p - x * r) ** 2 + (x * q - y * p) ** 2)
         angle = np.arctan2(cross, x * p + y * q + z * r)
-        return _read_only(_Hull(keep[on.any(axis=0)], ends[order], angle[order], *whole))
+        return _read_only(_Hull(keep[np.logical_or.reduce(on, axis=0)], ends[order], angle[order],
+                                *whole))
 
 
 def canonicalize(p: Polytope) -> Polytope:

@@ -46,12 +46,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import mul
 
 import numpy as np
 
 from . import lp
 from .bodies import (
     Polytope,
+    _cofactors,
     affine_frame,
     canonical_vertex_indices,
     canonicalize,
@@ -140,21 +142,12 @@ def _subset_blocks(m: int, k: int, cap: int):
         yield rows
 
 
-def _minors(e: np.ndarray) -> np.ndarray:
-    """(C(n, k), B): the k x k minors of B k x n matrices, given as (k, n, B), over the
-    lexicographic column k-subsets, by Laplace expansion along each next row, summed in place on
-    the rows of B entries, whose cofactor sign (-1)^r comes at the end."""
-    k, n, _ = e.shape
-    minors = {(j,): e[0, j] for j in range(n)}
-    for r in range(1, k):
-        row, expanded = e[r], {}
-        for cols in combinations(range(n), r + 1):
-            acc = expanded[cols] = row[cols[0]] * minors[cols[1:]]
-            for t in range(1, r + 1):
-                term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
-                (np.subtract if t % 2 else np.add)(acc, term, out=acc)
-        minors = expanded
-    return np.stack(list(minors.values())) * (-1.0) ** (k * (k - 1) // 2)
+def _determinants(e: np.ndarray) -> np.ndarray:
+    """The determinants of B n x n matrices, given as their rows (n, n, B): the ``_cofactors`` of
+    the first n - 1 rows, last to first, so that the expansion runs from the first row down,
+    dotted with the last row; that order of n - 1 rows has the sign (-1)^((n-1)(n-2)/2)."""
+    n = len(e)
+    return sum(map(mul, _cofactors(e[n - 2::-1]), e[n - 1])) * (-1.0) ** ((n - 1) * (n - 2) // 2)
 
 
 def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +167,7 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table = 0.5 * (g.T - g)
     else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
         u = np.linalg.svd(a, full_matrices=False)[0]
-        table = np.concatenate([_minors(u.T[:, subsets.T].swapaxes(0, 1))[0] for subsets in
+        table = np.concatenate([_determinants(u.T[:, subsets.T].swapaxes(0, 1)) for subsets in
                                 _subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n))])
         table = np.concatenate([table, -table])
     parts = []

@@ -717,7 +717,7 @@ def test_dual_rays_match_an_enumeration_in_order(m, f):
     assert a.shape == (f, 3)
     u = np.linalg.svd(a, full_matrices=False)[0]
     triples = list(combinations(range(f), 3))
-    det = dict(zip(triples, containment._minors(u.T[:, np.array(triples).T].swapaxes(0, 1))[0]))
+    det = dict(zip(triples, containment._determinants(u.T[:, np.array(triples).T].swapaxes(0, 1))))
     sets = np.array(list(combinations(range(f), 4)))
     minors = np.array([[(-1) ** t * det[s[:t] + s[t + 1:]] for t in range(4)]
                        for s in map(tuple, sets)])
