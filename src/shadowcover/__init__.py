@@ -4,10 +4,11 @@ Decides whether one polytope contains a translate of another (and at what
 maximal scale), sweeps shadow-covering questions over directions and
 subspaces of the Grassmannian, and constructs certified bodies whose shadows
 cover a given body's shadows while the body itself cannot be covered.
-All verdicts reduce to scale fits: a closed form for intervals, the extreme
-rays of L's dual cone for planar fits and for every vertex-subset fit, a
-facet LP over L's hull (one Quickhull in every dimension) for
-a whole K from R^3 up (and in the plane past 48 edges), in the one frame
+All verdicts reduce to scale fits: a closed form for intervals, a dual
+simplex walk over the extreme rays of L's dual cone for planar fits, an
+enumeration of those rays for every vertex-subset fit, a facet LP over L's
+hull (one Quickhull in every dimension) for a whole K from R^3 up (and in
+the plane when the walk fails its check), in the one frame
 where L's polar points have unit second moment, and a flat L in its own
 frame.  A constructed inflation factor is the exact least fit over vertex
 subsets, and its counterexample's exclusion is proved in rational

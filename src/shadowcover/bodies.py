@@ -186,10 +186,10 @@ def affine_frame(points) -> tuple[np.ndarray, np.ndarray, int]:
     return c, vt.T, 0 if (v == v[0]).all() else int(np.sum(sv > TOL_FEAS * sv[0]))
 
 
-def _distinct_indices(v: np.ndarray) -> list[int]:
+def _distinct_indices(v: np.ndarray, frame=None) -> list[int]:
     """First occurrences of the rows of v, equal when rounded to 12 decimals
-    in the unit frame."""
-    w, _, extent = _unit_frame(v)
+    in the unit frame (``_unit_frame(v)``, unless given)."""
+    w, _, extent = frame or _unit_frame(v)
     if extent == 0.0:
         return [0]
     first: dict[tuple, int] = {}
@@ -275,12 +275,14 @@ def _read_only(hull: _Hull) -> _Hull:
     return hull
 
 
-def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
+def _hull(points, frame=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
+                                      np.ndarray] | None:
     """(a, b, c, s, incident): the facets {x : a.x <= b} of the hull of a
     point set X in R^n, n >= 3, in its unit frame (X - c) / s, unit outward
     normals a and offsets b, and incident[f, i], which says point i is a
-    corner of facet f.  None when the set is flat by the rank of
-    ``affine_frame``.  Every point lies at most 1e-12 above every facet plane.
+    corner of facet f; the frame is ``_unit_frame(X)``, unless given.  None
+    when the set is flat by the rank of ``affine_frame``.  Every point lies
+    at most 1e-12 above every facet plane.
 
     The work starts from a simplex: the n points that ``_spread`` picks and
     the one farthest from their hyperplane.  The facets come in the
@@ -292,7 +294,7 @@ def _hull(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray
     m, n = pts.shape
     if m <= n:
         return None
-    w, c, s = _unit_frame(pts)
+    w, c, s = frame or _unit_frame(pts)
     p = w.tolist()
     base, volume = _spread(w, p, n)
     base = tuple(sorted(base))
@@ -601,9 +603,11 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
     of the set's extent the first stands for both, as of equal points: the
     other is dropped and the hull of the rest read again.  The facets and
     frame stay those of the whole set, so that every point lies below them.
+    The unit frame of v serves ``_hull`` too when no point is dropped.
     """
-    keep = np.array(_distinct_indices(v))
-    if (hull := _hull(v[keep])) is None:
+    frame = _unit_frame(v)
+    keep = np.array(_distinct_indices(v, frame))
+    if (hull := _hull(v[keep], frame if len(keep) == len(v) else None)) is None:
         return None
     n, whole, tol = v.shape[1], hull[:4], (TOL_FEAS * hull[3]) ** 2
     while True:

@@ -7,11 +7,13 @@ translation v.  K fits in L by translation iff that maximum is at least 1
 * intervals: the closed form t = width(L) / width(K);
 * planar bodies: the LP max t s.t. t*h_K(a_j) + a_j.v <= h_L(a_j) over L's
   unit edge normals a_j, by LP duality the least bound over the extreme
-  rays of L's dual cone (``_dual_rays``), with no LP, as is the least subset
-  fit below; L's edges and the witness are worked in Python floats, in the
-  order of the array formulas, as a shadow has only a few edges;
-* a whole K from R^3 up, or in the plane when L has more than 48 edges or
-  the planar witness fails its check: the same LP over the facets (edges)
+  rays of L's dual cone, found by a dual simplex walk on three-edge bases
+  (``_planar_fit``) instead of enumerating the rays; it matches that least
+  bound to rounding (1e-12 relative in the tests), its witness is the
+  final basis's vertex, checked against every edge, and L's edges and the
+  walk are worked in Python floats, as a shadow has only a few edges;
+* a whole K from R^3 up, or in the plane when the walk stalls or its
+  witness fails its check: the same LP over the facets (edges)
   of L's hull record, which one Quickhull builds in every dimension, in the
   one frame where L's polar points have unit second moment, solved by
   ``lp.solve_from`` from the slack basis; its dual, solved afresh from the
@@ -99,8 +101,8 @@ def _interval_fit(kv: np.ndarray, lv: np.ndarray) -> FitResult:
 
 
 _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand normal
-# the rays come from all C(m, 3) triples of L's m edges; past this many edges
-# the LP, whose size grows only linearly in m, is the lighter route
+# _partition_fit's planar rays come from all C(m, 3) triples of L's m edges; past
+# this many edges one fit per vertex subset, whose cost grows linearly in m, is lighter
 _MAX_PLANAR_EDGES = 48
 _RAY_TOL = 1e-12   # R^3 on: ray entries above -_RAY_TOL * max count as 0; all minors below: no ray
 # the rays come from all C(F, n + 1) subsets of L's F facets: past C(44, 4), from the most facets
@@ -189,7 +191,7 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _one_block(f: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (n+1)-subsets of range(f), lexicographic, and their ``_dual_rays`` table indices, cached
-    for planar fits and L's with few facets: in the plane the flat (f, f) indices of (j, k), (k, i),
+    for planar L's and L's with few facets: in the plane the flat (f, f) indices of (j, k), (k, i),
     (i, j) for each (i, j, k), else ``_minor_index``'s rows."""
     subsets = np.concatenate(list(_subset_blocks(f, n + 1, _BLOCK_BYTES // (8 * (n + 1)))))
     return subsets, (subsets @ np.array([[0, 1, f], [f, 0, 1], [1, f, 0]]) if n == 2 else
@@ -213,45 +215,103 @@ def _minor_index(subsets: np.ndarray, f: int) -> np.ndarray:
     return out
 
 
+# planar walk: a cross product of two unit normals is off by at most a few 1e-16, so an entry of
+# a ray above -_CROSS_TOL is a 0 of exactly antipodal normals; an edge enters the basis when it
+# is violated by more than _PIVOT_TOL of its offset, just above the rounding of that test
+_CROSS_TOL = 1e-15
+_PIVOT_TOL = 1e-13
+
+
+def _cross(p: list, q: list) -> float:
+    """p x q of two nearly parallel or antipodal unit vectors, to a few units in its last place:
+    it equals p x (q -+ p), whose difference is exact and nearly orthogonal to p, so that its
+    two products do not cancel as those of p x q do."""
+    (px, py), (qx, qy) = p, q
+    if px * qx + py * qy < 0.0:
+        qx, qy = qx + px, qy + py
+    else:
+        qx, qy = qx - px, qy - py
+    return px * qy - py * qx
+
+
+def _edge_ray(al: list, hl: list, bl: list, i: int, j: int, k: int):
+    """(sigma, rows, c) of the planar basis of edges i, j, k: c = (a_j x a_k, a_k x a_i,
+    a_i x a_j), the null vector of their normals, signed to a positive sum, with entries above
+    -_CROSS_TOL taken as 0, and sigma = c.b / c.h; None when c changes sign or c.h <= 0, as
+    then the three rows bound no t.  A plain cross product is off by up to about 2e-16, a
+    relative error that a thin L's nearly antipodal edges, with entries of 1e-6, would carry
+    into sigma; entries below 1e-3 come from ``_cross``."""
+    (ix, iy), (jx, jy), (kx, ky) = al[i], al[j], al[k]
+    ci, cj, ck = jx * ky - jy * kx, kx * iy - ky * ix, ix * jy - iy * jx
+    if -1e-3 < ci < 1e-3 or -1e-3 < cj < 1e-3 or -1e-3 < ck < 1e-3:
+        ci, cj, ck = _cross(al[j], al[k]), _cross(al[k], al[i]), _cross(al[i], al[j])
+    if ci + cj + ck < 0.0:
+        ci, cj, ck = -ci, -cj, -ck
+    if ci < 0.0 or cj < 0.0 or ck < 0.0:
+        if min(ci, cj, ck) < -_CROSS_TOL:
+            return None
+        ci, cj, ck = max(ci, 0.0), max(cj, 0.0), max(ck, 0.0)
+    den = ci * hl[i] + cj * hl[j] + ck * hl[k]
+    if not den > 0.0:
+        return None
+    return (ci * bl[i] + cj * bl[j] + ck * bl[k]) / den, (i, j, k), (ci, cj, ck)
+
+
 def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
                 b: np.ndarray) -> FitResult | None:
-    """Scale fit in the plane over the edge lines a_j.x <= b_j of L - lc, from
-    L's dual rays; None when the witness fails its check.  Planar fits are most
-    of a build, and a shadow has a few edges: the witness is worked in Python
-    floats, whose per-element operations in numpy's order keep it bit-identical
-    to the array formulas, and a NaN anywhere fails the check."""
-    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
-    h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
-    t, c = _dual_rays(a)
-    num, den = np.add.reduce(c * b.take(t), axis=1), np.add.reduce(c * h.take(t), axis=1)
-    ok = den > 0.0
-    ratios = np.where(ok, num, np.inf) / np.where(ok, den, 1.0)
-    best = int(ratios.argmin())
-    sigma = float(ratios[best])
-    if not ok[best]:
-        return None
-    # the triple's row of largest weight is tight at every optimum: v goes on
-    # its line, mid-way along the interval that the other rows leave there
-    # (one point, unless two rows of the triple are antipodal)
-    r = int(t[best, c[best].argmax()])
+    """Scale fit in the plane over the edge lines a_j.x <= b_j of L - lc, by a dual simplex on
+    three-edge bases (Seidel, DCG 1991); None when the walk stalls or its witness fails its check.
+
+    Three edges whose normals positively span the plane carry a dual ray c >= 0
+    (``_edge_ray``), and with h_j = h_K(a_j) their sigma = c.b / c.h is the optimum of the LP
+    max t s.t. t*h_j + a_j.v <= b_j over those three rows, at the v where the two rows of the
+    largest cross product are tight.  Each pivot brings in the edge that v violates most,
+    relative to its offset, and swaps it for the basis row that keeps c >= 0 and c.h > 0 at the
+    least sigma: the optimum over the four rows, so sigma never rises.  When no other edge is
+    violated by more than _PIVOT_TOL of its offset, sigma is the LP's optimum, the least bound
+    over L's dual rays, and v is the witness once the basis rows pass the check of every edge,
+    TOL_FEAS of L's largest offset; a NaN fails it.  The walk starts at edge 0 (at the edge of
+    largest h when h_0 = 0), the last edge within pi of it counter-clockwise and the next, and
+    gives up after 4m pivots.  A shadow has a few edges, so the walk runs in Python floats; on
+    a build's shadows it seldom pivots more than once."""
     al, bl = a.tolist(), b.tolist()
-    el = [bj - sigma * hj for bj, hj in zip(bl, h.tolist())]
-    nx, ny = al[r]
-    x0, y0 = el[r] * nx, el[r] * ny
-    lo, hi = -math.inf, math.inf
-    for (ax, ay), ej in zip(al, el):
-        rate = ny * ax - nx * ay      # along the line direction (ny, -nx)
-        if rate > TOL_FEAS:
-            hi = min(hi, (ej - ax * x0 - ay * y0) / rate)
-        elif rate < -TOL_FEAS:
-            lo = max(lo, (ej - ax * x0 - ay * y0) / rate)
-    tau = 0.5 * (lo + hi)
-    vx, vy = x0 + tau * ny, y0 - tau * nx
-    tol = TOL_FEAS * max(bl)
-    if not all(ax * vx + ay * vy - ej <= tol for (ax, ay), ej in zip(al, el)):   # fails on a NaN
-        return None
-    (lx, ly), (kx, ky) = lc.tolist(), kc.tolist()
-    return FitResult(sigma, np.array([vx + lx - sigma * kx, vy + ly - sigma * ky]))
+    m = len(al)
+    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
+    hl = np.maximum.reduce(a @ (kv - kc).T, axis=1).tolist()
+    i = 0 if hl[0] > 0.0 else hl.index(max(hl))
+    ix, iy = al[i]
+    p = (i + 1) % m
+    while ix * al[(p + 1) % m][1] - iy * al[(p + 1) % m][0] > 0.0:
+        p = (p + 1) % m
+    best = _edge_ray(al, hl, bl, i, p, (p + 1) % m)
+    feas = TOL_FEAS * max(bl)
+    for _ in range(4 * m):
+        if best is None:
+            return None
+        sigma, (i, j, k), c = best
+        # c's largest entry is the cross product of the other two rows, where v is tight
+        r, q = ((j, k), (k, i), (i, j))[c.index(max(c))]
+        (rx, ry), (qx, qy) = al[r], al[q]
+        er, eq = bl[r] - sigma * hl[r], bl[q] - sigma * hl[q]
+        det = rx * qy - ry * qx
+        vx, vy = (er * qy - eq * ry) / det, (rx * eq - qx * er) / det
+        worst, e = _PIVOT_TOL, -1
+        for row, ((ax, ay), bj, hj) in enumerate(zip(al, bl, hl)):
+            gap = (sigma * hj + ax * vx + ay * vy - bj) / bj
+            if not gap <= worst and row != i and row != j and row != k:   # a NaN enters too
+                worst, e = gap, row
+        if e < 0:
+            for row in (i, j, k):
+                if not sigma * hl[row] + al[row][0] * vx + al[row][1] * vy - bl[row] <= feas:
+                    return None
+            (lx, ly), (kx, ky) = lc.tolist(), kc.tolist()
+            return FitResult(sigma, np.array([vx + lx - sigma * kx, vy + ly - sigma * ky]))
+        best = None
+        for out in (_edge_ray(al, hl, bl, e, j, k), _edge_ray(al, hl, bl, i, e, k),
+                    _edge_ray(al, hl, bl, i, j, e)):
+            if out is not None and (best is None or out[0] < best[0]):
+                best = out
+    return None
 
 
 def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
@@ -370,7 +430,7 @@ def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
     if supports is None:   # a flat L: r caps at n - 1 in the plane
         c, frame, r = affine_frame(lv)
         return _flat_fit(kv, lv, c, frame[:, :min(r, n - 1)])
-    if n == 2 and len(supports[2]) <= _MAX_PLANAR_EDGES and (fit := _planar_fit(kv, *supports)):
+    if n == 2 and (fit := _planar_fit(kv, *supports)):
         return fit
     fit = _facet_fit(kv, *supports)
     if fit is None:

@@ -20,6 +20,7 @@ def hull_calls(monkeypatch):
     one Quickhull (``bodies._hull``)."""
     calls = []
     original = bodies._hull
-    monkeypatch.setattr(bodies, "_hull", lambda p: calls.append(len(p)) or original(p))
+    monkeypatch.setattr(bodies, "_hull",
+                        lambda p, *frame: calls.append(len(p)) or original(p, *frame))
     return calls
 

@@ -4,16 +4,20 @@
 arithmetic over a refined translation grid, and widths from closed forms.
 V-form scale fits, over convex-combination variables, come from HiGHS
 (scipy), outside the library's LP code, or from ``_scale_fit_lp`` solved by
-the library's two-phase ``lp.solve``, which no library fit uses.  These are
-the second route of every dual-route check.
+the library's two-phase ``lp.solve``, which no library fit uses.  Planar
+scale fits also come from an enumeration of all of L's dual rays, which the
+library's planar fit walks instead.  These are the second route of every
+dual-route check.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from shadowcover import lp
+from shadowcover import containment, lp
 
 
 def hull2d(points: np.ndarray) -> np.ndarray:
@@ -185,6 +189,33 @@ def highs_subset_sigmas(kv: np.ndarray, lv: np.ndarray, kcount: int) -> tuple[li
     if len(subsets[0]) == 1:
         return subsets, np.full(len(subsets), np.inf)
     return subsets, _highs_vform(kv[np.array(subsets)], np.asarray(lv, float))
+
+
+def ray_sigma(kv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """The planar scale fit of K in the edge lines a.x <= b of L - lc: the least bound
+    c.b / c.h_K(a) over the extreme rays c of L's dual cone, which ``containment._dual_rays``
+    enumerates over every triple of edges, with K centred on its vertex mean; inf when no ray
+    bounds the scale.  A ray's float bound carries the rounding of its cross products, 1e-11
+    relative when two normals are 1e-5 from antipodal, so the rays within 1e-9 of the least
+    float bound are bounded again in rational arithmetic, on the same floats."""
+    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
+    h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
+    t, c = containment._dual_rays(a)
+    num, den = np.add.reduce(c * b.take(t), axis=1), np.add.reduce(c * h.take(t), axis=1)
+    ok = den > 0.0
+    ratios = np.where(ok, num, np.inf) / np.where(ok, den, 1.0)
+    least = ratios.min()
+    if least == np.inf:
+        return math.inf
+    bounds = []
+    for rows in t[ratios <= least * (1.0 + 1e-9)].tolist():
+        (ix, iy), (jx, jy), (kx, ky) = (map(Fraction, a[r]) for r in rows)
+        c = [jx * ky - jy * kx, kx * iy - ky * ix, ix * jy - iy * jx]
+        c = [-x for x in c] if sum(c) < 0 else c
+        if min(c) >= 0:
+            bounds.append(sum(x * Fraction(b[r]) for x, r in zip(c, rows))
+                          / sum(x * Fraction(h[r]) for x, r in zip(c, rows)))
+    return float(min(bounds))
 
 
 def _scale_fit_lp(kv: np.ndarray, lv: np.ndarray, fixed_t: float | None = None) -> lp.LpProblem:

@@ -4,7 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import _scale_fit_lp, grid_scale_fit_2d, highs_sigma, highs_subset_sigmas
+from oracles import (
+    _scale_fit_lp,
+    grid_scale_fit_2d,
+    highs_sigma,
+    highs_subset_sigmas,
+    ray_sigma,
+)
 
 from shadowcover import bodies, containment, lp
 from shadowcover.bodies import Polytope, canonicalize, point_in_hull, project, scale, translate
@@ -300,9 +306,10 @@ def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
         assert any(w is None for w in found) and any(w is not None for w in found)
 
 
-def test_planar_fit_flat_or_large_l_takes_lp_fallback(lp_calls, monkeypatch):
-    # a flat L in the plane is fit in its own frame, with no LP; an L of more
-    # than 48 edges takes the LP fallback over its edges, from its slack basis
+def test_planar_fit_of_a_flat_or_large_l_solves_no_lp(lp_calls, monkeypatch):
+    # a flat L in the plane is fit in its own frame, and an L of any number of
+    # edges by the planar walk, with no LP; the facet LP over a 60-gon's edges,
+    # the fallback of a walk that fails, keeps its dual of the V-form LP
     edge_lps = []
     original = containment._facet_fit
     monkeypatch.setattr(containment, "_facet_fit",
@@ -313,23 +320,45 @@ def test_planar_fit_flat_or_large_l_takes_lp_fallback(lp_calls, monkeypatch):
     assert fit.sigma == pytest.approx(2.0, abs=1e-9)
     assert _dual_route(TRIANGLE, segment).sigma == 0.0
     _dual_route(TRIANGLE, UNIT_SQUARE)
-    assert edge_lps == []
     theta = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
     sixty_gon = Polytope(np.column_stack([np.cos(theta), np.sin(theta)]) * 3.0 + 1e3)
     for k in (TRIANGLE, Polytope(rng.standard_normal((7, 2)) + 1e3)):
-        edge_lps.clear()
         lp_calls.clear()
-        scale_fit(k, sixty_gon)
-        assert edge_lps == [60] and lp_calls == ["solve_from"]
-        fit = _dual_route(k, sixty_gon)
+        fit = scale_fit(k, sixty_gon)
+        assert lp_calls == []
+        assert fit.sigma == pytest.approx(_dual_route(k, sixty_gon).sigma, rel=1e-12)
         assert min_subset_sigma(k, sixty_gon, 3) == pytest.approx(fit.sigma, rel=1e-9)
-        prob = _scale_fit_lp(k.vertices, sixty_gon.vertices)
-        slack = fit.dual @ prob.A - prob.c
-        assert slack[prob.nonneg].min() >= -1e-9 and np.abs(slack[~prob.nonneg]).max() <= 1e-9
-        assert float(fit.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
         for factor in (1e-9, 1e9):
             small = scale_fit(scale(k, factor), scale(sixty_gon, factor))
             assert small.sigma == pytest.approx(fit.sigma, rel=1e-9)
+        assert edge_lps == []
+        lp_calls.clear()
+        facet = containment._facet_fit(k.vertices, *containment._supports(k, sixty_gon))
+        assert lp_calls == ["solve_from"] and facet.sigma == pytest.approx(fit.sigma, rel=1e-9)
+        prob = _scale_fit_lp(k.vertices, sixty_gon.vertices)
+        slack = facet.dual @ prob.A - prob.c
+        assert slack[prob.nonneg].min() >= -1e-9 and np.abs(slack[~prob.nonneg]).max() <= 1e-9
+        assert float(facet.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
+        edge_lps.clear()
+
+
+def test_planar_walk_fits_a_200_gon_like_highs(lp_calls):
+    # no edge count sends a planar fit to the facet LP: K in a 200-gon, and a
+    # 200-gon K in a triangle and a turned 12-gon, against HiGHS's V-form LP
+    rng = np.random.default_rng(173)
+    theta = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    gon = Polytope(ring * 5.0 + 2.0)
+    assert len(containment._supports(TRIANGLE, gon)[2]) == 200
+    twelve = np.column_stack([np.cos(theta[::17]), np.sin(theta[::17])])
+    pairs = [(Polytope(rng.standard_normal((int(rng.integers(2, 9)), 2))), gon) for _ in range(8)]
+    pairs += [(gon, Polytope(30.0 * TRIANGLE.vertices)),
+              (gon, Polytope(twelve @ _rotation(rng, 2).T))]
+    for k, l in pairs:
+        fit = scale_fit(k, l)
+        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=1e-9)
+        assert fit_replays(k, l, fit)
+    assert "solve_from" not in lp_calls   # fit_replays' point-in-hull LPs call lp.solve
 
 
 def test_planar_fit_parallelogram_target():
@@ -461,7 +490,7 @@ def test_facet_fit_witnesses_meet_the_unit_frame_rule():
     # the facet LP's witness is checked in the frame where L's polar points
     # have unit second moment; mapped back to the facets a.x <= b of L's
     # hull record, it meets TOL_FEAS of the largest b there too, on clouds
-    # from R^3 to R^5 and on K in a 60-gon, past the planar ray kernel
+    # from R^3 to R^5 and on K in a 60-gon, which the planar walk fits otherwise
     rng = np.random.default_rng(157)
     theta = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
     gon = 3.0 * np.column_stack([np.cos(theta), np.sin(theta)]) + 1e3
@@ -807,36 +836,6 @@ def _array_supports(lv):
     return lc, a, b, bool(np.minimum.reduce(b) <= 1e-5 * np.maximum.reduce(length, axis=None))
 
 
-def _array_planar_fit(kv, lc, a, b):
-    """_planar_fit with its witness by the ndarray formulas; None on a failed check."""
-    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
-    h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
-    t, c = containment._dual_rays(a)
-    num, den = np.add.reduce(c * b.take(t), axis=1), np.add.reduce(c * h.take(t), axis=1)
-    ok = den > 0.0
-    ratios = np.where(ok, num, np.inf) / np.where(ok, den, 1.0)
-    best = int(ratios.argmin())
-    sigma = float(ratios[best])
-    if not ok[best]:
-        return None
-    r = int(t[best, c[best].argmax()])
-    e = b - sigma * h
-    nx, ny = a[r]
-    x0, y0 = e[r] * nx, e[r] * ny
-    lo, hi = -math.inf, math.inf
-    for (ax, ay), ej in zip(a, e):
-        rate = ny * ax - nx * ay
-        if rate > containment.TOL_FEAS:
-            hi = min(hi, (ej - ax * x0 - ay * y0) / rate)
-        elif rate < -containment.TOL_FEAS:
-            lo = max(lo, (ej - ax * x0 - ay * y0) / rate)
-    tau = 0.5 * (lo + hi)
-    v = np.array([x0 + tau * ny, y0 - tau * nx])
-    if not (a @ v - e).max() <= containment.TOL_FEAS * b.max():
-        return None
-    return containment.FitResult(sigma, v + lc - sigma * kc)
-
-
 def _planar_bodies(rng, i):
     """(K, L, kind) at a scale of 1e-9 to 1e6 and offset up to 1e6 times that scale: a cloud of
     3-60 points; one with duplicate points and points on its hull's edges; or a rotated slab
@@ -857,21 +856,36 @@ def _planar_bodies(rng, i):
     return Polytope(kv * size + offset), Polytope(lv * size + offset), kind
 
 
+def _witness_holds(k, fit, supports):
+    """Does sigma*K + v lie within TOL_FEAS of L's largest offset of each edge line a.x <= b of
+    L - lc, give or take the rounding of v, lc and K's mean at their own size?"""
+    lc, _, a, b = supports
+    kc = np.add.reduce(k.vertices, axis=0) / k.nverts
+    v = fit.translation - lc + fit.sigma * kc
+    gap = np.maximum.reduce(a @ (fit.sigma * (k.vertices - kc)).T, axis=1) + a @ v - b
+    size = np.abs(fit.translation).max() + np.abs(lc).max() + fit.sigma * np.abs(kc).max()
+    return bool(gap.max() <= containment.TOL_FEAS * b.max() + 1e-15 * size)
+
+
 def test_planar_supports_and_fits_match_the_array_formulas(monkeypatch):
-    # the float loops of _supports and of the planar witness do numpy's
-    # operations in numpy's order, so supports, sigma and translation are
-    # bit-identical to the ndarray formulas; a slab just above or just below
-    # the 1e-5 thin ratio keeps its edges, and only a flat one reaches _flat_fit
-    flat_fits = []
-    original = containment._flat_fit
-    monkeypatch.setattr(containment, "_flat_fit",
-                        lambda *args: flat_fits.append(1) or original(*args))
+    # the float loop of _supports does numpy's operations in numpy's order, so
+    # the supports are bit-identical to the ndarray formulas; the walk's sigma
+    # matches the least bound over L's dual rays, from the ndarray formulas, to
+    # 1e-12, and its witness puts sigma*K + v within TOL_FEAS of L's largest
+    # offset of every edge line; a slab just above or just below the 1e-5 thin
+    # ratio keeps its edges, and only a flat one reaches _flat_fit
+    flat_fits, facet_fits = [], []
+    for name, calls in (("_flat_fit", flat_fits), ("_facet_fit", facet_fits)):
+        original = getattr(containment, name)
+        monkeypatch.setattr(containment, name,
+                            lambda *args, _f=original, _c=calls: _c.append(1) or _f(*args))
     rng = np.random.default_rng(163)
-    seen = {"thin": 0, "wide": 0, "flat": 0, "witness": 0}
+    seen = {"thin": 0, "wide": 0, "flat": 0, "walk": 0}
     for i in range(400):
         k, l, kind = _planar_bodies(rng, i)
         lc, a, b, thin = _array_supports(l.vertices)
         flat_fits.clear()
+        facet_fits.clear()
         got, fit = containment._supports(k, l), scale_fit(k, l)
         if got is None:
             assert kind == "flat" and thin and flat_fits == [1]
@@ -883,14 +897,88 @@ def test_planar_supports_and_fits_match_the_array_formulas(monkeypatch):
         assert got[1] == 1.0
         for x, y in zip((lc, a, b), (got[0], got[2], got[3])):
             assert np.array_equal(x, y)
-        assert len(a) <= containment._MAX_PLANAR_EDGES
-        want = _array_planar_fit(k.vertices, lc, a, b)
-        if want is None:
-            want = containment._facet_fit(k.vertices, lc, 1.0, a, b)
-        else:
-            seen["witness"] += 1
-        assert fit.sigma == want.sigma and np.array_equal(fit.translation, want.translation)
+        assert fit.sigma == pytest.approx(ray_sigma(k.vertices, a, b), rel=1e-12, abs=0.0)
+        assert _witness_holds(k, fit, got)
+        seen["walk"] += facet_fits == []
     assert min(seen.values()) >= 20, seen
+    assert seen["walk"] >= 0.9 * (400 - seen["flat"]), seen
+
+
+def _degenerate_planar_pairs(rng):
+    """(kind, K, L): parallelograms, whose edge normals come in antipodal pairs, and axis-parallel
+    rectangles; regular m-gons, whose rays tie, holding random K's and turned regular K's;
+    slivers of ratio 1e-6 and 1e-9 as K in a polygon, and of ratio 1e-6 as L about a K of its
+    shape (``_supports`` calls an L of ratio 1e-9 flat); a segment K parallel to an edge of L;
+    and a point K."""
+    for i in range(40):
+        e1, e2, o = rng.standard_normal((3, 2))
+        k = Polytope(0.3 * rng.standard_normal((int(rng.integers(2, 7)), 2)))
+        yield "parallelogram", k, Polytope(np.array([[0.0, 0.0], e1, e1 + e2, e2]) + o)
+        width, height = rng.uniform(0.5, 3.0, 2)
+        yield "rectangle", k, Polytope([[0.0, 0.0], [width, 0.0], [width, height], [0.0, height]])
+        m = 3 + i
+        ring = np.column_stack([np.cos(2.0 * np.pi * np.arange(m) / m),
+                                np.sin(2.0 * np.pi * np.arange(m) / m)])
+        gon = Polytope(ring @ _rotation(rng, 2).T + o)
+        yield "regular", k, gon
+        yield "regular", Polytope(0.5 * ring @ _rotation(rng, 2).T), gon
+        for ratio in (1e-6, 1e-9):
+            points = rng.standard_normal((int(rng.integers(3, 12)), 2)) * (1.0, ratio)
+            yield "sliver", Polytope(0.3 * points @ _rotation(rng, 2).T), gon
+        points[:, 1] *= 1e3
+        yield "sliver", Polytope(0.3 * points[:, ::-1]), Polytope(points[:, ::-1] + (0.0, 1.0))
+        hull = bodies.planar_hull(lv := rng.standard_normal((int(rng.integers(3, 10)), 2)))
+        edge = lv[hull[1]] - lv[hull[0]]
+        yield "segment", Polytope(np.array([o, o + 0.3 * edge])), Polytope(lv)
+        yield "segment", Polytope(np.array([[0.0, 0.0], 0.3 * e1])), Polytope(
+            np.array([[0.0, 0.0], e1, e1 + e2, e2]))
+        yield "point", Polytope(np.tile(o, (3, 1))), Polytope(lv)
+
+
+def test_planar_walk_on_degenerate_input(monkeypatch):
+    # the walk's sigma matches the ray enumeration to 1e-12 on tied rays,
+    # antipodal normals, slivers and segments, and no fit reaches the iteration
+    # cap or the facet-LP fallback; a point K's sigma is inf
+    stalls, facet_fits = [], []
+    walk, facet = containment._planar_fit, containment._facet_fit
+    monkeypatch.setattr(containment, "_planar_fit",
+                        lambda *args: (out := walk(*args)) or stalls.append(1) or out)
+    monkeypatch.setattr(containment, "_facet_fit",
+                        lambda *args: facet_fits.append(1) or facet(*args))
+    seen = {}
+    for kind, k, l in _degenerate_planar_pairs(np.random.default_rng(179)):
+        fit = scale_fit(k, l)
+        seen[kind] = seen.get(kind, 0) + 1
+        if kind == "point":
+            assert fit.sigma == math.inf and fit.translation is None
+            continue
+        supports = containment._supports(k, l)
+        assert fit.sigma == pytest.approx(ray_sigma(k.vertices, *supports[2:]), rel=1e-12, abs=0.0)
+        assert _witness_holds(k, fit, supports)
+    assert stalls == [] and facet_fits == []
+    assert seen == {"parallelogram": 40, "rectangle": 40, "regular": 80, "sliver": 120,
+                    "segment": 80, "point": 40}
+
+
+def test_planar_walk_pivots_at_most_twice_on_build_shadows(monkeypatch):
+    # the shadows that counterexample sweeps fit, of 6 to 12 point Gaussian
+    # clouds as in the build benchmark: the walk's start basis is at most two
+    # pivots from the optimum, and each pivot evaluates the three swaps of its
+    # basis, so the fit's _edge_ray calls count its pivots
+    rays = []
+    original = containment._edge_ray
+    monkeypatch.setattr(containment, "_edge_ray", lambda *args: rays.append(1) or original(*args))
+    pivots = []
+    for seed, m in enumerate((6, 9, 12)):
+        body = Polytope(np.random.default_rng(190 + seed).standard_normal((m, 3)))
+        ce = build_counterexample(body, rng=seed, directions=60, sweep_count=60)
+        inflated = scale(ce.body, ce.epsilon)
+        for s in sweep_subspaces(3, 2, 200):
+            for k in (inflated, ce.body):
+                rays.clear()
+                shadow_fit(k, ce.cover, s)
+                pivots.append((len(rays) - 1) // 3)
+    assert len(pivots) == 1200 and max(pivots) <= 2 and 0 < sum(pivots) < len(pivots)
 
 
 def test_planar_shadow_fits_of_built_covers_match_highs():
