@@ -6,13 +6,14 @@ subspaces of the Grassmannian, and constructs certified bodies whose shadows
 cover a given body's shadows while the body itself cannot be covered.
 All verdicts reduce to scale fits: a closed form for intervals, a dual
 simplex walk over the extreme rays of L's dual cone for planar fits, an
-enumeration of those rays for every vertex-subset fit, a facet LP over L's
-hull (one Quickhull in every dimension) for a whole K from R^3 up (and in
-the plane when the walk fails its check), in the one frame
-where L's polar points have unit second moment, and a flat L in its own
-frame.  A constructed inflation factor is the exact least fit over vertex
-subsets, and its counterexample's exclusion is proved in rational
-arithmetic, with no LP.
+enumeration of those rays for every vertex-subset fit, a dual simplex walk
+on (n+1)-facet bases over L's hull (one Quickhull in every dimension) for a
+whole K from R^3 up (and in the plane when the planar walk fails its
+check), in the one frame where L's polar points have unit second moment,
+and a flat L in its own frame.  No scale fit calls the general LP solver.
+A constructed inflation factor is the exact least fit over vertex subsets,
+and its counterexample's exclusion is proved in rational arithmetic, with
+no LP.
 """
 
 from .bodies import Polytope, canonicalize, hyperplane_shadow, project, support, support_set

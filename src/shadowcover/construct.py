@@ -404,7 +404,7 @@ def build_counterexample(k: Polytope, rng=None, directions: int = 1200,
     Emits a simplex circumscribing K and an inflation factor epsilon > 1,
     a hair below the exact eps* of Theorem 2, such that every hyperplane
     shadow of epsilon * K fits inside the simplex's shadow while
-    epsilon * K itself cannot fit (the facet LP's verdict, and an exact
+    epsilon * K itself cannot fit (the facet walk's verdict, and an exact
     certificate in the replay).  directions sizes the logged sample sweep,
     which the replay reads as a cross-check of eps*.
     """

@@ -13,11 +13,14 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   final basis's vertex, checked against every edge, and L's edges and the
   walk are worked in Python floats, as a shadow has only a few edges;
 * a whole K from R^3 up, or in the plane when the walk stalls or its
-  witness fails its check: the same LP over the facets (edges)
-  of L's hull record, which one Quickhull builds in every dimension, in the
-  one frame where L's polar points have unit second moment, solved by
-  ``lp.solve_from`` from the slack basis; its dual, solved afresh from the
-  final basis, maps onto the V-form LP over convex-combination variables;
+  witness fails its check: the same LP over the facets (edges) of L's hull
+  record, which one Quickhull builds in every dimension, by a revised dual
+  simplex on (n+1)-row bases (``_walk``), in the frame where L's polar
+  points have unit second moment, so that every offset is 1.  It starts
+  from n + 1 half-spaces that support L along e_1, ..., e_n and
+  -(1, ..., 1)/sqrt(n), whose dual ray is positive, and its fit stands once
+  every facet holds within TOL_FEAS at the final vertex and the final dual
+  ray is nonnegative; else ``lp.LpError`` is raised;
 * a flat L: both bodies in L's ``affine_frame``, by the routes above, or
   sigma = 0 when K's directions leave L's.
 
@@ -71,15 +74,10 @@ class FitResult:
                   math.inf, the one degenerate marker, when t is unbounded,
                   which happens exactly when K is a single point
     translation   witness v at the optimum (None when degenerate)
-    dual          multipliers y of the V-form LP, max t s.t. t*x_i + v =
-                  sum_j lambda_ij l_j, sum_j lambda_ij = 1, lambda >= 0 over
-                  K's vertices x_i and L's points l_j: one block (u_i, w_i)
-                  of n+1 per x_i, with y.b >= sigma; set by the facet path only
     """
 
     sigma: float
     translation: np.ndarray | None
-    dual: np.ndarray | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -104,9 +102,11 @@ _OUTWARD = np.array([1.0, -1.0])  # (dx, dy) reversed times this: the right-hand
 # _partition_fit's planar rays come from all C(m, 3) triples of L's m edges; past
 # this many edges one fit per vertex subset, whose cost grows linearly in m, is lighter
 _MAX_PLANAR_EDGES = 48
-_RAY_TOL = 1e-12   # R^3 on: ray entries above -_RAY_TOL * max count as 0; all minors below: no ray
+# R^3 on, and in the dual simplex walk: ray entries above -_RAY_TOL * max count as 0, and
+# a ray whose minors are all below it is none
+_RAY_TOL = 1e-12
 # the rays come from all C(F, n + 1) subsets of L's F facets: past C(44, 4), from the most facets
-# that 24 points can have in R^3, one facet LP per vertex subset is lighter
+# that 24 points can have in R^3, one facet walk per vertex subset is lighter
 _MAX_RAY_SUBSETS = 135_751
 # bytes of one block's (ray, subset) temporaries: under glibc's 128 KiB mmap
 # threshold, so that a block's temporaries reuse heap memory instead of
@@ -215,10 +215,12 @@ def _minor_index(subsets: np.ndarray, f: int) -> np.ndarray:
     return out
 
 
-# planar walk: a cross product of two unit normals is off by at most a few 1e-16, so an entry of
-# a ray above -_CROSS_TOL is a 0 of exactly antipodal normals; an edge enters the basis when it
-# is violated by more than _PIVOT_TOL of its offset, just above the rounding of that test
-_CROSS_TOL = 1e-15
+# planar walk: a cross product of two unit normals, or a basis row's sum of terms, is off by at
+# most a few 1e-16 of their sizes, so an entry of a ray above -_ROUNDING is a 0 of exactly
+# antipodal normals, and a row violated by at most _ROUNDING of its terms' sizes holds; in both
+# walks an edge or facet enters the basis when it is violated by more than _PIVOT_TOL of its
+# offset, just above the rounding of that test
+_ROUNDING = 1e-15
 _PIVOT_TOL = 1e-13
 
 
@@ -237,7 +239,7 @@ def _cross(p: list, q: list) -> float:
 def _edge_ray(al: list, hl: list, bl: list, i: int, j: int, k: int):
     """(sigma, rows, c) of the planar basis of edges i, j, k: c = (a_j x a_k, a_k x a_i,
     a_i x a_j), the null vector of their normals, signed to a positive sum, with entries above
-    -_CROSS_TOL taken as 0, and sigma = c.b / c.h; None when c changes sign or c.h <= 0, as
+    -_ROUNDING taken as 0, and sigma = c.b / c.h; None when c changes sign or c.h <= 0, as
     then the three rows bound no t.  A plain cross product is off by up to about 2e-16, a
     relative error that a thin L's nearly antipodal edges, with entries of 1e-6, would carry
     into sigma; entries below 1e-3 come from ``_cross``."""
@@ -248,7 +250,7 @@ def _edge_ray(al: list, hl: list, bl: list, i: int, j: int, k: int):
     if ci + cj + ck < 0.0:
         ci, cj, ck = -ci, -cj, -ck
     if ci < 0.0 or cj < 0.0 or ck < 0.0:
-        if min(ci, cj, ck) < -_CROSS_TOL:
+        if min(ci, cj, ck) < -_ROUNDING:
             return None
         ci, cj, ck = max(ci, 0.0), max(cj, 0.0), max(ck, 0.0)
     den = ci * hl[i] + cj * hl[j] + ck * hl[k]
@@ -269,11 +271,14 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     relative to its offset, and swaps it for the basis row that keeps c >= 0 and c.h > 0 at the
     least sigma: the optimum over the four rows, so sigma never rises.  When no other edge is
     violated by more than _PIVOT_TOL of its offset, sigma is the LP's optimum, the least bound
-    over L's dual rays, and v is the witness once the basis rows pass the check of every edge,
-    TOL_FEAS of L's largest offset; a NaN fails it.  The walk starts at edge 0 (at the edge of
-    largest h when h_0 = 0), the last edge within pi of it counter-clockwise and the next, and
-    gives up after 4m pivots.  A shadow has a few edges, so the walk runs in Python floats; on
-    a build's shadows it seldom pivots more than once."""
+    over L's dual rays, and v is the witness once each basis row holds within the larger of
+    TOL_FEAS of L's largest offset and _ROUNDING of the sizes of its own terms, the bound that
+    a thin L's rows need; a NaN fails it.  v comes from Cramer's rule on the two tight rows and
+    one step of refinement, as the residuals of plain Cramer's rule grow as 1/det on a thin L's
+    nearly antipodal edges.  The walk starts at edge 0 (at the edge of largest h when h_0 = 0),
+    the last edge within pi of it counter-clockwise and the next, and gives up after 4m pivots.
+    A shadow has a few edges, so the walk runs in Python floats; on a build's shadows it seldom
+    pivots more than once."""
     al, bl = a.tolist(), b.tolist()
     m = len(al)
     kc = np.add.reduce(kv, axis=0) / kv.shape[0]
@@ -295,6 +300,8 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
         er, eq = bl[r] - sigma * hl[r], bl[q] - sigma * hl[q]
         det = rx * qy - ry * qx
         vx, vy = (er * qy - eq * ry) / det, (rx * eq - qx * er) / det
+        fr, fq = er - rx * vx - ry * vy, eq - qx * vx - qy * vy
+        vx, vy = vx + (fr * qy - fq * ry) / det, vy + (rx * fq - qx * fr) / det
         worst, e = _PIVOT_TOL, -1
         for row, ((ax, ay), bj, hj) in enumerate(zip(al, bl, hl)):
             gap = (sigma * hj + ax * vx + ay * vy - bj) / bj
@@ -302,7 +309,10 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
                 worst, e = gap, row
         if e < 0:
             for row in (i, j, k):
-                if not sigma * hl[row] + al[row][0] * vx + al[row][1] * vy - bl[row] <= feas:
+                (ax, ay), th, bj = al[row], sigma * hl[row], bl[row]
+                gap = th + ax * vx + ay * vy - bj
+                if not (gap <= feas or gap <= _ROUNDING * (abs(th) + abs(ax * vx) + abs(ay * vy)
+                                                          + abs(bj))):
                     return None
             (lx, ly), (kx, ky) = lc.tolist(), kc.tolist()
             return FitResult(sigma, np.array([vx + lx - sigma * kx, vy + ly - sigma * ky]))
@@ -314,47 +324,52 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     return None
 
 
-def _facet_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
-               b: np.ndarray) -> FitResult | None:
-    """Scale fit over L's facets (or edges, in the plane) a_f.x <= b_f, which
-    are those of (L - lc) / s; None when ``lp.solve_from`` turns the start
-    down or the witness leaves a facet by more than TOL_FEAS of its offset.
+def _walk(kv: np.ndarray, lv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
+          b: np.ndarray) -> FitResult | None:
+    """Scale fit over L's facets (or edges, in the plane) a_f.x <= b_f, which are those of
+    (L - lc) / s, by a revised dual simplex on (n+1)-row bases (Seidel, DCG 1991); None when
+    the walk stalls or its end fails its checks.
 
-    With K centred on its vertex mean and divided by s, and h_f = h_K(a_f),
-    it solves max t s.t. t*h_f + a_f.v <= b_f, one slack per facet, in the
-    frame where L's polar points a_f / b_f = U_f S V^T have unit second
-    moment: with v = y S^-1 V^T, row f divided by b_f reads
-    t*h_f/b_f + U_f.y <= 1, so a slab is as round as a ball.  The centre lc
-    lies inside L, so b > 0 and the slacks are a feasible starting basis.
-    The facet multipliers y map onto the V-form LP's (see FitResult): facet
-    f adds y_f*a_f/s to u_i and y_f*h_L(a_f)/s to w_i for a vertex x_i of K
-    attaining h_K(a_f).  Then sum_i u_i = 0, sum_i u_i.x_i = 1 and
-    sum_i w_i = sigma, and w_i >= h_L(u_i) as h_L is sublinear.
-    """
-    mk = kv.shape[0]
+    With K centred on its vertex mean and divided by s, and h_f = h_K(a_f), the LP is
+    max t s.t. t*h_f + a_f.v <= b_f.  It is worked in the frame where L's polar points
+    a_f / b_f = U_f S V^T have unit second moment: with v = z S^-1 V^T, row f divided by b_f
+    reads t*h_f/b_f + U_f.z <= 1, so every offset is 1 and a slab is as round as a ball.  Its
+    n + 1 variables (t, z) are free, so a basis is n + 1 rows M, with the vertex x = M^-1 1 and
+    the dual y = M^-T e_0, a ray of L's dual cone while y >= 0, and t = sum(y).  The start rows
+    are the half-spaces that support L's points (lv - lc) / s, in the frame, along e_1, ...,
+    e_n and -(1, ..., 1)/sqrt(n): they hold wherever the facets do, so they leave the optimum
+    as it is, and their dual ray is positive, as those directions sum to 0 with positive
+    weights.  Each pivot inverts the basis afresh; the facet that x violates most, by more
+    than _PIVOT_TOL, enters, and of the rows whose entry of w = M^-T r_e is above _RAY_TOL of
+    the largest, the one of least y_i / w_i leaves, so y stays a ray and t never rises.  The
+    fit is returned once x violates no facet by more than TOL_FEAS and y >= -_RAY_TOL max y,
+    since a feasible x alone need not be optimal; the walk gives up after 4 (f + n) pivots."""
     f, n = a.shape
-    kc = kv.sum(axis=0) / mk
-    hk = a @ ((kv - kc) / s).T
-    top = hk.argmax(axis=1)
+    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
     q, sv, vt = np.linalg.svd(a / b[:, None], full_matrices=False)
-    h = hk[np.arange(f), top] / b
-    c = np.zeros(1 + n + f)
-    c[0] = 1.0
-    nonneg = np.ones(1 + n + f, dtype=bool)
-    nonneg[1:1 + n] = False
-    problem = lp.LpProblem(np.column_stack([h, q, np.eye(f)]), np.ones(f), c, nonneg)
-    out = lp.solve_from(problem, np.arange(1 + n, 1 + n + f))
-    if out is None or out.status != lp.OPTIMAL:
-        return None
-    sigma = float(out.objective)
-    v = out.z[1:1 + n]
-    if not (q @ v + sigma * h).max() <= 1.0 + TOL_FEAS:
-        return None
-    v, y = (v / sv) @ vt, out.dual / b
-    u, w = np.zeros((mk, n)), np.zeros(mk)
-    np.add.at(u, top, y[:, None] * a / s)
-    np.add.at(w, top, y * (b + a @ lc / s))
-    return FitResult(sigma, s * v + lc - sigma * kc, np.column_stack([u, w]).ravel())
+    frame = vt.T * sv   # the frame's coordinates of x are x @ frame
+    start = np.vstack([np.eye(n), np.full(n, -1.0 / math.sqrt(n))])
+    rows = np.vstack([q, start])
+    r = np.column_stack([np.maximum.reduce((kv - kc) / s @ frame @ rows.T, axis=0), rows])
+    r[f:] /= np.maximum.reduce((lv - lc) / s @ frame @ start.T, axis=0)[:, None]
+    basis = np.arange(f, f + n + 1)
+    for _ in range(4 * (f + n)):
+        minv = np.linalg.inv(r[basis])
+        x, y = np.add.reduce(minv, axis=1), minv[0]
+        gap = r[:f] @ x
+        e = int(gap.argmax())
+        if not gap[e] > 1.0 + _PIVOT_TOL:   # a NaN fails the checks below
+            if not (gap[e] <= 1.0 + TOL_FEAS and y.min() >= -_RAY_TOL * y.max()):
+                return None
+            sigma = float(x[0])
+            return FitResult(sigma, s * ((x[1:] / sv) @ vt) + lc - sigma * kc)
+        w = r[e] @ minv
+        ok = w > _RAY_TOL * np.abs(w).max()
+        if not ok.any():
+            return None
+        ratio = np.where(ok, np.maximum(y, 0.0), np.inf) / np.where(ok, w, 1.0)
+        basis[int(ratio.argmin())] = e
+    return None
 
 
 def _supports(k: Polytope, l: Polytope):
@@ -432,7 +447,7 @@ def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
         return _flat_fit(kv, lv, c, frame[:, :min(r, n - 1)])
     if n == 2 and (fit := _planar_fit(kv, *supports)):
         return fit
-    fit = _facet_fit(kv, *supports)
+    fit = _walk(kv, lv, *supports)
     if fit is None:
         raise lp.LpError("facet-form scale fit failed its check")
     return fit

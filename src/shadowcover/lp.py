@@ -3,11 +3,11 @@
 Problems are ``maximize c.z  subject to  A z = b`` where each variable is
 either sign-free or constrained nonnegative (``nonneg`` mask).  Solved by
 tableau simplex with Bland's anti-cycling rule; free variables are split into
-differences of nonnegative parts.  A solve starts one of two ways: ``solve``
-finds a feasible basis itself (phase 1 over artificial variables), and
-``solve_from`` takes one from the caller and runs phase 2 alone.  Both end in
-the same phase-2 run, which solves the final basis afresh for z and for the
-dual.
+differences of nonnegative parts.  ``solve`` finds a feasible basis itself
+(phase 1 over artificial variables), and its phase 2 solves the final basis
+afresh for z and for the dual.  Its one library caller is
+``bodies.point_in_hull``; every scale fit runs its own small simplex in
+``containment``.
 
 Every verdict carries a certificate: optimal outcomes return a dual vector
 (weak duality and complementary slackness hold within tolerance), infeasible
@@ -158,45 +158,6 @@ def _split_free(nonneg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col_var, col_sgn
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, problem: LpProblem, col_var: np.ndarray,
-            col_sgn: np.ndarray, rows: np.ndarray, max_iter: int) -> LpOutcome | None:
-    """Phase 2 from a feasible tableau T = B^-1 [A_ext | b] on the problem's
-    ``rows`` (``solve`` drops a redundant one); None on a stall.
-
-    The basic values z_B and the dual y solve B z_B = b and y B = c_B afresh
-    from the final basis, with y = 0 on a dropped row: the tableau's carry
-    the rounding of every pivot, which a small pivot grows.
-    """
-    c = problem.c
-    c_ext = c[col_var] * col_sgn
-    n_ext, m = c_ext.shape[0], basis.shape[0]
-    T[-1] = -(c_ext[basis] @ T[:m])
-    T[-1, :n_ext] += c_ext
-    status = _run_simplex(T, basis, n_ext, allow_unbounded=True, max_iter=max_iter)
-    if status == "stall":
-        return None
-    if status == UNBOUNDED:
-        # the ray of the entering column j, which _run_simplex found bounded by no row
-        j = int((T[-1, :n_ext] > TOL_FEAS).argmax())
-        d_ext = np.zeros(T.shape[1])
-        d_ext[j] = 1.0
-        d_ext[basis] = -T[:m, j]
-        ray = np.bincount(col_var, weights=col_sgn * d_ext[:n_ext], minlength=c.shape[0])
-        return LpOutcome(UNBOUNDED) if _ray_checks(problem, ray) else None
-    bmat = problem.A[rows][:, col_var[basis]] * col_sgn[basis]
-    dual = np.zeros(problem.b.shape[0])
-    try:
-        values = np.linalg.solve(bmat, problem.b[rows])
-        dual[rows] = np.linalg.solve(bmat.T, c_ext[basis])
-    except np.linalg.LinAlgError:
-        return None
-    z_ext = np.zeros(n_ext)
-    z_ext[basis] = np.maximum(values, 0.0)
-    z = np.bincount(col_var, weights=col_sgn * z_ext, minlength=c.shape[0])
-    return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual) \
-        if _certified(problem, z, dual) else None
-
-
 def _small(residual: np.ndarray, terms: np.ndarray) -> bool:
     """|residual| <= _CERT_TOL times the largest term it sums, or 1."""
     return bool(np.abs(residual).max(initial=0.0)
@@ -274,41 +235,34 @@ def _solve_once(problem: LpProblem) -> LpOutcome | None:
             else:
                 keep[i] = False  # redundant constraint
     rows = np.flatnonzero(keep)
-    return _phase2(T[np.r_[rows, m]][:, np.r_[:n_ext, -1]], basis[keep], problem, col_var,
-                   col_sgn, rows, max_iter)
+    T, basis = T[np.r_[rows, m]][:, np.r_[:n_ext, -1]], basis[keep]
 
-
-def solve_from(problem: LpProblem, basis) -> LpOutcome | None:
-    """Phase 2 alone, from a caller-given feasible basis.
-
-    ``basis`` lists m nonnegative columns of ``problem.A``, the one basic in
-    each row; the tableau starts as B^-1 [A | b].  Returns None when B is
-    singular or its (1-norm) condition number exceeds 1e10, when B^-1 b has
-    a negative entry, or when the run stalls, its final basis is singular or
-    its outcome fails its check; the caller decides what follows (the facet
-    fit raises ``LpError``).
-    """
-    a, b = problem.A, problem.b
-    m = b.shape[0]
-    basis = np.asarray(basis, dtype=np.intp)
-    if basis.shape != (m,) or not problem.nonneg[basis].all():
-        raise ValueError("the basis must list one nonnegative column per row")
-    bmat, binv = a[:, basis], np.eye(m)
-    if not np.array_equal(bmat, binv):   # a slack basis is its own inverse
-        try:
-            binv = np.linalg.inv(bmat)
-        except np.linalg.LinAlgError:
-            return None
-        if np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > 1e10:
-            return None   # 1-norm condition number: leave the LP to phase 1
-    col_var, col_sgn = _split_free(problem.nonneg)
-    n_ext = col_var.shape[0]
-    T = np.empty((m + 1, n_ext + 1))
-    T[:m, :n_ext] = binv @ (a[:, col_var] * col_sgn)
-    T[:m, -1] = binv @ b
-    if T[:m, -1].min(initial=0.0) < -TOL_FEAS:
+    # phase 2 on the kept rows; z_B and the dual y solve B z_B = b and y B = c_B afresh from
+    # the final basis, with y = 0 on a dropped row: the tableau's carry the rounding of every
+    # pivot, which a small pivot grows
+    c_ext = c[col_var] * col_sgn
+    T[-1] = -(c_ext[basis] @ T[:-1])
+    T[-1, :n_ext] += c_ext
+    status = _run_simplex(T, basis, n_ext, allow_unbounded=True, max_iter=max_iter)
+    if status == "stall":
         return None
-    # a nonnegative column is not split, so its extended index is that of
-    # its positive part
-    return _phase2(T, np.flatnonzero(col_sgn > 0.0)[basis], problem, col_var, col_sgn,
-                   np.arange(m), 2000 + 40 * (m + n_ext))
+    if status == UNBOUNDED:
+        # the ray of the entering column j, which _run_simplex found bounded by no row
+        j = int((T[-1, :n_ext] > TOL_FEAS).argmax())
+        d_ext = np.zeros(T.shape[1])
+        d_ext[j] = 1.0
+        d_ext[basis] = -T[:-1, j]
+        ray = np.bincount(col_var, weights=col_sgn * d_ext[:n_ext], minlength=nvar)
+        return LpOutcome(UNBOUNDED) if _ray_checks(problem, ray) else None
+    bmat = a[rows][:, col_var[basis]] * col_sgn[basis]
+    dual = np.zeros(m)
+    try:
+        values = np.linalg.solve(bmat, b[rows])
+        dual[rows] = np.linalg.solve(bmat.T, c_ext[basis])
+    except np.linalg.LinAlgError:
+        return None
+    z_ext = np.zeros(n_ext)
+    z_ext[basis] = np.maximum(values, 0.0)
+    z = np.bincount(col_var, weights=col_sgn * z_ext, minlength=nvar)
+    return LpOutcome(OPTIMAL, z=z, objective=float(c @ z), dual=dual) \
+        if _certified(problem, z, dual) else None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shadowcover.bodies import Polytope, affine_dim, canonicalize, scale, support, support_set
+from shadowcover import containment
 from shadowcover.containment import min_subset_sigma, scale_fit, subset_witness, translate_fits
 from shadowcover.construct import (
     ConstructionError,
@@ -186,17 +187,18 @@ def test_build_counterexample_random_body():
 
 
 def test_counterexample_covers_on_the_minimizing_plane():
-    # the 2-plane spanned by the active dual normals of the worst vertex
-    # triple attains eps*; a sampled estimate of epsilon above eps* makes
-    # the shadow of epsilon * K on it fail to fit
+    # Theorem 2's plane xi*, the span of the u_B of the cover's best dual ray
+    # and partition, attains eps*, the least fit of the body's vertex triples,
+    # each fit on its own; a sampled estimate of epsilon above eps* makes the
+    # shadow of epsilon * K on it fail to fit
     ce = _random_body_counterexample()
     v = ce.body.vertices
-    fits = [scale_fit(Polytope(v[list(c)]), ce.cover) for c in combinations(range(len(v)), 3)]
-    worst = min(fits, key=lambda f: f.sigma)
-    u = worst.dual.reshape(3, 4)[:, :3]
-    u = u[np.linalg.norm(u, axis=1) > 1e-9 * np.abs(u).max()]
-    xi = Subspace(np.linalg.svd(u)[2][:2].T)
-    assert shadow_fit(ce.body, ce.cover, xi).sigma == pytest.approx(worst.sigma, rel=1e-9)
+    worst = min(scale_fit(Polytope(v[list(c)]), ce.cover).sigma
+                for c in combinations(range(len(v)), 3))
+    eps, _, u = containment._partition_fit(v, containment._supports(ce.body, ce.cover), 3)
+    assert eps == pytest.approx(worst, rel=1e-12, abs=0.0)
+    xi = Subspace(np.linalg.svd(u.T)[0][:, :2])
+    assert shadow_fit(ce.body, ce.cover, xi).sigma == pytest.approx(worst, rel=1e-9, abs=0.0)
     assert shadow_fit(scale(ce.body, ce.epsilon), ce.cover, xi).sigma >= 1.0 - TOL_GEOM
 
 
@@ -340,9 +342,9 @@ def test_farkas_certificate_is_unit_free():
 
 
 def test_builds_replays_and_a_decide_pair_solve_only_the_facet_lp(lp_calls):
-    # the library builds one kind of LP, the facet LP from its slack basis:
-    # a build and replay in R^3, of criterion 7's lifted quad and in R^4,
-    # and a decide-style pair call no other LP entry point
+    # every fit walks its own small LP over L's edges or facets: a build and
+    # replay in R^3, of criterion 7's lifted quad and in R^4, and a
+    # decide-style pair call no entry point of lp
     _, quad = canonical_tetra_quad()
     rng = np.random.default_rng(41)
     builds = [build_counterexample(Polytope(rng.standard_normal((8, 3))), rng=1, directions=16,
@@ -355,7 +357,7 @@ def test_builds_replays_and_a_decide_pair_solve_only_the_facet_lp(lp_calls):
     translate_fits(k, l)
     subset_witness(k, l, 4)
     shadow_sweep(k, l, 1, count=64, rng=np.random.default_rng(5))
-    assert lp_calls and set(lp_calls) == {"solve_from"}
+    assert lp_calls == []
 
 
 def test_build_and_replay_build_two_hulls(hull_calls):

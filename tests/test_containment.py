@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -291,16 +292,18 @@ def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
         pairs.append((k, Polytope(rng.standard_normal((8, n)) * (1.5 + i % 4))))
     witnesses = [subset_witness(k, l, k.dim + 1) for k, l in pairs]
     margins = [min_subset_sigma(k, l, k.dim + 1) for k, l in pairs]
-    assert lp_calls == []
     scale_fit(*pairs[1])
-    assert lp_calls == ["solve_from"]  # the spy sees the library's LPs
+    assert lp_calls == []
+    point_in_hull(pairs[1][0].vertices[0], pairs[1][1])
+    assert lp_calls == ["solve"]  # the spy sees the library's LPs
     for (k, l), w, margin in zip(pairs, witnesses, margins):
         least = highs_subset_sigmas(k.vertices, l.vertices, k.dim + 1)[1].min()
-        assert margin == pytest.approx(least, rel=1e-12)
+        assert margin == pytest.approx(least, rel=1e-12, abs=0.0)
         assert (w is None) == (least >= 1.0 - TOL_GEOM)
         if w is not None:
             assert len(w) <= k.dim + 1 and w == sorted(set(w))
-            assert highs_sigma(k.vertices[w], l.vertices) == pytest.approx(least, rel=1e-12)
+            assert highs_sigma(k.vertices[w], l.vertices) == pytest.approx(least, rel=1e-12,
+                                                                            abs=0.0)
     for n in (2, 3):
         found = [w for (k, _), w in zip(pairs, witnesses) if k.dim == n]
         assert any(w is None for w in found) and any(w is not None for w in found)
@@ -308,12 +311,13 @@ def test_subset_witness_on_a_raw_body_solves_no_lp(lp_calls):
 
 def test_planar_fit_of_a_flat_or_large_l_solves_no_lp(lp_calls, monkeypatch):
     # a flat L in the plane is fit in its own frame, and an L of any number of
-    # edges by the planar walk, with no LP; the facet LP over a 60-gon's edges,
-    # the fallback of a walk that fails, keeps its dual of the V-form LP
-    edge_lps = []
-    original = containment._facet_fit
-    monkeypatch.setattr(containment, "_facet_fit",
-                        lambda *args: edge_lps.append(len(args[3])) or original(*args))
+    # edges by the planar walk, with no LP; the dual simplex walk over a
+    # 60-gon's edges, the fallback of a planar walk that fails, matches HiGHS
+    # and its witness replays
+    edge_walks = []
+    original = containment._walk
+    monkeypatch.setattr(containment, "_walk",
+                        lambda *args: edge_walks.append(len(args[4])) or original(*args))
     rng = np.random.default_rng(127)
     segment = Polytope([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5]])
     fit = _dual_route(Polytope([[0.0, 0.0], [1.0, 0.5]]), segment)
@@ -326,20 +330,21 @@ def test_planar_fit_of_a_flat_or_large_l_solves_no_lp(lp_calls, monkeypatch):
         lp_calls.clear()
         fit = scale_fit(k, sixty_gon)
         assert lp_calls == []
-        assert fit.sigma == pytest.approx(_dual_route(k, sixty_gon).sigma, rel=1e-12)
-        assert min_subset_sigma(k, sixty_gon, 3) == pytest.approx(fit.sigma, rel=1e-9)
+        assert fit.sigma == pytest.approx(_dual_route(k, sixty_gon).sigma, rel=1e-12, abs=0.0)
+        assert min_subset_sigma(k, sixty_gon, 3) == pytest.approx(fit.sigma, rel=1e-9, abs=0.0)
         for factor in (1e-9, 1e9):
             small = scale_fit(scale(k, factor), scale(sixty_gon, factor))
-            assert small.sigma == pytest.approx(fit.sigma, rel=1e-9)
-        assert edge_lps == []
+            assert small.sigma == pytest.approx(fit.sigma, rel=1e-9, abs=0.0)
+        assert edge_walks == []
         lp_calls.clear()
-        facet = containment._facet_fit(k.vertices, *containment._supports(k, sixty_gon))
-        assert lp_calls == ["solve_from"] and facet.sigma == pytest.approx(fit.sigma, rel=1e-9)
-        prob = _scale_fit_lp(k.vertices, sixty_gon.vertices)
-        slack = facet.dual @ prob.A - prob.c
-        assert slack[prob.nonneg].min() >= -1e-9 and np.abs(slack[~prob.nonneg]).max() <= 1e-9
-        assert float(facet.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
-        edge_lps.clear()
+        walk = containment._walk(k.vertices, sixty_gon.vertices,
+                                 *containment._supports(k, sixty_gon))
+        assert lp_calls == [] and edge_walks == [60]
+        want = highs_sigma(k.vertices, sixty_gon.vertices)
+        assert walk.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert fit.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert fit_replays(k, sixty_gon, walk)
+        edge_walks.clear()
 
 
 def test_planar_walk_fits_a_200_gon_like_highs(lp_calls):
@@ -355,10 +360,11 @@ def test_planar_walk_fits_a_200_gon_like_highs(lp_calls):
     pairs += [(gon, Polytope(30.0 * TRIANGLE.vertices)),
               (gon, Polytope(twelve @ _rotation(rng, 2).T))]
     for k, l in pairs:
+        lp_calls.clear()
         fit = scale_fit(k, l)
-        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=1e-9)
+        assert lp_calls == []   # fit_replays' point-in-hull LPs call lp.solve
+        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=1e-9, abs=0.0)
         assert fit_replays(k, l, fit)
-    assert "solve_from" not in lp_calls   # fit_replays' point-in-hull LPs call lp.solve
 
 
 def test_planar_fit_parallelogram_target():
@@ -400,23 +406,19 @@ def test_low_dim_fit_is_scale_and_offset_free(n):
         assert got == pytest.approx(base, rel=1e-6)
 
 
-def test_lp_fit_witness_replays_and_dual_bounds_sigma():
-    # the 3-D fit starts phase 2 from the slack basis of L's facets; its
-    # multipliers, mapped back to the input's coordinates, certify sigma
-    # from above
+def test_lp_fit_witness_replays_and_matches_highs():
+    # the 3-D fit walks L's facets from n + 1 half-spaces that support L; its
+    # witness replays, and its sigma matches HiGHS's V-form LP and the
+    # library's two-phase lp.solve of the same LP
     rng = np.random.default_rng(79)
     for _ in range(30):
         k = Polytope(rng.standard_normal((6, 3)) + rng.uniform(-3.0, 3.0, 3))
         l = Polytope(rng.standard_normal((8, 3)) * rng.uniform(0.5, 3.0))
         fit = scale_fit(k, l)
         assert fit.status == "ok" and fit_replays(k, l, fit)
-        prob = _scale_fit_lp(k.vertices, l.vertices)
-        slack = fit.dual @ prob.A - prob.c
-        assert slack[prob.nonneg].min() >= -1e-9
-        assert np.max(np.abs(slack[~prob.nonneg])) <= 1e-9
-        assert float(fit.dual @ prob.b) >= fit.sigma - 1e-9
-        assert float(fit.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
-        assert fit.sigma == pytest.approx(_lp_sigma(k, l), rel=1e-9)
+        want = highs_sigma(k.vertices, l.vertices)
+        assert fit.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert fit.sigma == pytest.approx(_lp_sigma(k, l), rel=1e-9, abs=0.0)
 
 
 def _scale_fit_lp_loop(kv, lv, fixed_t=None):
@@ -469,7 +471,7 @@ def test_facet_fit_matches_vform_lp():
         for kk, ll in ((kv, lv), (kv * 1e9, lv * 1e9), (kv * 1e-9, lv * 1e-9),
                        (kv + 1e9, lv + 1e9)):
             fit = scale_fit(Polytope(kk), Polytope(ll))
-            assert fit.sigma == pytest.approx(highs_sigma(kk, ll), rel=1e-12)
+            assert fit.sigma == pytest.approx(highs_sigma(kk, ll), rel=1e-12, abs=0.0)
 
 
 def test_facet_fit_witness_replays(lp_calls):
@@ -479,15 +481,14 @@ def test_facet_fit_witness_replays(lp_calls):
         k, l = Polytope(kv), Polytope(lv)
         fit = scale_fit(k, l)
         ok, v = translate_fits(k, scale(l, 1.1 / fit.sigma))
-        assert set(lp_calls) == {"solve_from"}
-        lp_calls.clear()
+        assert lp_calls == []
         assert fit_replays(k, l, fit)
         assert ok and all(point_in_hull(x + v, scale(l, 1.1 / fit.sigma)) for x in k.vertices)
         lp_calls.clear()
 
 
 def test_facet_fit_witnesses_meet_the_unit_frame_rule():
-    # the facet LP's witness is checked in the frame where L's polar points
+    # the facet walk's witness is checked in the frame where L's polar points
     # have unit second moment; mapped back to the facets a.x <= b of L's
     # hull record, it meets TOL_FEAS of the largest b there too, on clouds
     # from R^3 to R^5 and on K in a 60-gon, which the planar walk fits otherwise
@@ -501,7 +502,7 @@ def test_facet_fit_witnesses_meet_the_unit_frame_rule():
         cases.append((kv + rng.uniform(-3.0, 3.0, n), lv * rng.uniform(0.5, 3.0)))
     for kv, lv in cases:
         lc, s, a, b = containment._supports(Polytope(kv), Polytope(lv))
-        fit = containment._facet_fit(kv, lc, s, a, b)
+        fit = containment._walk(kv, lv, lc, s, a, b)
         kc = kv.sum(axis=0) / len(kv)
         h = (a @ ((kv - kc) / s).T).max(axis=1)
         v = (fit.translation - lc + fit.sigma * kc) / s
@@ -514,31 +515,33 @@ def _rotation(rng, n):
 
 def test_full_l_reaches_only_the_facet_lp(lp_calls):
     # a flat L in R^3 or R^4 is fit in its own frame, and a full one in any
-    # dimension over its facets: the library's only LP there is the facet
-    # LP from its slack basis
+    # dimension over its facets, by the planar walk or the facet walk: none
+    # of these fits, subset searches or canonicalizations calls lp
     rng = np.random.default_rng(127)
     k = Polytope(rng.standard_normal((4, 3)) * 0.1)
     k_flat = Polytope(k.vertices * [1.0, 1.0, 0.0])
     flat = Polytope(np.column_stack([rng.standard_normal((6, 2)), np.zeros(6)]))
-    assert scale_fit(k_flat, flat).sigma == pytest.approx(_lp_sigma(k_flat, flat), rel=1e-9)
+    assert scale_fit(k_flat, flat).sigma == pytest.approx(_lp_sigma(k_flat, flat), rel=1e-9,
+                                                          abs=0.0)
     assert scale_fit(k, flat).sigma == 0.0
     big = Polytope(rng.standard_normal((25, 3)))
-    assert scale_fit(k, big).sigma == pytest.approx(_lp_sigma(k, big), rel=1e-9)
+    assert scale_fit(k, big).sigma == pytest.approx(_lp_sigma(k, big), rel=1e-9, abs=0.0)
     scale_fit(k, Polytope(rng.standard_normal((200, 3))))
     line = np.array([[1.0, 2.0, -1.0]])
     for ends, sigma in (([[0.0], [0.5]], 6.0), ([[0.0], [0.5], [0.2]], 6.0)):
         k_seg = Polytope(np.array(ends) @ line + [0.3, -0.2, 0.1])
         l_seg = Polytope(np.array([[-1.0], [2.0], [0.5]]) @ line)
         fit = scale_fit(k_seg, l_seg)
-        assert fit.sigma == pytest.approx(sigma, rel=1e-12)
-        assert fit.sigma == pytest.approx(_lp_sigma(k_seg, l_seg), rel=1e-9)
+        assert fit.sigma == pytest.approx(sigma, rel=1e-12, abs=0.0)
+        assert fit.sigma == pytest.approx(_lp_sigma(k_seg, l_seg), rel=1e-9, abs=0.0)
         assert fit_replays(k_seg, l_seg, fit)
     assert scale_fit(k_flat, l_seg).sigma == 0.0
     kv, lv = rng.standard_normal((5, 3)), 2.0 * rng.standard_normal((9, 3))
     embed = _rotation(rng, 4)[:, :3]
     k4, l4 = Polytope(kv @ embed.T + 5.0), Polytope(lv @ embed.T + 5.0)
     fit = scale_fit(k4, l4)
-    assert fit.sigma == pytest.approx(scale_fit(Polytope(kv), Polytope(lv)).sigma, rel=1e-12)
+    assert fit.sigma == pytest.approx(scale_fit(Polytope(kv), Polytope(lv)).sigma, rel=1e-12,
+                                      abs=0.0)
     assert fit_replays(k4, l4, fit)
     lp_calls.clear()
     for n in (2, 3, 4, 5):
@@ -548,11 +551,10 @@ def test_full_l_reaches_only_the_facet_lp(lp_calls):
             eps = [min_subset_sigma(k, l, d + 1) for d in range(1, n + 1)]
             subset_witness(k, l, n + 1)
             canonicalize(Polytope(np.vstack([l.vertices, l.vertices.mean(axis=0)])))
-            assert set(lp_calls) <= {"solve_from"}
-            lp_calls.clear()
+            assert lp_calls == []
             want = highs_sigma(k.vertices, l.vertices)
-            assert fit.sigma == pytest.approx(want, rel=1e-9)
-            assert eps[-1] == pytest.approx(want, rel=1e-9)
+            assert fit.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert eps[-1] == pytest.approx(want, rel=1e-9, abs=0.0)
             assert fit_replays(k, l, fit)
             lp_calls.clear()
 
@@ -575,9 +577,9 @@ def test_flat_pairs_of_equal_rank():
         k = Polytope((0.3 * base[:4] + np.eye(n)[-1]) @ rot.T + 2.0)
         fit = scale_fit(k, l)
         want = scale_fit(Polytope(0.3 * base[:4, :n - 1]), Polytope(base[:, :n - 1])).sigma
-        assert fit.sigma == pytest.approx(want, rel=1e-12) and fit.dual is None
+        assert fit.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
         assert fit_replays(k, l, fit)
-        assert min_subset_sigma(k, l, n) == pytest.approx(want, rel=1e-12)
+        assert min_subset_sigma(k, l, n) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_flat_pair_fits_match_the_planar_fit():
@@ -875,7 +877,7 @@ def test_planar_supports_and_fits_match_the_array_formulas(monkeypatch):
     # offset of every edge line; a slab just above or just below the 1e-5 thin
     # ratio keeps its edges, and only a flat one reaches _flat_fit
     flat_fits, facet_fits = [], []
-    for name, calls in (("_flat_fit", flat_fits), ("_facet_fit", facet_fits)):
+    for name, calls in (("_flat_fit", flat_fits), ("_walk", facet_fits)):
         original = getattr(containment, name)
         monkeypatch.setattr(containment, name,
                             lambda *args, _f=original, _c=calls: _c.append(1) or _f(*args))
@@ -909,7 +911,8 @@ def _degenerate_planar_pairs(rng):
     rectangles; regular m-gons, whose rays tie, holding random K's and turned regular K's;
     slivers of ratio 1e-6 and 1e-9 as K in a polygon, and of ratio 1e-6 as L about a K of its
     shape (``_supports`` calls an L of ratio 1e-9 flat); a segment K parallel to an edge of L;
-    and a point K."""
+    a point K; and thin pairs, turned K's and L's both of ratio 1e-9, every edge of L within
+    1e-9 of its vertex mean, every other K turned with its L (about half these L's are flat)."""
     for i in range(40):
         e1, e2, o = rng.standard_normal((3, 2))
         k = Polytope(0.3 * rng.standard_normal((int(rng.integers(2, 7)), 2)))
@@ -933,29 +936,66 @@ def _degenerate_planar_pairs(rng):
         yield "segment", Polytope(np.array([[0.0, 0.0], 0.3 * e1])), Polytope(
             np.array([[0.0, 0.0], e1, e1 + e2, e2]))
         yield "point", Polytope(np.tile(o, (3, 1))), Polytope(lv)
+        for j in range(3):
+            turn = _rotation(rng, 2)
+            thin = rng.standard_normal((int(rng.integers(3, 10)), 2)) * (1.0, 1e-9)
+            kv = 0.3 * rng.standard_normal((int(rng.integers(2, 8)), 2)) * (1.0, 1e-9)
+            yield "thin", Polytope(kv @ (turn if (i + j) % 2 else _rotation(rng, 2)).T), Polytope(
+                thin @ turn.T)
+
+
+def _exact_gaps_hold(k, fit, supports):
+    """Does sigma*K + v lie, in rational arithmetic on the same floats, within the planar walk's
+    bound of every edge line a.x <= b of L - lc: the larger of TOL_FEAS of L's largest offset
+    and _ROUNDING of the sizes of the row's terms sigma*h_K(a), a.v and b?  Here v = t - lc +
+    sigma*kc, of the returned translation t and K's vertex mean kc, and a.v's size is that of
+    its parts a_d*t_d, a_d*lc_d and sigma*a_d*kc_d, as the translation rounds their sum."""
+    lc, _, a, b = supports
+    sigma, t = Fraction(fit.sigma), [Fraction(x) for x in fit.translation.tolist()]
+    lc = [Fraction(x) for x in lc.tolist()]
+    points = [[Fraction(x) for x in p] for p in k.vertices.tolist()]
+    kc = [sum(p[d] for p in points) / len(points) for d in (0, 1)]
+    feas = containment.TOL_FEAS * Fraction(b.max())
+    for (ax, ay), bj in zip(a.tolist(), b.tolist()):
+        ax, ay, bj = Fraction(ax), Fraction(ay), Fraction(bj)
+        h = max(ax * (p[0] - kc[0]) + ay * (p[1] - kc[1]) for p in points)
+        av = sum(ad * (t[d] - lc[d] + sigma * kc[d]) for d, ad in enumerate((ax, ay)))
+        terms = abs(sigma * h) + abs(bj) + sum(
+            abs(ad) * (abs(t[d]) + abs(lc[d]) + sigma * abs(kc[d])) for d, ad in enumerate((ax, ay))
+        )
+        if sigma * h + av - bj > max(feas, containment._ROUNDING * terms):
+            return False
+    return True
 
 
 def test_planar_walk_on_degenerate_input(monkeypatch):
     # the walk's sigma matches the ray enumeration to 1e-12 on tied rays,
-    # antipodal normals, slivers and segments, and no fit reaches the iteration
-    # cap or the facet-LP fallback; a point K's sigma is inf
+    # antipodal normals, slivers and segments, and to 1e-14 on thin pairs,
+    # where its witness holds every edge in rational arithmetic; no fit
+    # reaches the iteration cap or the facet-walk fallback, and a point K's
+    # sigma is inf
     stalls, facet_fits = [], []
-    walk, facet = containment._planar_fit, containment._facet_fit
+    walk, facet = containment._planar_fit, containment._walk
     monkeypatch.setattr(containment, "_planar_fit",
                         lambda *args: (out := walk(*args)) or stalls.append(1) or out)
-    monkeypatch.setattr(containment, "_facet_fit",
-                        lambda *args: facet_fits.append(1) or facet(*args))
+    monkeypatch.setattr(containment, "_walk", lambda *args: facet_fits.append(1) or facet(*args))
     seen = {}
     for kind, k, l in _degenerate_planar_pairs(np.random.default_rng(179)):
         fit = scale_fit(k, l)
-        seen[kind] = seen.get(kind, 0) + 1
         if kind == "point":
             assert fit.sigma == math.inf and fit.translation is None
-            continue
-        supports = containment._supports(k, l)
-        assert fit.sigma == pytest.approx(ray_sigma(k.vertices, *supports[2:]), rel=1e-12, abs=0.0)
-        assert _witness_holds(k, fit, supports)
+        elif (supports := containment._supports(k, l)) is None:
+            assert kind == "thin"
+            kind = "flat thin"
+        else:
+            want = ray_sigma(k.vertices, *supports[2:])
+            rel = 1e-14 if kind == "thin" else 1e-12
+            assert fit.sigma == pytest.approx(want, rel=rel, abs=0.0)
+            assert _witness_holds(k, fit, supports)
+            assert kind != "thin" or _exact_gaps_hold(k, fit, supports)
+        seen[kind] = seen.get(kind, 0) + 1
     assert stalls == [] and facet_fits == []
+    assert seen.pop("thin") >= 40 and seen.pop("flat thin") >= 1
     assert seen == {"parallelogram": 40, "rectangle": 40, "regular": 80, "sliver": 120,
                     "segment": 80, "point": 40}
 
@@ -1002,7 +1042,7 @@ def _r4_r5_pairs(n):
     points, and slabs 1e-8 thick at an offset of 1e3 with K in the same
     slab.  A coordinate's rounding, 1e-16 of the extent, is 1e-8 of such a
     slab's thickness, and moves sigma by up to 1e-6: that is the slabs'
-    tolerance, 1e-9 the others'."""
+    tolerance, 1e-12 the others'."""
     rng = np.random.default_rng(229 + n)
     for i in range(12):
         rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -1014,7 +1054,7 @@ def _r4_r5_pairs(n):
         if i % 3 == 1:
             kv = np.vstack([kv, kv.mean(axis=0), kv[0]])
             lv = np.vstack([lv, lv.mean(axis=0), lv[1]])
-        offset, rel = (1e3, 1e-6) if i % 3 == 2 else (rng.uniform(-2.0, 2.0), 1e-9)
+        offset, rel = (1e3, 1e-6) if i % 3 == 2 else (rng.uniform(-2.0, 2.0), 1e-12)
         yield Polytope(kv + offset), Polytope(lv + offset), i % 3 == 2, rel
 
 
@@ -1024,34 +1064,29 @@ def test_fits_in_r4_and_r5_match_highs(n):
     # LP over convex combinations (see _r4_r5_pairs for the cases)
     for k, l, slab, rel in _r4_r5_pairs(n):
         fit = scale_fit(k, l)
-        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=rel)
-        if not slab:   # a slab's multipliers grow as 1 / thickness, and its replay LP fails
-            # the witness replays, and the multipliers, mapped back from the LP's frame,
-            # certify sigma from above
+        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=rel, abs=0.0)
+        if not slab:   # a slab's replay LP fails on its 1e-8 thickness
             assert fit_replays(k, l, fit)
-            prob = _scale_fit_lp(k.vertices, l.vertices)
-            slack = fit.dual @ prob.A - prob.c
-            assert slack[prob.nonneg].min() >= -1e-9
-            assert np.abs(slack[~prob.nonneg]).max() <= 1e-9
-            assert float(fit.dual @ prob.b) == pytest.approx(fit.sigma, rel=1e-9)
         for d in range(1, n):
             want = highs_subset_sigmas(k.vertices, l.vertices, d + 1)[1].min()
-            assert min_subset_sigma(k, l, d + 1) == pytest.approx(want, rel=rel)
+            assert min_subset_sigma(k, l, d + 1) == pytest.approx(want, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_slab_fits_solve_their_dual_afresh(monkeypatch, n):
-    # on the slabs of _r4_r5_pairs the facet LP's ratio test admits pivots of
-    # 1e-9 to 1e-7, whose rounding the tableau keeps; the dual of every fit of
-    # the whole K and its subsets, solved afresh from the final basis, meets
-    # y.A >= c to 1e-12 of its largest term
-    fits, solve_from = [], lp.solve_from
+    # on the slabs of _r4_r5_pairs the facet walk inverts each basis afresh;
+    # for every fit of the whole K and its subsets, the final basis's dual ray
+    # y = M^-T e_0, read from the walk's last inverse, is nonnegative to 1e-12
+    # of its largest entry and sums to sigma, so it bounds sigma from above
+    fits, inverses, walk, inv = [], [], containment._walk, np.linalg.inv
 
-    def spy(problem, basis):
-        fits.append((problem, out := solve_from(problem, basis)))
+    def spy(*args):
+        inverses.clear()
+        fits.append((out := walk(*args), inverses[-1][0]))
         return out
 
-    monkeypatch.setattr(lp, "solve_from", spy)
+    monkeypatch.setattr(containment, "_walk", spy)
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(out := inv(m)) or out)
     for k, l, slab, _ in _r4_r5_pairs(n):
         if slab:
             scale_fit(k, l)
@@ -1059,9 +1094,48 @@ def test_slab_fits_solve_their_dual_afresh(monkeypatch, n):
                 for rows in combinations(range(k.nverts), d + 1):
                     scale_fit(Polytope(k.vertices[list(rows)]), l)
     assert len(fits) > 100
-    for problem, out in fits:
-        if out is not None and out.status == lp.OPTIMAL:
-            slack = out.dual @ problem.A - problem.c
-            terms = np.abs(out.dual) @ np.abs(problem.A) + np.abs(problem.c)
-            assert slack[problem.nonneg].min() >= -1e-12 * terms.max()
-            assert np.abs(slack[~problem.nonneg]).max() <= 1e-12 * terms.max()
+    for fit, y in fits:
+        assert y.min() >= -1e-12 * y.max()
+        assert y.sum() == pytest.approx(fit.sigma, rel=1e-12, abs=0.0)
+
+
+def _degenerate_full_pairs(rng, n):
+    """(K, L) in R^n: rotated cubes and cross-polytopes, whose vertices lie on n and 2^(n-1)
+    facets, as K and L of each other; K = L/2 moved, where every facet of L is tight at the
+    optimum, for those L's and a cloud; and clouds with duplicated and interior points."""
+    cube = np.array(list(product((-1.0, 1.0), repeat=n)))
+    cross = np.vstack([np.eye(n), -np.eye(n)])
+    for _ in range(2):
+        for body in (cube, cross):
+            for inner in (cube, cross):
+                yield (Polytope(0.5 * inner @ _rotation(rng, n).T),
+                       Polytope(body @ _rotation(rng, n).T + rng.uniform(-5.0, 5.0, n)))
+            lv = body @ _rotation(rng, n).T + rng.standard_normal(n)
+            yield Polytope(0.5 * lv + rng.standard_normal(n)), Polytope(lv)
+        lv, kv = 2.0 * rng.standard_normal((n + 6, n)), rng.standard_normal((n + 3, n))
+        yield Polytope(0.5 * lv + rng.standard_normal(n)), Polytope(lv)
+        yield (Polytope(np.vstack([kv, kv[0], kv.mean(axis=0)])),
+               Polytope(np.vstack([lv, lv[:3], lv.mean(axis=0)])))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_facet_walk_on_degenerate_input(monkeypatch, n):
+    # on dual-degenerate bases the facet walk matches HiGHS to 1e-12 and its
+    # witness replays; no walk gives up, by its checks or by its pivot cap of
+    # 4 (f + n), so no fit reaches LpError
+    walks, inverses, walk, inv = [], [], containment._walk, np.linalg.inv
+
+    def spy(*args):
+        inverses.clear()
+        walks.append((out := walk(*args), len(inverses), 4 * sum(args[4].shape)))
+        return out
+
+    monkeypatch.setattr(containment, "_walk", spy)
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(1) or inv(m))
+    for k, l in _degenerate_full_pairs(np.random.default_rng(191 + n), n):
+        walks.clear()
+        fit = scale_fit(k, l)
+        assert len(walks) == 1 and walks[0][0] is not None and walks[0][1] <= walks[0][2]
+        assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=1e-12, abs=0.0)
+        assert fit_replays(k, l, fit)
+

@@ -6,7 +6,7 @@ import pytest
 
 import shadowcover
 from shadowcover import lp
-from shadowcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve, solve_from
+from shadowcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve
 
 
 def _problem(A, b, c, nonneg):
@@ -161,60 +161,6 @@ def test_split_free_matches_loop_reference():
                 col_sgn.append(-1.0)
         got_var, got_sgn = lp._split_free(nonneg)
         assert got_var.tolist() == col_var and got_sgn.tolist() == col_sgn
-
-
-def _basis_problem(rng, m=6, n=14, n_free=2):
-    """A bounded LP whose columns 0..m-1 form a feasible basis: b = A_B x_B
-    with x_B > 0, and the all-ones row keeps the nonnegative part bounded.
-    The free columns come last."""
-    a = rng.standard_normal((m, n))
-    a[-1, :n - n_free] = 1.0
-    a[-1, n - n_free:] = 0.0
-    b = a[:, :m] @ rng.uniform(0.1, 1.0, m)
-    nonneg = np.arange(n) < n - n_free
-    return _problem(a, b, rng.standard_normal(n), nonneg)
-
-
-def test_solve_from_matches_solve_random():
-    rng = np.random.default_rng(71)
-    n_checked = 0
-    for _ in range(80):
-        prob = _basis_problem(rng)
-        ref = solve(prob)
-        out = solve_from(prob, np.arange(6))
-        assert out is not None and out.status == ref.status
-        if out.status != OPTIMAL:
-            continue
-        n_checked += 1
-        assert out.objective == pytest.approx(ref.objective, abs=1e-9)
-        assert np.max(np.abs(prob.A @ out.z - prob.b)) <= 1e-9
-        assert out.z[prob.nonneg].min() >= 0.0
-        # dual feasibility gives weak duality c.z <= y.b for every feasible z
-        slack = out.dual @ prob.A - prob.c
-        assert slack[prob.nonneg].min() >= -1e-9
-        assert np.max(np.abs(slack[~prob.nonneg])) <= 1e-9
-        assert float(out.dual @ prob.b) >= out.objective - 1e-9
-    assert n_checked >= 40
-
-
-def test_solve_from_rejects_singular_and_infeasible_bases():
-    rng = np.random.default_rng(73)
-    prob = _basis_problem(rng, m=4, n=9, n_free=1)
-    assert solve_from(prob, [0, 1, 2, 3]) is not None
-    # a repeated column, and a column that is a multiple of another
-    assert solve_from(prob, [0, 1, 2, 2]) is None
-    a = prob.A.copy()
-    a[:, 4] = 2.0 * a[:, 1]
-    assert solve_from(LpProblem(a, prob.b, prob.c, prob.nonneg), [0, 1, 2, 4]) is None
-    # b = A_B x_B with x_B > 0 makes the basis 0..3 feasible; flip one entry
-    a = prob.A.copy()
-    x = np.array([0.5, -0.5, 0.5, 0.5])
-    b = a[:, :4] @ x
-    assert solve_from(LpProblem(a, b, prob.c, prob.nonneg), [0, 1, 2, 3]) is None
-    with pytest.raises(ValueError):
-        solve_from(prob, [0, 1, 2, 8])   # column 8 is free
-    with pytest.raises(ValueError):
-        solve_from(prob, [0, 1, 2])
 
 
 def _private_lp_reads(tree: ast.Module) -> list[str]:
