@@ -15,8 +15,9 @@ built on first use and kept on the body by one Quickhull in every dimension
 and ``canonicalize`` hands on; in R^3 it adds the edges and exterior angles
 that the exact mean width reads.  A set of lower affine rank r is read in
 its ``affine_frame``: the two ends for r = 1, a monotone-chain hull
-(``planar_hull``, which also gives the edges that the planar scale fit uses)
-for r = 2 and the hull record from r = 3 on.
+(``planar_hull``) for r = 2 and the hull record from r = 3 on.  The planar
+scale fit runs that chain, ``_planar_hull``, on a shadow's rows as Python
+lists, which it reads once, and takes its edges from the result.
 """
 
 from __future__ import annotations
@@ -233,27 +234,32 @@ def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"planar hull needs an (m, 2) array, got shape {pts.shape}")
-    xy = pts.tolist()
+    return _planar_hull(pts.tolist(), tol)
+
+
+def _planar_hull(xy: list, tol: float) -> list[int]:
+    """``planar_hull`` of the rows xy, a list of [x, y] Python floats: the
+    planar scale fit reads a shadow's rows once, as lists, and walks them here."""
     order = sorted(range(len(xy)), key=xy.__getitem__)  # stable: ties keep input order
     seq = [i for j, i in enumerate(order) if j == 0 or xy[i] != xy[order[j - 1]]]
     if len(seq) <= 2:
         return seq
-
-    def chain(indices):
+    hull: list[int] = []
+    for chain in (seq, seq[::-1]):   # the lower chain, then the upper
         out: list[int] = []
-        for i in indices:
+        for i in chain:
             px, py = xy[i]
             while len(out) >= 2:
                 ox, oy = xy[out[-2]]
                 ax, ay = xy[out[-1]]
                 ux, uy, wx, wy = ax - ox, ay - oy, px - ox, py - oy
-                if ux * wy - uy * wx > tol * math.hypot(ux, uy) * math.hypot(wx, wy):
+                turn = ux * wy - uy * wx
+                if turn > 0.0 and turn > tol * math.hypot(ux, uy) * math.hypot(wx, wy):
                     break
                 out.pop()
             out.append(i)
-        return out[:-1]
-
-    return chain(seq) + chain(seq[::-1])
+        hull += out[:-1]
+    return hull
 
 
 # unit-frame distance: a point more than _ON above a facet plane lies outside

@@ -9,9 +9,14 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   unit edge normals a_j, by LP duality the least bound over the extreme
   rays of L's dual cone, found by a dual simplex walk on three-edge bases
   (``_planar_fit``) instead of enumerating the rays; it matches that least
-  bound to rounding (1e-12 relative in the tests), its witness is the
-  final basis's vertex, checked against every edge, and L's edges and the
-  walk are worked in Python floats, as a shadow has only a few edges;
+  bound to rounding (1e-12 relative in the tests), and its witness is the
+  final basis's vertex, checked against every edge.  A shadow has a few
+  edges, so the whole route runs on Python lists, one ``tolist`` per body:
+  L's monotone-chain hull, vertex mean, edges and thin-hull test
+  (``_planar_edges``), K's single-point test, vertex mean and h_K(a_j)
+  (taken exactly where its two products cancel), and the walk.
+  ``_supports`` hands the same edges on as arrays to the routes that read
+  arrays;
 * a whole K from R^3 up, or in the plane when the walk stalls or its
   witness fails its check: the same LP over the facets (edges) of L's hull
   record, which one Quickhull builds in every dimension, by a revised dual
@@ -23,6 +28,9 @@ translation v.  K fits in L by translation iff that maximum is at least 1
   ray is nonnegative; else ``lp.LpError`` is raised;
 * a flat L: both bodies in L's ``affine_frame``, by the routes above, or
   sigma = 0 when K's directions leave L's.
+
+Every fallback goes through the private routes, so one ``scale_fit`` call
+is one fit, whichever route it takes.
 
 A single-point K is the one degenerate case: its sigma is math.inf, and
 callers compare sigma directly.  The unit-scale witness of a fitting pair
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import mul
@@ -59,10 +68,10 @@ from . import lp
 from .bodies import (
     Polytope,
     _cofactors,
+    _planar_hull,
     affine_frame,
     canonical_vertex_indices,
     canonicalize,
-    planar_hull,
 )
 from .core import TOL_FEAS, TOL_GEOM
 
@@ -222,6 +231,10 @@ def _minor_index(subsets: np.ndarray, f: int) -> np.ndarray:
 # offset, just above the rounding of that test
 _ROUNDING = 1e-15
 _PIVOT_TOL = 1e-13
+# a planar h_K(a) = max a.(k - kc) is a sum of two products, off by up to 3.4e-16 of K's
+# centred size |dx| + |dy|; below this share of that size, where that is 3.4e-14 of h or
+# more, it is taken exactly
+_CANCEL = 1e-2
 
 
 def _cross(p: list, q: list) -> float:
@@ -259,10 +272,36 @@ def _edge_ray(al: list, hl: list, bl: list, i: int, j: int, k: int):
     return (ci * bl[i] + cj * bl[j] + ck * bl[k]) / den, (i, j, k), (ci, cj, ck)
 
 
-def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
-                b: np.ndarray) -> FitResult | None:
-    """Scale fit in the plane over the edge lines a_j.x <= b_j of L - lc, by a dual simplex on
-    three-edge bases (Seidel, DCG 1991); None when the walk stalls or its witness fails its check.
+def _mean(xy: list) -> tuple[float, float]:
+    """The vertex mean of the rows xy, [x, y] Python floats, in numpy's order of operations:
+    ``np.add.reduce(v, axis=0) / len(v)`` sums the rows in turn."""
+    cx, cy = xy[0]
+    for x, y in xy[1:]:
+        cx += x
+        cy += y
+    return cx / len(xy), cy / len(xy)
+
+
+def _exact_support(kl: list, d: list, kx: float, ky: float, ax: float, ay: float,
+                   floor: float) -> float:
+    """max a.(k - kc) over K's points, in rational arithmetic on the same floats, rounded once.
+    Only points whose float value a.d, d = k - kc, is at least floor are taken: each float
+    value is off by at most 3 units of 2^-53 of K's centred size max |dx| + |dy|, and floor
+    lies 1e-15 of that size below the float maximum, so the exact maximum is among them."""
+    fx, fy, fa, fb = Fraction(kx), Fraction(ky), Fraction(ax), Fraction(ay)
+    return float(max(fa * (Fraction(x) - fx) + fb * (Fraction(y) - fy)
+                     for (x, y), (dx, dy) in zip(kl, d) if ax * dx + ay * dy >= floor))
+
+
+def _planar_fit(kl: list, lc: tuple, al: list, bl: list) -> FitResult | None:
+    """Scale fit of K, the rows kl, in the plane over the edge lines a_j.x <= b_j of L - lc
+    (``_planar_edges``), by a dual simplex on three-edge bases (Seidel, DCG 1991); None when
+    the walk stalls or its witness fails its check.
+
+    K is centred on its vertex mean kc, and h_j = h_K(a_j) = max a_j.(k - kc).  Each value is
+    a sum of two products, rounded to about 1e-16 of K's centred size; where h_j is below
+    _CANCEL of that size, as for a thin K across a thin L, it is taken exactly
+    (``_exact_support``), since sigma carries its relative error.
 
     Three edges whose normals positively span the plane carry a dual ray c >= 0
     (``_edge_ray``), and with h_j = h_K(a_j) their sigma = c.b / c.h is the optimum of the LP
@@ -277,19 +316,22 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
     one step of refinement, as the residuals of plain Cramer's rule grow as 1/det on a thin L's
     nearly antipodal edges.  The walk starts at edge 0 (at the edge of largest h when h_0 = 0),
     the last edge within pi of it counter-clockwise and the next, and gives up after 4m pivots.
-    A shadow has a few edges, so the walk runs in Python floats; on a build's shadows it seldom
-    pivots more than once."""
-    al, bl = a.tolist(), b.tolist()
+    On a build's shadows it seldom pivots more than once."""
+    kx, ky = _mean(kl)
+    d = [(x - kx, y - ky) for x, y in kl]
+    size = max([abs(x) + abs(y) for x, y in d])
+    hl = []
+    for ax, ay in al:
+        h = max([ax * x + ay * y for x, y in d])
+        hl.append(h if h >= _CANCEL * size else
+                  _exact_support(kl, d, kx, ky, ax, ay, h - 1e-15 * size))
     m = len(al)
-    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
-    hl = np.maximum.reduce(a @ (kv - kc).T, axis=1).tolist()
     i = 0 if hl[0] > 0.0 else hl.index(max(hl))
     ix, iy = al[i]
     p = (i + 1) % m
     while ix * al[(p + 1) % m][1] - iy * al[(p + 1) % m][0] > 0.0:
         p = (p + 1) % m
     best = _edge_ray(al, hl, bl, i, p, (p + 1) % m)
-    feas = TOL_FEAS * max(bl)
     for _ in range(4 * m):
         if best is None:
             return None
@@ -303,18 +345,20 @@ def _planar_fit(kv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarray,
         fr, fq = er - rx * vx - ry * vy, eq - qx * vx - qy * vy
         vx, vy = vx + (fr * qy - fq * ry) / det, vy + (rx * fq - qx * fr) / det
         worst, e = _PIVOT_TOL, -1
-        for row, ((ax, ay), bj, hj) in enumerate(zip(al, bl, hl)):
-            gap = (sigma * hj + ax * vx + ay * vy - bj) / bj
-            if not gap <= worst and row != i and row != j and row != k:   # a NaN enters too
-                worst, e = gap, row
+        if m > 3:   # a triangle has no edge outside the basis
+            for row, ((ax, ay), bj, hj) in enumerate(zip(al, bl, hl)):
+                gap = (sigma * hj + ax * vx + ay * vy - bj) / bj
+                if not gap <= worst and row != i and row != j and row != k:   # a NaN enters too
+                    worst, e = gap, row
         if e < 0:
+            feas = TOL_FEAS * max(bl)
             for row in (i, j, k):
                 (ax, ay), th, bj = al[row], sigma * hl[row], bl[row]
                 gap = th + ax * vx + ay * vy - bj
                 if not (gap <= feas or gap <= _ROUNDING * (abs(th) + abs(ax * vx) + abs(ay * vy)
                                                           + abs(bj))):
                     return None
-            (lx, ly), (kx, ky) = lc.tolist(), kc.tolist()
+            lx, ly = lc
             return FitResult(sigma, np.array([vx + lx - sigma * kx, vy + ly - sigma * ky]))
         best = None
         for out in (_edge_ray(al, hl, bl, e, j, k), _edge_ray(al, hl, bl, i, e, k),
@@ -372,47 +416,52 @@ def _walk(kv: np.ndarray, lv: np.ndarray, lc: np.ndarray, s: float, a: np.ndarra
     return None
 
 
+def _planar_edges(lv: np.ndarray):
+    """(lc, a, b) of a planar L in Python floats, from one ``tolist``: L's vertex mean lc, and the
+    unit outward normals a_j and offsets b_j of the edge lines a_j.x <= b_j of L - lc,
+    counter-clockwise; None for an L that is flat by the rank of ``affine_frame``.  The loops do
+    numpy's operations in numpy's order: |e| = sqrt(dx*dx + dy*dy), a = (dy/|e|, -(dx/|e|)),
+    b = a.(x0 - lc), so their arrays are bit-identical to the array formulas."""
+    xy = lv.tolist()
+    # a turn this far above rounding is a true one, so every edge line of
+    # the hull supports L; a dropped point moves L by a 1e-12 relative step
+    hull = _planar_hull(xy, 1e-12)
+    if len(hull) < 3:
+        return None
+    cx, cy = _mean(xy)
+    a, b, longest = [], [], 0.0
+    x0, y0 = xy[hull[0]]
+    for j in hull[1:] + hull[:1]:
+        x1, y1 = xy[j]
+        dx, dy = x1 - x0, y1 - y0
+        length = math.sqrt(dx * dx + dy * dy)
+        ax, ay = dy / length, -(dx / length)
+        a.append((ax, ay))
+        b.append(ax * (x0 - cx) + ay * (y0 - cy))
+        if length > longest:
+            longest = length
+        x0, y0 = x1, y1
+    # an L of m points that affine_frame calls flat is at most ~3e-9 sqrt(m) of its extent
+    # wide, its least width is measured from an edge line, and its longest edge is at least
+    # 2/h of its extent (h edges): only a polygon this thin pays for the SVD
+    if min(b) <= 1e-5 * longest and affine_frame(lv)[2] < 2:
+        return None
+    return (cx, cy), a, b
+
+
 def _supports(k: Polytope, l: Polytope):
     """(lc, s, a, b), shared by every fit of K or its vertex subsets in L: the unit outward
-    normals a and offsets b of the edges (lc L's vertex mean, s = 1) or of the facets in L's hull
-    record (lc and s its frame) of (L - lc) / s; None in other dimensions and for an L that is
-    flat by the rank of ``affine_frame``.  Raises on a dimension mismatch.  The plane's edges are
-    worked in Python floats, cheaper than numpy calls on a shadow's few edges and bit-identical
-    to the array formulas."""
+    normals a and offsets b of the edges (lc L's vertex mean, s = 1; the arrays of
+    ``_planar_edges``) or of the facets in L's hull record (lc and s its frame) of (L - lc) / s;
+    None in other dimensions and for an L that is flat by the rank of ``affine_frame``.  Raises
+    on a dimension mismatch."""
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: K in R^{k.dim}, L in R^{l.dim}")
     if l.dim >= 3:
         return (hull := l._hull_record) and (hull.c, hull.s, hull.a, hull.b)
-    lv = l.vertices
-    if l.dim == 2:
-        # a turn this far above rounding is a true one, so every edge line of
-        # the hull supports L; a dropped point moves L by a 1e-12 relative step
-        hull = planar_hull(lv, tol=1e-12)
-        if len(hull) < 3:
-            return None
-        # numpy's order of operations: the vertex mean sums rows in turn,
-        # |e| = sqrt(dx*dx + dy*dy), a = (dy/|e|, -(dx/|e|)), b = a.(x0 - lc)
-        xy = lv.tolist()
-        cx, cy = xy[0]
-        for x, y in xy[1:]:
-            cx += x
-            cy += y
-        cx, cy = cx / len(xy), cy / len(xy)
-        a, b, longest = [], [], 0.0
-        for i, j in zip(hull, hull[1:] + hull[:1]):
-            (x0, y0), (x1, y1) = xy[i], xy[j]
-            dx, dy = x1 - x0, y1 - y0
-            length = math.sqrt(dx * dx + dy * dy)
-            ax, ay = dy / length, -(dx / length)
-            a.append((ax, ay))
-            b.append(ax * (x0 - cx) + ay * (y0 - cy))
-            longest = max(longest, length)
-        # an L of m points that affine_frame calls flat is at most ~3e-9 sqrt(m) of its extent
-        # wide, its least width is measured from an edge line, and its longest edge is at least
-        # 2/h of its extent (h edges): only a polygon this thin pays for the SVD
-        if min(b) <= 1e-5 * longest and affine_frame(lv)[2] < 2:
-            return None
-        return np.array([cx, cy]), 1.0, np.array(a), np.array(b)
+    if l.dim == 2 and (edges := _planar_edges(l.vertices)):
+        lc, a, b = edges
+        return np.array(lc), 1.0, np.array(a), np.array(b)
     return None
 
 
@@ -427,7 +476,8 @@ def _flat_fit(kv: np.ndarray, lv: np.ndarray, c: np.ndarray, f: np.ndarray) -> F
     kd = kv - kc
     if np.abs(kd - kd @ f @ f.T).max() > TOL_FEAS * np.abs(kd).max():
         return FitResult(0.0, lv[0].copy())
-    fit = scale_fit(Polytope((kv - c) @ f), Polytope((lv - c) @ f))
+    k, l = Polytope((kv - c) @ f), Polytope((lv - c) @ f)
+    fit = _fit(k.vertices, l.vertices, _supports(k, l))
     if fit.degenerate:
         return fit
     o = kc - c
@@ -435,22 +485,42 @@ def _flat_fit(kv: np.ndarray, lv: np.ndarray, c: np.ndarray, f: np.ndarray) -> F
     return FitResult(fit.sigma, (1.0 - fit.sigma) * c + f @ fit.translation - fit.sigma * o)
 
 
+def _walked(fit: FitResult | None) -> FitResult:
+    """The facet walk's fit, or ``lp.LpError`` when the walk failed its checks."""
+    if fit is None:
+        raise lp.LpError("facet-form scale fit failed its check")
+    return fit
+
+
+def _planar_route(kv: np.ndarray, lv: np.ndarray, edges) -> FitResult:
+    """scale_fit in the plane, given ``_planar_edges`` of L (None for a flat L), on one
+    ``tolist`` of K: a single-point K has sigma = inf, a flat L takes ``_flat_fit``, and a
+    planar walk that fails hands the fit to the facet walk over the same edges."""
+    kl = kv.tolist()
+    if kl.count(kl[0]) == len(kl):
+        return FitResult(math.inf, None)
+    if edges is None:   # a flat L: r caps at 1
+        c, frame, r = affine_frame(lv)
+        return _flat_fit(kv, lv, c, frame[:, :min(r, 1)])
+    lc, a, b = edges
+    return _planar_fit(kl, lc, a, b) or _walked(
+        _walk(kv, lv, np.array(lc), 1.0, np.array(a), np.array(b)))
+
+
 def _fit(kv: np.ndarray, lv: np.ndarray, supports) -> FitResult:
     """scale_fit on vertex arrays, given _supports of L."""
     n = kv.shape[1]
     if n == 1:
         return _interval_fit(kv, lv)
+    if n == 2:
+        return _planar_route(kv, lv, supports and (supports[0].tolist(), supports[2].tolist(),
+                                                supports[3].tolist()))
     if np.logical_and.reduce(kv == kv[0], axis=None):
         return FitResult(math.inf, None)
-    if supports is None:   # a flat L: r caps at n - 1 in the plane
+    if supports is None:   # a flat L
         c, frame, r = affine_frame(lv)
         return _flat_fit(kv, lv, c, frame[:, :min(r, n - 1)])
-    if n == 2 and (fit := _planar_fit(kv, *supports)):
-        return fit
-    fit = _walk(kv, lv, *supports)
-    if fit is None:
-        raise lp.LpError("facet-form scale fit failed its check")
-    return fit
+    return _walked(_walk(kv, lv, *supports))
 
 
 def scale_fit(k: Polytope, l: Polytope) -> FitResult:
@@ -461,7 +531,10 @@ def scale_fit(k: Polytope, l: Polytope) -> FitResult:
     sigma = inf rather than a guess.  The method follows the dimension, as
     the module docstring sets out.
     """
-    return _fit(k.vertices, l.vertices, _supports(k, l))
+    kv, lv = k.vertices, l.vertices
+    if kv.shape[1] == 2 == lv.shape[1]:
+        return _planar_route(kv, lv, _planar_edges(lv))
+    return _fit(kv, lv, _supports(k, l))
 
 
 def _unit_translation(k: Polytope, l: Polytope, fit: FitResult) -> np.ndarray:

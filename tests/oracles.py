@@ -195,11 +195,15 @@ def ray_sigma(kv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """The planar scale fit of K in the edge lines a.x <= b of L - lc: the least bound
     c.b / c.h_K(a) over the extreme rays c of L's dual cone, which ``containment._dual_rays``
     enumerates over every triple of edges, with K centred on its vertex mean; inf when no ray
-    bounds the scale.  A ray's float bound carries the rounding of its cross products, 1e-11
-    relative when two normals are 1e-5 from antipodal, so the rays within 1e-9 of the least
-    float bound are bounded again in rational arithmetic, on the same floats."""
-    kc = np.add.reduce(kv, axis=0) / kv.shape[0]
-    h = np.maximum.reduce(a @ (kv - kc).T, axis=1)
+    bounds the scale.  h_K(a) is taken in rational arithmetic, as on a K 1e-9 thin its float
+    products lose up to 1e-7 of it.  A ray's float bound carries the rounding of its cross
+    products, 1e-11 relative when two normals are 1e-5 from antipodal, so the rays within 1e-9
+    of the least float bound are bounded again in rational arithmetic, on the same floats."""
+    points = [[Fraction(x) for x in p] for p in kv.tolist()]
+    cx, cy = (sum(p[i] for p in points) / len(points) for i in (0, 1))
+    hx = [max(Fraction(ax) * (x - cx) + Fraction(ay) * (y - cy) for x, y in points)
+          for ax, ay in a.tolist()]
+    h = np.array([float(x) for x in hx])
     t, c = containment._dual_rays(a)
     num, den = np.add.reduce(c * b.take(t), axis=1), np.add.reduce(c * h.take(t), axis=1)
     ok = den > 0.0
@@ -214,7 +218,7 @@ def ray_sigma(kv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
         c = [-x for x in c] if sum(c) < 0 else c
         if min(c) >= 0:
             bounds.append(sum(x * Fraction(b[r]) for x, r in zip(c, rows))
-                          / sum(x * Fraction(h[r]) for x, r in zip(c, rows)))
+                          / sum(x * hx[r] for x, r in zip(c, rows)))
     return float(min(bounds))
 
 

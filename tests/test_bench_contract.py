@@ -51,3 +51,40 @@ def test_a_traced_sweep_makes_one_fit_per_subspace():
 
     selftest.check_sweep_spans(8)
     selftest.check_restored()
+
+
+def test_sweeps_that_take_a_fallback_make_one_fit_per_subspace(monkeypatch):
+    # the fallbacks run through private routes: a flat L shadow is fit in its own frame by
+    # _flat_fit, and a planar walk that fails hands the fit to the facet walk _walk; a traced
+    # sweep that takes either still records one shadow_fit and one scale_fit span per subspace
+    from shadowcover import Polytope, containment, shadow_sweep
+
+    count = 16
+    taken = {"_flat_fit": 0, "_walk": 0}
+    for name in taken:
+        original = getattr(containment, name)
+        monkeypatch.setattr(containment, name, lambda *args, _f=original, _n=name:
+                            taken.__setitem__(_n, taken[_n] + 1) or _f(*args))
+
+    def traced(k, l):
+        with spans.Tracer() as tracer:
+            report = shadow_sweep(k, l, 2, count=count)
+        metrics = tracer.layer_metrics(0)
+        assert metrics["shadows.shadow_fit.calls"][0] == count
+        assert metrics["containment.scale_fit.calls"][0] == count
+        return report.sigmas
+
+    # every shadow of a segment is a segment: a parallel segment K fits at |L| / |K| = 2 in
+    # L's frame, by a fit in R^1, and a round K at 0
+    segment = Polytope([[0.0, 0.0, 0.0], [2.0, 1.0, 0.5], [1.0, 0.5, 0.25]])
+    parallel = Polytope([[0.5, 0.0, 0.0], [1.5, 0.5, 0.25]])
+    assert traced(parallel, segment) == pytest.approx(np.full(count, 2.0), rel=1e-12, abs=0.0)
+    cloud = Polytope(np.random.default_rng(11).standard_normal((7, 3)))
+    assert (traced(cloud, segment) == 0.0).all()
+    assert taken == {"_flat_fit": 2 * count, "_walk": 0}
+    # a planar walk that fails its witness check: every shadow takes the facet walk
+    l = Polytope(np.random.default_rng(12).standard_normal((9, 3)) * 2.0)
+    want = shadow_sweep(cloud, l, 2, count=count).sigmas
+    monkeypatch.setattr(containment, "_planar_fit", lambda *args: None)
+    assert traced(cloud, l) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert taken == {"_flat_fit": 2 * count, "_walk": count}

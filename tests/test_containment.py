@@ -400,7 +400,7 @@ def test_low_dim_fit_is_scale_and_offset_free(n):
         base = scale_fit(Polytope(kv), Polytope(lv)).sigma
         for factor in (1e9, 1e-9):
             got = scale_fit(Polytope(kv * factor), Polytope(lv * factor)).sigma
-            assert got == pytest.approx(base, rel=1e-12)
+            assert got == pytest.approx(base, rel=1e-12, abs=0.0)
         off = np.full(n, 1e9)
         got = scale_fit(Polytope(kv + off), Polytope(lv + off)).sigma
         assert got == pytest.approx(base, rel=1e-6)
@@ -719,9 +719,10 @@ def test_reflected_simplex_fits_in_closed_form(n):
     # is 1/d: the shadow gap is exactly n/d
     delta = Polytope(np.vstack([np.zeros(n), np.eye(n)]))
     minus = Polytope(-delta.vertices)
-    assert scale_fit(minus, delta).sigma == pytest.approx(1.0 / n, rel=1e-12)
+    assert scale_fit(minus, delta).sigma == pytest.approx(1.0 / n, rel=1e-12, abs=0.0)
     for d in range(1, n):
-        assert min_subset_sigma(minus, delta, d + 1) == pytest.approx(1.0 / d, rel=1e-12)
+        assert min_subset_sigma(minus, delta, d + 1) == pytest.approx(1.0 / d, rel=1e-12,
+                                                                      abs=0.0)
 
 
 def test_scale_fit_and_subset_fits_match_highs():
@@ -1139,3 +1140,17 @@ def test_facet_walk_on_degenerate_input(monkeypatch, n):
         assert fit.sigma == pytest.approx(highs_sigma(k.vertices, l.vertices), rel=1e-12, abs=0.0)
         assert fit_replays(k, l, fit)
 
+
+
+def test_facet_walk_rejects_a_final_dual_that_is_no_ray():
+    # the walk's start rows support L's points (lv - lc) / s, so their dual ray y is positive;
+    # about points 3 or 5 to the side of L, some start row bounds t from below instead, and
+    # the walk ends at a vertex that holds every edge while y has a negative entry there: its
+    # t, -15 to 5 here, bounds no sigma, and only the final y >= 0 check turns it away
+    square = Polytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    k = Polytope([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
+    lc, s, a, b = containment._supports(k, square)
+    fit = containment._walk(k.vertices, square.vertices, lc, s, a, b)
+    assert fit.sigma == pytest.approx(10.0, rel=1e-12, abs=0.0) and fit_replays(k, square, fit)
+    for shift in ([3.0, 0.0], [-3.0, 0.0], [0.0, -3.0], [-3.0, -3.0], [5.0, -5.0]):
+        assert containment._walk(k.vertices, square.vertices + shift, lc, s, a, b) is None

@@ -319,7 +319,7 @@ def test_flat_lift_check_is_unit_free():
         for factor in (1e-7, 1e-9):
             rep = flat_lift_check(scale(inflated, factor), scale(ce.cover, factor), eta)
             assert (rep.applicable, rep.holds, rep.support_dominates) == (True, True, True)
-            assert rep.sigma_inflat == pytest.approx(base.sigma_inflat, rel=1e-12)
-            assert rep.sigma_ambient == pytest.approx(base.sigma_ambient, rel=1e-12)
+            assert rep.sigma_inflat == pytest.approx(base.sigma_inflat, rel=1e-12, abs=0.0)
+            assert rep.sigma_ambient == pytest.approx(base.sigma_ambient, rel=1e-12, abs=0.0)
             assert np.allclose(rep.translation, factor * base.translation,
                                rtol=0.0, atol=1e-12 * factor)
