@@ -17,7 +17,10 @@ that the exact mean width reads.  A set of lower affine rank r is read in
 its ``affine_frame``: the two ends for r = 1, a monotone-chain hull
 (``planar_hull``) for r = 2 and the hull record from r = 3 on.  The planar
 scale fit runs that chain, ``_planar_hull``, on a shadow's rows as Python
-lists, which it reads once, and takes its edges from the result.
+lists, which it reads once, and takes its edges from the result.  A
+shadow (``project``) is proved finite by its body's bound, the largest
+coordinate size, taken once per body; only past that bound is the product
+scanned.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ import numpy as np
 
 from . import lp
 from .core import TOL_FEAS, TOL_GEOM, Subspace, hyperplane_basis, unit
+
+
+# n max |v_ij| at most this keeps every coordinate of a projection below
+# DBL_MAX ~ 1.8e308, with room for the basis columns' 1e-7 and the rounding
+_FINITE = 1e307
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +78,12 @@ class Polytope:
 
     def __repr__(self) -> str:
         return f"Polytope({self.nverts} vertices in R^{self.dim}, canonical={self.canonical})"
+
+    @cached_property
+    def _bound(self) -> float:
+        """M = max |v_ij|, taken once per body: n M bounds every coordinate
+        of a projection onto unit columns (see ``project``)."""
+        return float(np.abs(self.vertices).max())
 
     @cached_property
     def _hull_record(self) -> _Hull | None:
@@ -117,16 +131,21 @@ def project(p: Polytope, s: Subspace) -> Polytope:
 
     The support function of the result is the restriction of h_P to the
     subspace: h_{P_S}(w) = h_P(basis @ w).  The product is a fresh (m, d)
-    array: checked finite, as it can overflow, and kept read-only, uncopied.
+    array, kept read-only, uncopied.  Its entries are sums of n terms
+    v_ij b_jk with |b_jk| <= 1 + 1e-7, as every basis column has norm 1
+    within 1e-7, so P's bound M = max |v_ij| proves the product finite when
+    n M <= 1e307 (``_FINITE``); past that it can overflow, and is scanned.
     """
-    if s.n != p.dim:
-        raise ValueError(f"subspace lives in R^{s.n}, polytope in R^{p.dim}")
-    v = p.vertices @ s.basis
-    if not np.logical_and.reduce(np.isfinite(v), axis=None):
+    v, b = p.vertices, s.basis
+    n = v.shape[1]
+    if b.shape[0] != n:
+        raise ValueError(f"subspace lives in R^{b.shape[0]}, polytope in R^{n}")
+    w = v.dot(b)   # the bytes of v @ b, for less call overhead
+    if n * p._bound > _FINITE and not np.logical_and.reduce(np.isfinite(w), axis=None):
         raise ValueError("vertex coordinates must be finite")
-    v.flags.writeable = False
+    w.flags.writeable = False
     out = object.__new__(Polytope)
-    object.__setattr__(out, "vertices", v)
+    object.__setattr__(out, "vertices", w)
     object.__setattr__(out, "canonical", False)
     return out
 

@@ -532,6 +532,8 @@ def scale_fit(k: Polytope, l: Polytope) -> FitResult:
     the module docstring sets out.
     """
     kv, lv = k.vertices, l.vertices
+    if kv.shape[1] == 1 == lv.shape[1]:
+        return _interval_fit(kv, lv)
     if kv.shape[1] == 2 == lv.shape[1]:
         return _planar_route(kv, lv, _planar_edges(lv))
     return _fit(kv, lv, _supports(k, l))

@@ -60,7 +60,7 @@ class ShadowReport:
 
 def shadow_fit(k: Polytope, l: Polytope, s: Subspace) -> FitResult:
     """Scale fit of the two shadows on a common subspace."""
-    if k.dim != l.dim:
+    if k.vertices.shape[1] != l.vertices.shape[1]:
         raise ValueError("bodies must share an ambient dimension")
     return scale_fit(project(k, s), project(l, s))
 

@@ -85,6 +85,12 @@ def test_project_identity_is_same_body():
     assert np.allclose(q.vertices, TETRA.vertices)
 
 
+def test_project_rejects_a_subspace_of_another_space():
+    for basis in (np.eye(2)[:, :1], np.eye(4)[:, :2]):
+        with pytest.raises(ValueError, match="subspace lives in R"):
+            project(TETRA, Subspace(basis))
+
+
 def test_project_keeps_its_product_read_only_and_rejects_overflow():
     # the shadow is vertices @ basis itself, set read-only, with no copy
     rng = np.random.default_rng(2)
@@ -103,6 +109,49 @@ def test_project_keeps_its_product_read_only_and_rejects_overflow():
     for bad in ([[0.0, np.nan]], [[np.inf, 0.0]], np.zeros((0, 2)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
             Polytope(bad)
+
+
+def test_project_scans_only_past_the_body_bound(monkeypatch):
+    # n max |v| at most 1e307 proves the product finite; past it the product
+    # is scanned, and a finite one is still the plain product
+    rng = np.random.default_rng(4)
+    small = Polytope(rng.standard_normal((7, 3)))
+    large = Polytope(small.vertices / np.abs(small.vertices).max() * 3.5e306)
+    assert 3 * small._bound <= bodies._FINITE < 3 * large._bound
+    subs = [orthonormalize(rng.standard_normal((3, d))) for d in (1, 2, 3)]
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a.shape) or isfinite(a))
+    for s in subs:
+        assert project(small, s).vertices.tobytes() == (small.vertices @ s.basis).tobytes()
+    assert scans == []
+    for s in subs:
+        q = project(large, s)
+        assert q.vertices.tobytes() == (large.vertices @ s.basis).tobytes()
+        assert isfinite(q.vertices).all()
+    assert scans == [(7, 1), (7, 2), (7, 3)]
+    # the bound is on |v|, so a product that overflows downward is caught too
+    low = Polytope([[-1.5e308, -1.5e308, 0.0], [0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        project(low, orthonormalize([[1.0], [1.0], [0.0]]))
+
+
+def test_a_shadow_of_a_shadow_has_its_own_bound():
+    rng = np.random.default_rng(6)
+    p = Polytope(rng.standard_normal((9, 4)))
+    s1 = orthonormalize(rng.standard_normal((4, 3)))
+    s2 = orthonormalize(rng.standard_normal((3, 2)))
+    q = project(p, s1)
+    assert q._bound == np.abs(q.vertices).max()
+    r = project(q, s2)
+    assert r.vertices.tobytes() == (q.vertices @ s2.basis).tobytes()
+    assert np.allclose(r.vertices, p.vertices @ (s1.basis @ s2.basis), rtol=0, atol=1e-14)
+    # a finite shadow past the bound overflows under a basis that mixes its axes
+    huge = project(Polytope([[1.5e308, 1.5e308, 0.0], [-1.5e308, 1.5e308, 0.0]]),
+                   Subspace(np.eye(3)[:, :2]))
+    assert np.isfinite(huge.vertices).all()
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        project(huge, orthonormalize([[1.0], [1.0]]))
 
 
 def test_projection_support_compatibility():

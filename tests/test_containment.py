@@ -75,6 +75,15 @@ def test_scale_fit_single_point_degenerate():
     assert fit.sigma == math.inf
 
 
+@pytest.mark.parametrize("dk,dl", [(1, 2), (2, 1), (2, 3), (3, 2)])
+def test_scale_fit_rejects_bodies_of_different_dimension(dk, dl):
+    # every route, the interval and planar ones included, checks both bodies
+    rng = np.random.default_rng(dk + dl)
+    k, l = Polytope(rng.standard_normal((5, dk))), Polytope(rng.standard_normal((6, dl)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        scale_fit(k, l)
+
+
 def test_scale_fit_certificate_replay():
     rng = np.random.default_rng(5)
     for _ in range(15):

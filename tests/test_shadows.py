@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ def test_shadow_fit_inclusion_preserved():
         assert fit.degenerate or fit.sigma >= 1.0 - 1e-9
 
 
+def test_shadow_fit_rejects_bodies_of_different_dimension():
+    s = Subspace(np.array([[1.0], [0.0], [0.0]]))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        shadow_fit(CUBE, Polytope(np.eye(4)), s)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        shadow_fit(Polytope(np.eye(2)), CUBE, s)
+
+
 def test_shadow_fit_cube_self():
     s = Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
     assert shadow_fit(CUBE, CUBE, s).sigma == pytest.approx(1.0, abs=1e-9)
@@ -80,6 +89,35 @@ def test_shadow_sweep_point_body_covers(d):
     assert rep.verdict == "covers"
     assert rep.borderline_count == 0
     assert rep.argmin.basis is rep.bases[0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sweep_sigmas_are_the_bytes_of_a_per_shadow_loop(d):
+    # Haar lines for d = 1, the hyperplane grid for d = 2: each sigma is the fit
+    # of two freshly built shadows, and at d = 1 the ratio of their widths
+    rng = np.random.default_rng(20 + d)
+    k, l = Polytope(rng.standard_normal((8, 3))), Polytope(2.0 * rng.standard_normal((11, 3)))
+    rep = shadow_sweep(k, l, d, count=200, rng=np.random.default_rng(d))
+    assert rep.samples == 200
+    want = np.array([scale_fit(Polytope(k.vertices @ b), Polytope(l.vertices @ b)).sigma
+                     for b in rep.bases])
+    assert rep.sigmas.tobytes() == want.tobytes()
+    if d == 1:
+        widths = np.array([np.ptp(l.vertices @ b) / np.ptp(k.vertices @ b) for b in rep.bases])
+        assert rep.sigmas.tobytes() == widths.tobytes()
+
+
+def test_a_sweep_bounds_each_body_once(monkeypatch):
+    calls = []
+    prop = Polytope.__dict__["_bound"]
+    assert isinstance(prop, cached_property)
+    bound = prop.func
+    monkeypatch.setattr(prop, "func", lambda p: calls.append(p) or bound(p))
+    rng = np.random.default_rng(9)
+    k, l = Polytope(rng.standard_normal((6, 3))), Polytope(rng.standard_normal((9, 3)))
+    for d in (1, 2):
+        assert shadow_sweep(k, l, d, count=50).samples == 50
+    assert len(calls) == 2 and calls[0] is k and calls[1] is l
 
 
 def test_sweep_subspaces_share_the_grid_and_draw_haar_from_rng():

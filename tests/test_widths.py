@@ -341,13 +341,13 @@ def test_kubota_random_body():
 def test_canonical_vertices_and_mean_width_do_not_depend_on_units(factor, offset):
     cube = Polytope(CUBE.vertices * factor + offset)
     assert canonicalize(cube).nverts == 8
-    assert mean_width_exact(cube) == pytest.approx(1.5 * factor, rel=1e-12)
+    assert mean_width_exact(cube) == pytest.approx(1.5 * factor, rel=1e-12, abs=0.0)
     assert np.allclose(bodies._hull_skeleton(cube.vertices)[2], math.pi / 2, rtol=1e-14, atol=0)
     cloud = np.random.default_rng(37).standard_normal((12, 3))
     body = Polytope(cloud * factor + offset)
     assert canonical_vertex_indices(body) == canonical_vertex_indices(Polytope(cloud))
     assert mean_width_exact(body) == pytest.approx(
-        factor * mean_width_exact(Polytope(cloud)), rel=1e-12)
+        factor * mean_width_exact(Polytope(cloud)), rel=1e-12, abs=0.0)
 
 
 def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(lp_calls):
