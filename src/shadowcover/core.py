@@ -8,9 +8,13 @@ override:
   It only absorbs floating-point error: the paper's equivalences are exact.
 
 Points of G(n, d) are orthonormal n x d bases.  One Gram-Schmidt kernel with
-no LAPACK call orthonormalizes a stack and one check tests a stack; ``Subspace``,
-``orthonormalize`` and the Haar sampler, whose draw is one (count, n, d) array,
-use both.  Haar rows are wrapped as ``Subspace`` objects with no second check.
+no LAPACK call orthonormalizes a stack and one check tests a stack, both on
+the stack's columns, a (d, n, count) array whose sums along n run over whole
+(count,) rows in index order; ``Subspace`` and ``orthonormalize`` hand them
+one matrix's (d, n) columns.  The Haar sampler draws one (count, n, d)
+Gaussian array and orthonormalizes its columns: ``kubota_check`` projects
+onto those columns directly, and ``haar_subspaces`` returns their transpose,
+whose rows are wrapped as ``Subspace`` objects with no second check.
 """
 
 from __future__ import annotations
@@ -44,30 +48,47 @@ def unit(v) -> np.ndarray:
     return arr / norm
 
 
-def _orthonormal_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q of the QR of each (n, d) matrix of a stack (or of one matrix), with
-    diag(R) > 0 (unique, idempotent), and a mask, False where a pivot r_jj is
-    at most TOL_FEAS * max(1, largest column norm).  Classical Gram-Schmidt,
-    each column projected twice; every dot product sums along n, so a matrix
-    gets the bits it gets alone, and a failed pivot divides by 1."""
-    q = np.array(a, dtype=np.float64)
-    r = np.sqrt((q * q).sum(axis=-2))
-    floor = TOL_FEAS * np.maximum(1.0, r.max(axis=-1))
-    for j in range(q.shape[-1]):
-        v, done = q[..., j], q[..., :j]
-        for _ in range(2 if j else 0):
-            v = v - (done * (done * v[..., None]).sum(axis=-2)[..., None, :]).sum(axis=-1)
-        r[..., j] = np.sqrt((v * v).sum(axis=-1))
-        q[..., j] = v / np.where(r[..., j] > floor, r[..., j], 1.0)[..., None]
-    return q, (r > floor[..., None]).all(axis=-1)
+def _sum_rows(p: np.ndarray) -> np.ndarray:
+    """p[0] + p[1] + ..., added in index order whatever p's shape."""
+    total = p[0]
+    for i in range(1, len(p)):
+        total = total + p[i]
+    return total
 
 
-def _check_orthonormal(b: np.ndarray) -> None:
-    """Raise ValueError unless every (n, d) matrix of a stack (or one matrix)
-    has orthonormal columns: its Gram matrix, summed from one broadcast
-    product of the columns, within 1e2 * TOL_FEAS of I."""
-    gram = (b[..., :, :, None] * b[..., :, None, :]).sum(axis=-3)
-    if not np.abs(gram - np.eye(b.shape[-1])).max(initial=0.0) <= 1e2 * TOL_FEAS:
+def _orthonormal_stack(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of the QR of each matrix of a stack given by its columns, a
+    (d, n, count) array (or (d, n) for one matrix), with diag(R) > 0
+    (unique, idempotent), and a mask, False where a pivot r_jj is at most
+    TOL_FEAS * max(1, largest column norm).  Classical Gram-Schmidt, each
+    column projected twice; every sum runs in index order over whole
+    (count,) rows, so a matrix gets the bits it gets alone, and a failed
+    pivot divides by 1."""
+    q = np.array(cols, dtype=np.float64, order="C")
+    r = np.sqrt(_sum_rows((q * q).swapaxes(0, 1)))
+    floor = TOL_FEAS * np.maximum(1.0, r.max(axis=0))
+    for j in range(len(q)):
+        v = q[j]
+        if j:
+            done = q[:j]
+            for _ in range(2):
+                coef = _sum_rows((done * v).swapaxes(0, 1))
+                v = v - _sum_rows(done * coef[:, None])
+            r[j] = np.sqrt(_sum_rows(v * v))
+        q[j] = v / np.where(r[j] > floor, r[j], 1.0)
+    return q, (r > floor).all(axis=0)
+
+
+def _check_orthonormal(cols: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a stack given by its columns,
+    a (d, n, count) array (or (d, n) for one matrix), has orthonormal
+    columns: its Gram matrix, summed along n from one broadcast product of
+    the columns, within 1e2 * TOL_FEAS of I."""
+    d = len(cols)
+    dev = np.add.reduce(cols[:, None] * cols, axis=2)
+    diagonal = dev.reshape(d * d, -1)[::d + 1]     # a view: dev is contiguous
+    np.subtract(diagonal, 1.0, out=diagonal)
+    if not np.maximum.reduce(np.abs(dev), axis=None, initial=0.0) <= 1e2 * TOL_FEAS:
         raise ValueError("basis columns are not orthonormal")
 
 
@@ -85,7 +106,7 @@ class Subspace:
         b = np.array(self.basis, dtype=np.float64)
         if b.ndim != 2 or b.shape[1] < 1 or b.shape[0] < b.shape[1]:
             raise ValueError(f"basis must be n x d with 1 <= d <= n, got shape {b.shape}")
-        _check_orthonormal(b)
+        _check_orthonormal(b.T)
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
@@ -124,10 +145,10 @@ def orthonormalize(m) -> Subspace:
         a = a[:, None]
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"more columns than rows: shape {a.shape}")
-    q, ok = _orthonormal_stack(a)
+    q, ok = _orthonormal_stack(a.T)
     if not ok:
         raise ValueError("degenerate basis")
-    return Subspace(q)
+    return Subspace(q.T.copy())
 
 
 def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
@@ -136,22 +157,31 @@ def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     return _subspace_rows(haar_subspaces(n, d, 1, rng))[0]
 
 
-def haar_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count Haar samples of G(n, d): a read-only (count, n, d) array of
-    orthonormal bases, empty for count 0.
+def _haar_columns(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar samples of G(n, d) as the (d, n, count) columns of their
+    orthonormal bases, checked by _check_orthonormal.
 
-    Orthonormalizes one (count, n, d) standard-Gaussian sample in one kernel
-    call, each basis with the bits it gets alone; the Gaussian's rotation
-    invariance makes each basis Haar-distributed.  A degenerate matrix
-    (measure zero) is redrawn in place.  Deterministic for a given generator.
+    Orthonormalizes one (count, n, d) standard-Gaussian sample, read as
+    columns, in one kernel call, each basis with the bits it gets alone;
+    the Gaussian's rotation invariance makes each basis Haar-distributed.  A
+    degenerate matrix (measure zero) is redrawn in place.  Deterministic for
+    a given generator.
     """
     if not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    q, ok = _orthonormal_stack(rng.standard_normal((count, n, d)))
+    q, ok = _orthonormal_stack(rng.standard_normal((count, n, d)).T)
     while not ok.all():
         bad = np.flatnonzero(~ok)
-        q[bad], ok[bad] = _orthonormal_stack(rng.standard_normal((bad.size, n, d)))
+        q[..., bad], ok[bad] = _orthonormal_stack(rng.standard_normal((bad.size, n, d)).T)
     _check_orthonormal(q)
+    return q
+
+
+def haar_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar samples of G(n, d): a read-only (count, n, d) array of
+    orthonormal bases, empty for count 0; the transpose of
+    ``_haar_columns``' draw, laid out row by row."""
+    q = np.ascontiguousarray(_haar_columns(n, d, count, rng).T)
     q.flags.writeable = False
     return q
 

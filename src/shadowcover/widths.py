@@ -7,8 +7,8 @@ exterior dihedral angles over 4 pi, each angle the one between the unit
 normals of the edge's two facets in the body's hull record), and the
 Grassmannian average of planar shadow widths must reproduce the spatial
 value (Kubota consistency).  Every planar perimeter comes from one
-vectorised gift-wrap kernel, which takes all the shadows of a Kubota check
-in one pass.
+vectorised gift-wrap kernel on (m, S) x and y arrays, which walks all the
+shadows of a Kubota check at once and drops closed walks as it goes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .bodies import Polytope, _unit_frame, affine_dim, canonicalize, diameter
 from .containment import scale_fit, subset_witness, translate_fits
-from .core import TOL_FEAS, TOL_GEOM, direction_grid, haar_subspaces
+from .core import TOL_FEAS, TOL_GEOM, _haar_columns, direction_grid
 
 @dataclass(frozen=True, eq=False)
 class MeanWidthEstimate:
@@ -46,57 +46,68 @@ def mean_width_mc(k: Polytope, n_samples: int, rng: np.random.Generator) -> Mean
     return MeanWidthEstimate(value, stderr, n_samples)
 
 
-def _hull_perimeters(shadows: np.ndarray) -> np.ndarray:
-    """Perimeters of the convex hulls of S planar point sets, given as an
-    (S, m, 2) array, by gift wrapping (Jarvis) all of them at once.
+def _hull_perimeters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Perimeters of the convex hulls of S planar point sets of m points
+    each, given as their (m, S) coordinates x and y, by gift wrapping
+    (Jarvis) all of them at once.
 
     Each walk starts at the lowest of the leftmost points, heading down, and
     steps to the point of least left turn, the farthest of exact ties.  With
     s and c the cross and dot products of heading and step, a turn ranks by
     the pseudo-angle copysign(1 - s / (|s| + |c|), c), which falls from 2 to
     -2 as the turn goes from -pi/2 to 3 pi/2, as fine as arctan2 near 0 and
-    pi; a point equal to the current one ranks -inf.  A walk closes when it
-    steps back onto its start.  A start extreme by less than rounding can
-    lose that step to the point beyond it, its first step's target, by at
-    most TOL_FEAS in rank; the walk then closes there, and its first step
-    leaves the perimeter.  A walk not closed within m steps raises
-    ValueError.
+    pi, and ties break on |s| + |c|, which grows with the step along a ray;
+    a point equal to the current one ranks NaN (0 / 0), which no walk takes.
+    A walk closes when it steps back onto its start.  Once at most half the
+    columns still walk, the arrays keep only those, padded with closed walks
+    to a power-of-two width: numpy keeps a few freed blocks of each size
+    under 1 KB for reuse, and so few widths keep that cache small.  A start
+    extreme by less than rounding can lose that step to the point beyond
+    it, its first step's target, by at most TOL_FEAS in rank; the walk then
+    closes there, and its first step leaves the perimeter.  A walk not
+    closed within m steps raises ValueError.
     """
-    pts = np.asarray(shadows, dtype=np.float64)
-    count, m, _ = pts.shape
-    x, y = np.ascontiguousarray(pts.transpose(2, 1, 0))   # (m, count): long inner loops
+    m, count = x.shape
     start = np.argmin(np.where(x == x.min(axis=0), y, np.inf), axis=0)
-    cols = np.arange(count)
-    cur = start.copy()
+    out = np.zeros(count)
+    walks = cols = np.arange(count)     # a walk's set, and its column in x and y
+    at = start * count + cols
+    cx, cy = x.take(at), y.take(at)
     hx, hy = np.zeros(count), np.full(count, -1.0)
     total = np.zeros(count)
     walking = np.ones(count, dtype=bool)
-    for i in range(m):
-        dx = x - x[cur, cols]
-        dy = y - y[cur, cols]
-        s, c = hx * dy - hy * dx, hx * dx + hy * dy
-        norm = np.abs(s) + np.abs(c)
-        same = norm == 0.0
-        rank = np.copysign(1.0 - s / (norm + same), c)
-        rank[same] = -np.inf
-        best = rank.max(axis=0)
-        d2 = dx * dx + dy * dy
-        cur = np.argmax(np.where(rank == best, d2, -1.0), axis=0)
-        step = np.sqrt(d2[cur, cols])
-        total += np.where(walking, step, 0.0)
-        hx, hy = dx[cur, cols], dy[cur, cols]
-        if i == 0:
-            first, lead = cur, step
-        elif (hit := walking & (cur == first)).any():
-            # the start lost the step onto the first target by rounding alone
-            skipped = hit & (rank[start, cols] >= best - TOL_FEAS)
-            total -= np.where(skipped, lead, 0.0)
-            walking &= ~skipped
-        # a set of equal points has no turn at all: its hull is the point
-        walking &= (cur != start) & np.isfinite(best)
-        if not walking.any():
-            return total
-    raise ValueError(f"{walking.sum()} of {count} planar hulls did not close in {m} steps")
+    with np.errstate(invalid="ignore"):
+        for i in range(m):
+            dx, dy = x - cx, y - cy
+            s, c = hx * dy - hy * dx, hx * dx + hy * dy
+            norm = np.abs(s) + np.abs(c)
+            rank = np.copysign(1.0 - s / norm, c)
+            best = np.fmax.reduce(rank, axis=0)
+            cur = np.argmax(np.where(rank == best, norm, -1.0), axis=0)
+            at = cur * cols.size + cols
+            hx, hy, cx, cy = dx.take(at), dy.take(at), x.take(at), y.take(at)
+            step = np.sqrt(hx * hx + hy * hy)
+            total += np.where(walking, step, 0.0)
+            if i == 0:
+                first, lead = cur, step
+            elif (hit := walking & (cur == first)).any():
+                # the start lost the step onto the first target by rounding alone
+                skipped = hit & (rank.take(start * cols.size + cols) >= best - TOL_FEAS)
+                total -= np.where(skipped, lead, 0.0)
+                walking &= ~skipped
+            # a set of equal points has no turn at all: its hull is the point
+            walking &= (cur != start) & np.isfinite(best)
+            if 2 * (left := np.count_nonzero(walking)) <= cols.size:
+                out[walks] = total
+                if not left:
+                    return out
+                # the walking sets first, then closed ones up to a power of two
+                keep = np.argsort(~walking, kind="stable")[:1 << int(left - 1).bit_length()]
+                x, y = x[:, keep], y[:, keep]
+                walks, start, first, lead, hx, hy, cx, cy, total, walking = (
+                    a[keep] for a in (walks, start, first, lead, hx, hy, cx, cy, total, walking))
+                cols = np.arange(keep.size)
+    raise ValueError(f"{np.count_nonzero(walking)} of {count} planar hulls did not close in {m} steps")
 
 
 def mean_width_exact(k: Polytope) -> float:
@@ -111,7 +122,7 @@ def mean_width_exact(k: Polytope) -> float:
     if n == 2:
         if affine_dim(k) != 2:
             raise ValueError("exact mean width needs a full-dimensional body")
-        return float(_hull_perimeters(k.vertices[None])[0]) / math.pi
+        return float(_hull_perimeters(*k.vertices.T[:, :, None])[0]) / math.pi
     if n == 3:
         if (hull := k._hull_record) is None:
             raise ValueError("exact mean width needs a full-dimensional body")
@@ -131,18 +142,20 @@ class KubotaReport:
 
 def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> KubotaReport:
     """Compare the spatial mean width against the Haar average of planar
-    shadow mean widths over sampled 2-subspaces.  The canonical vertices
-    are projected at once onto the (n_subspaces, 3, 2) stack of Haar bases
-    that ``haar_subspaces`` returns, so no Subspace is built, and all the
-    shadow perimeters come from one pass of the gift-wrap kernel.  One hull
-    record serves the flatness test, the canonical body and its width."""
+    shadow mean widths over sampled 2-subspaces.  The bases are drawn as
+    their (2, 3, n_subspaces) columns q, so the shadows are the two
+    (m, n_subspaces) products of the canonical vertices with q_0 and q_1,
+    the gift-wrap kernel's layout: no Subspace, shadow stack or transposed
+    copy is built, and one pass of the kernel gives every perimeter.  One
+    hull record serves the flatness test, the canonical body and its width."""
     if n_subspaces < 2:
         raise ValueError(f"Kubota check needs at least 2 subspaces, got {n_subspaces}")
     if k.dim != 3 or k._hull_record is None:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     kc = canonicalize(k)
     w3 = mean_width_exact(kc)
-    vals = _hull_perimeters(kc.vertices @ haar_subspaces(3, 2, n_subspaces, rng)) / math.pi
+    basis = _haar_columns(3, 2, n_subspaces, rng)
+    vals = _hull_perimeters(kc.vertices @ basis[0], kc.vertices @ basis[1]) / math.pi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(n_subspaces)
     return KubotaReport(w3, mean, stderr, abs(mean - w3) / abs(w3), n_subspaces)

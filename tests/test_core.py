@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,10 +83,10 @@ def _lapack_reference(g):
 
 
 def _alone(g):
-    # the kernel run on one matrix by itself
-    q, ok = core._orthonormal_stack(g)
+    # the kernel run on one (n, d) matrix by itself, given its columns
+    q, ok = core._orthonormal_stack(g.T)
     assert ok
-    return q
+    return q.T
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 1), (4, 2), (2, 2)])
@@ -123,11 +125,88 @@ def test_haar_subspaces_redraw_degenerate_rows_in_place(monkeypatch):
     got = haar_subspaces(3, 2, 60, batch)
     assert batch.bit_generator.state != plain.bit_generator.state   # something was redrawn
     for row, gi, bad in zip(got, g, flagged):
-        assert np.array_equal(row, core._orthonormal_stack(gi)[0]) != bad
+        assert np.array_equal(row, core._orthonormal_stack(gi.T)[0].T) != bad
         assert np.max(np.abs(row.T @ row - np.eye(2))) <= 1e-12
     again = np.random.default_rng(9)
     assert np.array_equal(haar_subspaces(3, 2, 60, again), got)
     assert again.bit_generator.state == batch.bit_generator.state
+
+
+def _gram_schmidt_reference(g):
+    """Classical Gram-Schmidt on one (n, d) matrix in Python floats: each
+    column projected twice onto the ones before it, every sum added in
+    index order.  Q, and whether every pivot clears TOL_FEAS * max(1,
+    largest column norm)."""
+    def ordered_sum(terms):
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+
+    n = len(g)
+    cols = [[float(x) for x in col] for col in np.transpose(g)]
+    floor = core.TOL_FEAS * max(1.0, *(math.sqrt(ordered_sum([x * x for x in c])) for c in cols))
+    q, ok = [], True
+    for v in cols:
+        for _ in range(2 if q else 0):
+            coef = [ordered_sum([u[i] * v[i] for i in range(n)]) for u in q]
+            v = [v[i] - ordered_sum([u[i] * c for u, c in zip(q, coef)]) for i in range(n)]
+        r = math.sqrt(ordered_sum([x * x for x in v]))
+        ok = ok and r > floor
+        q.append([x / (r if r > floor else 1.0) for x in v])
+    return np.array(q).T, ok
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 1), (5, 2), (4, 3)])
+def test_haar_subspaces_match_a_per_matrix_gram_schmidt_bit_for_bit(n, d):
+    draws = np.random.default_rng(8).standard_normal((200, n, d))
+    got = haar_subspaces(n, d, 200, np.random.default_rng(8))
+    for row, g in zip(got, draws):
+        want, ok = _gram_schmidt_reference(g)
+        assert ok and np.array_equal(row, want)
+
+
+def test_a_redrawn_degenerate_row_matches_the_per_matrix_reference(monkeypatch):
+    # at this tolerance some Gaussian draws fail a pivot: each row of the
+    # stack is the reference Q of the first draw, in its slot, that passes
+    monkeypatch.setattr(core, "TOL_FEAS", 0.1)
+    plain = np.random.default_rng(9)
+    rows = [None] * 60
+    pending, rounds = list(range(60)), 0
+    while pending:
+        rounds += 1
+        retry = []
+        for slot, g in zip(pending, plain.standard_normal((len(pending), 3, 2))):
+            q, ok = _gram_schmidt_reference(g)
+            if ok:
+                rows[slot] = q
+            else:
+                retry.append(slot)
+        assert len(retry) < len(pending)
+        pending = retry
+    batch = np.random.default_rng(9)
+    got = haar_subspaces(3, 2, 60, batch)
+    assert rounds > 1 and batch.bit_generator.state == plain.bit_generator.state
+    assert all(np.array_equal(row, want) for row, want in zip(got, rows))
+
+
+def test_single_matrices_run_the_stack_kernel_and_check(monkeypatch):
+    # Subspace and orthonormalize hand one matrix's (d, n) columns to the
+    # same kernel and check as a stacked draw, and get the draw's bits
+    calls = []
+    for name in ("_orthonormal_stack", "_check_orthonormal"):
+        def spy(cols, real=getattr(core, name), name=name):
+            calls.append((name, np.shape(cols)))
+            return real(cols)
+        monkeypatch.setattr(core, name, spy)
+    g = np.random.default_rng(4).standard_normal((1, 3, 2))
+    s = orthonormalize(g[0])
+    assert calls == [("_orthonormal_stack", (2, 3)), ("_check_orthonormal", (2, 3))]
+    assert s.basis.flags.c_contiguous
+    assert np.array_equal(s.basis, haar_subspaces(3, 2, 1, np.random.default_rng(4))[0])
+    calls.clear()
+    Subspace(s.basis)
+    assert calls == [("_check_orthonormal", (2, 3))]
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (6, 4), (12, 5)])
@@ -143,7 +222,8 @@ def test_orthonormal_stack_keeps_ill_conditioned_matrices_orthonormal(n, d):
             s = np.geomspace(1.0, 1.0 / cond, d) * 10.0 ** rng.uniform(0, 3)
             stack.append(u * s @ v.T)
     a = np.array(stack)
-    q, ok = core._orthonormal_stack(a)
+    q, ok = core._orthonormal_stack(a.T)
+    q = q.T
     assert ok.all()
     assert np.max(np.abs(np.swapaxes(q, 1, 2) @ q - np.eye(d))) <= 1e-14
     back = q @ (np.swapaxes(q, 1, 2) @ a)
@@ -164,7 +244,7 @@ def test_orthonormalize_rejects_dependent_and_zero_columns(m):
     # the failed pivot divides by 1, so no 0/0 warning comes before the error
     with pytest.raises(ValueError, match="degenerate basis"):
         orthonormalize(np.array(m))
-    q, ok = core._orthonormal_stack(np.array([m, np.eye(*np.shape(m))]))
+    q, ok = core._orthonormal_stack(np.array([m, np.eye(*np.shape(m))]).T)
     assert ok.tolist() == [False, True] and np.isfinite(q).all()
 
 
@@ -177,15 +257,15 @@ def test_orthonormalize_rejects_non_finite_entries(bad):
 
 def test_orthonormality_check_rejects_a_stretched_column():
     stack = np.array(haar_subspaces(3, 2, 10, np.random.default_rng(2)))
-    core._check_orthonormal(stack)
+    core._check_orthonormal(stack.T)
     stack[4, :, 1] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="not orthonormal"):
-        core._check_orthonormal(stack)
+        core._check_orthonormal(stack.T)
     with pytest.raises(ValueError, match="not orthonormal"):
         Subspace(stack[4])
     stack[4, 0, 0] = np.nan          # a NaN Gram entry fails the bound too
     with pytest.raises(ValueError, match="not orthonormal"):
-        core._check_orthonormal(stack)
+        core._check_orthonormal(stack.T)
 
 
 def test_haar_column_moments():

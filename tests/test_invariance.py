@@ -5,7 +5,8 @@ R and an offset t of up to 1e6 body sizes, together with a vertex
 permutation and duplicated vertices, must leave unchanged every answer that
 reads a body's frame: the affine dimension, the canonical vertex set, the
 scale fit and the least vertex-subset fit, the support set and the touching
-verdict; the exact mean width scales by f.  A linear map x -> M x of
+verdict; the exact mean width scales by f, and in the plane, with f in
+[1e-3, 1e3] and an offset of a few body sizes, to 1e-12.  A linear map x -> M x of
 condition number up to 1e3 leaves the scale fit and the least vertex-subset
 fits unchanged as well.
 """
@@ -149,3 +150,22 @@ def test_mean_width_exact(case, m):
     x = rng.standard_normal((m, n))
     moved = mean_width_exact(Polytope(move(x)[_reorder(rng, m)]))
     assert moved == pytest.approx(factor * mean_width_exact(Polytope(x)), rel=1e-9)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.floats(-3.0, 3.0),
+       st.floats(0.0, 2.0 * np.pi), st.booleans())
+def test_planar_mean_width_exact(seed, m, log_factor, angle, mirror):
+    # the gift wrap's perimeter: the same under a vertex permutation with
+    # duplicates, f times it under x -> f R x + v
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, 2))
+    factor = 10.0 ** log_factor
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    rot[:, 1] *= -1.0 if mirror else 1.0
+    shift = factor * rng.uniform(-3.0, 3.0, 2)
+    order = _reorder(rng, m)
+    want = mean_width_exact(Polytope(x))
+    assert mean_width_exact(Polytope(x[order])) == pytest.approx(want, rel=1e-12, abs=0.0)
+    moved = mean_width_exact(Polytope((factor * (x @ rot.T) + shift)[order]))
+    assert moved == pytest.approx(factor * want, rel=1e-12, abs=0.0)

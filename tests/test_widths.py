@@ -5,7 +5,7 @@ import pytest
 
 from oracles import highs_sigma, hull2d, perimeter2d
 
-from shadowcover import bodies, containment, widths
+from shadowcover import bodies, containment, core, widths
 from shadowcover.bodies import (
     Polytope,
     canonical_vertex_indices,
@@ -197,6 +197,11 @@ def test_exact_vs_perimeter_oracle_2d():
                                                     abs=1e-9)
 
 
+def _perimeters(shadows):
+    """The gift wrap on an (S, m, 2) stack of planar point sets."""
+    return widths._hull_perimeters(*np.asarray(shadows, dtype=float).T)
+
+
 def _shadow_with_boundary_extras(rng, m):
     """m planar points: a Gaussian cloud plus copies of its lowest leftmost
     point and of another hull vertex, points inside hull edges and the mean."""
@@ -223,10 +228,10 @@ def test_batched_perimeters_match_monotone_chain():
     segment = np.outer(rng.uniform(-1, 1, m), [1.0, -2.0]) + [0.5, 0.0]
     shadows += [segment, np.column_stack([np.zeros(m), segment[:, 1]]),
                 np.array([[0.0, 0.0], [-0.0, 1.0], [0.0, 2.0], [1.0, 1.0]] * 3)]
-    got = widths._hull_perimeters(np.array(shadows))
+    got = _perimeters(shadows)
     want = np.array([perimeter2d(s) for s in shadows])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert widths._hull_perimeters(np.ones((1, 5, 2)))[0] == 0.0
+    assert _perimeters(np.ones((1, 5, 2)))[0] == 0.0
 
 
 def test_batched_perimeters_match_the_oracle_on_hard_cases():
@@ -246,7 +251,7 @@ def test_batched_perimeters_match_the_oracle_on_hard_cases():
         shadows.append(np.vstack([hull, run + 1e-15 * rng.standard_normal(run.shape)]))
         shadows.append(np.vstack([hull, hull[:3], [hull[0]] * 2]))
     for s in shadows:
-        got = widths._hull_perimeters(np.array([s, s[::-1]]))
+        got = _perimeters([s, s[::-1]])
         assert np.allclose(got, perimeter2d(s), rtol=1e-12, atol=0.0)
 
 
@@ -258,7 +263,7 @@ def test_batched_perimeters_close_past_a_start_extreme_by_rounding():
     rng = np.random.default_rng(43)
     shadows = [rng.standard_normal((5, 2)) for _ in range(6)]
     shadows.insert(3, box)
-    got = widths._hull_perimeters(np.array(shadows))
+    got = _perimeters(shadows)
     assert got[3] == pytest.approx(4.0, rel=0, abs=1e-15)
     assert np.allclose(got, [perimeter2d(s) for s in shadows], rtol=1e-12, atol=0.0)
 
@@ -273,7 +278,7 @@ def test_batched_perimeters_are_right_or_raise_on_near_duplicates():
         pts = rng.standard_normal((8, 2))
         s = np.vstack([pts, pts[rng.integers(8)] + 1e-15 * rng.standard_normal(2)])
         try:
-            got = widths._hull_perimeters(s[None])[0]
+            got = _perimeters(s[None])[0]
         except ValueError:
             continue
         closed += 1
@@ -289,7 +294,56 @@ def test_batched_perimeters_raise_on_a_walk_that_does_not_close(monkeypatch):
                                                      b.shape).copy())
     square = np.array([[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="did not close"):
-        widths._hull_perimeters(square)
+        _perimeters(square)
+
+
+def test_each_shadow_in_a_mixed_stack_gets_the_bits_it_gets_alone():
+    # boundary extras, grids, near-duplicates and a start extreme by
+    # rounding close after different numbers of steps; points, segments and
+    # triangles, more than half the stack, close first, so the stack drops
+    # closed walks before the box's closing step leaves its first one out
+    rng = np.random.default_rng(53)
+    m = 12
+    corners = rng.standard_normal((12, 3, 2))
+    shadows = [np.ones((m, 2)) * rng.standard_normal(2) for _ in range(12)]
+    shadows += [np.outer(rng.uniform(-1, 1, m), rng.standard_normal(2)) for _ in range(12)]
+    shadows += [np.vstack([c, rng.dirichlet(np.ones(3), m - 3) @ c]) for c in corners]
+    shadows += [_shadow_with_boundary_extras(rng, m) for _ in range(8)]
+    for _ in range(8):
+        grid = rng.integers(0, 3, (m, 2)).astype(float)
+        grid[rng.random((m, 2)) < 0.3] *= -1.0
+        shadows.append(grid)
+    while len(shadows) < 24:
+        pts = rng.standard_normal((m, 2))
+        pts[-1] = pts[rng.integers(m - 1)] + 1e-15 * rng.standard_normal(2)
+        try:
+            _perimeters(pts[None])
+        except ValueError:
+            continue
+        shadows.append(pts)
+    box = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-17, 0.5]],
+                     rng.uniform(0.2, 0.8, (m - 5, 2))])
+    assert _perimeters(box[None])[0] == pytest.approx(4.0, rel=0, abs=1e-15)
+    shadows += [box, box[::-1]]
+    shadows = [shadows[i] for i in rng.permutation(len(shadows))]
+    assert len({len(hull2d(s)) for s in shadows}) >= 6
+    alone = np.array([_perimeters(s[None])[0] for s in shadows])
+    assert _perimeters(shadows).tobytes() == alone.tobytes()
+
+
+def test_the_did_not_close_error_counts_the_callers_shadows(monkeypatch):
+    # walk 4 starts at the centre of a square, which no hull step comes
+    # back to; the six other walks close first and leave the arrays
+    rng = np.random.default_rng(59)
+    square = np.vstack([[[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                        rng.uniform(0.1, 0.9, (7, 2))])
+    shadows = [_shadow_with_boundary_extras(rng, 12) for _ in range(6)]
+    shadows.insert(4, square)
+    argmin = np.argmin
+    monkeypatch.setattr(widths.np, "argmin",
+                        lambda a, axis: np.where(np.arange(7) == 4, 0, argmin(a, axis=axis)))
+    with pytest.raises(ValueError, match="^1 of 7 planar hulls did not close in 12 steps$"):
+        _perimeters(shadows)
 
 
 def test_width_monotone_under_inclusion():
@@ -360,10 +414,37 @@ def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(lp_calls):
     vals = np.array([perimeter2d(body.vertices @ basis) / math.pi
                      for basis in haar_subspaces(3, 2, 300, np.random.default_rng(5))])
     assert rep.width_exact == mean_width_exact(body)
-    assert rep.width_projected_mean == pytest.approx(vals.mean(), rel=1e-12)
-    assert rep.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(300), rel=1e-12)
+    assert rep.width_projected_mean == pytest.approx(vals.mean(), rel=1e-12, abs=0.0)
+    assert rep.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(300), rel=1e-12, abs=0.0)
     assert rep.rel_error == pytest.approx(abs(vals.mean() - rep.width_exact) / rep.width_exact,
                                           abs=1e-12)
+
+
+def test_kubota_check_draws_once_and_wraps_the_two_column_products(monkeypatch):
+    # one kernel call draws the (2, 3, count) basis columns, and the gift
+    # wrap takes V @ q_0 and V @ q_1 as they come, (m, count) each: no
+    # (count, m, 2) shadow stack and no transposed copy
+    draws, wraps = [], []
+
+    def kernel(cols, real=core._orthonormal_stack):
+        draws.append(np.shape(cols))
+        return real(cols)
+
+    def wrap(x, y, real=widths._hull_perimeters):
+        wraps.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(core, "_orthonormal_stack", kernel)
+    monkeypatch.setattr(widths, "_hull_perimeters", wrap)
+    body = Polytope(np.random.default_rng(31).standard_normal((12, 3)))
+    kubota_check(body, 300, np.random.default_rng(5))
+    assert draws == [(2, 3, 300)]
+    [(x, y)] = wraps
+    v = canonicalize(body).vertices
+    assert x.shape == y.shape == (len(v), 300)
+    assert x.flags.c_contiguous and y.flags.c_contiguous and x.base is None and y.base is None
+    stack = v @ haar_subspaces(3, 2, 300, np.random.default_rng(5))
+    assert np.array_equal(x, stack[..., 0].T) and np.array_equal(y, stack[..., 1].T)
 
 
 def test_kubota_check_builds_no_subspace(monkeypatch):
