@@ -9,11 +9,14 @@ Bodies are V-representations: the convex hull of a finite vertex list, which
 may contain redundant generators until a ``canonicalize`` pass removes them.
 ``canonical_vertex_indices`` picks the extreme points for that pass, after
 merging points that agree to 12 decimals in the unit frame.  A full body
-from R^3 up owns its hull: a ``_Hull`` record of extreme points and facets,
-built on first use and kept on the body by one Quickhull in every dimension
-(``_hull_skeleton``), which the canonical vertices and the scale fits read
-and ``canonicalize`` hands on; in R^3 it adds the edges and exterior angles
-that the exact mean width reads.  A set of lower affine rank r is read in
+from R^3 up owns its hull in two parts, each built on first read and kept
+on the body.  The ``_Hull`` record holds the facets that one Quickhull
+builds in every dimension (``_hull_facets``), with the distinct points and
+their incidence; the scale fits, covers and eps*_d read only it.  The
+``_Skeleton``, derived from it (``_hull_skeleton``), holds the extreme
+points, and in R^3 the edges and exterior angles; the canonical vertices,
+``edges`` and the exact mean width read it, and ``canonicalize`` hands both
+parts on.  A set of lower affine rank r is read in
 its ``affine_frame``: the two ends for r = 1, a monotone-chain hull
 (``planar_hull``) for r = 2 and the hull record from r = 3 on.  The planar
 scale fit runs that chain, ``_planar_hull``, on a shadow's rows as Python
@@ -87,9 +90,17 @@ class Polytope:
 
     @cached_property
     def _hull_record(self) -> _Hull | None:
-        """The hull record of a body from R^3 up, built on first use; None
+        """The facet record of a body from R^3 up, built on first use; None
         when the body is flat or in R^1 or R^2."""
-        return _hull_skeleton(self.vertices) if self.dim >= 3 else None
+        return _hull_facets(self.vertices) if self.dim >= 3 else None
+
+    @cached_property
+    def _skeleton(self) -> _Skeleton | None:
+        """The extreme points of a body from R^3 up, and in R^3 its edges and
+        exterior angles, derived from its facet record on first read; None
+        when that record is."""
+        hull = self._hull_record
+        return None if hull is None else _hull_skeleton(self.vertices, hull)
 
 
 def translate(p: Polytope, w) -> Polytope:
@@ -222,13 +233,13 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
     """Indices (into p.vertices) of the extreme points, in input order; of
     equal points the first is kept.
 
-    A full body from R^3 up reads them from its hull record.  A flat set,
+    A full body from R^3 up reads them from its ``_Skeleton``.  A flat set,
     or one in R^1 or R^2, is read in the ``affine_frame`` of its distinct
     points: rank 1 gives the two ends, rank 2 goes through ``planar_hull``
     and a higher rank through the hull record of its frame coordinates.
     """
-    if (hull := p._hull_record) is not None:
-        return hull.extreme.tolist()
+    if (skeleton := p._skeleton) is not None:
+        return skeleton.extreme.tolist()
     v = p.vertices
     keep = _distinct_indices(v)
     if len(keep) == 1:
@@ -239,7 +250,7 @@ def canonical_vertex_indices(p: Polytope) -> list[int]:
         return sorted({keep[int(x.argmin())], keep[int(x.argmax())]})
     if r == 2:
         return sorted(keep[i] for i in planar_hull(x))
-    return [keep[i] for i in _hull_skeleton(x).extreme]
+    return [keep[i] for i in _hull_skeleton(x, _hull_facets(x)).extreme]
 
 
 def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
@@ -287,17 +298,21 @@ _ON = 1e-12
 _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 
 
-# a hull record: extreme points, edges as sorted rows (i, j) with i < j and their exterior angles
-# (None from R^4 on), and the facets {x : a.x <= b} of the unit frame (X - c) / s of the points
-_Hull = namedtuple("_Hull", "extreme edges angles a b c s")
+# a hull record: the facets {x : a.x <= b} of the unit frame (X - c) / s of the points X, the
+# increasing indices keep of the distinct points, and incident[f, i], which says point keep[i]
+# is a corner of facet f
+_Hull = namedtuple("_Hull", "a b c s keep incident")
+# a hull skeleton: the extreme points, and the edges as sorted rows (i, j) with i < j and their
+# exterior angles (None from R^4 on)
+_Skeleton = namedtuple("_Skeleton", "extreme edges angles")
 
 
-def _read_only(hull: _Hull) -> _Hull:
+def _read_only(record):
     """The record with its arrays set read-only, as every reader shares them."""
-    for field in hull[:-1]:
-        if field is not None:
+    for field in record:
+        if isinstance(field, np.ndarray):
             field.flags.writeable = False
-    return hull
+    return record
 
 
 def _hull(points, frame=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
@@ -612,13 +627,24 @@ def _exact_sees(p, t: tuple, flip: bool, eye: int) -> bool:
     return side < 0 if flip else side > 0
 
 
-def _hull_skeleton(v: np.ndarray) -> _Hull | None:
-    """The ``_Hull`` record of a point set in R^n, n >= 3, from the facets of
-    ``_hull`` on its distinct points (``_distinct_indices``), with indices
-    into v; None when the set is flat.
+def _hull_facets(v: np.ndarray) -> _Hull | None:
+    """The ``_Hull`` record of a point set in R^n, n >= 3: the facets of
+    ``_hull`` on its distinct points (``_distinct_indices``) and their
+    incidence, with indices into v; None when the set is flat.  The unit
+    frame of v serves ``_hull`` too when no point is dropped."""
+    frame = _unit_frame(v)
+    keep = np.array(_distinct_indices(v, frame))
+    if (hull := _hull(v[keep], frame if len(keep) == len(v) else None)) is None:
+        return None
+    return _read_only(_Hull(*hull[:4], keep, hull[4]))
+
+
+def _hull_skeleton(v: np.ndarray, hull: _Hull) -> _Skeleton:
+    """The ``_Skeleton`` of a point set in R^n, n >= 3, from its ``_Hull``
+    record (``_hull_facets``), with indices into v.
 
     A point is extreme when it lies on at least n facets and no other point
-    lies on every facet through it.  In R^3 the record adds the edges: an
+    lies on every facet through it.  In R^3 the skeleton adds the edges: an
     edge is a pair of facets with three or more extreme points that share
     exactly two; its pairs come as sorted rows (i, j) with i < j, and its
     exterior angle, the angle between the two facets' unit outward normals
@@ -626,26 +652,23 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
     near 0 and pi.  Those facets are the ones of the hull of the extreme
     points, so V - E + F = 2.  Of the ends of an edge shorter than TOL_FEAS
     of the set's extent the first stands for both, as of equal points: the
-    other is dropped and the hull of the rest read again.  The facets and
-    frame stay those of the whole set, so that every point lies below them.
-    The unit frame of v serves ``_hull`` too when no point is dropped.
+    other is dropped and the hull of the rest read again.  The record's
+    facets and frame stay those of the whole set, so that every point lies
+    below them: the facet readers never wait for this re-hull.
     """
-    frame = _unit_frame(v)
-    keep = np.array(_distinct_indices(v, frame))
-    if (hull := _hull(v[keep], frame if len(keep) == len(v) else None)) is None:
-        return None
-    n, whole, tol = v.shape[1], hull[:4], (TOL_FEAS * hull[3]) ** 2
+    n, keep, normals, incident = v.shape[1], hull.keep, hull.a, hull.incident
+    tol = (TOL_FEAS * hull.s) ** 2
     while True:
-        extreme = np.add.reduce(hull[4], axis=0) >= n
+        extreme = np.add.reduce(incident, axis=0) >= n
         if n > 3:   # a point inside an edge may lie on n facets, all through the edge's ends
-            count = hull[4][:, corners := np.flatnonzero(extreme)].astype(np.float64)
+            count = incident[:, corners := np.flatnonzero(extreme)].astype(np.float64)
             share = count.T @ count   # share[i, j]: the facets through both corners
             np.fill_diagonal(within := share == share.diagonal()[:, None], False)
             extreme[corners[within.any(axis=1)]] = False
-            return _read_only(_Hull(keep[extreme], None, None, *whole))
-        on = hull[4] & extreme
+            return _read_only(_Skeleton(keep[extreme], None, None))
+        on = incident & extreme
         rows = np.add.reduce(on, axis=1) >= 3
-        on, a = on[rows], hull[0][rows]
+        on, a = on[rows], normals[rows]
         count = on.astype(np.float64)   # exact, and a float product is BLAS's
         f, g = np.nonzero(count @ count.T == 2.0)
         f, g = f[f < g], g[f < g]
@@ -654,46 +677,49 @@ def _hull_skeleton(v: np.ndarray) -> _Hull | None:
         short = np.add.reduce(d * d, axis=1) <= tol
         if short.any():
             rest = np.setdiff1d(keep, ends[short, 1])
-            if (hull := _hull(v[rest])) is not None:
-                keep = rest
+            if (again := _hull(v[rest])) is not None:
+                keep, normals, incident = rest, again[0], again[4]
                 continue
         order = np.lexsort((ends[:, 1], ends[:, 0]))
         # |a_f x a_g| and a_f . a_g by their sums, cheaper than np.cross and norm
         (x, y, z), (p, q, r) = a[f].T, a[g].T
         cross = np.sqrt((y * r - z * q) ** 2 + (z * p - x * r) ** 2 + (x * q - y * p) ** 2)
         angle = np.arctan2(cross, x * p + y * q + z * r)
-        return _read_only(_Hull(keep[np.logical_or.reduce(on, axis=0)], ends[order], angle[order],
-                                *whole))
+        return _read_only(_Skeleton(keep[np.logical_or.reduce(on, axis=0)], ends[order],
+                                    angle[order]))
 
 
 def canonicalize(p: Polytope) -> Polytope:
     """Remove redundant generators so every vertex is an extreme point.
 
     The kept vertices stay in input order; ``canonical_vertex_indices``
-    picks them, and a full body from R^3 up hands on the record that chose them.
+    picks them, and a full body from R^3 up hands on both parts of the hull
+    that chose them, its facet record and its skeleton, in the new indices.
     """
     if p.canonical:
         return p
     idx = canonical_vertex_indices(p)
     out = Polytope(p.vertices[idx], canonical=True)
-    if (hull := p._hull_record) is not None:   # idx is hull.extreme, increasing
+    if (skeleton := p._skeleton) is not None:   # idx is skeleton.extreme, increasing
+        hull, old, extreme = p._hull_record, skeleton.extreme, np.arange(len(idx))
         object.__setattr__(out, "_hull_record", _read_only(hull._replace(
-            extreme=np.arange(len(idx)),
-            edges=np.searchsorted(idx, hull.edges) if p.dim == 3 else None)))
+            keep=extreme, incident=hull.incident.take(hull.keep.searchsorted(old), axis=1))))
+        object.__setattr__(out, "_skeleton", _read_only(skeleton._replace(
+            extreme=extreme, edges=old.searchsorted(skeleton.edges) if p.dim == 3 else None)))
     return out
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
     """1-skeleton of a canonical body of affine dimension 3, as sorted pairs
-    (i, j) with i < j: the edges of its hull record; a body in R^4 and up is
-    read in its ``affine_frame``."""
+    (i, j) with i < j: the edges of its ``_Skeleton``; a body in R^4 and up
+    is read in its ``affine_frame``."""
     if not p.canonical:
         raise ValueError("edges requires canonical vertices; call canonicalize first")
     if p.dim > 3 and (frame := affine_frame(p.vertices))[2] == 3:
         p = Polytope((p.vertices - frame[0]) @ frame[1][:, :3])
-    if p.dim != 3 or (hull := p._hull_record) is None:
+    if p.dim != 3 or (skeleton := p._skeleton) is None:
         raise ValueError("edges requires a body of affine dimension 3")
-    return list(map(tuple, hull.edges.tolist()))
+    return list(map(tuple, skeleton.edges.tolist()))
 
 
 def simplex_from_supports(normals: np.ndarray, heights: np.ndarray) -> Polytope:

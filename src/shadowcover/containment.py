@@ -121,6 +121,13 @@ _MAX_RAY_SUBSETS = 135_751
 # threshold, so that a block's temporaries reuse heap memory instead of
 # faulting in fresh pages on every call
 _BLOCK_BYTES = 120_000
+# bytes of the tables past one block that _many_blocks keeps in all, the least recently used
+# dropped first.  Under the ray budget a table holds at most _MAX_RAY_SUBSETS (n+1)-subsets, at
+# one byte per entry and two (R^3, R^4) or four (R^5) per table index, and its n-subsets as intp:
+# at most 1.9 MB in R^3 (44 facets), 2.5 MB in R^4 (29) and 5.7 MB in R^5 (24), so the tables of
+# one L at the budget are kept up to R^5; those of 19 to 24 facets in R^3 take 0.7 MB in all
+_TABLE_BYTES = 48 * _MAX_RAY_SUBSETS   # 6.5 MB
+_TABLES: dict[tuple[int, int], tuple[int, tuple, tuple]] = {}
 
 
 @lru_cache(maxsize=64)
@@ -136,8 +143,9 @@ def _binomials(m: int, k: int) -> np.ndarray:
 
 
 def _subset_blocks(m: int, k: int, cap: int):
-    """``_combinations(m, k)`` in blocks of at most cap rows, cached when one block holds them
-    all, else unranked a block at a time: row r reflected by x -> m - 1 - x is the subset of colex
+    """``_combinations(m, k)`` in blocks of at most cap rows: the cached table when one block
+    holds them all, else unranked a block at a time, which ``_dual_rays`` does once per (m, k)
+    (``_one_block``, ``_many_blocks``): row r reflected by x -> m - 1 - x is the subset of colex
     rank C(m, k) - 1 - r, read greedily off ``_binomials`` (Knuth, TAOCP 7.2.1.3)."""
     if (total := math.comb(m, k)) <= cap:
         yield _combinations(m, k)
@@ -170,16 +178,15 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subsets padding them.  By LP duality K's scale fit in L is the least c.h_L(a) / c.h_K(a)
     with c.h_K(a) > 0."""
     f, n = a.shape
-    cap = _BLOCK_BYTES // (8 * (n + 1))
-    blocks = ([_one_block(f, n)] if n == 2 or math.comb(f, n + 1) <= cap else
-              ((subsets, _minor_index(subsets, f)) for subsets in _subset_blocks(f, n + 1, cap)))
+    one = n == 2 or math.comb(f, n + 1) <= _BLOCK_BYTES // (8 * (n + 1))
+    faces, blocks = _one_block(f, n) if one else _many_blocks(f, n)
     if n == 2:
         g = (a[:, ::-1] * _OUTWARD) @ a.T        # -[a_p, a_q] up to rounding
         table = 0.5 * (g.T - g)
     else:   # a = u s v^T and u have the same rays, and u's minors are not crowded near 0
         u = np.linalg.svd(a, full_matrices=False)[0]
-        table = np.concatenate([_determinants(u.T[:, subsets.T].swapaxes(0, 1)) for subsets in
-                                _subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n))])
+        table = np.concatenate([_determinants(u.T[:, subsets.T].swapaxes(0, 1))
+                                for subsets in faces])
         table = np.concatenate([table, -table])
     parts = []
     for subsets, minors in blocks:
@@ -194,17 +201,44 @@ def _dual_rays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             keep = np.minimum.reduce(c, axis=1) >= 0.0
             c = c.compress(keep, axis=0)
         parts.append((subsets.compress(keep, axis=0), c))
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    if len(parts) == 1:
+        return parts[0]
+    sets, c = zip(*parts)
+    return np.concatenate(sets, dtype=np.intp), np.concatenate(c)
+
+
+def _faces(f: int, n: int) -> tuple[np.ndarray, ...]:
+    """The n-subsets of range(f) in the blocks whose determinants make ``_dual_rays``' table."""
+    return tuple(_subset_blocks(f, n, 16 * _BLOCK_BYTES // (8 * n * n)))
 
 
 @lru_cache(maxsize=16)
-def _one_block(f: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n+1)-subsets of range(f), lexicographic, and their ``_dual_rays`` table indices, cached
-    for planar L's and L's with few facets: in the plane the flat (f, f) indices of (j, k), (k, i),
-    (i, j) for each (i, j, k), else ``_minor_index``'s rows."""
+def _one_block(f: int, n: int) -> tuple[tuple | None, list]:
+    """(faces, [(subsets, index)]) of ``_dual_rays`` for planar L's and L's whose (n+1)-subsets
+    of facets fill one block: None in the plane, else ``_faces``; and the (n+1)-subsets of
+    range(f), lexicographic, with their table indices: in the plane the flat (f, f) indices of
+    (j, k), (k, i), (i, j) for each (i, j, k), else ``_minor_index``'s rows."""
     subsets = np.concatenate(list(_subset_blocks(f, n + 1, _BLOCK_BYTES // (8 * (n + 1)))))
-    return subsets, (subsets @ np.array([[0, 1, f], [f, 0, 1], [1, f, 0]]) if n == 2 else
-                     _minor_index(subsets, f))
+    if n == 2:
+        return None, [(subsets, subsets @ np.array([[0, 1, f], [f, 0, 1], [1, f, 0]]))]
+    return _faces(f, n), [(subsets, _minor_index(subsets, f))]
+
+
+def _many_blocks(f: int, n: int) -> tuple[tuple, tuple]:
+    """(faces, blocks) of ``_dual_rays`` past one block: ``_faces``, and the (n+1)-subsets of
+    range(f) in blocks of ``_subset_blocks``, with their ``_minor_index`` rows, each in the least
+    unsigned type that holds its entries.  Built once per (f, n) and kept in _TABLES, whose
+    least recently used tables go while their bytes pass _TABLE_BYTES."""
+    if (kept := _TABLES.pop((f, n), None)) is None:
+        small, wide = np.min_scalar_type(f - 1), np.min_scalar_type(2 * math.comb(f, n) - 1)
+        faces = _faces(f, n)
+        blocks = tuple((subsets.astype(small), _minor_index(subsets, f).astype(wide))
+                       for subsets in _subset_blocks(f, n + 1, _BLOCK_BYTES // (8 * (n + 1))))
+        kept = (sum(x.nbytes for x in chain(faces, *blocks)), faces, blocks)
+    _TABLES[f, n] = kept   # the most recently used last
+    while sum(size for size, _, _ in _TABLES.values()) > _TABLE_BYTES:
+        del _TABLES[next(iter(_TABLES))]
+    return kept[1:]
 
 
 def _minor_index(subsets: np.ndarray, f: int) -> np.ndarray:

@@ -4,7 +4,7 @@ W(K) = (2 / (n omega_n)) * integral of h_K over the unit sphere, which a
 Monte Carlo average of 2 h_K(u) estimates directly.  Exact closed forms back
 the estimator in the plane (perimeter / pi) and in R^3 (edge lengths times
 exterior dihedral angles over 4 pi, each angle the one between the unit
-normals of the edge's two facets in the body's hull record), and the
+normals of the edge's two facets in the body's hull skeleton), and the
 Grassmannian average of planar shadow widths must reproduce the spatial
 value (Kubota consistency).  Every planar perimeter comes from one
 vectorised gift-wrap kernel on (m, S) x and y arrays, which walks all the
@@ -115,8 +115,9 @@ def mean_width_exact(k: Polytope) -> float:
 
     Plane: perimeter / pi (Cauchy).  Space: sum of edge length times
     exterior dihedral angle, divided by 4 pi, over the edges of the body's
-    hull record; each angle is the one between the unit outward normals of
-    the edge's two facets.
+    hull skeleton (built on this first read of it, from the facet record);
+    each angle is the one between the unit outward normals of the edge's
+    two facets.
     """
     n = k.dim
     if n == 2:
@@ -124,10 +125,10 @@ def mean_width_exact(k: Polytope) -> float:
             raise ValueError("exact mean width needs a full-dimensional body")
         return float(_hull_perimeters(*k.vertices.T[:, :, None])[0]) / math.pi
     if n == 3:
-        if (hull := k._hull_record) is None:
+        if (skeleton := k._skeleton) is None:
             raise ValueError("exact mean width needs a full-dimensional body")
-        length = np.linalg.norm(np.subtract(*k.vertices[hull.edges.T]), axis=1)
-        return float(length @ hull.angles) / (4.0 * math.pi)
+        length = np.linalg.norm(np.subtract(*k.vertices[skeleton.edges.T]), axis=1)
+        return float(length @ skeleton.angles) / (4.0 * math.pi)
     raise ValueError("exact mean width implemented for n in {2, 3} only")
 
 
@@ -147,7 +148,8 @@ def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> Kub
     (m, n_subspaces) products of the canonical vertices with q_0 and q_1,
     the gift-wrap kernel's layout: no Subspace, shadow stack or transposed
     copy is built, and one pass of the kernel gives every perimeter.  One
-    hull record serves the flatness test, the canonical body and its width."""
+    hull serves the flatness test, the canonical body and its width: the
+    facet record the first, and the skeleton derived from it the others."""
     if n_subspaces < 2:
         raise ValueError(f"Kubota check needs at least 2 subspaces, got {n_subspaces}")
     if k.dim != 3 or k._hull_record is None:

@@ -369,8 +369,9 @@ def test_hull_facets_none_only_when_flat():
     pts = rng.standard_normal((25, 3))
     assert np.allclose(_planes(*_facets(pts)), _scipy_planes(pts), atol=1e-7)
     assert Polytope(rng.standard_normal((6, 2)))._hull_record is None
+    assert Polytope(rng.standard_normal((6, 2)))._skeleton is None
     with pytest.raises(ValueError):
-        bodies._hull_skeleton(rng.standard_normal((6, 2)))
+        bodies._hull_facets(rng.standard_normal((6, 2)))
 
 
 def test_hull_facets_flat_exactly_when_affine_dim_says_so():
@@ -455,7 +456,7 @@ def test_hull_of_near_degenerate_clouds(lp_calls):
         a, b = _facets(cloud)
         assert (cloud @ a.T - b).max() <= 1e-12 * extent
         kept = canonicalize(Polytope(cloud)).vertices
-        extreme, pairs, angles = bodies._hull_skeleton(kept)[:3]
+        extreme, pairs, angles = Polytope(kept)._skeleton
         assert len(angles) == len(pairs) and 0.0 < angles.min() and angles.max() < np.pi
         incident = bodies._hull(kept)[4][:, extreme]
         assert len(extreme) - len(pairs) + int((incident.sum(axis=1) >= 3).sum()) == 2
@@ -476,7 +477,7 @@ def test_canonical_body_keeps_the_skeleton_that_chose_its_vertices():
     for _ in range(428):
         cloud = _near_degenerate_cloud(rng)
     p = Polytope(cloud)
-    chosen = p._hull_record
+    chosen = p._skeleton
     kc = canonicalize(p)
     assert (len(cloud), kc.nverts, len(chosen.edges)) == (18, 14, 35)
     where = {int(i): j for j, i in enumerate(chosen.extreme)}
@@ -485,12 +486,13 @@ def test_canonical_body_keeps_the_skeleton_that_chose_its_vertices():
 
 
 def test_hull_record_is_read_only_on_raw_and_canonical_bodies():
-    # every reader of a body shares its record, so no reader may write it
+    # every reader of a body shares both parts of its hull, so no reader may write them
     p = Polytope(np.random.default_rng(7).standard_normal((12, 3)))
-    for hull in (p._hull_record, canonicalize(p)._hull_record):
-        for name in ("extreme", "edges", "angles", "a", "b", "c"):
+    kc = canonicalize(p)
+    for record in (p._hull_record, p._skeleton, kc._hull_record, kc._skeleton):
+        for name in set(record._fields) - {"s"}:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(hull, name)[0] += 1
+                getattr(record, name)[0] += 1
 
 
 def test_edges_match_scipy_simplices(lp_calls):
@@ -648,7 +650,7 @@ def test_hull_records_in_r4_and_r5_match_scipy():
         cube = np.array(list(product([0.0, 1.0], repeat=n)))
         assert _check_record_against_scipy(cube) == 2 * n
         record = Polytope(cube)._hull_record
-        assert record.extreme.tolist() == list(range(2 ** n))
+        assert Polytope(cube)._skeleton.extreme.tolist() == list(range(2 ** n))
         incident = np.abs(cube @ record.a.T - (record.s * record.b + record.a @ record.c)) <= 1e-12
         assert incident.sum(axis=1).tolist() == [n] * 2 ** n
         jitter = cube + 1e-13 * rng.standard_normal(cube.shape)
@@ -698,7 +700,7 @@ def test_pyramid_sides_at_a_small_angle_stay_two_facets():
         record = Polytope(pts)._hull_record
         assert abs(pts[-1, 1] + 1e4 * pts[-1, -1] - 1.0) / math.hypot(1.0, 1e4) < 1e-12 * record.s
         assert _check_record_against_scipy(pts) == facets
-        assert record.extreme.tolist() == list(range(2 ** (n - 1) + 1))
+        assert Polytope(pts)._skeleton.extreme.tolist() == list(range(2 ** (n - 1) + 1))
         k = Polytope(np.random.default_rng(n).standard_normal((8, n)))
         assert scale_fit(k, Polytope(pts)).sigma == pytest.approx(highs_sigma(k.vertices, pts),
                                                                    rel=1e-9)
@@ -711,10 +713,10 @@ def test_r4_records_serve_canonicalize_and_refuse_edges(lp_calls):
     cloud = np.vstack([rng.standard_normal((10, 4)), np.zeros((2, 4))])
     p = Polytope(cloud)
     kc = canonicalize(p)
-    record = kc._hull_record
-    assert lp_calls == [] and kc.vertices.tolist() == cloud[p._hull_record.extreme].tolist()
-    assert record.extreme.tolist() == list(range(kc.nverts)) and record.edges is None
-    assert record.a is p._hull_record.a
+    record, skeleton = kc._hull_record, kc._skeleton
+    assert lp_calls == [] and kc.vertices.tolist() == cloud[p._skeleton.extreme].tolist()
+    assert skeleton.extreme.tolist() == list(range(kc.nverts)) and skeleton.edges is None
+    assert record.a is p._hull_record.a and record.keep.tolist() == list(range(kc.nverts))
     with pytest.raises(ValueError, match="affine dimension 3"):
         edges(kc)
     frame = np.linalg.qr(rng.standard_normal((4, 3)))[0]
@@ -747,9 +749,9 @@ def test_r4_and_r5_records_flat_exactly_when_affine_dim_says_so():
             ranks.append(affine_dim(l))
             assert (l._hull_record is None) == (ranks[-1] < n)
             if ranks[-1] == n:
-                record = Polytope(base @ rot + shift)._hull_record
-                assert len(l._hull_record.a) == len(record.a)
-                assert l._hull_record.extreme.tolist() == record.extreme.tolist()
+                whole = Polytope(base @ rot + shift)
+                assert len(l._hull_record.a) == len(whole._hull_record.a)
+                assert l._skeleton.extreme.tolist() == whole._skeleton.extreme.tolist()
                 half = Polytope(0.5 * l.vertices)
                 assert scale_fit(half, l).sigma == pytest.approx(2.0, rel=1e-5)
         assert 50 < ranks[::3].count(n) < 95 and 120 < ranks.count(n) < 240
@@ -763,12 +765,12 @@ def test_large_r4_record_builds_no_whole_enumeration():
     pts = np.random.default_rng(19).standard_normal((48, 4))
     tracemalloc.start()
     try:
-        record = bodies._hull_skeleton(pts)
+        skeleton = Polytope(pts)._skeleton
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * math.comb(48, 4) * 4 * 8
-    assert record.extreme.tolist() == sorted(spatial.ConvexHull(pts).vertices.tolist())
+    assert skeleton.extreme.tolist() == sorted(spatial.ConvexHull(pts).vertices.tolist())
     rng = np.random.default_rng(23)
     for n, m in ((4, 100), (5, 60)):
         _check_record_against_scipy(rng.standard_normal((m, n)))

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -658,9 +658,18 @@ def test_subset_fits_share_facets_and_match_enumeration(hull_calls):
             assert highs_sigma(k.vertices[witness], l.vertices) == pytest.approx(least, rel=rel)
 
 
-def test_a_decide_pair_builds_each_hull_once(hull_calls):
+def _refuse_skeletons(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a fit derived a hull skeleton")
+
+    monkeypatch.setattr(bodies, "_hull_skeleton", refuse)
+
+
+def test_a_decide_pair_builds_each_hull_once(monkeypatch, hull_calls):
     # translate_fits and the Helly search on one raw K and one L: one
-    # Quickhull in all, L's for its facets; K is read through its points
+    # Quickhull in all, L's for its facets, and no hull skeleton; K is read
+    # through its points
+    _refuse_skeletons(monkeypatch)
     rng = np.random.default_rng(139)
     for i in range(20):
         k = Polytope(rng.standard_normal((6 + i % 5, 3)))
@@ -670,6 +679,25 @@ def test_a_decide_pair_builds_each_hull_once(hull_calls):
         assert fits == (subset_witness(k, l, 4) is None)
         assert min_subset_sigma(k, l, 4) == pytest.approx(scale_fit(k, l).sigma, rel=1e-9)
         assert hull_calls == [l.nverts]
+        assert "_skeleton" not in vars(k) and "_skeleton" not in vars(l)
+
+
+def test_r5_fits_build_no_hull_skeleton(monkeypatch, hull_calls):
+    # the R^5 twin of the test above, with eps*_1 and eps*_2 too: the fits read
+    # L's facet record alone, and neither body derives its extreme points
+    _refuse_skeletons(monkeypatch)
+    rng = np.random.default_rng(149)
+    for i in range(6):
+        k = Polytope(rng.standard_normal((7 + i % 3, 5)))
+        l = Polytope(rng.standard_normal((8, 5)) * (1.5, 2.5)[i % 2])
+        hull_calls.clear()
+        fits, _ = translate_fits(k, l)
+        assert fits == (subset_witness(k, l, 6) is None)
+        eps = [min_subset_sigma(k, l, kcount) for kcount in (2, 3, 6)]
+        assert eps == sorted(eps, reverse=True)
+        assert eps[-1] == pytest.approx(scale_fit(k, l).sigma, rel=1e-9)
+        assert hull_calls == [l.nverts]
+        assert "_skeleton" not in vars(k) and "_skeleton" not in vars(l)
 
 
 def _kernel_cases(rng):
@@ -747,15 +775,18 @@ def test_scale_fit_and_subset_fits_match_highs():
         assert min_subset_sigma(k, l, 4) == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("m,f", [(4, 4), (8, 12), (14, 24), (24, 44)])
-def test_dual_rays_match_an_enumeration_in_order(m, f):
-    # m points on a sphere have a simplicial hull of 2m - 4 facets; the blocked
-    # kernel gives the rays of one itertools enumeration over the same
-    # determinants, bit for bit and in order, the rays of the triple-product
-    # table to rounding, and each block stays within _BLOCK_BYTES
-    g = np.random.default_rng(m).standard_normal((m, 3))
-    a = Polytope(g / np.linalg.norm(g, axis=1, keepdims=True))._hull_record.a
-    assert a.shape == (f, 3)
+def _sphere_facets(m, seed):
+    """The facet normals of m Gaussian points put on the unit sphere: a simplicial hull of
+    2m - 4 facets."""
+    g = np.random.default_rng(seed).standard_normal((m, 3))
+    return Polytope(g / np.linalg.norm(g, axis=1, keepdims=True))._hull_record.a
+
+
+def _enumerated_rays(a):
+    """(rays, triple): ``_dual_rays``' rule on one itertools enumeration of a's 4-subsets, once
+    over the n-row determinants of a's left singular vectors u and once over u's triple
+    products, each as (sets, c)."""
+    f = len(a)
     u = np.linalg.svd(a, full_matrices=False)[0]
     triples = list(combinations(range(f), 3))
     det = dict(zip(triples, containment._determinants(u.T[:, np.array(triples).T].swapaxes(0, 1))))
@@ -773,9 +804,21 @@ def test_dual_rays_match_an_enumeration_in_order(m, f):
         c[top[:, 0] <= containment._RAY_TOL] = -1.0
         keep = c.min(axis=1) >= 0.0
         want.append((sets[keep], c[keep]))
+    return want
+
+
+@pytest.mark.parametrize("m,f", [(4, 4), (8, 12), (14, 24), (24, 44)])
+def test_dual_rays_match_an_enumeration_in_order(monkeypatch, m, f):
+    # m points on a sphere have a simplicial hull of 2m - 4 facets; the blocked
+    # kernel gives the rays of one itertools enumeration over the same
+    # determinants, bit for bit and in order, the rays of the triple-product
+    # table to rounding, and each block stays within _BLOCK_BYTES
+    a = _sphere_facets(m, m)
+    assert a.shape == (f, 3)
+    want = _enumerated_rays(a)
     got_sets, got_c = containment._dual_rays(a)
     assert got_sets.tolist() == want[0][0].tolist() == want[1][0].tolist()
-    assert got_c.tobytes() == want[0][1].tobytes()
+    assert got_sets.dtype == np.intp and got_c.tobytes() == want[0][1].tobytes()
     assert np.abs(got_c - want[1][1]).max(initial=0.0) <= 1e-14
     for n, count in ((3, f), (2, 48)):
         cap = containment._BLOCK_BYTES // (8 * (n + 1))
@@ -783,6 +826,35 @@ def test_dual_rays_match_an_enumeration_in_order(m, f):
         want = [list(r) for r in combinations(range(count), n + 1)]
         assert np.concatenate(blocks).tolist() == want
         assert all(b.nbytes <= containment._BLOCK_BYTES for b in blocks)
+    if f == 24:   # past one block, whose tables are built once per facet count
+        def refuse(*args):
+            raise AssertionError("the tables of 24 facets were built again")
+
+        for name in ("_minor_index", "_subset_blocks"):
+            monkeypatch.setattr(containment, name, refuse)
+        other = _sphere_facets(m, 2 * m)
+        assert other.shape == (f, 3)
+        want = _enumerated_rays(other)[0]
+        got_sets, got_c = containment._dual_rays(other)
+        assert got_sets.tolist() == want[0].tolist() and got_c.tobytes() == want[1].tobytes()
+
+
+def test_kept_ray_tables_stay_within_their_byte_bound(monkeypatch):
+    # the tables past one block are kept in their least types, the least recently used
+    # dropped first while their bytes pass _TABLE_BYTES, and a dropped table is built again
+    monkeypatch.setattr(containment, "_TABLES", {})
+    blocks = {f: containment._many_blocks(f, 3)[1] for f in (19, 20, 21)}
+    size = {f: containment._TABLES[f, 3][0] for f in blocks}
+    assert {(b.dtype.name, m.dtype.name) for b, m in blocks[21]} == {("uint8", "uint16")}
+    assert size[21] == sum(x.nbytes for x in (*containment._faces(21, 3), *chain(*blocks[21])))
+    monkeypatch.setattr(containment, "_TABLES", {})
+    monkeypatch.setattr(containment, "_TABLE_BYTES", size[19] + size[21])
+    for f in (19, 20, 19, 21):
+        containment._many_blocks(f, 3)
+    assert list(containment._TABLES) == [(19, 3), (21, 3)]
+    assert containment._many_blocks(19, 3)[1] is containment._TABLES[19, 3][2]
+    assert containment._many_blocks(20, 3)[1] is not blocks[20]
+    assert list(containment._TABLES) == [(19, 3), (20, 3)]
 
 
 def test_flat_l_fits_no_body_of_higher_rank():

@@ -117,18 +117,26 @@ def test_mean_width_exact_matches_qhull_triangles():
 
 
 def test_mean_width_exact_reads_one_hull_skeleton(monkeypatch, hull_calls):
-    # one Quickhull serves a Kubota check's flatness test, its canonical
-    # vertices and its exact width, with no affine rank taken
+    # one Quickhull and one skeleton serve a Kubota check's flatness test, its
+    # canonical vertices and its exact width, with no affine rank taken: the
+    # facet record the first, the skeleton derived from it the others, and
+    # canonicalize hands both parts on
     body = Polytope(np.random.default_rng(53).standard_normal((16, 3)))
+    skeletons, original = [], bodies._hull_skeleton
 
     def refuse(*args):
         raise AssertionError("the Kubota check took the affine rank")
 
     monkeypatch.setattr(bodies, "affine_frame", refuse)
+    monkeypatch.setattr(bodies, "_hull_skeleton",
+                        lambda v, hull: skeletons.append(len(v)) or original(v, hull))
     report = kubota_check(body, 50, np.random.default_rng(0))
-    assert len(hull_calls) == 1
-    assert mean_width_exact(body) == mean_width_exact(canonicalize(body)) == report.width_exact
-    assert len(hull_calls) == 1
+    assert hull_calls == skeletons == [16]
+    kc = canonicalize(body)
+    assert kc._hull_record.a is body._hull_record.a and kc._skeleton.angles is body._skeleton.angles
+    assert kc._skeleton.extreme.tolist() == kc._hull_record.keep.tolist() == list(range(kc.nverts))
+    assert mean_width_exact(body) == mean_width_exact(kc) == report.width_exact
+    assert hull_calls == skeletons == [16]
     monkeypatch.undo()
     flat = Polytope([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
     with pytest.raises(ValueError, match="full-dimensional"):
@@ -396,7 +404,7 @@ def test_canonical_vertices_and_mean_width_do_not_depend_on_units(factor, offset
     cube = Polytope(CUBE.vertices * factor + offset)
     assert canonicalize(cube).nverts == 8
     assert mean_width_exact(cube) == pytest.approx(1.5 * factor, rel=1e-12, abs=0.0)
-    assert np.allclose(bodies._hull_skeleton(cube.vertices)[2], math.pi / 2, rtol=1e-14, atol=0)
+    assert np.allclose(cube._skeleton.angles, math.pi / 2, rtol=1e-14, atol=0)
     cloud = np.random.default_rng(37).standard_normal((12, 3))
     body = Polytope(cloud * factor + offset)
     assert canonical_vertex_indices(body) == canonical_vertex_indices(Polytope(cloud))
@@ -497,7 +505,7 @@ def test_full_r4_bodies_raise_in_the_3d_readers():
     # angles: the readers of a 3-D record check the dimension first
     rng = np.random.default_rng(29)
     body = Polytope(rng.standard_normal((9, 4)))
-    assert body._hull_record is not None and body._hull_record.edges is None
+    assert body._hull_record is not None and body._skeleton.edges is None
     with pytest.raises(ValueError, match="n in \\{2, 3\\} only"):
         mean_width_exact(body)
     with pytest.raises(ValueError, match="full-dimensional body in R\\^3"):
