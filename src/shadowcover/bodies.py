@@ -14,8 +14,9 @@ on the body.  The ``_Hull`` record holds the facets that one Quickhull
 builds in every dimension (``_hull_facets``), with the distinct points and
 their incidence; the scale fits, covers and eps*_d read only it.  The
 ``_Skeleton``, derived from it (``_hull_skeleton``), holds the extreme
-points, and in R^3 the edges and exterior angles; the canonical vertices,
-``edges`` and the exact mean width read it, and ``canonicalize`` hands both
+points, and in R^3 the edges, their exterior angles and their two facets'
+normals; the canonical vertices, ``edges``, the exact mean width and the
+Kubota check's shadow perimeters read it, and ``canonicalize`` hands both
 parts on.  A set of lower affine rank r is read in
 its ``affine_frame``: the two ends for r = 1, a monotone-chain hull
 (``planar_hull``) for r = 2 and the hull record from r = 3 on.  The planar
@@ -96,9 +97,9 @@ class Polytope:
 
     @cached_property
     def _skeleton(self) -> _Skeleton | None:
-        """The extreme points of a body from R^3 up, and in R^3 its edges and
-        exterior angles, derived from its facet record on first read; None
-        when that record is."""
+        """The extreme points of a body from R^3 up, and in R^3 its edges,
+        their exterior angles and their facets, derived from its facet record
+        on first read; None when that record is."""
         hull = self._hull_record
         return None if hull is None else _hull_skeleton(self.vertices, hull)
 
@@ -258,8 +259,11 @@ def planar_hull(points, tol: float = TOL_FEAS) -> list[int]:
     from the lexicographically smallest one (Andrew's monotone chain).
 
     A point whose turn between its chain neighbours has sine at most ``tol``
-    is dropped, so collinear boundary points go; of equal points the first
-    is kept.  A collinear set gives its two end points, a single point itself.
+    is dropped, so collinear boundary points go, unless the chain doubles
+    back there: points on a near-vertical side, sorted by rounding-level
+    differences in x, can put a corner beyond its successor along the side,
+    and the corner is kept.  Of equal points the first is kept.  A collinear
+    set gives its two end points, a single point itself.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -284,7 +288,9 @@ def _planar_hull(xy: list, tol: float) -> list[int]:
                 ax, ay = xy[out[-1]]
                 ux, uy, wx, wy = ax - ox, ay - oy, px - ox, py - oy
                 turn = ux * wy - uy * wx
-                if turn > 0.0 and turn > tol * math.hypot(ux, uy) * math.hypot(wx, wy):
+                # a chain that doubles back at a turns left however small its sine
+                if turn > 0.0 and (turn > tol * math.hypot(ux, uy) * math.hypot(wx, wy)
+                                   or ux * (px - ax) + uy * (py - ay) < 0.0):
                     break
                 out.pop()
             out.append(i)
@@ -302,9 +308,10 @@ _COND_LIMIT = 1e12   # of each vertex system of simplex_from_supports
 # increasing indices keep of the distinct points, and incident[f, i], which says point keep[i]
 # is a corner of facet f
 _Hull = namedtuple("_Hull", "a b c s keep incident")
-# a hull skeleton: the extreme points, and the edges as sorted rows (i, j) with i < j and their
-# exterior angles (None from R^4 on)
-_Skeleton = namedtuple("_Skeleton", "extreme edges angles")
+# a hull skeleton: the extreme points, the edges as sorted rows (i, j) with i < j, their exterior
+# angles, and their two facets as rows of faces into the facets' unit outward normals (the last
+# four None from R^4 on)
+_Skeleton = namedtuple("_Skeleton", "extreme edges angles faces normals")
 
 
 def _read_only(record):
@@ -650,11 +657,14 @@ def _hull_skeleton(v: np.ndarray, hull: _Hull) -> _Skeleton:
     exterior angle, the angle between the two facets' unit outward normals
     a_f and a_g, is atan2(|a_f x a_g|, a_f . a_g), which keeps its digits
     near 0 and pi.  Those facets are the ones of the hull of the extreme
-    points, so V - E + F = 2.  Of the ends of an edge shorter than TOL_FEAS
-    of the set's extent the first stands for both, as of equal points: the
-    other is dropped and the hull of the rest read again.  The record's
-    facets and frame stay those of the whole set, so that every point lies
-    below them: the facet readers never wait for this re-hull.
+    points, so V - E + F = 2; the skeleton keeps their unit outward normals
+    as the (F, 3) rows ``normals``, and each edge's two facets as its row
+    (f, g) of ``faces``, from which a shadow's silhouette is read.  Of the
+    ends of an edge shorter than TOL_FEAS of the set's extent the first
+    stands for both, as of equal points: the other is dropped and the hull
+    of the rest read again, whose facets the skeleton then keeps.  The
+    record's facets and frame stay those of the whole set, so that every
+    point lies below them: the facet readers never wait for this re-hull.
     """
     n, keep, normals, incident = v.shape[1], hull.keep, hull.a, hull.incident
     tol = (TOL_FEAS * hull.s) ** 2
@@ -665,7 +675,7 @@ def _hull_skeleton(v: np.ndarray, hull: _Hull) -> _Skeleton:
             share = count.T @ count   # share[i, j]: the facets through both corners
             np.fill_diagonal(within := share == share.diagonal()[:, None], False)
             extreme[corners[within.any(axis=1)]] = False
-            return _read_only(_Skeleton(keep[extreme], None, None))
+            return _read_only(_Skeleton(keep[extreme], None, None, None, None))
         on = incident & extreme
         rows = np.add.reduce(on, axis=1) >= 3
         on, a = on[rows], normals[rows]
@@ -686,7 +696,7 @@ def _hull_skeleton(v: np.ndarray, hull: _Hull) -> _Skeleton:
         cross = np.sqrt((y * r - z * q) ** 2 + (z * p - x * r) ** 2 + (x * q - y * p) ** 2)
         angle = np.arctan2(cross, x * p + y * q + z * r)
         return _read_only(_Skeleton(keep[np.logical_or.reduce(on, axis=0)], ends[order],
-                                    angle[order]))
+                                    angle[order], np.column_stack((f, g))[order], a))
 
 
 def canonicalize(p: Polytope) -> Polytope:
@@ -694,7 +704,8 @@ def canonicalize(p: Polytope) -> Polytope:
 
     The kept vertices stay in input order; ``canonical_vertex_indices``
     picks them, and a full body from R^3 up hands on both parts of the hull
-    that chose them, its facet record and its skeleton, in the new indices.
+    that chose them, its facet record and its skeleton, in the new indices;
+    the skeleton's facet rows and normals do not depend on vertex numbers.
     """
     if p.canonical:
         return p

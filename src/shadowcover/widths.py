@@ -6,9 +6,12 @@ the estimator in the plane (perimeter / pi) and in R^3 (edge lengths times
 exterior dihedral angles over 4 pi, each angle the one between the unit
 normals of the edge's two facets in the body's hull skeleton), and the
 Grassmannian average of planar shadow widths must reproduce the spatial
-value (Kubota consistency).  Every planar perimeter comes from one
-vectorised gift-wrap kernel on (m, S) x and y arrays, which walks all the
-shadows of a Kubota check at once and drops closed walks as it goes.
+value (Kubota consistency).  A planar body's perimeter sums the edges of
+its monotone-chain hull (``planar_hull``).  A Kubota check reads every
+shadow's perimeter off the same skeleton as the exact width: a shadow's
+boundary is the projection of the body's silhouette edges, those whose two
+facets face opposite ways along the plane's normal, so all the shadows'
+perimeters are one masked sum over the edges, with no hull walk.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polytope, _unit_frame, affine_dim, canonicalize, diameter
+from .bodies import Polytope, _unit_frame, affine_dim, canonicalize, diameter, planar_hull
 from .containment import scale_fit, subset_witness, translate_fits
-from .core import TOL_FEAS, TOL_GEOM, _haar_columns, direction_grid
+from .core import TOL_GEOM, _haar_columns, direction_grid
 
 @dataclass(frozen=True, eq=False)
 class MeanWidthEstimate:
@@ -46,74 +49,13 @@ def mean_width_mc(k: Polytope, n_samples: int, rng: np.random.Generator) -> Mean
     return MeanWidthEstimate(value, stderr, n_samples)
 
 
-def _hull_perimeters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Perimeters of the convex hulls of S planar point sets of m points
-    each, given as their (m, S) coordinates x and y, by gift wrapping
-    (Jarvis) all of them at once.
-
-    Each walk starts at the lowest of the leftmost points, heading down, and
-    steps to the point of least left turn, the farthest of exact ties.  With
-    s and c the cross and dot products of heading and step, a turn ranks by
-    the pseudo-angle copysign(1 - s / (|s| + |c|), c), which falls from 2 to
-    -2 as the turn goes from -pi/2 to 3 pi/2, as fine as arctan2 near 0 and
-    pi, and ties break on |s| + |c|, which grows with the step along a ray;
-    a point equal to the current one ranks NaN (0 / 0), which no walk takes.
-    A walk closes when it steps back onto its start.  Once at most half the
-    columns still walk, the arrays keep only those, padded with closed walks
-    to a power-of-two width: numpy keeps a few freed blocks of each size
-    under 1 KB for reuse, and so few widths keep that cache small.  A start
-    extreme by less than rounding can lose that step to the point beyond
-    it, its first step's target, by at most TOL_FEAS in rank; the walk then
-    closes there, and its first step leaves the perimeter.  A walk not
-    closed within m steps raises ValueError.
-    """
-    m, count = x.shape
-    start = np.argmin(np.where(x == x.min(axis=0), y, np.inf), axis=0)
-    out = np.zeros(count)
-    walks = cols = np.arange(count)     # a walk's set, and its column in x and y
-    at = start * count + cols
-    cx, cy = x.take(at), y.take(at)
-    hx, hy = np.zeros(count), np.full(count, -1.0)
-    total = np.zeros(count)
-    walking = np.ones(count, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for i in range(m):
-            dx, dy = x - cx, y - cy
-            s, c = hx * dy - hy * dx, hx * dx + hy * dy
-            norm = np.abs(s) + np.abs(c)
-            rank = np.copysign(1.0 - s / norm, c)
-            best = np.fmax.reduce(rank, axis=0)
-            cur = np.argmax(np.where(rank == best, norm, -1.0), axis=0)
-            at = cur * cols.size + cols
-            hx, hy, cx, cy = dx.take(at), dy.take(at), x.take(at), y.take(at)
-            step = np.sqrt(hx * hx + hy * hy)
-            total += np.where(walking, step, 0.0)
-            if i == 0:
-                first, lead = cur, step
-            elif (hit := walking & (cur == first)).any():
-                # the start lost the step onto the first target by rounding alone
-                skipped = hit & (rank.take(start * cols.size + cols) >= best - TOL_FEAS)
-                total -= np.where(skipped, lead, 0.0)
-                walking &= ~skipped
-            # a set of equal points has no turn at all: its hull is the point
-            walking &= (cur != start) & np.isfinite(best)
-            if 2 * (left := np.count_nonzero(walking)) <= cols.size:
-                out[walks] = total
-                if not left:
-                    return out
-                # the walking sets first, then closed ones up to a power of two
-                keep = np.argsort(~walking, kind="stable")[:1 << int(left - 1).bit_length()]
-                x, y = x[:, keep], y[:, keep]
-                walks, start, first, lead, hx, hy, cx, cy, total, walking = (
-                    a[keep] for a in (walks, start, first, lead, hx, hy, cx, cy, total, walking))
-                cols = np.arange(keep.size)
-    raise ValueError(f"{np.count_nonzero(walking)} of {count} planar hulls did not close in {m} steps")
-
-
 def mean_width_exact(k: Polytope) -> float:
     """Closed-form mean width for full-dimensional bodies in R^2 or R^3.
 
-    Plane: perimeter / pi (Cauchy).  Space: sum of edge length times
+    Plane: perimeter / pi (Cauchy), the edge lengths of the monotone-chain
+    hull (``planar_hull``) summed; it drops no point by a collinearity
+    tolerance, which would cut a corner a rounding-level step from another
+    short by that step.  Space: sum of edge length times
     exterior dihedral angle, divided by 4 pi, over the edges of the body's
     hull skeleton (built on this first read of it, from the facet record);
     each angle is the one between the unit outward normals of the edge's
@@ -123,7 +65,8 @@ def mean_width_exact(k: Polytope) -> float:
     if n == 2:
         if affine_dim(k) != 2:
             raise ValueError("exact mean width needs a full-dimensional body")
-        return float(_hull_perimeters(*k.vertices.T[:, :, None])[0]) / math.pi
+        xy = k.vertices[planar_hull(k.vertices, 0.0)]
+        return float(np.add.reduce(np.hypot(*(np.roll(xy, -1, axis=0) - xy).T))) / math.pi
     if n == 3:
         if (skeleton := k._skeleton) is None:
             raise ValueError("exact mean width needs a full-dimensional body")
@@ -141,23 +84,58 @@ class KubotaReport:
     samples: int
 
 
+def _silhouette_perimeters(k: Polytope, q: np.ndarray) -> np.ndarray:
+    """Perimeters of the shadows of a full body k in R^3 on the planes of
+    the (2, 3, S) basis columns q, from the edges of its hull skeleton.
+
+    A shadow's boundary is the projection of k's silhouette edges: the
+    edges whose two facets face opposite ways along the plane's normal
+    u = q_0 x q_1, by the sign a.u > 0.  That rule is exact at ties: either
+    side of a facet with a.u = 0 projects once onto the segment that the
+    facet projects to.  So each perimeter is the sum of the lengths of the
+    silhouette edges' projections, taken from their two coordinates d.q_0
+    and d.q_1, which keep their digits on edges nearly along u.
+
+    A missing or extra edge would move a Kubota check's two sides alike, as
+    both read these edges, so the edge set is proved first: V - E + F = 2,
+    and every facet is bounded by at least 3 edges; otherwise ValueError.
+    """
+    skeleton = k._skeleton
+    faces, normals = skeleton.faces, skeleton.normals
+    if (len(skeleton.extreme) - len(faces) + len(normals) != 2
+            or np.bincount(faces.ravel(), minlength=len(normals)).min() < 3):
+        raise ValueError("the hull skeleton's edges do not bound its facets")
+    q0, q1 = q
+    u = np.array([q0[1] * q1[2] - q0[2] * q1[1], q0[2] * q1[0] - q0[0] * q1[2],
+                  q0[0] * q1[1] - q0[1] * q1[0]])
+    side = normals @ u > 0.0
+    cut = side[faces[:, 0]] != side[faces[:, 1]]
+    d = np.subtract(*k.vertices[skeleton.edges.T])
+    x, y = d @ q0, d @ q1
+    x *= x   # in place: fresh (E, S) temporaries took longer than the arithmetic
+    y *= y
+    x += y
+    np.sqrt(x, out=x)
+    x *= cut
+    return np.add.reduce(x, axis=0)
+
+
 def kubota_check(k: Polytope, n_subspaces: int, rng: np.random.Generator) -> KubotaReport:
     """Compare the spatial mean width against the Haar average of planar
     shadow mean widths over sampled 2-subspaces.  The bases are drawn as
-    their (2, 3, n_subspaces) columns q, so the shadows are the two
-    (m, n_subspaces) products of the canonical vertices with q_0 and q_1,
-    the gift-wrap kernel's layout: no Subspace, shadow stack or transposed
-    copy is built, and one pass of the kernel gives every perimeter.  One
-    hull serves the flatness test, the canonical body and its width: the
-    facet record the first, and the skeleton derived from it the others."""
+    their (2, 3, n_subspaces) columns q, and every shadow's perimeter is
+    read off the canonical body's silhouette edges
+    (``_silhouette_perimeters``): no Subspace, shadow or planar hull is
+    built.  One hull serves the flatness test, the canonical body, its width
+    and its shadows: the facet record the first, and the skeleton derived
+    from it the others."""
     if n_subspaces < 2:
         raise ValueError(f"Kubota check needs at least 2 subspaces, got {n_subspaces}")
     if k.dim != 3 or k._hull_record is None:
         raise ValueError("Kubota check needs a full-dimensional body in R^3")
     kc = canonicalize(k)
     w3 = mean_width_exact(kc)
-    basis = _haar_columns(3, 2, n_subspaces, rng)
-    vals = _hull_perimeters(kc.vertices @ basis[0], kc.vertices @ basis[1]) / math.pi
+    vals = _silhouette_perimeters(kc, _haar_columns(3, 2, n_subspaces, rng)) / math.pi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(n_subspaces)
     return KubotaReport(w3, mean, stderr, abs(mean - w3) / abs(w3), n_subspaces)

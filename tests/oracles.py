@@ -21,7 +21,12 @@ from shadowcover import containment, lp
 
 
 def hull2d(points: np.ndarray) -> np.ndarray:
-    """Convex hull of 2D points in counterclockwise order (monotone chain)."""
+    """Convex hull of 2D points in counterclockwise order (monotone chain).
+
+    A turn of cross product at most 1e-12 counts as straight, unless the
+    chain doubles back there: on a near-vertical side, whose points sort by
+    rounding-level differences in x, a corner may come before a point
+    between it and the side's other end, and it stays."""
     pts = np.unique(np.round(np.asarray(points, float), 12), axis=0)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     if len(pts) <= 2:
@@ -32,7 +37,8 @@ def hull2d(points: np.ndarray) -> np.ndarray:
         for p in seq:
             while len(out) >= 2:
                 u, w = out[-1] - out[-2], p - out[-2]
-                if u[0] * w[1] - u[1] * w[0] > 1e-12:
+                turn = u[0] * w[1] - u[1] * w[0]
+                if turn > 1e-12 or (turn > 0.0 and u @ (p - out[-1]) < 0.0):
                     break
                 out.pop()
             out.append(p)

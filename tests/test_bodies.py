@@ -285,6 +285,12 @@ def test_planar_hull_is_counterclockwise():
         assert np.all(turns > 0.0)
     assert planar_hull([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]]) == [1, 2]
     assert planar_hull([[3.0, 1.0], [3.0, 1.0]]) == [0]
+    # a point 1e-17 left of a square's left side comes first, and the chain
+    # from it doubles back at the corner (0, 0), by a sine of 2e-17 that the
+    # collinearity tolerance would have taken for a straight run
+    box = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-17, 0.5]])
+    assert canonical_vertex_indices(Polytope(box)) == [0, 1, 2, 3, 4]
+    assert canonical_vertex_indices(Polytope(box[::-1])) == [0, 1, 2, 3, 4]
 
 
 def _planes(a, b):
@@ -456,10 +462,12 @@ def test_hull_of_near_degenerate_clouds(lp_calls):
         a, b = _facets(cloud)
         assert (cloud @ a.T - b).max() <= 1e-12 * extent
         kept = canonicalize(Polytope(cloud)).vertices
-        extreme, pairs, angles = Polytope(kept)._skeleton
-        assert len(angles) == len(pairs) and 0.0 < angles.min() and angles.max() < np.pi
+        extreme, pairs, angles, faces, normals = Polytope(kept)._skeleton
+        assert len(angles) == len(pairs) == len(faces)
+        assert 0.0 < angles.min() and angles.max() < np.pi
         incident = bodies._hull(kept)[4][:, extreme]
         assert len(extreme) - len(pairs) + int((incident.sum(axis=1) >= 3).sum()) == 2
+        assert len(extreme) - len(pairs) + len(normals) == 2
         idx = canonical_vertex_indices(Polytope(cloud))
         inner = cloud.mean(axis=0) + 0.5 * (cloud - cloud.mean(axis=0))
         bigger = np.vstack([cloud] + [inner] * (24 // len(cloud) + 1))
@@ -483,6 +491,32 @@ def test_canonical_body_keeps_the_skeleton_that_chose_its_vertices():
     where = {int(i): j for j, i in enumerate(chosen.extreme)}
     assert edges(kc) == [(where[i], where[j]) for i, j in chosen.edges.tolist()]
     assert canonicalize(kc) is kc and edges(kc) == edges(canonicalize(Polytope(cloud)))
+
+
+def test_skeleton_keeps_each_edge_s_two_facets():
+    # an edge's row of faces names the two facets through both its ends,
+    # whose unit outward normals give its exterior angle; canonicalize hands
+    # the rows and normals on as they are, and from R^4 on there are none
+    rng = np.random.default_rng(229)
+    clouds = [rng.standard_normal((int(rng.integers(5, 30)), 3)) for _ in range(40)]
+    clouds += [_near_degenerate_cloud(rng) for _ in range(40)]
+    clouds.append(np.array(list(product([0.0, 1.0], repeat=3))))
+    for cloud in clouds:
+        p = Polytope(cloud)
+        kc = canonicalize(p)
+        skeleton = kc._skeleton
+        assert skeleton.faces is p._skeleton.faces and skeleton.normals is p._skeleton.normals
+        a, v = skeleton.normals, kc.vertices
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        top = (v @ a.T).max(axis=0)
+        for (i, j), (f, g), angle in zip(skeleton.edges, skeleton.faces, skeleton.angles):
+            assert f != g
+            ends = v[[i, j]] @ a[[f, g]].T
+            assert np.abs(ends - top[[f, g]]).max() <= 1e-9 * np.abs(v).max()
+            assert angle == pytest.approx(math.acos(np.clip(a[f] @ a[g], -1.0, 1.0)), abs=1e-7)
+    body = Polytope(rng.standard_normal((9, 4)))
+    assert body._skeleton.faces is None and body._skeleton.normals is None
+    assert canonicalize(body)._skeleton.faces is None
 
 
 def test_hull_record_is_read_only_on_raw_and_canonical_bodies():

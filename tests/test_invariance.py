@@ -6,7 +6,9 @@ permutation and duplicated vertices, must leave unchanged every answer that
 reads a body's frame: the affine dimension, the canonical vertex set, the
 scale fit and the least vertex-subset fit, the support set and the touching
 verdict; the exact mean width scales by f, and in the plane, with f in
-[1e-3, 1e3] and an offset of a few body sizes, to 1e-12.  A linear map x -> M x of
+[1e-3, 1e3] and an offset of a few body sizes, to 1e-12, as do the
+perimeters of a body's planar shadows read off its silhouette edges, which
+match the planar hulls of its projected vertices.  A linear map x -> M x of
 condition number up to 1e3 leaves the scale fit and the least vertex-subset
 fits unchanged as well.
 """
@@ -18,15 +20,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import perimeter2d  # noqa: E402
+
 from shadowcover.bodies import (  # noqa: E402
     Polytope,
     affine_dim,
     canonical_vertex_indices,
+    canonicalize,
     support_set,
 )
 from shadowcover.construct import verify_touching  # noqa: E402
 from shadowcover.containment import min_subset_sigma, scale_fit  # noqa: E402
-from shadowcover.widths import mean_width_exact  # noqa: E402
+from shadowcover.core import _haar_columns  # noqa: E402
+from shadowcover.widths import _silhouette_perimeters, mean_width_exact  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -156,8 +162,8 @@ def test_mean_width_exact(case, m):
 @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.floats(-3.0, 3.0),
        st.floats(0.0, 2.0 * np.pi), st.booleans())
 def test_planar_mean_width_exact(seed, m, log_factor, angle, mirror):
-    # the gift wrap's perimeter: the same under a vertex permutation with
-    # duplicates, f times it under x -> f R x + v
+    # the monotone chain's perimeter: the same under a vertex permutation
+    # with duplicates, f times it under x -> f R x + v
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, 2))
     factor = 10.0 ** log_factor
@@ -169,3 +175,23 @@ def test_planar_mean_width_exact(seed, m, log_factor, angle, mirror):
     assert mean_width_exact(Polytope(x[order])) == pytest.approx(want, rel=1e-12, abs=0.0)
     moved = mean_width_exact(Polytope((factor * (x @ rot.T) + shift)[order]))
     assert moved == pytest.approx(factor * want, rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.floats(-3.0, 3.0), st.booleans())
+def test_silhouette_perimeters(seed, m, log_factor, mirror):
+    # on 8 Haar planes, each shadow's perimeter is the oracle's for the
+    # projected vertices, and under x -> f R x + v with a vertex permutation
+    # and duplicates it is f times that on the planes R q
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, 3))
+    factor = 10.0 ** log_factor
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    rot[:, 0] *= -1.0 if mirror else 1.0
+    q = _haar_columns(3, 2, 8, rng)
+    want = [perimeter2d(x @ q[:, :, s].T) for s in range(8)]
+    assert _silhouette_perimeters(canonicalize(Polytope(x)), q) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    moved = Polytope((factor * (x @ rot.T + rng.uniform(-3.0, 3.0, 3)))[_reorder(rng, m)])
+    got = _silhouette_perimeters(canonicalize(moved), np.einsum("ij,kjs->kis", rot, q))
+    assert got == pytest.approx(factor * np.array(want), rel=1e-12, abs=0.0)

@@ -1,4 +1,7 @@
 import math
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from oracles import highs_sigma, hull2d, perimeter2d
 from shadowcover import bodies, containment, core, widths
 from shadowcover.bodies import (
     Polytope,
+    affine_dim,
     canonical_vertex_indices,
     canonicalize,
+    planar_hull,
     point_in_hull,
     scale,
     translate,
@@ -134,6 +139,8 @@ def test_mean_width_exact_reads_one_hull_skeleton(monkeypatch, hull_calls):
     assert hull_calls == skeletons == [16]
     kc = canonicalize(body)
     assert kc._hull_record.a is body._hull_record.a and kc._skeleton.angles is body._skeleton.angles
+    assert kc._skeleton.faces is body._skeleton.faces
+    assert kc._skeleton.normals is body._skeleton.normals
     assert kc._skeleton.extreme.tolist() == kc._hull_record.keep.tolist() == list(range(kc.nverts))
     assert mean_width_exact(body) == mean_width_exact(kc) == report.width_exact
     assert hull_calls == skeletons == [16]
@@ -205,11 +212,6 @@ def test_exact_vs_perimeter_oracle_2d():
                                                     abs=1e-9)
 
 
-def _perimeters(shadows):
-    """The gift wrap on an (S, m, 2) stack of planar point sets."""
-    return widths._hull_perimeters(*np.asarray(shadows, dtype=float).T)
-
-
 def _shadow_with_boundary_extras(rng, m):
     """m planar points: a Gaussian cloud plus copies of its lowest leftmost
     point and of another hull vertex, points inside hull edges and the mean."""
@@ -223,135 +225,206 @@ def _shadow_with_boundary_extras(rng, m):
     return out[rng.permutation(m)]
 
 
+def _planes(*pairs):
+    """The (2, 3, S) basis columns of the planes spanned by the orthonormal pairs."""
+    return np.array(pairs, dtype=float).transpose(1, 2, 0)
+
+
+def _perimeters_match_the_oracle(s):
+    """The planar set s's mean width times pi, and the batched silhouette
+    perimeters of the prism s x [0, 1] on the planes (e_x, e_y), (e_y, e_x)
+    and (e_x, -e_y), are perimeter2d(s): every side facet of the prism is
+    parallel to the planes' normal, a tie, and its top and bottom are not."""
+    s = np.asarray(s, dtype=float)
+    assert mean_width_exact(Polytope(s)) == pytest.approx(perimeter2d(s) / math.pi,
+                                                          rel=1e-12, abs=0.0)
+    x, y, _ = np.eye(3)
+    prism = Polytope(np.vstack([np.column_stack([s, np.zeros(len(s))]),
+                                np.column_stack([s, np.ones(len(s))])]))
+    got = widths._silhouette_perimeters(canonicalize(prism), _planes((x, y), (y, x), (x, -y)))
+    assert got == pytest.approx([perimeter2d(s)] * 3, rel=1e-12, abs=0.0)
+
+
 def test_batched_perimeters_match_monotone_chain():
+    # collinear runs and signed zeros on grids: columns and rows of equal
+    # coordinates, vertical edges at the leftmost column; a grid on one line
+    # and a segment are not full-dimensional
     rng = np.random.default_rng(29)
     m = 12
     shadows = [_shadow_with_boundary_extras(rng, m) for _ in range(40)]
-    # collinear runs and signed zeros on grids: columns and rows of equal
-    # coordinates, vertical edges at the leftmost column, segments
     for _ in range(40):
         grid = rng.integers(0, 3, (m, 2)).astype(float)
         grid[rng.random((m, 2)) < 0.3] *= -1.0
         shadows.append(grid)
+    shadows.append(np.array([[0.0, 0.0], [-0.0, 1.0], [0.0, 2.0], [1.0, 1.0]] * 3))
+    full = [s for s in shadows if affine_dim(Polytope(s)) == 2]
+    assert len(full) >= 75
+    for s in full:
+        _perimeters_match_the_oracle(s)
     segment = np.outer(rng.uniform(-1, 1, m), [1.0, -2.0]) + [0.5, 0.0]
-    shadows += [segment, np.column_stack([np.zeros(m), segment[:, 1]]),
-                np.array([[0.0, 0.0], [-0.0, 1.0], [0.0, 2.0], [1.0, 1.0]] * 3)]
-    got = _perimeters(shadows)
-    want = np.array([perimeter2d(s) for s in shadows])
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert _perimeters(np.ones((1, 5, 2)))[0] == 0.0
+    for flat in (segment, np.column_stack([np.zeros(m), segment[:, 1]]), np.ones((5, 2))):
+        with pytest.raises(ValueError, match="full-dimensional"):
+            mean_width_exact(Polytope(flat))
 
 
 def test_batched_perimeters_match_the_oracle_on_hard_cases():
     # points 1e-17 outside the bottom and right edges of a box, noisy
     # near-collinear runs inside an edge, and duplicates of hull points and
-    # of the start, each set also walked in reverse order
+    # of the lowest leftmost one, each set also read in reverse order
     rng = np.random.default_rng(41)
-    shadows = []
     for _ in range(60):
         corners = [[-1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
         t = rng.uniform(0.0, 1.0, 2)
-        shadows.append(np.vstack([corners, rng.uniform(0, 1, (4, 2)) - [1, 0],
-                                  [[-t[0], -1e-17], [1e-17, t[1]], [-t[0], 0.0], [0.0, t[1]]]]))
+        box = np.vstack([corners, rng.uniform(0, 1, (4, 2)) - [1, 0],
+                         [[-t[0], -1e-17], [1e-17, t[1]], [-t[0], 0.0], [0.0, t[1]]]])
         hull = hull2d(rng.standard_normal((8, 2)))
         p, q = hull[0], hull[1]
         run = p + np.linspace(0.0, 1.0, 9)[1:-1, None] * (q - p)
-        shadows.append(np.vstack([hull, run + 1e-15 * rng.standard_normal(run.shape)]))
-        shadows.append(np.vstack([hull, hull[:3], [hull[0]] * 2]))
-    for s in shadows:
-        got = _perimeters([s, s[::-1]])
-        assert np.allclose(got, perimeter2d(s), rtol=1e-12, atol=0.0)
+        noisy = np.vstack([hull, run + 1e-15 * rng.standard_normal(run.shape)])
+        for s in (box, noisy, np.vstack([hull, hull[:3], [hull[0]] * 2])):
+            _perimeters_match_the_oracle(s)
+            _perimeters_match_the_oracle(s[::-1])
 
 
 def test_batched_perimeters_close_past_a_start_extreme_by_rounding():
-    # the start lies 1e-17 left of the box's left edge: the way back from
-    # the top-left corner ties it with the bottom-left corner beyond it
+    # the lowest leftmost point lies 1e-17 left of the box's left edge, so
+    # the chain from it turns by a sine of 2e-17 onto the corner (0, 0)
+    # above, doubling back: that corner stays, and the perimeter is 4
     box = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-17, 0.5]])
-    assert mean_width_exact(Polytope(box)) * math.pi == pytest.approx(4.0, rel=0, abs=1e-15)
+    assert planar_hull(box) == [4, 0, 1, 3, 2]
+    for s in (box, box[::-1]):
+        assert mean_width_exact(Polytope(s)) * math.pi == pytest.approx(4.0, rel=0, abs=1e-15)
+        _perimeters_match_the_oracle(s)
     rng = np.random.default_rng(43)
-    shadows = [rng.standard_normal((5, 2)) for _ in range(6)]
-    shadows.insert(3, box)
-    got = _perimeters(shadows)
-    assert got[3] == pytest.approx(4.0, rel=0, abs=1e-15)
-    assert np.allclose(got, [perimeter2d(s) for s in shadows], rtol=1e-12, atol=0.0)
+    for _ in range(6):
+        _perimeters_match_the_oracle(rng.standard_normal((5, 2)))
 
 
 def test_batched_perimeters_are_right_or_raise_on_near_duplicates():
-    # a step to a point 1e-15 away leaves a heading of rounding noise; a
-    # turn rank blind to the turn's sign (the cosine) then walks back along
-    # the hull and returns a short perimeter, and this one must not
+    # a point 1e-15 from another leaves a step of rounding noise between
+    # them: every set is right, and none raises
     rng = np.random.default_rng(5)
-    closed = 0
     for _ in range(600):
         pts = rng.standard_normal((8, 2))
-        s = np.vstack([pts, pts[rng.integers(8)] + 1e-15 * rng.standard_normal(2)])
-        try:
-            got = _perimeters(s[None])[0]
-        except ValueError:
-            continue
-        closed += 1
-        assert got == pytest.approx(perimeter2d(s), rel=1e-12)
-    assert closed >= 590
+        _perimeters_match_the_oracle(
+            np.vstack([pts, pts[rng.integers(8)] + 1e-15 * rng.standard_normal(2)]))
 
 
-def test_batched_perimeters_raise_on_a_walk_that_does_not_close(monkeypatch):
-    # a turn rank that always puts point 0 first never lets a walk from
-    # point 2 back: the kernel raises, it returns no partial sum
-    monkeypatch.setattr(widths.np, "copysign",
-                        lambda a, b: np.broadcast_to(-np.arange(b.shape[0], dtype=float)[:, None],
-                                                     b.shape).copy())
-    square = np.array([[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]]])
-    with pytest.raises(ValueError, match="did not close"):
-        _perimeters(square)
+def _oracle_perimeters(body, q):
+    """perimeter2d of the body's vertices projected on each plane of the
+    (2, 3, S) basis columns q."""
+    return np.array([perimeter2d(body.vertices @ q[:, :, s].T) for s in range(q.shape[2])])
 
 
-def test_each_shadow_in_a_mixed_stack_gets_the_bits_it_gets_alone():
-    # boundary extras, grids, near-duplicates and a start extreme by
-    # rounding close after different numbers of steps; points, segments and
-    # triangles, more than half the stack, close first, so the stack drops
-    # closed walks before the box's closing step leaves its first one out
-    rng = np.random.default_rng(53)
-    m = 12
-    corners = rng.standard_normal((12, 3, 2))
-    shadows = [np.ones((m, 2)) * rng.standard_normal(2) for _ in range(12)]
-    shadows += [np.outer(rng.uniform(-1, 1, m), rng.standard_normal(2)) for _ in range(12)]
-    shadows += [np.vstack([c, rng.dirichlet(np.ones(3), m - 3) @ c]) for c in corners]
-    shadows += [_shadow_with_boundary_extras(rng, m) for _ in range(8)]
-    for _ in range(8):
-        grid = rng.integers(0, 3, (m, 2)).astype(float)
-        grid[rng.random((m, 2)) < 0.3] *= -1.0
-        shadows.append(grid)
-    while len(shadows) < 24:
-        pts = rng.standard_normal((m, 2))
-        pts[-1] = pts[rng.integers(m - 1)] + 1e-15 * rng.standard_normal(2)
-        try:
-            _perimeters(pts[None])
-        except ValueError:
-            continue
-        shadows.append(pts)
-    box = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-17, 0.5]],
-                     rng.uniform(0.2, 0.8, (m - 5, 2))])
-    assert _perimeters(box[None])[0] == pytest.approx(4.0, rel=0, abs=1e-15)
-    shadows += [box, box[::-1]]
-    shadows = [shadows[i] for i in rng.permutation(len(shadows))]
-    assert len({len(hull2d(s)) for s in shadows}) >= 6
-    alone = np.array([_perimeters(s[None])[0] for s in shadows])
-    assert _perimeters(shadows).tobytes() == alone.tobytes()
+def _silhouette_matches_the_oracle(body, q):
+    kc = canonicalize(body)
+    got = widths._silhouette_perimeters(kc, q)
+    assert got == pytest.approx(_oracle_perimeters(kc, q), rel=1e-12, abs=0.0)
+    return got
 
 
-def test_the_did_not_close_error_counts_the_callers_shadows(monkeypatch):
-    # walk 4 starts at the centre of a square, which no hull step comes
-    # back to; the six other walks close first and leave the arrays
-    rng = np.random.default_rng(59)
-    square = np.vstack([[[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
-                        rng.uniform(0.1, 0.9, (7, 2))])
-    shadows = [_shadow_with_boundary_extras(rng, 12) for _ in range(6)]
-    shadows.insert(4, square)
-    argmin = np.argmin
-    monkeypatch.setattr(widths.np, "argmin",
-                        lambda a, axis: np.where(np.arange(7) == 4, 0, argmin(a, axis=axis)))
-    with pytest.raises(ValueError, match="^1 of 7 planar hulls did not close in 12 steps$"):
-        _perimeters(shadows)
+def test_silhouette_perimeters_of_the_kubota_pool_match_the_oracle():
+    # the seed-1 bodies of the bench's kubota workload, on 20 Haar planes each
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    rng = np.random.default_rng(61)
+    for inst in workloads.WORKLOADS["kubota"].pool(1):
+        _silhouette_matches_the_oracle(Polytope(inst["points"]), core._haar_columns(3, 2, 20, rng))
+
+
+def test_silhouette_perimeters_of_the_cube_at_ties():
+    # on an axis plane four facets, and on a plane through e_x two, have
+    # a.u = 0: each projects to a side of the shadow, counted once
+    x, y, z = np.eye(3)
+    c, s = math.cos(0.3), math.sin(0.3)
+    axis = _planes((x, y), (y, x), (y, z), (z, y), (x, z), (-z, x), (-x, -y))
+    assert widths._silhouette_perimeters(CUBE, axis).tolist() == [4.0] * 7
+    diagonal = _planes((x, (y + z) / math.sqrt(2.0)), (x, (y - z) / math.sqrt(2.0)))
+    assert widths._silhouette_perimeters(CUBE, diagonal) == pytest.approx(
+        2.0 + 2.0 * math.sqrt(2.0), rel=1e-15, abs=0.0)
+    tilted = _planes((x, c * y + s * z), (c * y + s * z, x), (z, c * x - s * y))
+    assert _silhouette_matches_the_oracle(CUBE, tilted) == pytest.approx(
+        2.0 + 2.0 * (c + s), rel=1e-15, abs=0.0)
+    _silhouette_matches_the_oracle(CUBE, np.concatenate([axis, diagonal], axis=2))
+    # a rotated and moved cube on the rotated planes: the ties become near ties
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        body = Polytope(CUBE.vertices @ rot.T + rng.uniform(-3.0, 3.0, 3))
+        planes = np.einsum("ij,kjs->kis", rot, np.concatenate([axis, diagonal, tilted], axis=2))
+        _silhouette_matches_the_oracle(body, planes)
+
+
+def test_silhouette_perimeters_of_the_regular_tetrahedron():
+    # Haar planes, planes through a facet normal (a tie: that facet projects
+    # to a segment) and planes across an edge (which projects to a point)
+    tetra = Polytope(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float))
+    rng = np.random.default_rng(71)
+    pairs = []
+    for a in -tetra.vertices / math.sqrt(3.0):   # the facet opposite each vertex
+        w = np.cross(a, rng.standard_normal(3))
+        pairs.append((a, w / np.linalg.norm(w)))
+    for i, j in combinations(range(4), 2):
+        e = tetra.vertices[i] - tetra.vertices[j]
+        q = np.linalg.qr(np.column_stack([e, rng.standard_normal((3, 2))]))[0]
+        pairs.append((q[:, 1], q[:, 2]))
+    special = _planes(*pairs)
+    _silhouette_matches_the_oracle(tetra, special)
+    _silhouette_matches_the_oracle(tetra, core._haar_columns(3, 2, 50, rng))
+
+
+def test_silhouette_perimeters_after_a_short_edge_re_hull():
+    # a point 1e-11 from a vertex makes an edge shorter than TOL_FEAS of the
+    # extent: the skeleton drops it and keeps the facets of the re-hull
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((8, 3))
+    v = spatial.ConvexHull(pts).vertices
+    body = Polytope(np.vstack([pts, pts[v[0]] + 1e-11 * rng.standard_normal(3)]))
+    assert canonicalize(body).nverts == len(v)
+    assert not np.array_equal(body._skeleton.normals, body._hull_record.a)
+    _silhouette_matches_the_oracle(body, core._haar_columns(3, 2, 50, rng))
+
+
+def test_silhouette_perimeters_of_jittered_cubes_with_merged_facets():
+    # jitter of 1e-13 leaves nearly every side of the cube one merged facet
+    # of four corners within about 1e-12 of one plane, and 3e-13 about half
+    # of them: on Haar planes and on the axis planes, where those facets
+    # give near ties
+    x, y, z = np.eye(3)
+    axis = _planes((x, y), (y, z), (x, z), (x, (y + z) / math.sqrt(2.0)))
+    rng = np.random.default_rng(73)
+    for jitter in (1e-13, 3e-13):
+        facets = []
+        for _ in range(20):
+            body = Polytope(CUBE.vertices + jitter * rng.standard_normal((8, 3)))
+            facets.append(len(canonicalize(body)._skeleton.normals))
+            _silhouette_matches_the_oracle(body, axis)
+            _silhouette_matches_the_oracle(body, core._haar_columns(3, 2, 20, rng))
+        assert max(facets) < 12 and sum(facets) <= (150 if jitter < 2e-13 else 200)
+
+
+@pytest.mark.parametrize("damage", ["drop", "repeat", "reassign"])
+def test_kubota_check_refuses_a_skeleton_that_does_not_bound_its_facets(monkeypatch, damage):
+    # both sides read the skeleton's edges, so a missing or extra edge would
+    # move them alike and pass; the check proves V - E + F = 2, and that
+    # every facet has 3 edges, before it reads them
+    def damaged(v, hull, real=bodies._hull_skeleton):
+        skeleton = real(v, hull)
+        rows = {"drop": np.arange(1, len(skeleton.edges)),
+                "repeat": np.r_[np.arange(len(skeleton.edges)), 0]}.get(damage)
+        if rows is None:   # edge 0 leaves its first facet for a third one
+            faces = skeleton.faces.copy()
+            faces[0, 0] = np.setdiff1d(np.arange(len(skeleton.normals)), faces[0])[0]
+            return skeleton._replace(faces=faces)
+        return skeleton._replace(edges=skeleton.edges[rows], angles=skeleton.angles[rows],
+                                 faces=skeleton.faces[rows])
+
+    body = Polytope(np.random.default_rng(79).standard_normal((12, 3)))
+    assert kubota_check(body, 50, np.random.default_rng(0)).rel_error < 0.1
+    monkeypatch.setattr(bodies, "_hull_skeleton", damaged)
+    with pytest.raises(ValueError, match="do not bound its facets"):
+        kubota_check(Polytope(body.vertices), 50, np.random.default_rng(0))
 
 
 def test_width_monotone_under_inclusion():
@@ -428,31 +501,38 @@ def test_kubota_check_solves_no_lp_and_matches_a_per_shadow_loop(lp_calls):
                                           abs=1e-12)
 
 
-def test_kubota_check_draws_once_and_wraps_the_two_column_products(monkeypatch):
-    # one kernel call draws the (2, 3, count) basis columns, and the gift
-    # wrap takes V @ q_0 and V @ q_1 as they come, (m, count) each: no
-    # (count, m, 2) shadow stack and no transposed copy
-    draws, wraps = [], []
+def test_kubota_check_draws_once_and_walks_no_hull(monkeypatch):
+    # one kernel call draws the (2, 3, count) basis columns, which go as
+    # they come to the silhouette sum over the canonical body's edges: no
+    # planar hull is walked and no (count, m, 2) shadow stack is built
+    draws, reads = [], []
 
     def kernel(cols, real=core._orthonormal_stack):
         draws.append(np.shape(cols))
         return real(cols)
 
-    def wrap(x, y, real=widths._hull_perimeters):
-        wraps.append((x, y))
-        return real(x, y)
+    def read(k, q, real=widths._silhouette_perimeters):
+        reads.append((k, q))
+        return real(k, q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Kubota check built a planar hull or a shadow stack")
 
     monkeypatch.setattr(core, "_orthonormal_stack", kernel)
-    monkeypatch.setattr(widths, "_hull_perimeters", wrap)
+    monkeypatch.setattr(widths, "_silhouette_perimeters", read)
+    for name in ("_planar_hull", "project"):
+        monkeypatch.setattr(bodies, name, refuse)
+    monkeypatch.setattr(core, "haar_subspaces", refuse)
     body = Polytope(np.random.default_rng(31).standard_normal((12, 3)))
-    kubota_check(body, 300, np.random.default_rng(5))
+    report = kubota_check(body, 300, np.random.default_rng(5))
+    monkeypatch.undo()
     assert draws == [(2, 3, 300)]
-    [(x, y)] = wraps
-    v = canonicalize(body).vertices
-    assert x.shape == y.shape == (len(v), 300)
-    assert x.flags.c_contiguous and y.flags.c_contiguous and x.base is None and y.base is None
-    stack = v @ haar_subspaces(3, 2, 300, np.random.default_rng(5))
-    assert np.array_equal(x, stack[..., 0].T) and np.array_equal(y, stack[..., 1].T)
+    [(kc, q)] = reads
+    assert kc.canonical and kc.vertices.tolist() == canonicalize(body).vertices.tolist()
+    want = np.ascontiguousarray(haar_subspaces(3, 2, 300, np.random.default_rng(5)).T)
+    assert q.shape == (2, 3, 300) and np.array_equal(q, want)
+    assert report.width_projected_mean == pytest.approx(
+        _oracle_perimeters(kc, q).mean() / math.pi, rel=1e-12, abs=0.0)
 
 
 def test_kubota_check_builds_no_subspace(monkeypatch):
